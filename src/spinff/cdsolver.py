@@ -113,10 +113,15 @@ class EnumerationReport:
         return len(self.groups)
 
 
-def rhs_vector(model, R, n, **deriv_kw):
+def _state_rhs(model, R, n):
+    """Tracked state C and i dC/dR - i (C^dag dC/dR) C at scalar R."""
+    C, dC = models.state_and_derivative(model, R, n)
+    return C, 1j * dC - 1j * np.vdot(C, dC) * C
+
+
+def rhs_vector(model, R, n):
     """i dC/dR - i (C^dag dC/dR) C for the tracked state; orthogonal to C."""
-    C, dC = models.state_and_derivative(model, R, n, **deriv_kw)
-    return 1j * dC - 1j * np.vdot(C, dC) * C
+    return _state_rhs(model, R, n)[1]
 
 
 def _merged_rows(model):
@@ -141,24 +146,10 @@ def canonical_selection(selection):
     return tuple(COEFF_NAMES[i] for i in sorted(idx))
 
 
-def reduce_system(model, R, n, selection, **deriv_kw):
-    """Square reduced system for the selected free coefficients.
-
-    Exploits the row degeneracies of the symmetric eigenvectors; raises
-    ConsistencyError when the rows that must coincide do not.
-    """
-    if model.dim != 4:
-        raise ConfigError("reduced ansatz systems exist for two-spin models only")
-    rows = _merged_rows(model)
-    idx = _selection_indices(selection)
-    if len(idx) != len(rows):
-        raise ValueError(
-            f"selection size {len(idx)} does not match system size {len(rows)}"
-        )
-    C, dC = models.state_and_derivative(model, R, n, **deriv_kw)
+def _check_merged_rows(model, R, C, rhs_full):
+    """Raise ConsistencyError unless the rows the reduction merges coincide."""
     if abs(C[1] - C[2]) > SYMMETRY_TOL:
         raise ConsistencyError(f"C2 != C3 at R={R}: {abs(C[1] - C[2]):.3e}")
-    rhs_full = 1j * dC - 1j * np.vdot(C, dC) * C
     if abs(rhs_full[1] - rhs_full[2]) > SYMMETRY_TOL:
         raise ConsistencyError(
             f"degenerate middle rows differ at R={R}: "
@@ -172,7 +163,16 @@ def reduce_system(model, R, n, selection, **deriv_kw):
                 f"degenerate outer rows differ at R={R}: "
                 f"{abs(rhs_full[0] - rhs_full[3]):.3e}"
             )
-    cols = np.array([(BASIS[k] @ C)[list(rows)] for k in idx]).T
+
+
+def _reduced(model, n, selection, C, rhs_full):
+    rows = _merged_rows(model)
+    idx = _selection_indices(selection)
+    if len(idx) != len(rows):
+        raise ValueError(
+            f"selection size {len(idx)} does not match system size {len(rows)}"
+        )
+    cols = (BASIS[idx] @ C)[:, list(rows)].T
     return ReducedSystem(
         coefficient_matrix=cols,
         rhs=rhs_full[list(rows)],
@@ -182,6 +182,19 @@ def reduce_system(model, R, n, selection, **deriv_kw):
         rhs_full=rhs_full,
         merged_rows=rows,
     )
+
+
+def reduce_system(model, R, n, selection):
+    """Square reduced system for the selected free coefficients.
+
+    Exploits the row degeneracies of the symmetric eigenvectors; raises
+    ConsistencyError when the rows that must coincide do not.
+    """
+    if model.dim != 4:
+        raise ConfigError("reduced ansatz systems exist for two-spin models only")
+    C, rhs_full = _state_rhs(model, R, n)
+    _check_merged_rows(model, R, C, rhs_full)
+    return _reduced(model, n, selection, C, rhs_full)
 
 
 def solve_selection(rs, tol=DEFAULT_TOL):
@@ -250,14 +263,20 @@ def _cluster(vectors, group_tol):
     return ids, reps
 
 
-def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL, **deriv_kw):
-    """Solve every admissible selection at R and cluster the accepted ones."""
+def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL, *, state=None):
+    """Solve every admissible selection at R and cluster the accepted ones.
+
+    All selections share one tracked state and right-hand side; ``state``
+    passes in that (C, rhs) pair when the caller already holds it.
+    """
+    selections = admissible_selections(model)
+    C, rhs_full = _state_rhs(model, R, n) if state is None else state
+    _check_merged_rows(model, R, C, rhs_full)
     results = []
     accepted_vectors = []
     accepted_pos = []
-    for selection in admissible_selections(model):
-        rs = reduce_system(model, R, n, selection, **deriv_kw)
-        res = solve_selection(rs, tol)
+    for selection in selections:
+        res = solve_selection(_reduced(model, n, selection, C, rhs_full), tol)
         results.append(res)
         if res.accepted:
             accepted_pos.append(len(results) - 1)
@@ -297,9 +316,9 @@ class GridEnumeration:
         return [r.n_groups for r in self.reports]
 
 
-def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL, **deriv_kw):
+def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL):
     """Pointwise enumeration over a grid with partition-consistency check."""
-    reports = [enumerate_solutions(model, R, n, tol, **deriv_kw) for R in R_values]
+    reports = [enumerate_solutions(model, R, n, tol) for R in R_values]
     consistent = True
     if reports:
         def partition(report):
@@ -315,16 +334,15 @@ def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL, **deriv_kw):
 # ---------------------------------------------------------------------------
 # dense (all-coefficient) solutions
 
-def _dense_real_system(model, R, n, basis, **deriv_kw):
-    C, dC = models.state_and_derivative(model, R, n, **deriv_kw)
-    rhs = 1j * dC - 1j * np.vdot(C, dC) * C
+def _dense_real_system(model, R, n, basis):
+    C, rhs = _state_rhs(model, R, n)
     cols = np.array([B @ C for B in basis]).T      # (4, k)
     Mr = np.vstack([cols.real, cols.imag])          # (8, k)
     rr = np.concatenate([rhs.real, rhs.imag])
     return C, rhs, Mr, rr
 
 
-def solve_dense(model, R, n=0, tol=DEFAULT_TOL, **deriv_kw):
+def solve_dense(model, R, n=0, tol=DEFAULT_TOL):
     """Minimum-norm real solution over all nine ansatz coefficients.
 
     The full system is consistent (the state-independent counter-diabatic
@@ -335,7 +353,7 @@ def solve_dense(model, R, n=0, tol=DEFAULT_TOL, **deriv_kw):
     """
     if model.dim != 4:
         raise ConfigError("dense ansatz solutions exist for two-spin models only")
-    C, rhs, Mr, rr = _dense_real_system(model, R, n, BASIS, **deriv_kw)
+    C, rhs, Mr, rr = _dense_real_system(model, R, n, BASIS)
     x = np.linalg.pinv(Mr, rcond=DENSE_RCOND) @ rr
     coeffs = AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), COEFF_NAMES)
     residual = float(np.linalg.norm(ansatz_matrix(coeffs) @ C - rhs))
@@ -347,14 +365,14 @@ def solve_dense(model, R, n=0, tol=DEFAULT_TOL, **deriv_kw):
     return CDSolution(coeffs, residual)
 
 
-def antisym_extension_values(model, R, n=0, **deriv_kw):
+def antisym_extension_values(model, R, n=0):
     """Solved coefficients of the antisymmetric cross terms (should vanish).
 
     Solves the full four-row problem over the twelve-operator extended
     basis and returns the three antisymmetric coefficients.
     """
     basis = np.concatenate([BASIS, ANTISYM_BASIS])
-    _, _, Mr, rr = _dense_real_system(model, R, n, basis, **deriv_kw)
+    _, _, Mr, rr = _dense_real_system(model, R, n, basis)
     x = np.linalg.pinv(Mr, rcond=DENSE_RCOND) @ rr
     return dict(zip(ANTISYM_NAMES, x[len(COEFF_NAMES):]))
 
@@ -376,12 +394,11 @@ class LZSolution:
         )
 
 
-def solve_lz(model, R, n=1, tol=DEFAULT_TOL, **deriv_kw):
+def solve_lz(model, R, n=1, tol=DEFAULT_TOL):
     """Regularization term for the two-level model (either state)."""
     if model.dim != 2:
         raise ConfigError("solve_lz applies to the two-level model")
-    C, dC = models.state_and_derivative(model, R, n, **deriv_kw)
-    rhs = 1j * dC - 1j * np.vdot(C, dC) * C
+    C, rhs = _state_rhs(model, R, n)
     # unknowns (h11, Re h12, Im h12); rows: h11 C1 + h12 C2, conj(h12) C1 - h11 C2
     A = np.array(
         [
@@ -403,7 +420,7 @@ def solve_lz(model, R, n=1, tol=DEFAULT_TOL, **deriv_kw):
 # ---------------------------------------------------------------------------
 # state-independent counter-diabatic operator
 
-def drb_counterdiabatic(model, R, **deriv_kw):
+def drb_counterdiabatic(model, R):
     """State-independent counter-diabatic operator (per unit velocity).
 
     Built from all instantaneous eigenstates as
@@ -413,7 +430,7 @@ def drb_counterdiabatic(model, R, **deriv_kw):
     H = np.zeros((model.dim, model.dim), dtype=complex)
     states = []
     for n in range(model.dim):
-        C, dC = models.state_and_derivative(model, R, n, **deriv_kw)
+        C, dC = models.state_and_derivative(model, R, n)
         states.append(C)
         H += 1j * (np.outer(dC, np.conj(C)) - np.vdot(C, dC) * np.outer(C, np.conj(C)))
     H = 0.5 * (H + H.conj().T)
@@ -440,12 +457,9 @@ class CoefficientPath:
     selection is validated once, where it is chosen).
     """
 
-    def __init__(self, model, selection=None, n=0, *, h_factor=models.DERIV_STEP,
-                 richardson=True):
+    def __init__(self, model, selection=None, n=0):
         self.model = model
         self.n = n
-        self.h_factor = h_factor
-        self.richardson = richardson
         if model.dim == 2:
             self.mode = "lz"
             self.names = ("H11", "ReH12", "ImH12")
@@ -458,9 +472,7 @@ class CoefficientPath:
             self._idx = _selection_indices(self.names)
 
     def _state_rhs(self, R_array):
-        C, dC, _, _ = models.state_and_derivative_batch(
-            self.model, R_array, self.n, self.h_factor, self.richardson
-        )
+        C, dC, _, _ = models.state_and_derivative_batch(self.model, R_array, self.n)
         L = np.einsum("nd,nd->n", np.conj(C), dC)
         rhs = 1j * dC - 1j * L[:, None] * C
         return C, rhs
@@ -526,20 +538,20 @@ class CoefficientPath:
         return matrices_from_rows(vals, BASIS[self._idx])
 
 
-def coefficient_path(model, solution, n=0, **kw):
+def coefficient_path(model, solution, n=0):
     """Normalize a solution-like argument into a CoefficientPath."""
     if isinstance(solution, CoefficientPath):
         return solution
     if isinstance(solution, CDSolution):
         sel = solution.selection
         sel = "dense" if tuple(sel) == COEFF_NAMES else sel
-        return CoefficientPath(model, sel, n, **kw)
+        return CoefficientPath(model, sel, n)
     if isinstance(solution, LZSolution) or solution is None and model.dim == 2:
-        return CoefficientPath(model, None, n, **kw)
-    return CoefficientPath(model, solution, n, **kw)
+        return CoefficientPath(model, None, n)
+    return CoefficientPath(model, solution, n)
 
 
-def fast_forward_hamiltonian(model, schedule, solution, t, n=0, **kw):
+def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
     """H0 at the advanced parameter plus velocity times the regularization.
 
     Exactly H0 wherever the velocity vanishes (both protocol endpoints),
@@ -550,5 +562,5 @@ def fast_forward_hamiltonian(model, schedule, solution, t, n=0, **kw):
     H = models.hamiltonian(model, R)
     if abs(v) <= VELOCITY_EPS * max(schedule.v_bar, 1.0):
         return H
-    path = coefficient_path(model, solution, n, **kw)
+    path = coefficient_path(model, solution, n)
     return H + v * path.matrices(np.array([R]))[0]

@@ -531,6 +531,31 @@ def _apply_overrides(config, args):
     return replace(config, **updates) if updates else config
 
 
+def _run_configs(args):
+    """The jobs of ``run``, each with an output directory of its own.
+
+    With several configs, ``--out D`` gives each job ``D/<basename of its
+    configured out>``; two jobs that would still share a directory are
+    refused before any of them starts.
+    """
+    loaded = [_load(p) for p in args.config]
+    configs = [_apply_overrides(c, args) for c in loaded]
+    if args.out and len(configs) > 1:
+        configs = [
+            replace(c, out=os.path.join(args.out, os.path.basename(os.path.normpath(o.out))))
+            for c, o in zip(configs, loaded)
+        ]
+    owners = {}
+    for ref, config in zip(args.config, configs):
+        key = os.path.abspath(config.out)
+        if key in owners:
+            raise ConfigError(
+                f"{owners[key]} and {ref} would both write to {config.out}"
+            )
+        owners[key] = ref
+    return configs
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinff",
@@ -567,7 +592,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            configs = [_apply_overrides(_load(p), args) for p in args.config]
+            configs = _run_configs(args)
             if len(configs) == 1:
                 return run_job(configs[0])
             with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:

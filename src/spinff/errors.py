@@ -18,7 +18,7 @@ class DegeneracyError(SpinFFError):
 
 
 class GaugeError(SpinFFError):
-    """Gauge anchor too small at a stencil point, or phase residue too large."""
+    """Gauge anchor component too small at R, or phase residue too large."""
 
 
 class ConsistencyError(SpinFFError):

@@ -11,11 +11,15 @@ control parameter R through affine coupling maps:
 Eigen-systems come from a dense Hermitian solver; the closed-form
 eigenvalues (including the cubic roots of the two-spin models) are kept
 alongside and cross-checked, with the cube-root branch selected to match
-the numeric spectrum.  Eigenvector derivatives are central differences in
-a gauge held fixed across the stencil.
+the numeric spectrum.  Eigenvector derivatives come from one eigensolve per
+point through the spectral formula
+dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), exact because every
+coupling is affine in R (so dH/dR is a constant matrix), then carried into
+the gauge that keeps an anchor component real and positive.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +43,6 @@ REQUIRED_COUPLINGS = {
 
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
-DERIV_STEP = 3e-4       # base step factor for Richardson central differences
 BRANCH_TOL = 1e-8       # analytic vs numeric eigenvalue guard
 CUBIC_IMAG_TOL = 1e-10  # cubic roots must be real to this level
 
@@ -100,6 +103,19 @@ class ModelSpec:
 
     def couplings(self, R):
         return {name: self.coupling(name, R) for name in REQUIRED_COUPLINGS[self.kind]}
+
+    @cached_property
+    def slope_matrix(self):
+        """dH/dR, a constant read-only matrix.
+
+        Every Hamiltonian is linear in its couplings and every coupling is
+        affine in R, so dH/dR is the Hamiltonian with each coupling replaced
+        by its slope.
+        """
+        slopes = {name: self.coupling_slope(name) for name in REQUIRED_COUPLINGS[self.kind]}
+        H = hamiltonian(ModelSpec(self.kind, constants=slopes), 0.0)
+        H.flags.writeable = False
+        return H
 
     # -- canonical parametrizations ------------------------------------
 
@@ -324,59 +340,70 @@ def analytic_eigenvalues(model, R, *, numeric=None):
     return vals
 
 
-def _stencil(model, R, n, h=None, *, anchor=None, richardson=True, gap_min=GAP_MIN):
-    """Gauge-consistent eigenvector stencil for state n around scalar R."""
-    R = float(R)
-    if h is None:
-        h = DERIV_STEP * max(1.0, abs(R))
-    offsets = [0.0, h, -h] + ([h / 2, -h / 2] if richardson else [])
-    w, V = _eigh_model(model, np.array([R + s for s in offsets]))
-    gaps = [abs(w[0, m] - w[0, n]) for m in range(model.dim) if m != n]
-    if min(gaps) < gap_min:
+def _transported_derivative(model, R, n, gap_min):
+    """Energies, state n and its parallel-transport derivative over a 1-d R.
+
+    The derivative is sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), in the
+    phase convention of the eigensolver's vectors; raises DegeneracyError
+    where the tracked state comes within gap_min of another level.
+    """
+    w, V = _eigh_model(model, R)
+    gaps = np.abs(w - w[:, n, None])
+    gaps[:, n] = np.inf
+    gap = gaps.min(axis=1)
+    if np.any(gap < gap_min):
+        k = int(np.argmax(gap < gap_min))
         raise DegeneracyError(
-            f"eigenvalue gap {min(gaps):.3e} around state {n} at R={R} "
+            f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
             f"is below gap_min={gap_min:.1e}"
         )
-    vecs = V[:, :, n]
-    if anchor is None:
-        anchor = default_anchor(model, vecs[0])
-    small = np.abs(vecs[:, anchor]).min()
-    if small < ANCHOR_MIN:
-        raise GaugeError(
-            f"gauge anchor component {anchor} has magnitude {small:.3e} "
-            f"inside the stencil at R={R}; switch anchor"
-        )
-    vecs = _fix_phase(vecs, np.full(len(offsets), anchor))
-    if model.is_real:
-        vecs = vecs.real.astype(complex)
-    return w[0], vecs, h
+    v = V[:, :, n]
+    coupling = np.einsum("kam,ka->km", np.conj(V), v @ model.slope_matrix.T)
+    denom = w[:, n, None] - w
+    denom[:, n] = 1.0
+    coupling[:, n] = 0.0
+    dv = np.einsum("kam,km->ka", V, coupling / denom)
+    return w, v, dv
 
 
-def eigenvector_derivative(model, R, n, h=None, *, anchor=None, richardson=True,
-                           gap_min=GAP_MIN):
-    """d/dR of the gauge-fixed eigenvector of state n.
+def _anchored(model, v, dv, anchors):
+    """(C, dC/dR) in the gauge where each anchor component is real positive.
 
-    Central differences with the gauge anchored on the center point's
-    convention at every stencil point.  ``richardson`` adds an h/2 stencil
-    and extrapolates the O(h^2) truncation away; disable it to get the
-    plain two-point formula.
+    C = v conj(u) with u the anchor phase of v, so dC picks up
+    -i Im(dC_a / C_a) C on top of the transported derivative.
     """
-    _, vecs, h = _stencil(model, R, n, h, anchor=anchor, richardson=richardson,
-                          gap_min=gap_min)
-    d1 = (vecs[1] - vecs[2]) / (2 * h)
-    if not richardson:
-        return d1
-    d2 = (vecs[3] - vecs[4]) / h
-    return (4.0 * d2 - d1) / 3.0
+    idx = np.arange(v.shape[0])
+    pivot = v[idx, anchors]
+    phase = (np.conj(pivot) / np.abs(pivot))[:, None]
+    C, dC = v * phase, dv * phase
+    dC -= 1j * (dC[idx, anchors] / C[idx, anchors]).imag[:, None] * C
+    if model.is_real:
+        C, dC = C.real.astype(complex), dC.real.astype(complex)
+    return C, dC
 
 
-def state_and_derivative(model, R, n, **kw):
-    """(C, dC/dR) for state n in one consistent gauge."""
-    _, vecs, h = _stencil(model, R, n, kw.pop("h", None), **kw)
-    d1 = (vecs[1] - vecs[2]) / (2 * h)
-    if vecs.shape[0] == 5:
-        d1 = (4.0 * ((vecs[3] - vecs[4]) / h) - d1) / 3.0
-    return vecs[0], d1
+def state_and_derivative(model, R, n, *, anchor=None, gap_min=GAP_MIN):
+    """(C, dC/dR) for state n at scalar R in one consistent gauge.
+
+    The gauge holds ``anchor`` (default: ``default_anchor``) real and
+    positive; a near-zero anchor makes it undefined and is refused.
+    """
+    R = float(R)
+    _, v, dv = _transported_derivative(model, np.array([R]), n, gap_min)
+    if anchor is None:
+        anchor = default_anchor(model, v[0])
+    if abs(v[0, anchor]) < ANCHOR_MIN:
+        raise GaugeError(
+            f"gauge anchor component {anchor} has magnitude {abs(v[0, anchor]):.3e} "
+            f"at R={R}; switch anchor"
+        )
+    C, dC = _anchored(model, v, dv, np.array([anchor]))
+    return C[0], dC[0]
+
+
+def eigenvector_derivative(model, R, n, *, anchor=None, gap_min=GAP_MIN):
+    """d/dR of the gauge-fixed eigenvector of state n (see state_and_derivative)."""
+    return state_and_derivative(model, R, n, anchor=anchor, gap_min=gap_min)[1]
 
 
 PHASE_IMAG_TOL = 1e-10
@@ -417,28 +444,13 @@ def eigensystem_batch(model, R_array):
     return w, V
 
 
-def state_and_derivative_batch(model, R_array, n, h_factor=DERIV_STEP,
-                               richardson=True):
+def state_and_derivative_batch(model, R_array, n):
     """Vectorized (C, dC/dR, E, all_energies) for state n over R_array.
 
-    Anchors come from each center point (largest component), which keeps
-    every stencil internally gauge-consistent; downstream consumers of
-    (C, dC) pairs are gauge-invariant.
+    Each point is phase-anchored at its largest component; one eigensolve
+    per point, with the same tracked-state gap guard as the scalar path.
     """
     R = np.asarray(R_array, dtype=float)
-    N = R.size
-    h = h_factor * np.maximum(1.0, np.abs(R))
-    offsets = [np.zeros(N), h, -h] + ([h / 2, -h / 2] if richardson else [])
-    S = len(offsets)
-    w, V = _eigh_model(model, np.concatenate([R + s for s in offsets]))
-    vecs = V[:, :, n].reshape(S, N, -1)
-    anchors = np.argmax(np.abs(vecs[0]), axis=1)
-    flat = vecs.reshape(S * N, -1)
-    flat = _fix_phase(flat, np.tile(anchors, S))
-    vecs = flat.reshape(S, N, -1)
-    if model.is_real:
-        vecs = vecs.real.astype(complex)
-    d1 = (vecs[1] - vecs[2]) / (2 * h)[:, None]
-    dC = d1 if not richardson else (4.0 * ((vecs[3] - vecs[4]) / h[:, None]) - d1) / 3.0
-    energies = w[:N]
-    return vecs[0], dC, energies[:, n], energies
+    w, v, dv = _transported_derivative(model, R, n, GAP_MIN)
+    C, dC = _anchored(model, v, dv, np.argmax(np.abs(v), axis=1))
+    return C, dC, w[:, n], w

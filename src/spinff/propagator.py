@@ -71,8 +71,7 @@ def _steps_from_dt(schedule, dt):
     return steps
 
 
-def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES,
-           **path_kw):
+def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     """Integrate the TDSE from the gauge-fixed eigenvector n at R0.
 
     ``solution`` selects the regularization strategy (a selection tuple,
@@ -93,7 +92,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES,
     H = models.hamiltonian(model, Rs)
     live = vs > VELOCITY_EPS * max(schedule.v_bar, 1.0)
     if np.any(live):
-        path = coefficient_path(model, solution, n, **path_kw)
+        path = coefficient_path(model, solution, n)
         H[live] += vs[live, None, None] * path.matrices(Rs[live])
         coeff_names = path.names
     else:
@@ -193,7 +192,7 @@ def dynamical_phase(model, schedule, n, t, nodes=PHASE_NODES):
     return float(np.dot(wts, w[:, n]))
 
 
-def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES, **deriv_kw):
+def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES):
     """Accumulated phase from i <C|dC/dR> along the advanced path.
 
     Zero (to derivative noise) for models with real eigenvectors.
@@ -203,7 +202,7 @@ def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES, **deriv_kw):
     tau, wts = _gauss_nodes(t, nodes)
     R_tau = advanced_parameter(schedule, tau, clamp=True)
     v_tau = velocity(schedule, tau, clamp=True)
-    C, dC, _, _ = models.state_and_derivative_batch(model, R_tau, n, **deriv_kw)
+    C, dC, _, _ = models.state_and_derivative_batch(model, R_tau, n)
     rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
     return float(np.dot(wts, v_tau * rate))
 
@@ -232,7 +231,7 @@ def ff_state(model, schedule, n, t_values, anchor=None):
     return out
 
 
-def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6, **path_kw):
+def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     """TDSE residual of the analytic fast-forward state at time t.
 
     Finite-differences the state in time with step dt_probe and returns
@@ -244,5 +243,5 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6, **path_kw)
     ts = np.array([t - dt_probe, t, t + dt_probe])
     psi = ff_state(model, schedule, n, ts)
     dpsi = (psi[2] - psi[0]) / (2.0 * dt_probe)
-    H = fast_forward_hamiltonian(model, schedule, solution, t, n, **path_kw)
+    H = fast_forward_hamiltonian(model, schedule, solution, t, n)
     return float(np.linalg.norm(1j * dpsi - H @ psi[1]))

@@ -100,25 +100,6 @@ QA_TABLE = (
 )
 
 
-# --- transverse-Ising sparse solutions (a = i dC4/dR, b = i dC2/dR) --------
-
-TFIM_TABLE = (
-    ("J3", {
-        "J3": lambda a, b, C2, C4: (a * C4 + b * C2) / (C4**2 - C2**2),
-        "W2": lambda a, b, C2, C4: 1j * (a * C2 + b * C4) / (2 * (C2**2 - C4**2)),
-    }),
-    ("Bx", {
-        "W2": lambda a, b, C2, C4: 1j * (a * C4 - b * C2) / (4 * C2 * C4),
-    }),
-    ("J1", {
-        "W2": lambda a, b, C2, C4: 1j * (a * C2 - b * C4) / (2 * (C2**2 + C4**2)),
-    }),
-    ("J2", {
-        "W2": lambda a, b, C2, C4: 1j * (a * C2 + b * C4) / (2 * (C2**2 - C4**2)),
-    }),
-)
-
-
 # --- entanglement-generation formal solutions (complex in general) ---------
 # a = i (dC1/dR - L C1) etc.; realness of these is what the acceptance
 # filter tests, and with a transverse field of generic orientation it fails.
@@ -144,13 +125,6 @@ def lz_h12_imag(model, R):
     c = model.couplings(R)
     Q2 = c["Bz"] ** 2 + c["Delta"] ** 2
     return c["Delta"] / (2.0 * Q2)
-
-
-def lz_drive_field(model, schedule_v, R):
-    """Total driving field (Bx, By, Bz) of the accelerated two-level model."""
-    c = model.couplings(R)
-    Q2 = c["Bz"] ** 2 + c["Delta"] ** 2
-    return np.array([c["Delta"], -schedule_v * c["Delta"] / Q2, c["Bz"]])
 
 
 def lz_upper_derivative(model, R):
@@ -213,8 +187,7 @@ class TableVerification:
         return [e for e in self.entries if not e.passed]
 
 
-def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9,
-                 **deriv_kw):
+def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9):
     """Substitute all eighteen closed forms into the defining equation.
 
     For every grid point: evaluate each entry, apply it to the tracked
@@ -232,11 +205,11 @@ def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9,
     groups_ok = True
     group_ids = [0] * len(QA_TABLE)
     for R in R_values:
-        C, dC = models.state_and_derivative(model, float(R), n, **deriv_kw)
+        C, dC = models.state_and_derivative(model, float(R), n)
         rhs_full = 1j * dC - 1j * np.vdot(C, dC) * C
         a, b, c = 1j * dC[0], 1j * dC[1], 1j * dC[3]
         C1, C2, C4 = C[0], C[1], C[3]
-        report = enumerate_solutions(model, float(R), n, tol, **deriv_kw)
+        report = enumerate_solutions(model, float(R), n, tol, state=(C, rhs_full))
         by_selection = {r.selection: r for r in report.results}
         for k, (frame, forms) in enumerate(QA_TABLE):
             values = {name: fn(a, b, c, C1, C2, C4) for name, fn in forms.items()}

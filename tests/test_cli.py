@@ -63,6 +63,36 @@ def test_run_multiple_configs(qa_config_file, tmp_path):
     assert (tmp_path / "out2" / "summary.json").exists()
 
 
+def test_run_multiple_configs_share_out_by_basename(tmp_path):
+    # --out D gives each job D/<basename of its configured out>
+    first = tmp_path / "a.yaml"
+    first.write_text(QA_CONFIG.format(out=tmp_path / "x" / "first"))
+    second = tmp_path / "b.yaml"
+    second.write_text(QA_CONFIG.format(out=tmp_path / "y" / "second"))
+    shared = tmp_path / "shared"
+    assert main(["run", "--config", str(first), str(second),
+                 "--out", str(shared)]) == 0
+    for name in ("first", "second"):
+        assert (shared / name / "summary.json").exists()
+        assert (shared / name / "trajectory.csv").exists()
+    assert not (shared / "summary.json").exists()
+
+
+def test_run_refuses_jobs_sharing_an_output_directory(tmp_path, capsys):
+    first = tmp_path / "a.yaml"
+    first.write_text(QA_CONFIG.format(out=tmp_path / "x" / "same"))
+    second = tmp_path / "b.yaml"
+    second.write_text(QA_CONFIG.format(out=tmp_path / "y" / "same"))
+    shared = tmp_path / "shared"
+    assert main(["run", "--config", str(first), str(second),
+                 "--out", str(shared)]) == 2
+    assert "both write to" in capsys.readouterr().err
+    assert not shared.exists()
+    # the same configured out without --out is refused too
+    assert main(["run", "--config", str(first), str(first)]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: {kind: qa\n")

@@ -12,8 +12,12 @@ from spinff import (
     hamiltonian,
     state_and_derivative,
 )
+from spinff.models import state_and_derivative_batch
 from spinff.errors import ConfigError, DegeneracyError, DomainError, GaugeError
 from spinff.tables import lz_upper_derivative
+
+# tracked state per model for derivative checks (lz: the upper level)
+TRACKED = {"lz": 1, "tfim": 0, "qa": 0, "gen": 0}
 
 ALL_MODELS = {
     "lz": (ModelSpec.lz(), (-4.0, 4.0)),
@@ -156,6 +160,13 @@ def test_degenerate_gap_refused():
 # ---------------------------------------------------------------------------
 # derivatives and gauge
 
+def central_difference(model, R, n, h=1e-5):
+    """Plain central difference of the gauge-fixed eigensystem amplitudes."""
+    plus = eigensystem(model, R + h)[n].amplitudes
+    minus = eigensystem(model, R - h)[n].amplitudes
+    return (plus - minus) / (2 * h)
+
+
 def test_lz_derivative_matches_closed_form(lz_model):
     # the closed form is written in the gauge where C1 < 0; align signs
     for R in (0.0, 0.7, -2.0):
@@ -192,16 +203,23 @@ def test_normalization_derivative_identity_all_models():
         assert abs(np.real(np.vdot(C, dC))) < 1e-6
 
 
-def test_richardson_step_stability(qa_model):
-    base = eigenvector_derivative(qa_model, 3.0, 0, h=3e-4)
-    half = eigenvector_derivative(qa_model, 3.0, 0, h=1.5e-4)
-    assert np.max(np.abs(base - half)) < 1e-6
+def test_derivative_matches_central_difference_of_eigensystem():
+    # the difference quotient's own error, h^2 |d3C/dR3| + eps/h, stays
+    # near 1e-11 here, so the spectral derivative must agree far below 1e-6
+    for name, (model, (lo, hi)) in ALL_MODELS.items():
+        n = TRACKED[name]
+        for R in np.linspace(lo, hi, 7):
+            C, dC = state_and_derivative(model, R, n)
+            np.testing.assert_allclose(C, eigensystem(model, R)[n].amplitudes,
+                                       rtol=0, atol=1e-14)
+            err = np.max(np.abs(dC - central_difference(model, R, n)))
+            assert err < 1e-9, (name, R, err)
 
 
-def test_plain_central_difference_mode(qa_model):
-    rich = eigenvector_derivative(qa_model, 3.0, 0)
-    plain = eigenvector_derivative(qa_model, 3.0, 0, h=1e-6, richardson=False)
-    assert np.max(np.abs(rich - plain)) < 1e-6
+def test_batched_derivative_refuses_degenerate_tracked_state():
+    # Delta = 0 closes the two-level gap at R = 0
+    with pytest.raises(DegeneracyError):
+        state_and_derivative_batch(ModelSpec.lz(delta=0.0), [-1.0, 0.0, 1.0], 0)
 
 
 def test_gauge_anchor_guard(qa_model):
@@ -230,8 +248,8 @@ def test_phase_rate_vanishes_for_real_models(tfim_model, qa_model):
 def test_gen_phase_rate_against_plain_difference(gen_model):
     # independent check: plain central difference of the anchored family
     rate = adiabatic_phase_rate(gen_model, 0.0, 0)
-    C, dC = state_and_derivative(gen_model, 0.0, 0, h=1e-5, richardson=False)
-    oracle = np.real(1j * np.vdot(C, dC))
+    C = eigensystem(gen_model, 0.0)[0].amplitudes
+    oracle = np.real(1j * np.vdot(C, central_difference(gen_model, 0.0, 0)))
     assert rate == pytest.approx(oracle, abs=1e-8)
     # constant component phases make it vanish here too
     assert abs(rate) < 1e-10
