@@ -216,6 +216,25 @@ def test_derivative_matches_central_difference_of_eigensystem():
             assert err < 1e-9, (name, R, err)
 
 
+def test_richardson_step_stability(qa_model):
+    # Richardson-extrapolated differences at two step sizes agree with each
+    # other and with the spectral derivative
+    def richardson(h):
+        return (4 * central_difference(qa_model, 3.0, 0, h / 2)
+                - central_difference(qa_model, 3.0, 0, h)) / 3
+    base = richardson(3e-4)
+    half = richardson(1.5e-4)
+    assert np.max(np.abs(base - half)) < 1e-6
+    spectral = eigenvector_derivative(qa_model, 3.0, 0)
+    assert np.max(np.abs(spectral - half)) < 1e-6
+
+
+def test_plain_central_difference_mode(qa_model):
+    spectral = eigenvector_derivative(qa_model, 3.0, 0)
+    plain = central_difference(qa_model, 3.0, 0, h=1e-6)
+    assert np.max(np.abs(spectral - plain)) < 1e-6
+
+
 def test_batched_derivative_refuses_degenerate_tracked_state():
     # Delta = 0 closes the two-level gap at R = 0
     with pytest.raises(DegeneracyError):
