@@ -39,7 +39,7 @@ from .ansatz import (
     ansatz_matrix,
     matrices_from_rows,
 )
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, DegeneracyError
 from .schedule import advanced_parameter, velocity
 
 SYMMETRY_TOL = 1e-10
@@ -423,18 +423,28 @@ def solve_lz(model, R, n=1, tol=DEFAULT_TOL):
 def drb_counterdiabatic(model, R):
     """State-independent counter-diabatic operator (per unit velocity).
 
-    Built from all instantaneous eigenstates as
-    i * sum_n (|dn><n| - |n><n|dn><n|); Hermitian with vanishing diagonal
-    in the eigenbasis.
+    i * sum_n (|dn><n| - |n><n|dn><n|), gauge independent, so one
+    eigensolve gives it through the spectral formula: its eigenbasis
+    elements are i <m|dH/dR|n> / (E_n - E_m) off the diagonal and zero on
+    it.  Refuses any level pair closer than GAP_MIN, and checks that the
+    diagonal in the eigenbasis vanishes.
     """
-    H = np.zeros((model.dim, model.dim), dtype=complex)
-    states = []
-    for n in range(model.dim):
-        C, dC = models.state_and_derivative(model, R, n)
-        states.append(C)
-        H += 1j * (np.outer(dC, np.conj(C)) - np.vdot(C, dC) * np.outer(C, np.conj(C)))
+    R = float(R)
+    w, V = models._eigh_model(model, np.array([R]))
+    w, V = w[0], V[0]
+    denom = w[None, :] - w[:, None]                 # E_n - E_m at [m, n]
+    gap = float(np.min(np.abs(denom[~np.eye(model.dim, dtype=bool)])))
+    if gap < models.GAP_MIN:
+        raise DegeneracyError(
+            f"eigenvalue gap {gap:.3e} at R={R} is below gap_min={models.GAP_MIN:.1e}"
+        )
+    np.fill_diagonal(denom, 1.0)
+    K = 1j * (np.conj(V.T) @ model.slope_matrix @ V) / denom
+    np.fill_diagonal(K, 0.0)
+    H = V @ K @ np.conj(V.T)
     H = 0.5 * (H + H.conj().T)
-    for n, C in enumerate(states):
+    for n in range(model.dim):
+        C = V[:, n]
         diag = abs(np.vdot(C, H @ C))
         if diag > DRB_DIAG_TOL:
             raise ConsistencyError(
@@ -471,16 +481,20 @@ class CoefficientPath:
             self.names = canonical_selection(selection)
             self._idx = _selection_indices(self.names)
 
-    def _state_rhs(self, R_array):
-        C, dC, _, _ = models.state_and_derivative_batch(self.model, R_array, self.n)
+    def _state_rhs(self, R_array, H):
+        C, dC, _, _ = models.state_and_derivative_batch(self.model, R_array, self.n, H=H)
         L = np.einsum("nd,nd->n", np.conj(C), dC)
         rhs = 1j * dC - 1j * L[:, None] * C
         return C, rhs
 
-    def values(self, R_array):
-        """(N, k) coefficient values at each R."""
+    def values(self, R_array, *, H=None):
+        """(N, k) coefficient values at each R.
+
+        ``H`` optionally holds the model Hamiltonians at R_array, built by
+        the caller, for the eigensolve.
+        """
         R_array = np.asarray(R_array, dtype=float)
-        C, rhs = self._state_rhs(R_array)
+        C, rhs = self._state_rhs(R_array, H)
         if self.mode == "lz":
             A = np.stack(
                 [
@@ -524,7 +538,10 @@ class CoefficientPath:
 
     def matrices(self, R_array):
         """(N, dim, dim) regularization matrices (velocity not applied)."""
-        vals = self.values(R_array)
+        return self.matrices_from_values(self.values(R_array))
+
+    def matrices_from_values(self, vals):
+        """Regularization matrices of (N, k) values returned by ``values``."""
         if self.mode == "lz":
             N = vals.shape[0]
             H = np.zeros((N, 2, 2), dtype=complex)

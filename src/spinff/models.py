@@ -202,9 +202,14 @@ def hamiltonian(model, R):
     return H
 
 
-def _eigh_model(model, R):
-    """Batched dense eigensolve; real path for the real-symmetric models."""
-    H = hamiltonian(model, R)
+def _eigh_model(model, R, H=None):
+    """Batched dense eigensolve; real path for the real-symmetric models.
+
+    ``H`` passes in the model matrices at R when the caller already holds
+    them, so they are not built a second time.
+    """
+    if H is None:
+        H = hamiltonian(model, R)
     if model.is_real:
         w, V = np.linalg.eigh(H.real)
         return w, V.astype(complex)
@@ -340,14 +345,14 @@ def analytic_eigenvalues(model, R, *, numeric=None):
     return vals
 
 
-def _transported_derivative(model, R, n, gap_min):
+def _transported_derivative(model, R, n, gap_min, H=None):
     """Energies, state n and its parallel-transport derivative over a 1-d R.
 
     The derivative is sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), in the
     phase convention of the eigensolver's vectors; raises DegeneracyError
     where the tracked state comes within gap_min of another level.
     """
-    w, V = _eigh_model(model, R)
+    w, V = _eigh_model(model, R, H)
     gaps = np.abs(w - w[:, n, None])
     gaps[:, n] = np.inf
     gap = gaps.min(axis=1)
@@ -444,13 +449,14 @@ def eigensystem_batch(model, R_array):
     return w, V
 
 
-def state_and_derivative_batch(model, R_array, n):
+def state_and_derivative_batch(model, R_array, n, *, H=None):
     """Vectorized (C, dC/dR, E, all_energies) for state n over R_array.
 
     Each point is phase-anchored at its largest component; one eigensolve
     per point, with the same tracked-state gap guard as the scalar path.
+    ``H`` optionally holds ``hamiltonian(model, R_array)`` already built.
     """
     R = np.asarray(R_array, dtype=float)
-    w, v, dv = _transported_derivative(model, R, n, GAP_MIN)
+    w, v, dv = _transported_derivative(model, R, n, GAP_MIN, H)
     C, dC = _anchored(model, v, dv, np.argmax(np.abs(v), axis=1))
     return C, dC, w[:, n], w

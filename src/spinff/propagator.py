@@ -2,10 +2,15 @@
 
 The integrator is the classical fixed-step fourth-order scheme with the
 Hamiltonian evaluated at stage midpoints.  Because the equation is linear
-the whole run reduces to a product of per-step transfer matrices; these
-are built in one vectorized pass over the stage grid and folded in time
-order, so the default 1e5-step runs stay fast.  No renormalization is
-applied anywhere: norm drift is a diagnostic of the step size.
+the whole run reduces to a product of per-step transfer matrices, folded
+per sample interval (chunk) in time order.  The stage grid is walked in
+blocks of whole chunks, at most BLOCK_STAGE_POINTS stage points each (a
+chunk wider than that is split): each block builds its stage
+Hamiltonians once, solves the regularization coefficients on them,
+builds the step matrices vectorized, folds them and emits its sample
+rows.  So the default 1e5-step runs stay fast and memory does not grow
+with the step count.  No renormalization is applied anywhere: norm drift
+is a diagnostic of the step size.
 
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
 eigenvector; with an exact regularization term it stays at 1 up to
@@ -13,6 +18,7 @@ integration noise.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +32,7 @@ DEFAULT_STEPS = 100_000
 DEFAULT_SAMPLES = 1000
 MIN_SAMPLES = 200
 PHASE_NODES = 128
+BLOCK_STAGE_POINTS = 4096   # stage points evolve holds at once
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,26 @@ def _steps_from_dt(schedule, dt):
     return steps
 
 
+def _stage_block(model, schedule, steps, s0, s1):
+    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
+    u = np.arange(2 * s0, 2 * s1 + 1) * (schedule.T_FF / (2 * steps))
+    Rs = advanced_parameter(schedule, u, clamp=True)
+    vs = velocity(schedule, u, clamp=True)
+    return Rs, vs, models.hamiltonian(model, Rs)
+
+
+def _rk4_step_matrices(H, dt):
+    """Transfer matrices of the RK4 steps on a stage grid of 2*steps+1 points."""
+    A = -1j * H
+    eye = np.eye(H.shape[-1], dtype=complex)
+    A_t, A_m, A_n = A[0:-1:2], A[1::2], A[2::2]
+    half = 0.5 * dt
+    B2 = A_m @ (eye + half * A_t)
+    B3 = A_m @ (eye + half * B2)
+    B4 = A_n @ (eye + dt * B3)
+    return eye + (dt / 6.0) * (A_t + 2.0 * B2 + 2.0 * B3 + B4)
+
+
 def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     """Integrate the TDSE from the gauge-fixed eigenvector n at R0.
 
@@ -84,75 +111,82 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     n_chunks = max(MIN_SAMPLES, min(samples, steps))
     n_chunks = min(n_chunks, steps)
     dim = model.dim
-
-    # stage grid: all step points and midpoints at spacing dt/2
-    u = np.arange(2 * steps + 1) * (schedule.T_FF / (2 * steps))
-    Rs = advanced_parameter(schedule, u, clamp=True)
-    vs = velocity(schedule, u, clamp=True)
-    H = models.hamiltonian(model, Rs)
-    live = vs > VELOCITY_EPS * max(schedule.v_bar, 1.0)
-    if np.any(live):
-        path = coefficient_path(model, solution, n)
-        H[live] += vs[live, None, None] * path.matrices(Rs[live])
-        coeff_names = path.names
-    else:
-        path = None
-        coeff_names = ()
-
-    A = -1j * H
     eye = np.eye(dim, dtype=complex)
-    A_t, A_m, A_n = A[0:-1:2], A[1::2], A[2::2]
-    half = 0.5 * dt
-    B2 = A_m @ (eye + half * A_t)
-    B3 = A_m @ (eye + half * B2)
-    B4 = A_n @ (eye + dt * B3)
-    M = eye + (dt / 6.0) * (A_t + 2.0 * B2 + 2.0 * B3 + B4)
+    v_min = VELOCITY_EPS * max(schedule.v_bar, 1.0)  # slower counts as zero
 
-    # fold step matrices chunk-wise: one batched matmul per intra-chunk index
+    # sample intervals (chunks) of near-equal step counts; sample k sits on
+    # step bounds[k], i.e. on stage point 2 * bounds[k]
     sizes = np.full(n_chunks, steps // n_chunks)
     sizes[: steps % n_chunks] += 1
-    starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     width = int(sizes.max())
-    idx = starts[:, None] + np.arange(width)[None, :]
-    valid = np.arange(width)[None, :] < sizes[:, None]
-    Mpad = np.where(valid[:, :, None, None], M[np.minimum(idx, steps - 1)], eye)
-    G = np.broadcast_to(eye, (n_chunks, dim, dim)).copy()
-    for l in range(width):
-        G = Mpad[:, l] @ G
+    # a block is `group` whole chunks, or `span` steps of one wider chunk
+    group = max(1, BLOCK_STAGE_POINTS // (2 * width))
+    span = min(width, max(1, BLOCK_STAGE_POINTS // 2))
 
     # initial state: gauge-fixed eigenvector at R0
     _, V0 = models.eigensystem_batch(model, np.array([schedule.R0]))
     psi = V0[0][:, n].copy()
-    states = [psi]
-    for j in range(n_chunks):
-        psi = G[j] @ psi
-        states.append(psi)
-    psi_s = np.array(states)
+    psi_s = np.empty((n_chunks + 1, dim), dtype=complex)
+    psi_s[0] = psi
+    norm_s = np.empty(n_chunks + 1)
+    R_s = np.empty(n_chunks + 1)
+    v_s = np.empty(n_chunks + 1)
+    path = coeffs = None
 
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    for j0 in range(0, n_chunks, group):
+        j1 = min(j0 + group, n_chunks)
+        G = np.broadcast_to(eye, (j1 - j0, dim, dim)).copy()
+        for l0 in range(0, width, span):
+            l = np.arange(l0, min(l0 + span, width))
+            # step matrices of the block, padded with eye past each chunk's end
+            valid = l[None, :] < sizes[j0:j1, None]
+            Mpad = np.broadcast_to(eye, valid.shape + (dim, dim)).copy()
+            # in row-major order the valid entries are steps s0 .. s1-1; a
+            # segment can hold padding only, when a wide chunk is one step short
+            s0 = bounds[j0] + l0
+            s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
+            if s1 > s0:
+                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1)
+                live = vs > v_min
+                rows = None
+                if np.any(live):
+                    if path is None:
+                        path = coefficient_path(model, solution, n)
+                        coeffs = np.zeros((n_chunks + 1, len(path.names)))
+                    vals = path.values(Rs[live], H=H[live])
+                    H[live] += vs[live, None, None] * path.matrices_from_values(vals)
+                    rows = np.zeros((len(Rs), vals.shape[1]))
+                    rows[live] = vals
+                Mpad[valid] = _rk4_step_matrices(H, dt)
+
+                # sample rows on the block's stage points
+                k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
+                pos = 2 * (bounds[k] - s0)
+                R_s[k], v_s[k] = Rs[pos], vs[pos]
+                if rows is not None:
+                    coeffs[k] = rows[pos]
+            # fold chunk-wise: one batched matmul per intra-chunk index
+            for i in range(len(l)):
+                G = Mpad[:, i] @ G
+
+        for j in range(j0, j1):
+            psi = G[j - j0] @ psi
+            psi_s[j + 1] = psi
+        norm_s[j0 : j1 + 1] = np.linalg.norm(psi_s[j0 : j1 + 1], axis=1)
+        drift = float(np.max(np.abs(norm_s[: j1 + 1] - 1.0)))
+        if drift > NORM_DRIFT_MAX:
+            raise StepSizeError(
+                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_MAX:.0e}; "
+                f"use a smaller dt than {dt:.3e}"
+            )
+
     t_s = bounds * dt
     t_s[-1] = schedule.T_FF
-    stage_pos = 2 * bounds  # sample points sit on the stage grid
-    R_s = Rs[stage_pos]
-    v_s = vs[stage_pos]
-    norm_s = np.linalg.norm(psi_s, axis=1)
-    drift = float(np.max(np.abs(norm_s - 1.0)))
-    if drift > NORM_DRIFT_MAX:
-        raise StepSizeError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_MAX:.0e}; "
-            f"use a smaller dt than {dt:.3e}"
-        )
-
     w_s, V_s = models.eigensystem_batch(model, R_s)
     targets = V_s[:, :, n]
     fid = np.abs(np.einsum("sd,sd->s", np.conj(targets), psi_s))
-
-    if path is not None:
-        coeffs = np.zeros((len(t_s), len(coeff_names)))
-        live_s = live[stage_pos]
-        if np.any(live_s):
-            coeffs[live_s] = path.values(R_s[live_s])
-    else:
+    if path is None:
         coeffs = np.zeros((len(t_s), 0))
 
     return Trajectory(
@@ -163,7 +197,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
         fidelity=fid,
         energies=w_s,
         coefficients=coeffs,
-        coefficient_names=tuple(coeff_names),
+        coefficient_names=tuple(path.names) if path is not None else (),
         velocity=v_s,
         dt=dt,
         state_index=n,
@@ -177,8 +211,16 @@ def fidelity(psi, model, R_adv, n=0):
     return float(abs(np.vdot(V[0][:, n], psi)))
 
 
-def _gauss_nodes(t_end, count=PHASE_NODES):
+@lru_cache(maxsize=None)
+def _legendre_rule(count):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
     x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(t_end, count=PHASE_NODES):
+    x, w = _legendre_rule(count)
     return 0.5 * t_end * (x + 1.0), 0.5 * t_end * w
 
 

@@ -338,6 +338,44 @@ def test_drb_zero_for_constant_couplings():
     assert np.max(np.abs(drb_counterdiabatic(model, 1.0))) < 1e-12
 
 
+def test_drb_matches_per_level_sum():
+    # the defining sum i * sum_n (|dn><n| - |n><n|dn><n|), one level at a time
+    cases = [
+        (ModelSpec.lz(), (-3.0, 0.3, 2.0)),
+        (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), (0.3, 1.0, 2.0)),
+        (ModelSpec.qa(), (0.3, 5.0, 9.5)),
+        (ModelSpec.gen(), (0.3, 7.7, 12.5)),
+    ]
+    for model, Rs in cases:
+        for R in Rs:
+            H = np.zeros((model.dim, model.dim), dtype=complex)
+            for n in range(model.dim):
+                C, dC = state_and_derivative(model, R, n)
+                H += 1j * (np.outer(dC, C.conj()) - np.vdot(C, dC) * np.outer(C, C.conj()))
+            H = 0.5 * (H + H.conj().T)
+            assert np.max(np.abs(drb_counterdiabatic(model, R) - H)) < 1e-12, (model.kind, R)
+
+
+def test_drb_uses_one_eigensolve(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    drb_counterdiabatic(ModelSpec.gen(), 7.7)
+    assert len(calls) == 1
+
+
+def test_drb_refuses_degenerate_levels():
+    from spinff.errors import DegeneracyError
+
+    with pytest.raises(DegeneracyError):
+        drb_counterdiabatic(ModelSpec.lz(delta=0.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # driving Hamiltonian
 

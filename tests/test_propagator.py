@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from spinff import (
     ff_state_residual,
     fidelity,
 )
+from spinff import models, propagator
 from spinff.errors import DomainError, StepSizeError
 from spinff.propagator import adiabatic_phase, dynamical_phase
+from spinff.schedule import advanced_parameter
+
+QA_SEL = ("W2", "By", "Bz")
 
 
 def test_stationary_schedule_keeps_eigenstate(qa_model):
@@ -22,6 +28,9 @@ def test_stationary_schedule_keeps_eigenstate(qa_model):
     state = eigensystem(qa_model, 3.0)[0]
     expect = state.amplitudes * np.exp(-1j * state.energy * traj.t[-1])
     assert np.max(np.abs(traj.psi[-1] - expect)) < 1e-9
+    # no stage point is live: no coefficient columns
+    assert traj.coefficient_names == ()
+    assert traj.coefficients.shape == (len(traj.t), 0)
 
 
 def test_trajectory_layout(tfim_model):
@@ -109,3 +118,61 @@ def test_ff_state_probe_time_must_be_interior(qa_model, qa_schedule):
 def test_ff_state_is_unit_norm(gen_model, gen_schedule):
     psi = ff_state(gen_model, gen_schedule, 0, [0.03, 0.05])
     assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# streaming in blocks
+
+def _evolve_peak_bytes(model, schedule, steps):
+    tracemalloc.start()
+    try:
+        evolve(model, schedule, QA_SEL, dt=schedule.T_FF / steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_memory_does_not_grow_with_steps(qa_model, qa_schedule):
+    evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 1000)  # warm caches
+    # 1e4 and 1e5 stage points: both several blocks
+    small = _evolve_peak_bytes(qa_model, qa_schedule, 5_000)
+    large = _evolve_peak_bytes(qa_model, qa_schedule, 50_000)
+    assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("block", [1, 62])
+def test_block_size_does_not_change_results(qa_model, qa_schedule, monkeypatch, block):
+    # 6007 steps in 200 chunks of 30 or 31 steps: 4 blocks at the default
+    # size, one chunk per block at 62 stage points, one step at 1
+    kw = dict(dt=qa_schedule.T_FF / 6007, samples=200)
+    ref = evolve(qa_model, qa_schedule, QA_SEL, **kw)
+    monkeypatch.setattr(propagator, "BLOCK_STAGE_POINTS", block)
+    out = evolve(qa_model, qa_schedule, QA_SEL, **kw)
+    for name in ("t", "R_adv", "psi", "norm", "fidelity", "energies", "coefficients", "velocity"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    assert out.coefficient_names == ref.coefficient_names
+
+
+def test_stage_hamiltonians_built_once(qa_model, qa_schedule, monkeypatch):
+    points = []
+    build = models.hamiltonian
+
+    def counting(model, R):
+        points.append(np.size(R))
+        return build(model, R)
+
+    monkeypatch.setattr(models, "hamiltonian", counting)
+    steps = 6007
+    traj = evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / steps, samples=200)
+    # stage grid, block boundaries shared by two blocks, samples, initial state
+    assert sum(points) <= 1.01 * (2 * steps + 1) + len(traj.t) + 1
+
+
+def test_phase_rule_matches_fresh_legendre_rule(qa_model, qa_schedule):
+    t = 0.3 * qa_schedule.T_FF
+    for _ in range(2):  # the rule is computed on the first call, then reused
+        x, w = np.polynomial.legendre.leggauss(propagator.PHASE_NODES)
+        tau, wts = 0.5 * t * (x + 1.0), 0.5 * t * w
+        energies, _ = models.eigensystem_batch(
+            qa_model, advanced_parameter(qa_schedule, tau, clamp=True))
+        assert dynamical_phase(qa_model, qa_schedule, 0, t) == float(np.dot(wts, energies[:, 0]))
