@@ -14,6 +14,7 @@ part.  The matrix is Hermitian and traceless by construction.
 An extended basis adds the three antisymmetric cross terms
 (xy - yx etc.); physical solutions leave their coefficients at zero, which
 is kept as a regression check.
+The two-level term H11 sz + Re H12 sx - Im H12 sy uses the basis (sz, sx, -sy).
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ COEFF_NAMES = ("J1", "J2", "J3", "W1", "W2", "W3", "Bx", "By", "Bz")
 IMAG_NAMES = ("By", "W1", "W2")                      # imaginary-part carriers
 REAL_NAMES = ("J1", "J2", "J3", "W3", "Bx", "Bz")    # real-part carriers
 ANTISYM_NAMES = ("D1", "D2", "D3")                   # xy-yx, yz-zy, zx-xz
+LZ_NAMES = ("H11", "ReH12", "ImH12")                 # two-level term
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -66,6 +68,7 @@ def _build_antisym_basis():
 
 BASIS = _build_basis()                  # (9, 4, 4)
 ANTISYM_BASIS = _build_antisym_basis()  # (3, 4, 4)
+LZ_BASIS = np.array([_SZ, _SX, -_SY])   # (3, 2, 2), ordered as LZ_NAMES
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def ansatz_matrix(coefficients):
 
 
 def matrices_from_rows(values, basis=None):
-    """Batched version: (N, k) coefficient rows -> (N, 4, 4) matrices."""
+    """Batched version: (N, k) coefficient rows -> (N, dim, dim) matrices."""
     if basis is None:
         basis = BASIS
     return np.tensordot(np.asarray(values, dtype=float), basis, axes=(1, 0))

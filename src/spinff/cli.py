@@ -7,6 +7,7 @@ formatting in CSV and 12 significant digits in JSON summaries.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,9 +371,13 @@ def _checks():
             worst = max(worst, float(np.max(np.abs(H - Ht))))
         return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
 
+    @functools.cache
+    def qa_grid():
+        # shared by the two qa enumeration checks (a crash is not cached)
+        return enumerate_grid(qa.model, enumeration_grid(qa.schedule, qa.grid))
+
     def qa_table():
-        R_values = enumeration_grid(qa.schedule, qa.grid)
-        verification = tables.verify_table(qa.model, R_values)
+        verification = tables.verify_table_reports(qa.model, qa_grid().reports)
         worst = max(e.max_residual for e in verification.entries)
         return verification.passed, {
             "max_residual": worst,
@@ -381,8 +386,7 @@ def _checks():
         }
 
     def qa_counts():
-        R_values = enumeration_grid(qa.schedule, qa.grid)
-        grid = enumerate_grid(qa.model, R_values)
+        grid = qa_grid()
         ok = (all(c == 18 for c in grid.accepted_counts)
               and all(g == 3 for g in grid.group_counts)
               and grid.partition_consistent)

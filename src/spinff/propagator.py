@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
-from .cdsolver import VELOCITY_EPS, coefficient_path, fast_forward_hamiltonian
+from .cdsolver import coefficient_path, fast_forward_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, velocity
 
@@ -112,7 +112,6 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     n_chunks = min(n_chunks, steps)
     dim = model.dim
     eye = np.eye(dim, dtype=complex)
-    v_min = VELOCITY_EPS * max(schedule.v_bar, 1.0)  # slower counts as zero
 
     # sample intervals (chunks) of near-equal step counts; sample k sits on
     # step bounds[k], i.e. on stage point 2 * bounds[k]
@@ -148,7 +147,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
             s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
             if s1 > s0:
                 Rs, vs, H = _stage_block(model, schedule, steps, s0, s1)
-                live = vs > v_min
+                live = is_driven(schedule, Rs, vs)
                 rows = None
                 if np.any(live):
                     if path is None:

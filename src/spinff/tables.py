@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .ansatz import ansatz_matrix
-from .cdsolver import DEFAULT_TOL, canonical_selection, enumerate_solutions
+from .cdsolver import DEFAULT_TOL, canonical_selection, enumerate_grid
 from .errors import ConfigError
 
 # --- the eighteen annealing-model entries ---------------------------------
@@ -188,28 +188,33 @@ class TableVerification:
 
 
 def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9):
+    """``verify_table_reports`` on a fresh enumeration of the R grid."""
+    R_values = np.atleast_1d(np.asarray(R_values, dtype=float))
+    reports = enumerate_grid(model, R_values, n, tol).reports
+    return verify_table_reports(model, reports, residual_tol)
+
+
+def verify_table_reports(model, reports, residual_tol=1e-9):
     """Substitute all eighteen closed forms into the defining equation.
 
-    For every grid point: evaluate each entry, apply it to the tracked
-    eigenvector, and compare against the right-hand side; also solve the
-    matching selection and require agreement, including the vanishing of
-    the frame coefficient.  Entry grouping must match the enumeration's
-    clustering.
+    At every point of an annealing-model enumeration: evaluate each entry,
+    apply it to the tracked eigenvector, and compare against the right-hand
+    side; also require agreement with the report's solution of the matching
+    selection, including the vanishing of the frame coefficient.  Entry
+    grouping must match the enumeration's clustering.
     """
     if model.kind != "qa":
         raise ConfigError("the closed-form table applies to the annealing model")
-    R_values = np.atleast_1d(np.asarray(R_values, dtype=float))
     worst_res = np.zeros(len(QA_TABLE))
     worst_gap = np.zeros(len(QA_TABLE))
     worst_van = np.zeros(len(QA_TABLE))
     groups_ok = True
     group_ids = [0] * len(QA_TABLE)
-    for R in R_values:
-        C, dC = models.state_and_derivative(model, float(R), n)
+    for report in reports:
+        C, dC = models.state_and_derivative(model, report.R, report.state_index)
         rhs_full = 1j * dC - 1j * np.vdot(C, dC) * C
         a, b, c = 1j * dC[0], 1j * dC[1], 1j * dC[3]
         C1, C2, C4 = C[0], C[1], C[3]
-        report = enumerate_solutions(model, float(R), n, tol, state=(C, rhs_full))
         by_selection = {r.selection: r for r in report.results}
         for k, (frame, forms) in enumerate(QA_TABLE):
             values = {name: fn(a, b, c, C1, C2, C4) for name, fn in forms.items()}

@@ -24,6 +24,7 @@ from spinff.cdsolver import (
     antisym_extension_values,
     enumeration_grid,
 )
+from spinff.errors import ConsistencyError
 from spinff.models import state_and_derivative
 from spinff.schedule import advanced_parameter, velocity
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
@@ -245,16 +246,60 @@ def test_qa_drb_is_hermitian_traceless(R):
     assert abs(np.trace(H)) < 1e-12
 
 
-def test_coefficient_path_survives_singular_grid_point(qa_model):
+def test_coefficient_path_refuses_singular_grid_point(qa_model):
     # R = 10 puts Bx exactly at zero where the reduced system is singular;
-    # the batched path must stay finite there (the velocity factor is
-    # negligible wherever this can happen along a schedule)
+    # the batched path refuses it by name instead of patching a value in
     path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
-    vals = path.values(np.array([5.0, 10.0]))
-    assert np.all(np.isfinite(vals))
+    with pytest.raises(ConsistencyError, match=r"R=10\.0"):
+        path.values(np.array([5.0, 10.0]))
+    vals = path.values(np.array([5.0]))
     res = solve_selection(reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz")))
     expect = [res.solution.coefficients[n] for n in ("W2", "By", "Bz")]
     assert np.max(np.abs(vals[0] - expect)) < 1e-10
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "model, R",
+    [
+        (ModelSpec.qa(), 5.0),
+        (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), 1.0),
+        (ModelSpec.gen(), 12.5),
+        (ModelSpec.gen(bx=np.sqrt(2.0), by=0.0), 12.5),
+    ],
+    ids=["qa", "tfim", "gen", "gen-field-along-x"],
+)
+def test_enumeration_matches_per_selection_solves(model, R):
+    report = enumerate_solutions(model, R)
+    assert [r.selection for r in report.results] == admissible_selections(model)
+    for batched in report.results:
+        single = solve_selection(reduce_system(model, R, 0, batched.selection))
+        assert batched.reason == single.reason, batched.selection
+        assert batched.accepted == single.accepted
+        assert _same(batched.cond, single.cond), batched.selection
+        assert _same(batched.max_imag, single.max_imag), batched.selection
+        if single.accepted:
+            np.testing.assert_array_equal(
+                batched.solution.coefficients.as_array(),
+                single.solution.coefficients.as_array(),
+            )
+            assert abs(batched.residual - single.residual) <= 1e-15
+        else:
+            assert _same(batched.residual, single.residual), batched.selection
+
+
+def test_rank_deficient_selection_with_real_family_is_singular():
+    # documented policy: W1+W2+By has rank 2 here and an exact real
+    # least-squares solution family, yet it is reported singular
+    model = ModelSpec.gen(bx=np.sqrt(2.0), by=0.0)
+    rs = reduce_system(model, 12.5, 0, ("W1", "W2", "By"))
+    assert np.linalg.matrix_rank(rs.coefficient_matrix) == 2
+    res = solve_selection(rs)
+    assert not res.accepted
+    assert res.reason == "singular"
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +437,23 @@ def test_ff_hamiltonian_equals_bare_at_endpoints(qa_model, qa_schedule):
     )
 
 
+def test_ff_hamiltonian_is_bare_where_R_reaches_the_sweep_end(qa_model, qa_schedule):
+    # the last stage midpoint of a 2e5-step run: v is still above the zero
+    # threshold, but R rounds to R_final, where Bx = 0 makes the reduced
+    # system exactly singular; the drive is left out there
+    sel = ("W2", "By", "Bz")
+    t = 399_999 * (qa_schedule.T_FF / 400_000)
+    R = advanced_parameter(qa_schedule, t)
+    assert R == qa_schedule.R_final
+    assert velocity(qa_schedule, t) > 1e-9
+    with pytest.raises(ConsistencyError):
+        CoefficientPath(qa_model, sel).values(np.array([R]))
+    np.testing.assert_array_equal(
+        fast_forward_hamiltonian(qa_model, qa_schedule, sel, t),
+        hamiltonian(qa_model, qa_schedule.R_final),
+    )
+
+
 def test_lz_driving_field_component(lz_model):
     # the transverse driving component is -v * Delta / (R^2 + Delta^2)
     sched = Schedule(-2.5, 10.0, 0.5)
@@ -416,11 +478,21 @@ def test_qa_midpoint_ff_hamiltonian(qa_model, qa_schedule):
     assert np.max(np.abs(got - expect)) < 1e-8
 
 
-def test_coefficient_path_matches_pointwise(qa_model):
-    path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
+def test_coefficient_path_matches_pointwise(qa_model, lz_model, tfim_model, gen_model):
     Rs = np.array([2.0, 5.0, 8.0])
-    vals = path.values(Rs)
+    cases = [(qa_model, ("W2", "By", "Bz")), (tfim_model, ("J3", "W2"))]
+    for model, sel in cases:
+        vals = CoefficientPath(model, sel).values(Rs)
+        for i, R in enumerate(Rs):
+            res = solve_selection(reduce_system(model, float(R), 0, sel))
+            expect = [res.solution.coefficients[n] for n in sel]
+            assert np.max(np.abs(vals[i] - expect)) < 1e-10, (model.kind, R)
+    vals = CoefficientPath(lz_model, None).values(Rs)
     for i, R in enumerate(Rs):
-        res = solve_selection(reduce_system(qa_model, float(R), 0, ("W2", "By", "Bz")))
-        expect = [res.solution.coefficients[n] for n in ("W2", "By", "Bz")]
-        assert np.max(np.abs(vals[i] - expect)) < 1e-10
+        sol = solve_lz(lz_model, float(R), n=0)
+        expect = [sol.h11, sol.h12.real, sol.h12.imag]
+        assert np.max(np.abs(vals[i] - expect)) < 1e-10, ("lz", R)
+    vals = CoefficientPath(gen_model, "dense").values(Rs)
+    for i, R in enumerate(Rs):
+        expect = solve_dense(gen_model, float(R)).coefficients.as_array()
+        assert np.max(np.abs(vals[i] - expect)) < 1e-10, ("gen", R)

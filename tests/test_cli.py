@@ -187,3 +187,23 @@ def test_strict_coupling_names(tmp_path):
                    "schedule: {R0: 0.0, v_bar: 1.0, T_FF: 0.1}\n")
     with pytest.raises(ConfigError):
         load_config(str(cfg))
+
+
+def test_verify_enumerates_the_qa_grid_once(tmp_path, monkeypatch):
+    # the table and count checks share one enumeration of the 50-point grid
+    import spinff.cdsolver
+    import spinff.cli
+    import spinff.tables
+
+    calls = []
+    original = spinff.cdsolver.enumerate_solutions
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (spinff.cdsolver, spinff.cli, spinff.tables):
+        if hasattr(module, "enumerate_solutions"):
+            monkeypatch.setattr(module, "enumerate_solutions", counting)
+    assert main(["verify", "--only", "qa", "--out", str(tmp_path)]) == 0
+    assert len(calls) == load_preset("qa").grid == 50
