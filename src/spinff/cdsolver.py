@@ -316,14 +316,13 @@ def _cluster(vectors, group_tol):
     return ids, reps
 
 
-def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL, *, state=None):
+def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL):
     """Solve every admissible selection at R and cluster the accepted ones.
 
-    All selections share one tracked state and right-hand side; ``state``
-    passes in that (C, rhs) pair when the caller already holds it.
+    All selections share one tracked state and right-hand side.
     """
     selections = admissible_selections(model)
-    C, rhs_full = _state_rhs(model, R, n) if state is None else state
+    C, rhs_full = _state_rhs(model, R, n)
     _check_merged_rows(model, R, C, rhs_full)
     rows = list(_merged_rows(model))
     idx = [_selection_indices(sel) for sel in selections]

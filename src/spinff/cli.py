@@ -196,6 +196,7 @@ def run_job(config):
             "terminal_populations": [_sig12(p) for p in traj.terminal_populations],
             "terminal_norm": _sig12(traj.norm[-1]),
             "max_norm_drift": _sig12(traj.max_norm_drift),
+            "max_step_error": _sig12(traj.step_error),
             "fidelity_bar": _sig12(config.fidelity_bar),
             "runtime_s": _sig12(runtime),
             "passed": bool(passed),

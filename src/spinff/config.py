@@ -31,7 +31,7 @@ class RunConfig:
     schedule: Schedule
     state: int = 0
     selection: object = None        # tuple of names, "dense", or None
-    dt: float = None                # None -> T_FF / 1e5
+    dt: float = None                # None -> T_FF / 8000 (propagator.DEFAULT_STEPS)
     samples: int = 1000
     out: str = "out"
     fidelity_bar: float = 1.0 - 1e-6

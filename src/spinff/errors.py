@@ -26,4 +26,4 @@ class ConsistencyError(SpinFFError):
 
 
 class StepSizeError(SpinFFError):
-    """Integrator norm drift exceeded tolerance; a smaller dt is needed."""
+    """Integrator step-error estimate or norm drift exceeded tolerance; a smaller dt is needed."""

@@ -105,6 +105,15 @@ class ModelSpec:
         return {name: self.coupling(name, R) for name in REQUIRED_COUPLINGS[self.kind]}
 
     @cached_property
+    def coupling_affine(self):
+        """(offsets, slopes) of the required couplings: coupling = offset + slope * R."""
+        pairs = [self.schedule_map[name] if name in self.schedule_map
+                 else (self.constants[name], 0.0) for name in REQUIRED_COUPLINGS[self.kind]]
+        offset, slope = np.array(pairs, dtype=float).T.copy()
+        offset.flags.writeable = slope.flags.writeable = False
+        return offset, slope
+
+    @cached_property
     def slope_matrix(self):
         """dH/dR, a constant read-only matrix.
 
@@ -162,36 +171,39 @@ def hamiltonian(model, R):
     |uu>, |ud>, |du>, |dd>.
     """
     R = np.asarray(R, dtype=float)
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise DomainError("R is not finite")
-    c = model.couplings(R)
-    for name, value in c.items():
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"coupling {name!r} is not finite at R={R}")
-    shape = R.shape
+    offset, slope = model.coupling_affine
+    axes = offset.shape + (1,) * R.ndim
+    c = offset.reshape(axes) + slope.reshape(axes) * R     # one R-shaped array per coupling
+    finite = np.isfinite(c)
+    if not finite.all():
+        bad = np.argmin(finite.reshape(len(c), -1).all(axis=1))
+        name = REQUIRED_COUPLINGS[model.kind][bad]
+        raise DomainError(f"coupling {name!r} is not finite at R={R}")
     d = model.dim
-    H = np.zeros(shape + (d, d), dtype=complex)
+    H = np.zeros(R.shape + (d, d), dtype=complex)
     if model.kind == "lz":
-        Bz, Delta = c["Bz"], c["Delta"]
+        Bz, Delta = c
         H[..., 0, 0] = 0.5 * Bz
         H[..., 1, 1] = -0.5 * Bz
         H[..., 0, 1] = 0.5 * Delta
         H[..., 1, 0] = 0.5 * Delta
     elif model.kind == "tfim":
-        J, Bx = c["J"], c["Bx"]
+        J, Bx = c
         H[..., 0, 0] = H[..., 3, 3] = J
         H[..., 1, 1] = H[..., 2, 2] = -J
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             H[..., i, j] = H[..., j, i] = -0.5 * Bx
     elif model.kind == "qa":
-        J, Bz, Bx = c["J"], c["Bz"], c["Bx"]
+        J, Bz, Bx = c
         H[..., 0, 0] = -J - Bz
         H[..., 1, 1] = H[..., 2, 2] = J
         H[..., 3, 3] = -J + Bz
         for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
             H[..., i, j] = H[..., j, i] = -0.5 * Bx
     else:  # gen
-        J, Bx, By, Bz = c["J"], c["Bx"], c["By"], c["Bz"]
+        J, Bx, By, Bz = c
         z = 0.5 * (Bx - 1j * By)
         H[..., 0, 0] = J + Bz
         H[..., 1, 1] = H[..., 2, 2] = -J

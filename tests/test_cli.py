@@ -43,6 +43,7 @@ def test_run_writes_artifacts(qa_config_file, tmp_path):
     assert summary["passed"] is True
     assert summary["min_fidelity"] >= 0.999999
     assert summary["terminal_populations"][0] >= 0.999
+    assert 0.0 < summary["max_step_error"] < 1e-6
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,R_adv,re_c1")
     assert "fidelity" in header and "coef_By" in header

@@ -73,6 +73,18 @@ def test_nonfinite_coupling_rejected():
         ModelSpec.lz(delta=float("nan"))
     with pytest.raises(DomainError):
         hamiltonian(ModelSpec.lz(), float("inf"))
+    # finite R, overflowing coupling: the error names the coupling
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="coupling 'Bx'"):
+        hamiltonian(ModelSpec.qa(b0=1e308), np.array([0.0, -1e308]))
+
+
+def test_hamiltonian_over_R_array_matches_pointwise():
+    for model, (lo, hi) in ALL_MODELS.values():
+        R = np.linspace(lo, hi, 12).reshape(3, 4)
+        H = hamiltonian(model, R)
+        assert H.shape == (3, 4, model.dim, model.dim)
+        for idx in np.ndindex(R.shape):
+            assert np.array_equal(H[idx], hamiltonian(model, R[idx]))
 
 
 # ---------------------------------------------------------------------------

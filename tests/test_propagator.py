@@ -82,6 +82,22 @@ def test_coarse_step_raises_step_size_error(gen_model, gen_schedule):
         evolve(gen_model, gen_schedule, "dense", dt=gen_schedule.T_FF / 50)
 
 
+def test_fourth_order_convergence(qa_model, qa_schedule):
+    T = qa_schedule.T_FF
+    psi = {n: evolve(qa_model, qa_schedule, QA_SEL, dt=T / n).psi[-1] for n in (1000, 2000, 8000)}
+    ratio = np.linalg.norm(psi[1000] - psi[8000]) / np.linalg.norm(psi[2000] - psi[8000])
+    assert 12.0 <= ratio <= 20.0, ratio  # 2**4 for a fourth-order scheme
+
+
+@pytest.mark.parametrize("steps", [200, 400])
+def test_step_error_estimate_tracks_true_error(gen_model, gen_schedule, steps):
+    T = gen_schedule.T_FF
+    traj = evolve(gen_model, gen_schedule, "dense", dt=T / steps)
+    fine = evolve(gen_model, gen_schedule, "dense", dt=T / (16 * steps))
+    true = np.linalg.norm(traj.psi[-1] - fine.psi[-1])
+    assert true / 3.0 <= traj.step_error <= 3.0 * true, (traj.step_error, true)
+
+
 def test_phase_integrals_zero_at_origin(qa_model, qa_schedule):
     assert dynamical_phase(qa_model, qa_schedule, 0, 0.0) == 0.0
     assert adiabatic_phase(qa_model, qa_schedule, 0, 0.0) == 0.0
