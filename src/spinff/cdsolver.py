@@ -22,11 +22,13 @@ selections is real, see acceptance criterion 3 and the README note on the
 entanglement-generation model.  The two-level model is the same problem
 over the basis (sz, sx, -sy).
 
-Two batched kernels solve every system built by ``_operator_columns``:
+Every state and right-hand side comes from ``models.tracked_state``.  Two
+batched kernels solve every system built by ``_operator_columns``:
 ``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) and
-``_accept`` (square reduced systems at one R, filtered).  ``CoefficientPath``
-solves one selection along R unfiltered and refuses, naming R, a point where
-that system is exactly singular or a coefficient is not finite.
+``_accept`` (square reduced systems over (R, selection), filtered).
+``CoefficientPath`` solves one selection along R unfiltered and refuses,
+naming R, a point where that system is exactly singular or a coefficient
+is not finite.
 """
 
 from dataclasses import dataclass, replace
@@ -36,8 +38,6 @@ import numpy as np
 
 from . import models
 from .ansatz import (
-    ANTISYM_BASIS,
-    ANTISYM_NAMES,
     BASIS,
     COEFF_NAMES,
     IMAG_NAMES,
@@ -107,6 +107,9 @@ class EnumerationReport:
     state_index: int
     results: tuple                   # SelectionResult per admissible selection
     groups: tuple                    # one representative 9-vector per group
+    state: np.ndarray                # tracked eigenvector C at R
+    derivative: np.ndarray           # dC/dR
+    rhs: np.ndarray                  # i dC/dR - i (C^dag dC/dR) C
 
     @property
     def accepted(self):
@@ -123,8 +126,8 @@ class EnumerationReport:
 
 def _state_rhs(model, R, n):
     """Tracked state C and i dC/dR - i (C^dag dC/dR) C at scalar R."""
-    C, dC = models.state_and_derivative(model, R, n)
-    return C, 1j * dC - 1j * np.vdot(C, dC) * C
+    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), n)
+    return C[0], rhs[0]
 
 
 def rhs_vector(model, R, n):
@@ -190,22 +193,19 @@ def canonical_selection(selection):
 
 
 def _check_merged_rows(model, R, C, rhs_full):
-    """Raise ConsistencyError unless the rows the reduction merges coincide."""
-    if abs(C[1] - C[2]) > SYMMETRY_TOL:
-        raise ConsistencyError(f"C2 != C3 at R={R}: {abs(C[1] - C[2]):.3e}")
-    if abs(rhs_full[1] - rhs_full[2]) > SYMMETRY_TOL:
-        raise ConsistencyError(
-            f"degenerate middle rows differ at R={R}: "
-            f"{abs(rhs_full[1] - rhs_full[2]):.3e}"
-        )
+    """Raise ConsistencyError unless the rows the reduction merges coincide.
+
+    C and rhs_full are (N, dim) over the 1-d R; the error names the first
+    offending R.
+    """
+    checks = [("C2 != C3", C, 1, 2), ("degenerate middle rows differ", rhs_full, 1, 2)]
     if model.kind == "tfim":
-        if abs(C[0] - C[3]) > SYMMETRY_TOL:
-            raise ConsistencyError(f"C1 != C4 at R={R}: {abs(C[0] - C[3]):.3e}")
-        if abs(rhs_full[0] - rhs_full[3]) > SYMMETRY_TOL:
-            raise ConsistencyError(
-                f"degenerate outer rows differ at R={R}: "
-                f"{abs(rhs_full[0] - rhs_full[3]):.3e}"
-            )
+        checks += [("C1 != C4", C, 0, 3), ("degenerate outer rows differ", rhs_full, 0, 3)]
+    for label, X, i, j in checks:
+        diff = np.abs(X[:, i] - X[:, j])
+        if np.any(diff > SYMMETRY_TOL):
+            k = int(np.argmax(diff > SYMMETRY_TOL))
+            raise ConsistencyError(f"{label} at R={R[k]}: {diff[k]:.3e}")
 
 
 def reduce_system(model, R, n, selection):
@@ -223,7 +223,7 @@ def reduce_system(model, R, n, selection):
             f"selection size {len(idx)} does not match system size {len(rows)}"
         )
     C, rhs_full = _state_rhs(model, R, n)
-    _check_merged_rows(model, R, C, rhs_full)
+    _check_merged_rows(model, [R], C[None], rhs_full[None])
     return ReducedSystem(
         coefficient_matrix=_operator_columns(BASIS[idx], C, rows),
         rhs=rhs_full[list(rows)],
@@ -236,34 +236,38 @@ def reduce_system(model, R, n, selection):
 
 
 def _accept(selections, M, b, F, rhs_full, tol):
-    """Solve and filter a stack of square reduced systems M x = b at one state.
+    """Solve and filter square reduced systems M x = b over (point, selection).
 
-    F (S, dim, m) holds M's columns over all rows, for the full residual.
+    M (N, S, m, m) and b (N, S, m) hold the systems of the S selections at
+    N states; F (N, S, dim, m) holds M's columns over all rows and
+    rhs_full (N, dim) the full right-hand side, for the full residual.
     Rejections in order: "singular" (cond above cond_max or not finite),
-    "not_real" (imaginary part above imag_tol), "residual".
+    "not_real" (imaginary part above imag_tol), "residual".  Returns N
+    lists of S SelectionResult.
     """
     cond = np.linalg.cond(M)
     regular = np.isfinite(cond) & (cond <= tol.cond_max)
     x = np.zeros(b.shape, dtype=complex)
     if np.any(regular):
         x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
-    max_imag = np.where(regular, np.max(np.abs(x.imag), axis=1), np.nan)
+    max_imag = np.where(regular, np.max(np.abs(x.imag), axis=-1), np.nan)
     real = max_imag <= tol.imag_tol
-    full = (F @ x.real[..., None])[..., 0] - rhs_full
-    residual = np.where(real, np.linalg.norm(full, axis=1), np.nan)
+    full = (F @ x.real[..., None])[..., 0] - rhs_full[:, None, :]
+    residual = np.where(real, np.linalg.norm(full, axis=-1), np.nan)
     reasons = np.select([~regular, ~real, residual > tol.residual_tol],
                         ["singular", "not_real", "residual"], "")
-    results = []
-    for s, sel in enumerate(selections):
+
+    def result(k, s, sel):
         solution = None
-        if not reasons[s]:
-            coeffs = AnsatzCoefficients(dict(zip(sel, x[s].real)), sel)
-            solution = CDSolution(coeffs, float(residual[s]))
-        results.append(SelectionResult(
-            sel, solution is not None, str(reasons[s]), solution,
-            float(cond[s]), float(max_imag[s]), float(residual[s]),
-        ))
-    return results
+        if not reasons[k, s]:
+            coeffs = AnsatzCoefficients(dict(zip(sel, x[k, s].real)), sel)
+            solution = CDSolution(coeffs, float(residual[k, s]))
+        return SelectionResult(
+            sel, solution is not None, str(reasons[k, s]), solution,
+            float(cond[k, s]), float(max_imag[k, s]), float(residual[k, s]),
+        )
+
+    return [[result(k, s, sel) for s, sel in enumerate(selections)] for k in range(len(M))]
 
 
 def solve_selection(rs, tol=DEFAULT_TOL):
@@ -278,8 +282,9 @@ def solve_selection(rs, tol=DEFAULT_TOL):
     C = rs.state_vector
     F = _operator_columns(BASIS[_selection_indices(sel)], C, range(len(C)))
     return _accept(
-        [sel], rs.coefficient_matrix[None], rs.rhs[None], F[None], rs.rhs_full, tol
-    )[0]
+        [sel], rs.coefficient_matrix[None, None], rs.rhs[None, None], F[None, None],
+        rs.rhs_full[None], tol,
+    )[0][0]
 
 
 def admissible_selections(model):
@@ -302,47 +307,12 @@ def admissible_selections(model):
     raise ConfigError(f"enumeration is not defined for model {model.kind!r}")
 
 
-def _cluster(vectors, group_tol):
-    """Group indices for rows whose nonzero patterns coincide within tol."""
-    reps, ids = [], []
-    for v in vectors:
-        for gid, rep in enumerate(reps):
-            if np.max(np.abs(rep - v)) < group_tol:
-                ids.append(gid)
-                break
-        else:
-            reps.append(v)
-            ids.append(len(reps) - 1)
-    return ids, reps
-
-
 def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL):
     """Solve every admissible selection at R and cluster the accepted ones.
 
-    All selections share one tracked state and right-hand side.
+    The one-point case of ``enumerate_grid``.
     """
-    selections = admissible_selections(model)
-    C, rhs_full = _state_rhs(model, R, n)
-    _check_merged_rows(model, R, C, rhs_full)
-    rows = list(_merged_rows(model))
-    idx = [_selection_indices(sel) for sel in selections]
-    F = _operator_columns(BASIS[idx], C, range(len(C)))      # (S, dim, m)
-    b = np.broadcast_to(rhs_full[rows], (len(selections), len(rows)))
-    results = _accept(selections, F[:, rows, :], b, F, rhs_full, tol)
-    accepted = [i for i, res in enumerate(results) if res.accepted]
-    ids, reps = _cluster(
-        [results[i].solution.coefficients.as_array() for i in accepted], tol.group_tol
-    )
-    for i, gid in zip(accepted, ids):
-        solution = replace(results[i].solution, group_id=gid)
-        results[i] = replace(results[i], solution=solution)
-    return EnumerationReport(
-        model_kind=model.kind,
-        R=float(R),
-        state_index=n,
-        results=tuple(results),
-        groups=tuple(reps),
-    )
+    return enumerate_grid(model, [R], n, tol).reports[0]
 
 
 def enumeration_grid(schedule, count):
@@ -366,18 +336,49 @@ class GridEnumeration:
 
 
 def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL):
-    """Pointwise enumeration over a grid with partition-consistency check."""
-    reports = [enumerate_solutions(model, R, n, tol) for R in R_values]
-    consistent = True
-    if reports:
-        def partition(report):
-            return tuple(
-                (r.selection, r.solution.group_id if r.accepted else None)
-                for r in report.results
-            )
-        first = partition(reports[0])
-        consistent = all(partition(rep) == first for rep in reports[1:])
-    return GridEnumeration(tuple(reports), consistent)
+    """Enumeration at every point of an R grid, with partition-consistency check.
+
+    One ``tracked_state`` call covers the grid and one ``_accept`` call
+    every (R, selection) pair; then the accepted solutions of each point
+    are clustered into groups.
+    """
+    selections = admissible_selections(model)
+    R = np.atleast_1d(np.asarray(R_values, dtype=float))
+    _, C, dC, rhs = models.tracked_state(model, R, n)
+    _check_merged_rows(model, R, C, rhs)
+    rows = list(_merged_rows(model))
+    idx = [_selection_indices(sel) for sel in selections]
+    F = _operator_columns(BASIS[idx], C[:, None, :], range(model.dim))   # (N, S, dim, m)
+    b = np.broadcast_to(rhs[:, None, rows], F.shape[:2] + (len(rows),))
+    results = _accept(selections, F[..., rows, :], b, F, rhs, tol)
+    reports = tuple(
+        _clustered_report(model, *point, n, tol)
+        for point in zip(R, results, C, dC, rhs)
+    )
+    partitions = {
+        tuple((r.selection, r.solution.group_id if r.accepted else None) for r in rep.results)
+        for rep in reports
+    }
+    return GridEnumeration(reports, len(partitions) <= 1)
+
+
+def _clustered_report(model, R, results, C, dC, rhs, n, tol):
+    """EnumerationReport of one point, its accepted solutions grouped.
+
+    Each accepted solution joins the first group whose representative (its
+    first member) lies within group_tol, or opens a new group.
+    """
+    reps = []
+    for i, res in enumerate(results):
+        if res.accepted:
+            v = res.solution.coefficients.as_array()
+            gid = next((g for g, rep in enumerate(reps)
+                        if np.max(np.abs(rep - v)) < tol.group_tol), len(reps))
+            if gid == len(reps):
+                reps.append(v)
+            results[i] = replace(res, solution=replace(res.solution, group_id=gid))
+    return EnumerationReport(model.kind, float(R), n, tuple(results), tuple(reps),
+                             C, dC, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +411,6 @@ def _min_norm_solve(model, R, n, basis, tol):
             "the right-hand side is outside the ansatz span"
         )
     return x, residual
-
-
-def antisym_extension_values(model, R, n=0):
-    """Solved coefficients of the antisymmetric cross terms (should vanish).
-
-    Solves the full four-row problem over the twelve-operator extended
-    basis and returns the three antisymmetric coefficients.
-    """
-    basis = np.concatenate([BASIS, ANTISYM_BASIS])
-    C, rhs = _state_rhs(model, R, n)
-    x = _min_norm(basis, C, rhs, range(model.dim))
-    return dict(zip(ANTISYM_NAMES, x[len(COEFF_NAMES):]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ def drb_counterdiabatic(model, R):
     gap = float(np.min(np.abs(denom[~np.eye(model.dim, dtype=bool)])))
     if gap < models.GAP_MIN:
         raise DegeneracyError(
-            f"eigenvalue gap {gap:.3e} at R={R} is below gap_min={models.GAP_MIN:.1e}"
+            f"eigenvalue gap {gap:.3e} at R={R} is below GAP_MIN={models.GAP_MIN:.1e}"
         )
     np.fill_diagonal(denom, 1.0)
     K = 1j * (np.conj(V.T) @ model.slope_matrix @ V) / denom
@@ -524,8 +513,7 @@ class CoefficientPath:
         coefficient is not finite.
         """
         R_array = np.asarray(R_array, dtype=float)
-        C, dC, _, _ = models.state_and_derivative_batch(self.model, R_array, self.n, H=H)
-        rhs = 1j * dC - 1j * np.einsum("nd,nd->n", np.conj(C), dC)[:, None] * C
+        _, C, _, rhs = models.tracked_state(self.model, R_array, self.n, H=H)
         if self.mode == "selection":
             M = _operator_columns(self.basis, C, self.rows)
             x = _solve_each(M, rhs[:, list(self.rows)]).real

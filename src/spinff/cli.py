@@ -236,34 +236,29 @@ def _selection_row(R, res):
 
 def solve_cd_job(config):
     R_values = enumeration_grid(config.schedule, config.grid)
-    if config.model.dim == 2:
+    selection = resolve_selection(config)
+    header, rows = _SELECTION_HEADER, []
+    if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
-        rows = []
         for R in R_values:
             sol = solve_lz(config.model, float(R), config.state,
                            config.tolerances)
             rows.append([_fmt(R), _fmt(sol.h11), _fmt(sol.h12.real),
                          _fmt(sol.h12.imag), _fmt(sol.residual)])
-        write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
-        return EXIT_OK
-    selection = resolve_selection(config)
-    rows = []
-    if selection == "dense":
+    elif selection == "dense":
         for R in R_values:
             sol = solve_dense(config.model, float(R), config.state,
                               config.tolerances)
             rows.append([_fmt(R), "dense", "1", ""]
                         + [_fmt(c) for c in sol.coefficients.as_array()]
                         + [_fmt(sol.residual), "nan", "nan", "-1"])
-        write_csv(os.path.join(config.out, "solve_cd.csv"), _SELECTION_HEADER, rows)
-        return EXIT_OK
-    for R in R_values:
-        report = enumerate_solutions(config.model, float(R), config.state,
-                                     config.tolerances)
-        for res in report.results:
-            if res.selection == selection:
-                rows.append(_selection_row(float(R), res))
-    write_csv(os.path.join(config.out, "solve_cd.csv"), _SELECTION_HEADER, rows)
+    else:
+        # the selection's rows of one enumeration of the whole grid
+        grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
+        for R, report in zip(R_values, grid.reports):
+            rows += [_selection_row(float(R), res) for res in report.results
+                     if res.selection == selection]
+    write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
     return EXIT_OK
 
 

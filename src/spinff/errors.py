@@ -14,7 +14,7 @@ class DomainError(SpinFFError):
 
 
 class DegeneracyError(SpinFFError):
-    """Eigenvalue gap around the tracked state below gap_min; gauge undefined."""
+    """Eigenvalue gap around the tracked state below GAP_MIN; gauge undefined."""
 
 
 class GaugeError(SpinFFError):

@@ -8,14 +8,17 @@ control parameter R through affine coupling maps:
   qa    two-spin annealer, H = -J s1z s2z - (s1z+s2z) Bz/2 - (s1x+s2x) Bx(R)/2
   gen   Ising + general field, H = J s1z s2z + (s1 + s2).B/2, Bz = Bz(R)
 
-Eigen-systems come from a dense Hermitian solver; the closed-form
-eigenvalues (including the cubic roots of the two-spin models) are kept
-alongside and cross-checked, with the cube-root branch selected to match
-the numeric spectrum.  Eigenvector derivatives come from one eigensolve per
-point through the spectral formula
+Every eigensolve goes through one batched dense Hermitian solver whose
+spectrum is checked against the closed-form eigenvalues (including the
+cubic roots of the two-spin models, the cube-root branch selected to match
+the numeric spectrum).  One gauge rule, ``default_anchor``, keeps an anchor
+component of each eigenvector real and positive.  ``tracked_state`` is the
+one state layer: over an array of R it returns the energies, the tracked
+eigenvector C, its derivative from the spectral formula
 dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), exact because every
-coupling is affine in R (so dH/dR is a constant matrix), then carried into
-the gauge that keeps an anchor component real and positive.
+coupling is affine in R (so dH/dR is a constant matrix), and the right-hand
+side i dC/dR - i <C|dC/dR> C of the defining equation.  The scalar
+functions are its one-point case.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +47,6 @@ REQUIRED_COUPLINGS = {
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
 BRANCH_TOL = 1e-8       # analytic vs numeric eigenvalue guard
-CUBIC_IMAG_TOL = 1e-10  # cubic roots must be real to this level
 
 
 @dataclass(frozen=True)
@@ -84,25 +86,15 @@ class ModelSpec:
         """True when the Hamiltonian matrix is real symmetric for all R."""
         return self.kind != "gen"
 
-    def coupling(self, name, R):
-        if name in self.schedule_map:
-            offset, slope = self.schedule_map[name]
-            return offset + slope * np.asarray(R, dtype=float)
-        if name in self.constants:
-            value = float(self.constants[name])
-            return np.broadcast_to(value, np.shape(R)).copy() if np.ndim(R) else value
-        raise ConfigError(f"model {self.kind!r} has no coupling {name!r}")
-
     def coupling_slope(self, name):
         """dc/dR for the named coupling (0 for constants)."""
-        if name in self.schedule_map:
-            return float(self.schedule_map[name][1])
-        if name in self.constants:
-            return 0.0
-        raise ConfigError(f"model {self.kind!r} has no coupling {name!r}")
+        return float(self.coupling_affine[1][REQUIRED_COUPLINGS[self.kind].index(name)])
 
     def couplings(self, R):
-        return {name: self.coupling(name, R) for name in REQUIRED_COUPLINGS[self.kind]}
+        """Each required coupling at R (scalar or array), by name."""
+        R = np.asarray(R, dtype=float)
+        return {name: a + b * R for name, a, b in zip(REQUIRED_COUPLINGS[self.kind],
+                                                      *self.coupling_affine)}
 
     @cached_property
     def coupling_affine(self):
@@ -121,7 +113,7 @@ class ModelSpec:
         affine in R, so dH/dR is the Hamiltonian with each coupling replaced
         by its slope.
         """
-        slopes = {name: self.coupling_slope(name) for name in REQUIRED_COUPLINGS[self.kind]}
+        slopes = dict(zip(REQUIRED_COUPLINGS[self.kind], self.coupling_affine[1]))
         H = hamiltonian(ModelSpec(self.kind, constants=slopes), 0.0)
         H.flags.writeable = False
         return H
@@ -215,73 +207,124 @@ def hamiltonian(model, R):
 
 
 def _eigh_model(model, R, H=None):
-    """Batched dense eigensolve; real path for the real-symmetric models.
+    """Batched dense eigensolve over a 1-d R, checked against the closed form.
 
+    The real-symmetric models take the real path.  Every spectrum is
+    compared with ``analytic_eigenvalues`` (cube-root branch included).
     ``H`` passes in the model matrices at R when the caller already holds
     them, so they are not built a second time.
     """
     if H is None:
         H = hamiltonian(model, R)
-    if model.is_real:
-        w, V = np.linalg.eigh(H.real)
-        return w, V.astype(complex)
-    return np.linalg.eigh(H)
-
-
-def _fix_phase(vectors, anchors):
-    """Rotate each vector so its anchor component is real nonnegative.
-
-    vectors: (..., d) with anchors broadcastable integer indices.
-    """
-    idx = np.arange(vectors.shape[0])
-    pivot = vectors[idx, anchors]
-    mag = np.abs(pivot)
-    # Zero anchors leave the phase untouched; callers guard against this.
-    unit = np.where(mag > 0, pivot / np.where(mag > 0, mag, 1.0), 1.0)
-    return vectors * np.conj(unit)[:, None]
+    w, V = np.linalg.eigh(H.real if model.is_real else H)
+    analytic_eigenvalues(model, R, numeric=w)
+    return w, V.astype(complex, copy=False)
 
 
 def default_anchor(model, amplitudes):
-    """Gauge anchor: largest component, except gen pins the last component."""
-    if model.kind == "gen" and abs(amplitudes[-1]) >= ANCHOR_MIN:
-        return model.dim - 1
-    return int(np.argmax(np.abs(amplitudes)))
+    """Gauge anchor of each vector along the last axis.
 
-
-def eigensystem(model, R, *, check=True, gap_min=GAP_MIN, n=None):
-    """All instantaneous eigenpairs at R, sorted by energy and gauge-fixed.
-
-    With ``check`` the closed-form eigenvalues are recomputed and compared
-    against the numeric spectrum (cube-root branch included).  ``n``
-    restricts the degeneracy guard to the tracked state; without it no
-    gap check is performed (crossings between untracked states are fine).
+    The largest component, except that gen pins its last component
+    wherever that is at least ANCHOR_MIN.
     """
-    R = float(R)
-    w, V = _eigh_model(model, np.array([R]))
-    w, V = w[0], V[0]
-    if check:
-        analytic_eigenvalues(model, R, numeric=w)
+    mag = np.abs(amplitudes)
+    anchor = np.argmax(mag, axis=-1)
+    if model.kind == "gen":
+        anchor = np.where(mag[..., -1] >= ANCHOR_MIN, model.dim - 1, anchor)
+    return anchor
+
+
+def _phase_to(vectors, anchors):
+    """conj(p)/|p| for the anchor component p of each vector (last axis)."""
+    pivot = np.take_along_axis(vectors, anchors[..., None], axis=-1)
+    return np.conj(pivot) / np.abs(pivot)
+
+
+def tracked_state(model, R, n, *, anchor=None, H=None):
+    """(w, C, dC, rhs) of state n over a 1-d array of R values.
+
+    w (N, dim) holds every energy; C, dC/dR and
+    rhs = i dC/dR - i <C|dC/dR> C, the right-hand side of the defining
+    equation, are (N, dim).  One eigensolve per point; the derivative is
+    sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), carried into the gauge
+    that holds ``anchor`` (default: ``default_anchor`` at each point) real
+    and positive by -i Im(dC_a / C_a) C.  Raises DegeneracyError where
+    state n comes within GAP_MIN of another level, and GaugeError where the
+    anchor component is below ANCHOR_MIN (only an explicit anchor can be).
+    ``H`` optionally holds ``hamiltonian(model, R)`` already built.
+    """
+    R = np.asarray(R, dtype=float)
+    w, V = _eigh_model(model, R, H)
+    denom = w[:, n, None] - w
+    denom[:, n] = np.inf
+    gap = np.abs(denom).min(axis=1)
+    if np.any(gap < GAP_MIN):
+        k = int(np.argmax(gap < GAP_MIN))
+        raise DegeneracyError(
+            f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
+            f"is below GAP_MIN={GAP_MIN:.1e}"
+        )
+    denom[:, n] = 1.0
+    v = V[:, :, n]
+    coupling = np.einsum("kam,ka->km", np.conj(V), v @ model.slope_matrix.T)
+    coupling[:, n] = 0.0
+    dv = np.einsum("kam,km->ka", V, coupling / denom)
+    anchors = default_anchor(model, v) if anchor is None else np.full(len(R), anchor)
+    idx = np.arange(len(R))
+    small = np.abs(v[idx, anchors]) < ANCHOR_MIN
+    if np.any(small):
+        k = int(np.argmax(small))
+        raise GaugeError(
+            f"gauge anchor component {anchors[k]} has magnitude {abs(v[k, anchors[k]]):.3e} "
+            f"at R={R[k]}; switch anchor"
+        )
+    phase = _phase_to(v, anchors)
+    C, dC = v * phase, dv * phase
+    dC -= 1j * (dC[idx, anchors] / C[idx, anchors]).imag[:, None] * C
+    if model.is_real:
+        C, dC = C.real.astype(complex), dC.real.astype(complex)
+    rhs = 1j * dC - 1j * np.einsum("kd,kd->k", np.conj(C), dC)[:, None] * C
+    return w, C, dC, rhs
+
+
+def eigensystem_batch(model, R_array):
+    """Energies and gauge-fixed eigenvectors of every state over an R array.
+
+    Returns (w, V) with shapes (N, dim) and (N, dim, dim); V[:, :, m] is
+    state m, each vector in the gauge of ``default_anchor``.  No gap guard:
+    levels other than a tracked one may cross.
+    """
+    R = np.asarray(R_array, dtype=float)
+    w, V = _eigh_model(model, R)
+    vectors = np.swapaxes(V, 1, 2)          # (N, state, component)
+    vectors = vectors * _phase_to(vectors, default_anchor(model, vectors))
+    if model.is_real:
+        vectors = vectors.real.astype(complex)
+    return w, np.swapaxes(vectors, 1, 2)
+
+
+def eigensystem(model, R, *, n=None):
+    """All instantaneous eigenpairs at scalar R, sorted by energy and gauge-fixed.
+
+    ``n`` names a tracked state, held to the guards of ``tracked_state``
+    (gap to the other levels at least GAP_MIN); without it crossings are
+    fine.
+    """
+    R = np.array([float(R)])
     if n is not None:
-        gaps = [abs(w[m] - w[n]) for m in range(model.dim) if m != n]
-        if min(gaps) < gap_min:
-            raise DegeneracyError(
-                f"eigenvalue gap {min(gaps):.3e} around state {n} at R={R} "
-                f"is below gap_min={gap_min:.1e}"
-            )
-    states = []
+        tracked_state(model, R, n)
+    w, V = eigensystem_batch(model, R)
+    anchors = default_anchor(model, V[0].T)
     gauge = "real_positive" if model.is_real else "fixed_component_phase"
-    for m in range(model.dim):
-        vec = V[:, m]
-        anchor = default_anchor(model, vec)
-        vec = _fix_phase(vec[None, :], np.array([anchor]))[0]
-        if model.is_real:
-            vec = vec.real.astype(complex)
-        states.append(EigenState(m, float(w[m]), vec, gauge, anchor))
-    return states
+    return [EigenState(m, float(w[0, m]), V[0, :, m], gauge, int(anchors[m]))
+            for m in range(model.dim)]
 
 
 def _cubic_candidates(model, R):
-    """The three branch candidates for the symmetric-sector cubic roots."""
+    """The symmetric-sector cubic roots on each of the three cube-root branches.
+
+    Returns (3, 3) + R.shape: the roots (lam2, lam3, lam4), then branch k.
+    """
     c = model.couplings(R)
     J = c["J"]
     if model.kind == "qa":
@@ -295,132 +338,68 @@ def _cubic_candidates(model, R):
         gp = Bz**2 / 3 + 4 * z2 / 3 + 4 * J**2 / 9
         gm = 2 * Bz**2 * J / 3 - 4 * J * z2 / 3 - 8 * J**3 / 27
         base = J / 3
-    u = gm + np.sqrt(complex(gm**2 - gp**3))
-    r = abs(u) ** (1.0 / 3.0)
-    theta = np.angle(u)
-    out = []
-    for k in range(3):
-        beta = r * np.exp(1j * (theta + 2 * np.pi * k) / 3)
-        pair_sum = beta + np.conj(beta)
-        lam2 = base + pair_sum
-        # the conjugate pair splits symmetrically around base - pair_sum/2
-        split = np.sqrt(3.0) * (1j * (np.conj(beta) - beta))
-        lam3 = base - 0.5 * pair_sum - 0.5 * split
-        lam4 = base - 0.5 * pair_sum + 0.5 * split
-        out.append((lam2, lam3, lam4))
-    return out
+    u = gm + np.sqrt(np.asarray(gm**2 - gp**3, dtype=complex))
+    k = np.arange(3).reshape((3,) + (1,) * u.ndim)
+    # beta = r exp(i phi_k); the roots are base + beta + conj(beta) and a
+    # pair split symmetrically around base - Re(beta), real by construction
+    r = np.abs(u) ** (1.0 / 3.0)
+    phi = (np.angle(u) + 2 * np.pi * k) / 3
+    re, split = r * np.cos(phi), np.sqrt(3.0) * r * np.sin(phi)
+    return np.stack([base + 2 * re, base - re - split, base - re + split])
 
 
 def analytic_eigenvalues(model, R, *, numeric=None):
-    """Closed-form eigenvalues, sorted ascending, branch-matched to numeric.
+    """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Raises ConsistencyError when no cube-root branch reproduces the dense
-    solver's spectrum, or when a cubic root picks up an imaginary part.
+    Returns R.shape + (dim,).  For the cubic models each point takes the
+    cube-root branch that best reproduces ``numeric`` (default: the dense
+    solver's spectrum); given ``numeric``, the other models are compared
+    against it too.  Raises ConsistencyError, naming R, when no branch
+    matches within BRANCH_TOL.
     """
+    # levels and branches lead, R trails, so the reductions run over
+    # leading axes
+    R = np.asarray(R, dtype=float)
     c = model.couplings(R)
     if model.kind == "lz":
         Q = np.hypot(c["Bz"], c["Delta"])
-        vals = np.array([-Q / 2, Q / 2])
+        roots = np.stack([-Q / 2, Q / 2])[:, None]
     elif model.kind == "tfim":
-        J, Bx = c["J"], c["Bx"]
-        s = np.hypot(J, Bx)
-        vals = np.sort(np.array([-J, J, -s, s]))
+        s = np.hypot(c["J"], c["Bx"])
+        roots = np.stack([-c["J"], c["J"], -s, s])[:, None]
     else:
-        if numeric is None:
-            numeric, _ = _eigh_model(model, np.array([float(R)]))
-            numeric = numeric[0]
+        # the antisymmetric level, then the cubic roots of each branch
+        cubic = _cubic_candidates(model, R)
         asym = c["J"] if model.kind == "qa" else -c["J"]
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        best, best_err = None, np.inf
-        for lam2, lam3, lam4 in _cubic_candidates(model, R):
-            roots = np.array([lam2, lam3, lam4])
-            if np.max(np.abs(roots.imag)) > CUBIC_IMAG_TOL * scale:
-                continue
-            vals_k = np.sort(np.concatenate([[asym], roots.real]))
-            err = np.max(np.abs(vals_k - np.sort(numeric))) / scale
-            if err < best_err:
-                best, best_err = vals_k, err
-        if best is None or best_err > BRANCH_TOL:
-            raise ConsistencyError(
-                f"cube-root branch mismatch for {model.kind} at R={R}: "
-                f"best relative error {best_err:.3e}"
-            )
-        return best
-    if numeric is not None:
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        err = np.max(np.abs(vals - np.sort(numeric))) / scale
-        if err > BRANCH_TOL:
-            raise ConsistencyError(
-                f"analytic/numeric eigenvalue mismatch for {model.kind} "
-                f"at R={R}: {err:.3e}"
-            )
-    return vals
-
-
-def _transported_derivative(model, R, n, gap_min, H=None):
-    """Energies, state n and its parallel-transport derivative over a 1-d R.
-
-    The derivative is sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), in the
-    phase convention of the eigensolver's vectors; raises DegeneracyError
-    where the tracked state comes within gap_min of another level.
-    """
-    w, V = _eigh_model(model, R, H)
-    gaps = np.abs(w - w[:, n, None])
-    gaps[:, n] = np.inf
-    gap = gaps.min(axis=1)
-    if np.any(gap < gap_min):
-        k = int(np.argmax(gap < gap_min))
-        raise DegeneracyError(
-            f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
-            f"is below gap_min={gap_min:.1e}"
+        roots = np.concatenate([np.broadcast_to(asym, (1,) + cubic.shape[1:]), cubic])
+    levels = np.sort(roots, axis=0)                           # (level, branch) + R.shape
+    if numeric is None:
+        if model.kind in ("lz", "tfim"):
+            return np.moveaxis(levels[:, 0], 0, -1)
+        numeric = np.linalg.eigvalsh(hamiltonian(model, R))
+    numeric = np.ascontiguousarray(np.moveaxis(np.sort(numeric, axis=-1), -1, 0))[:, None]
+    scale = np.maximum(1.0, np.maximum(np.abs(numeric[0]), np.abs(numeric[-1])))
+    err = np.max(np.abs(levels - numeric), axis=0) / scale   # (branch,) + R.shape
+    best = np.argmin(err, axis=0)
+    bad = ~(np.min(err, axis=0) <= BRANCH_TOL)
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ConsistencyError(
+            f"no closed-form eigenvalue branch of {model.kind} matches the dense "
+            f"spectrum at R={R[k]}: best relative error {err[(slice(None),) + k].min():.3e}"
         )
-    v = V[:, :, n]
-    coupling = np.einsum("kam,ka->km", np.conj(V), v @ model.slope_matrix.T)
-    denom = w[:, n, None] - w
-    denom[:, n] = 1.0
-    coupling[:, n] = 0.0
-    dv = np.einsum("kam,km->ka", V, coupling / denom)
-    return w, v, dv
+    return np.moveaxis(np.take_along_axis(levels, best[None, None], axis=1)[:, 0], 0, -1)
 
 
-def _anchored(model, v, dv, anchors):
-    """(C, dC/dR) in the gauge where each anchor component is real positive.
-
-    C = v conj(u) with u the anchor phase of v, so dC picks up
-    -i Im(dC_a / C_a) C on top of the transported derivative.
-    """
-    idx = np.arange(v.shape[0])
-    pivot = v[idx, anchors]
-    phase = (np.conj(pivot) / np.abs(pivot))[:, None]
-    C, dC = v * phase, dv * phase
-    dC -= 1j * (dC[idx, anchors] / C[idx, anchors]).imag[:, None] * C
-    if model.is_real:
-        C, dC = C.real.astype(complex), dC.real.astype(complex)
-    return C, dC
-
-
-def state_and_derivative(model, R, n, *, anchor=None, gap_min=GAP_MIN):
-    """(C, dC/dR) for state n at scalar R in one consistent gauge.
-
-    The gauge holds ``anchor`` (default: ``default_anchor``) real and
-    positive; a near-zero anchor makes it undefined and is refused.
-    """
-    R = float(R)
-    _, v, dv = _transported_derivative(model, np.array([R]), n, gap_min)
-    if anchor is None:
-        anchor = default_anchor(model, v[0])
-    if abs(v[0, anchor]) < ANCHOR_MIN:
-        raise GaugeError(
-            f"gauge anchor component {anchor} has magnitude {abs(v[0, anchor]):.3e} "
-            f"at R={R}; switch anchor"
-        )
-    C, dC = _anchored(model, v, dv, np.array([anchor]))
+def state_and_derivative(model, R, n, *, anchor=None):
+    """(C, dC/dR) for state n at scalar R: ``tracked_state`` at one point."""
+    _, C, dC, _ = tracked_state(model, np.array([float(R)]), n, anchor=anchor)
     return C[0], dC[0]
 
 
-def eigenvector_derivative(model, R, n, *, anchor=None, gap_min=GAP_MIN):
-    """d/dR of the gauge-fixed eigenvector of state n (see state_and_derivative)."""
-    return state_and_derivative(model, R, n, anchor=anchor, gap_min=gap_min)[1]
+def eigenvector_derivative(model, R, n, *, anchor=None):
+    """d/dR of the gauge-fixed eigenvector of state n (see tracked_state)."""
+    return state_and_derivative(model, R, n, anchor=anchor)[1]
 
 
 PHASE_IMAG_TOL = 1e-10
@@ -443,32 +422,7 @@ def adiabatic_phase_rate(model, R, n, **kw):
     return float(value.real)
 
 
-# ---------------------------------------------------------------------------
-# batched pipeline used by the solver and propagator
-
-def eigensystem_batch(model, R_array):
-    """Energies and gauge-fixed eigenvectors over an array of R values.
-
-    Returns (w, V) with shapes (N, dim) and (N, dim, dim); V[:, :, m] is
-    state m, each vector phase-anchored at its largest component.
-    """
-    R_array = np.asarray(R_array, dtype=float)
-    w, V = _eigh_model(model, R_array)
-    for m in range(model.dim):
-        g = V[:, :, m]
-        anchors = np.argmax(np.abs(g), axis=1)
-        V[:, :, m] = _fix_phase(g, anchors)
-    return w, V
-
-
 def state_and_derivative_batch(model, R_array, n, *, H=None):
-    """Vectorized (C, dC/dR, E, all_energies) for state n over R_array.
-
-    Each point is phase-anchored at its largest component; one eigensolve
-    per point, with the same tracked-state gap guard as the scalar path.
-    ``H`` optionally holds ``hamiltonian(model, R_array)`` already built.
-    """
-    R = np.asarray(R_array, dtype=float)
-    w, v, dv = _transported_derivative(model, R, n, GAP_MIN, H)
-    C, dC = _anchored(model, v, dv, np.argmax(np.abs(v), axis=1))
+    """(C, dC/dR, E_n, all energies) of state n over R_array (see tracked_state)."""
+    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n, H=H)
     return C, dC, w[:, n], w

@@ -292,7 +292,7 @@ def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES):
     tau, wts = _gauss_nodes(t, nodes)
     R_tau = advanced_parameter(schedule, tau, clamp=True)
     v_tau = velocity(schedule, tau, clamp=True)
-    C, dC, _, _ = models.state_and_derivative_batch(model, R_tau, n)
+    _, C, dC, _ = models.tracked_state(model, R_tau, n)
     rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
     return float(np.dot(wts, v_tau * rate))
 
@@ -301,24 +301,20 @@ def ff_state(model, schedule, n, t_values, anchor=None):
     """Analytic fast-forward states at the given times, consistent gauge.
 
     Combines the instantaneous eigenvector at the advanced parameter with
-    the accumulated dynamical and adiabatic phases.
+    the accumulated dynamical and adiabatic phases.  Every sample holds
+    ``anchor`` real and positive, by default the largest component of the
+    middle sample.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     Rs = advanced_parameter(schedule, t_values, clamp=True)
-    w, V = models._eigh_model(model, Rs)
-    vecs = V[:, :, n]
     if anchor is None:
-        mid = len(t_values) // 2
-        anchor = int(np.argmax(np.abs(vecs[mid])))
-    vecs = models._fix_phase(vecs, np.full(len(t_values), anchor))
-    if model.is_real:
-        vecs = vecs.real.astype(complex)
-    out = np.empty_like(vecs)
-    for i, t in enumerate(t_values):
-        theta = dynamical_phase(model, schedule, n, float(t))
-        xi = adiabatic_phase(model, schedule, n, float(t))
-        out[i] = vecs[i] * np.exp(-1j * theta + 1j * xi)
-    return out
+        mid = len(Rs) // 2
+        _, V = models.eigensystem_batch(model, Rs[mid : mid + 1])
+        anchor = int(np.argmax(np.abs(V[0, :, n])))
+    _, vecs, _, _ = models.tracked_state(model, Rs, n, anchor=anchor)
+    phases = [adiabatic_phase(model, schedule, n, t) - dynamical_phase(model, schedule, n, t)
+              for t in t_values.tolist()]
+    return vecs * np.exp(1j * np.array(phases))[:, None]
 
 
 def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):

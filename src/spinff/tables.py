@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
-from .ansatz import ansatz_matrix
+from .ansatz import COEFF_NAMES, matrices_from_rows
 from .cdsolver import DEFAULT_TOL, canonical_selection, enumerate_grid
 from .errors import ConfigError
 
@@ -210,36 +209,38 @@ def verify_table_reports(model, reports, residual_tol=1e-9):
     worst_van = np.zeros(len(QA_TABLE))
     groups_ok = True
     group_ids = [0] * len(QA_TABLE)
-    for report in reports:
-        C, dC = models.state_and_derivative(model, report.R, report.state_index)
-        rhs_full = 1j * dC - 1j * np.vdot(C, dC) * C
-        a, b, c = 1j * dC[0], 1j * dC[1], 1j * dC[3]
-        C1, C2, C4 = C[0], C[1], C[3]
-        by_selection = {r.selection: r for r in report.results}
-        for k, (frame, forms) in enumerate(QA_TABLE):
-            values = {name: fn(a, b, c, C1, C2, C4) for name, fn in forms.items()}
-            coeffs = {name: v.real for name, v in values.items()}
-            residual = np.linalg.norm(ansatz_matrix(coeffs) @ C - rhs_full)
-            worst_res[k] = max(worst_res[k], float(residual))
-            selection = canonical_selection(tuple(forms) + (frame,))
-            solver = by_selection.get(selection)
-            if solver is not None and solver.accepted:
-                sol = solver.solution.coefficients
-                gap = max(abs(sol[name] - coeffs[name]) for name in forms)
-                worst_gap[k] = max(worst_gap[k], float(gap))
-                worst_van[k] = max(worst_van[k], abs(sol[frame]))
-                group_ids[k] = solver.solution.group_id
-            else:
-                groups_ok = False
-    # groups must follow the 6/6/6 layout of the three nonzero pairs
-    pair_to_gid = {}
+    # the reports' states and solutions stacked over the N points: solver
+    # coefficients (N, S, 9) and group ids (N, S), -1 where rejected
+    C, dC, rhs = (np.array([getattr(report, name) for report in reports])
+                  for name in ("state", "derivative", "rhs"))
+    selections = [res.selection for res in reports[0].results]
+    solved = np.array([[res.solution.coefficients.as_array() if res.accepted
+                        else np.zeros(len(COEFF_NAMES)) for res in report.results]
+                       for report in reports])
+    gids = np.array([[res.solution.group_id if res.accepted else -1
+                      for res in report.results] for report in reports])
+    args = (1j * dC[:, 0], 1j * dC[:, 1], 1j * dC[:, 3], C[:, 0], C[:, 1], C[:, 3])
     for k, (frame, forms) in enumerate(QA_TABLE):
-        pair = tuple(sorted(forms))
-        pair_to_gid.setdefault(pair, group_ids[k])
-        if pair_to_gid[pair] != group_ids[k]:
+        x = np.zeros((len(reports), len(COEFF_NAMES)))
+        cols = [COEFF_NAMES.index(name) for name in forms]
+        x[:, cols] = np.stack([fn(*args).real for fn in forms.values()], axis=1)
+        residual = np.linalg.norm((matrices_from_rows(x) @ C[..., None])[..., 0] - rhs, axis=1)
+        worst_res[k] = residual.max()
+        selection = canonical_selection(tuple(forms) + (frame,))
+        if selection not in selections:
             groups_ok = False
-    if len(pair_to_gid) != 3:
-        groups_ok = False
+            continue
+        j = selections.index(selection)
+        ok = gids[:, j] >= 0
+        groups_ok &= bool(ok.all())
+        if ok.any():
+            worst_gap[k] = np.abs(solved[ok, j][:, cols] - x[ok][:, cols]).max()
+            worst_van[k] = np.abs(solved[ok, j, COEFF_NAMES.index(frame)]).max()
+            group_ids[k] = int(gids[ok, j][-1])
+    # groups must follow the 6/6/6 layout of the three nonzero pairs: one
+    # group per pair
+    pair_groups = {(tuple(sorted(forms)), gid) for (_, forms), gid in zip(QA_TABLE, group_ids)}
+    groups_ok &= len(pair_groups) == len({pair for pair, _ in pair_groups}) == 3
     entries = tuple(
         TableEntryReport(
             index=k + 1,

@@ -19,9 +19,9 @@ from spinff import (
     solve_lz,
     solve_selection,
 )
+from spinff.ansatz import ANTISYM_BASIS, BASIS
 from spinff.cdsolver import (
     CoefficientPath,
-    antisym_extension_values,
     enumeration_grid,
 )
 from spinff.errors import ConsistencyError
@@ -101,11 +101,12 @@ def test_merged_row_symmetry_guard(qa_model, monkeypatch):
     import spinff.cdsolver as cd
 
     def crooked(model, R, n, **kw):
-        C = np.array([0.6, 0.5, 0.4, 0.48], dtype=complex)
+        C = np.array([[0.6, 0.5, 0.4, 0.48]], dtype=complex)
         C /= np.linalg.norm(C)
-        return C, np.zeros(4, dtype=complex)
+        zero = np.zeros_like(C)
+        return np.zeros((1, 4)), C, zero, zero
 
-    monkeypatch.setattr(cd.models, "state_and_derivative", crooked)
+    monkeypatch.setattr(cd.models, "tracked_state", crooked)
     from spinff.errors import ConsistencyError
 
     with pytest.raises(ConsistencyError):
@@ -362,9 +363,16 @@ def test_antisymmetric_couplings_solve_to_zero():
         (ModelSpec.qa(), 5.0),
         (ModelSpec.gen(), 12.5),
     ]
+    # minimum-norm real solve of the full problem over the nine ansatz
+    # operators plus the three antisymmetric cross terms
+    basis = np.concatenate([BASIS, ANTISYM_BASIS])
     for model, R in cases:
-        values = antisym_extension_values(model, R)
-        assert max(abs(v) for v in values.values()) < 1e-8, model.kind
+        C, _ = state_and_derivative(model, R, 0)
+        rhs = rhs_vector(model, R, 0)
+        A = np.einsum("kab,b->ak", basis, C)
+        M = np.concatenate([A.real, A.imag])
+        x = np.linalg.lstsq(M, np.concatenate([rhs.real, rhs.imag]), rcond=1e-8)[0]
+        assert np.max(np.abs(x[len(BASIS):])) < 1e-8, model.kind
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from spinff.cdsolver import enumeration_grid
 from spinff.cli import main
 from spinff.config import load_config, load_preset
 from spinff.errors import ConfigError
@@ -191,20 +193,36 @@ def test_strict_coupling_names(tmp_path):
 
 
 def test_verify_enumerates_the_qa_grid_once(tmp_path, monkeypatch):
-    # the table and count checks share one enumeration of the 50-point grid
-    import spinff.cdsolver
-    import spinff.cli
-    import spinff.tables
+    # the table and count checks share one state computation over the
+    # 50-point grid
+    import spinff.models
 
+    qa = load_preset("qa")
+    grid = enumeration_grid(qa.schedule, qa.grid)
     calls = []
-    original = spinff.cdsolver.enumerate_solutions
+    original = spinff.models.tracked_state
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def recording(model, R, *args, **kwargs):
+        calls.append(np.array(R, dtype=float))
+        return original(model, R, *args, **kwargs)
 
-    for module in (spinff.cdsolver, spinff.cli, spinff.tables):
-        if hasattr(module, "enumerate_solutions"):
-            monkeypatch.setattr(module, "enumerate_solutions", counting)
+    monkeypatch.setattr(spinff.models, "tracked_state", recording)
     assert main(["verify", "--only", "qa", "--out", str(tmp_path)]) == 0
-    assert len(calls) == load_preset("qa").grid == 50
+    on_grid = [R for R in calls if np.isin(R, grid).any()]
+    assert len(grid) == 50
+    assert len(on_grid) == 1 and np.array_equal(on_grid[0], grid)
+
+
+def test_solve_cd_rows_are_the_enumeration_rows_of_the_selection(tmp_path):
+    # the sparse solve-cd path writes, per grid point, the enumerate.csv row
+    # of its selection (group ids included)
+    for command in ("solve-cd", "enumerate"):
+        assert main([command, "--config", "preset:qa", "--grid", "5",
+                     "--out", str(tmp_path / command)]) == 0
+    solved = (tmp_path / "solve-cd" / "solve_cd.csv").read_text().splitlines()
+    listed = (tmp_path / "enumerate" / "enumerate.csv").read_text().splitlines()
+    assert solved[0] == listed[0]
+    selection = "|".join(load_preset("qa").selection)
+    expected = [row for row in listed[1:] if row.split(",")[1] == selection]
+    assert len(expected) == 5
+    assert solved[1:] == expected

@@ -12,8 +12,14 @@ from spinff import (
     hamiltonian,
     state_and_derivative,
 )
-from spinff.models import state_and_derivative_batch
-from spinff.errors import ConfigError, DegeneracyError, DomainError, GaugeError
+from spinff.models import eigensystem_batch, state_and_derivative_batch
+from spinff.errors import (
+    ConfigError,
+    ConsistencyError,
+    DegeneracyError,
+    DomainError,
+    GaugeError,
+)
 from spinff.tables import lz_upper_derivative
 
 # tracked state per model for derivative checks (lz: the upper level)
@@ -141,6 +147,24 @@ def test_analytic_matches_numeric_everywhere():
             assert np.max(np.abs(vals - w)) / scale < 1e-10, name
 
 
+def test_analytic_eigenvalues_over_R_array_match_pointwise():
+    for name, (model, (lo, hi)) in ALL_MODELS.items():
+        R = np.linspace(lo, hi, 9)
+        vals = analytic_eigenvalues(model, R)
+        assert vals.shape == (9, model.dim)
+        for k, r in enumerate(R):
+            np.testing.assert_allclose(vals[k], analytic_eigenvalues(model, float(r)),
+                                       rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def test_batched_path_runs_the_branch_check():
+    # Hamiltonians of the wrong R must not pass for the right one
+    model = ModelSpec.qa()
+    R = np.array([2.0, 5.0])
+    with pytest.raises(ConsistencyError):
+        state_and_derivative_batch(model, R, 0, H=hamiltonian(model, R + 1.0))
+
+
 def test_eigenpair_residuals():
     for model, (lo, hi) in ALL_MODELS.values():
         for R in np.linspace(lo, hi, 5):
@@ -156,7 +180,7 @@ def test_eigenpair_residuals():
 def test_qa_eigenproblem_property(R):
     model = ModelSpec.qa()
     H = hamiltonian(model, R)
-    for s in eigensystem(model, R, check=False):
+    for s in eigensystem(model, R):
         res = np.linalg.norm(H @ s.amplitudes - s.energy * s.amplitudes)
         assert res < 1e-10 * max(1.0, np.linalg.norm(H))
 
@@ -258,6 +282,17 @@ def test_gauge_anchor_guard(qa_model):
     # anchor there must be refused
     with pytest.raises(GaugeError):
         eigenvector_derivative(qa_model, 10.0 - 1e-7, 0, anchor=3)
+
+
+def test_batched_gauge_is_the_scalar_gauge(gen_model):
+    # at R = 15 the largest ground-state component of gen is not the last
+    # one; the batched and scalar paths must still share the anchor
+    C, _ = state_and_derivative(gen_model, 15.0, 0)
+    assert np.argmax(np.abs(C)) != 3
+    Cb, _, _, _ = state_and_derivative_batch(gen_model, [14.0, 15.0, 16.0], 0)
+    np.testing.assert_allclose(Cb[1], C, rtol=0, atol=1e-14)
+    _, V = eigensystem_batch(gen_model, [15.0])
+    np.testing.assert_allclose(V[0, :, 0], C, rtol=0, atol=1e-14)
 
 
 def test_gen_designated_anchor_is_last_component(gen_model):
