@@ -21,6 +21,7 @@ import numpy as np
 from . import models, propagator, tables
 from .ansatz import COEFF_NAMES, ansatz_matrix
 from .cdsolver import (
+    admissible_selections,
     drb_counterdiabatic,
     enumerate_grid,
     enumerate_solutions,
@@ -252,12 +253,17 @@ def solve_cd_job(config):
             rows.append([_fmt(R), "dense", "1", ""]
                         + [_fmt(c) for c in sol.coefficients.as_array()]
                         + [_fmt(sol.residual), "nan", "nan", "-1"])
-    else:
+    elif selection in admissible_selections(config.model):
         # the selection's rows of one enumeration of the whole grid
         grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
         for R, report in zip(R_values, grid.reports):
             rows += [_selection_row(float(R), res) for res in report.results
                      if res.selection == selection]
+    else:
+        # accepted, but outside the enumeration: one solve per grid point
+        for R in R_values:
+            rs = reduce_system(config.model, float(R), config.state, selection)
+            rows.append(_selection_row(float(R), solve_selection(rs, config.tolerances)))
     write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
     return EXIT_OK
 

@@ -10,9 +10,9 @@ control parameter R through affine coupling maps:
 
 Every eigensolve goes through one batched dense Hermitian solver whose
 spectrum is checked against the closed-form eigenvalues (including the
-cubic roots of the two-spin models, the cube-root branch selected to match
-the numeric spectrum).  One gauge rule, ``default_anchor``, keeps an anchor
-component of each eigenvector real and positive.  ``tracked_state`` is the
+cubic roots of the two-spin models, from the principal cube root).  One
+gauge rule, ``default_anchor``, keeps an anchor component of each
+eigenvector real and positive.  ``tracked_state`` is the
 one state layer: over an array of R it returns the energies, the tracked
 eigenvector C, its derivative from the spectral formula
 dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), exact because every
@@ -210,7 +210,7 @@ def _eigh_model(model, R, H=None):
     """Batched dense eigensolve over a 1-d R, checked against the closed form.
 
     The real-symmetric models take the real path.  Every spectrum is
-    compared with ``analytic_eigenvalues`` (cube-root branch included).
+    compared with the closed form of ``analytic_eigenvalues``.
     ``H`` passes in the model matrices at R when the caller already holds
     them, so they are not built a second time.
     """
@@ -320,10 +320,11 @@ def eigensystem(model, R, *, n=None):
             for m in range(model.dim)]
 
 
-def _cubic_candidates(model, R):
-    """The symmetric-sector cubic roots on each of the three cube-root branches.
+def _cubic_roots(model, R):
+    """The symmetric-sector cubic roots (lam2, lam3, lam4), shape (3,) + R.shape.
 
-    Returns (3, 3) + R.shape: the roots (lam2, lam3, lam4), then branch k.
+    They come from the principal cube root; the other two branches give
+    the same roots in another order.
     """
     c = model.couplings(R)
     J = c["J"]
@@ -339,11 +340,11 @@ def _cubic_candidates(model, R):
         gm = 2 * Bz**2 * J / 3 - 4 * J * z2 / 3 - 8 * J**3 / 27
         base = J / 3
     u = gm + np.sqrt(np.asarray(gm**2 - gp**3, dtype=complex))
-    k = np.arange(3).reshape((3,) + (1,) * u.ndim)
-    # beta = r exp(i phi_k); the roots are base + beta + conj(beta) and a
-    # pair split symmetrically around base - Re(beta), real by construction
+    # beta = r exp(i phi) is the principal cube root of u; the roots are
+    # base + beta + conj(beta) and a pair split symmetrically around
+    # base - Re(beta), real by construction
     r = np.abs(u) ** (1.0 / 3.0)
-    phi = (np.angle(u) + 2 * np.pi * k) / 3
+    phi = np.angle(u) / 3
     re, split = r * np.cos(phi), np.sqrt(3.0) * r * np.sin(phi)
     return np.stack([base + 2 * re, base - re - split, base - re + split])
 
@@ -351,44 +352,41 @@ def _cubic_candidates(model, R):
 def analytic_eigenvalues(model, R, *, numeric=None):
     """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Returns R.shape + (dim,).  For the cubic models each point takes the
-    cube-root branch that best reproduces ``numeric`` (default: the dense
-    solver's spectrum); given ``numeric``, the other models are compared
-    against it too.  Raises ConsistencyError, naming R, when no branch
-    matches within BRANCH_TOL.
+    Returns R.shape + (dim,).  Given ``numeric`` (for the cubic models by
+    default the dense solver's spectrum), every point is compared with it
+    and ConsistencyError, naming R, is raised where they differ by more
+    than BRANCH_TOL relative to the spectrum's scale.
     """
-    # levels and branches lead, R trails, so the reductions run over
-    # leading axes
+    # levels lead, R trails, so the reductions run over the leading axis
     R = np.asarray(R, dtype=float)
     c = model.couplings(R)
     if model.kind == "lz":
         Q = np.hypot(c["Bz"], c["Delta"])
-        roots = np.stack([-Q / 2, Q / 2])[:, None]
+        roots = np.stack([-Q / 2, Q / 2])
     elif model.kind == "tfim":
         s = np.hypot(c["J"], c["Bx"])
-        roots = np.stack([-c["J"], c["J"], -s, s])[:, None]
+        roots = np.stack([-c["J"], c["J"], -s, s])
     else:
-        # the antisymmetric level, then the cubic roots of each branch
-        cubic = _cubic_candidates(model, R)
+        # the antisymmetric level, then the cubic roots
+        cubic = _cubic_roots(model, R)
         asym = c["J"] if model.kind == "qa" else -c["J"]
         roots = np.concatenate([np.broadcast_to(asym, (1,) + cubic.shape[1:]), cubic])
-    levels = np.sort(roots, axis=0)                           # (level, branch) + R.shape
+    levels = np.sort(roots, axis=0)                           # (level,) + R.shape
     if numeric is None:
         if model.kind in ("lz", "tfim"):
-            return np.moveaxis(levels[:, 0], 0, -1)
+            return np.moveaxis(levels, 0, -1)
         numeric = np.linalg.eigvalsh(hamiltonian(model, R))
-    numeric = np.ascontiguousarray(np.moveaxis(np.sort(numeric, axis=-1), -1, 0))[:, None]
+    numeric = np.moveaxis(np.sort(numeric, axis=-1), -1, 0)
     scale = np.maximum(1.0, np.maximum(np.abs(numeric[0]), np.abs(numeric[-1])))
-    err = np.max(np.abs(levels - numeric), axis=0) / scale   # (branch,) + R.shape
-    best = np.argmin(err, axis=0)
-    bad = ~(np.min(err, axis=0) <= BRANCH_TOL)
+    err = np.max(np.abs(levels - numeric), axis=0) / scale    # R.shape
+    bad = ~(err <= BRANCH_TOL)
     if np.any(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConsistencyError(
-            f"no closed-form eigenvalue branch of {model.kind} matches the dense "
-            f"spectrum at R={R[k]}: best relative error {err[(slice(None),) + k].min():.3e}"
+            f"closed-form eigenvalues of {model.kind} do not match the dense "
+            f"spectrum at R={R[k]}: relative error {err[k]:.3e}"
         )
-    return np.moveaxis(np.take_along_axis(levels, best[None, None], axis=1)[:, 0], 0, -1)
+    return np.moveaxis(levels, 0, -1)
 
 
 def state_and_derivative(model, R, n, *, anchor=None):

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from spinff.cdsolver import enumeration_grid
+from spinff.cdsolver import (
+    admissible_selections,
+    enumeration_grid,
+    reduce_system,
+    solve_selection,
+)
 from spinff.cli import main
 from spinff.config import load_config, load_preset
 from spinff.errors import ConfigError
@@ -226,3 +231,21 @@ def test_solve_cd_rows_are_the_enumeration_rows_of_the_selection(tmp_path):
     expected = [row for row in listed[1:] if row.split(",")[1] == selection]
     assert len(expected) == 5
     assert solved[1:] == expected
+
+
+def test_solve_cd_solves_a_selection_outside_the_enumeration(tmp_path):
+    # W2,Bz is accepted at the tfim mid R but is not one of the enumerated
+    # (real-part candidate, W2) pairs: each grid point gets its own solve
+    config = load_preset("tfim")
+    assert ("W2", "Bz") not in admissible_selections(config.model)
+    assert main(["solve-cd", "--config", "preset:tfim", "--selection", "W2,Bz",
+                 "--grid", "5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "solve_cd.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert len(rows) == 5
+    for R, row in zip(enumeration_grid(config.schedule, 5), rows):
+        res = solve_selection(reduce_system(config.model, float(R), config.state, ("W2", "Bz")))
+        assert float(row[0]) == float(R)
+        assert row[1:3] == ["W2|Bz", "1"]
+        for name in ("W2", "Bz"):
+            assert float(row[header.index(f"coef_{name}")]) == res.solution.coefficients[name]

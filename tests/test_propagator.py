@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinff import (
     ModelSpec,
@@ -134,6 +135,55 @@ def test_ff_state_probe_time_must_be_interior(qa_model, qa_schedule):
 def test_ff_state_is_unit_norm(gen_model, gen_schedule):
     psi = ff_state(gen_model, gen_schedule, 0, [0.03, 0.05])
     assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# step exponentials
+
+def _hermitian_stack(dim, norms, seed=0):
+    """Random Hermitian matrices with the given 1-norms."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(len(norms), dim, dim)) + 1j * rng.normal(size=(len(norms), dim, dim))
+    K = A + np.conj(np.swapaxes(A, -1, -2))
+    return K * (norms / np.abs(K).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_expm_hermitian_matches_scipy_expm(dim):
+    # h||K||_1 from 1e-8 to 50: up to 12 squarings
+    h = 0.5
+    K = _hermitian_stack(dim, np.logspace(-8, np.log10(50.0), 60) / h)
+    E = propagator._expm_hermitian(K, h)
+    for Ek, k in zip(E, K):
+        ref = scipy.linalg.expm(-1j * h * k)
+        assert np.linalg.norm(Ek - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(np.conj(Ek.T) @ Ek - np.eye(dim)) <= 1e-12
+
+
+def test_expm_hermitian_of_an_empty_stack():
+    assert propagator._expm_hermitian(np.zeros((0, 4, 4), dtype=complex), 0.1).shape == (0, 4, 4)
+
+
+def test_expm_hermitian_depends_on_each_matrix_only():
+    # scaling is per matrix: a matrix that needs squaring changes no other
+    K = _hermitian_stack(4, np.array([1e-3, 30.0, 5e-3, 0.2]))
+    E = propagator._expm_hermitian(K, 1.0)
+    for i in range(len(K)):
+        assert np.array_equal(E[i], propagator._expm_hermitian(K[i : i + 1], 1.0)[0]), i
+
+
+def test_step_matrices_need_no_eigensolve(qa_model, monkeypatch):
+    R = np.linspace(1.0, 3.0, 9)
+    H = models.hamiltonian(qa_model, R)
+    ref = propagator._cf4_step_matrices(H, 1e-4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    U = propagator._cf4_step_matrices(H, 1e-4)
+    assert U.shape == (4, 4, 4)
+    assert np.array_equal(U, ref)
 
 
 # ---------------------------------------------------------------------------
