@@ -25,7 +25,9 @@ over the basis (sz, sx, -sy).
 Every state and right-hand side comes from ``models.tracked_state``.  Two
 batched kernels solve every system built by ``_operator_columns``:
 ``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) and
-``_accept`` (square reduced systems over (R, selection), filtered).
+``_accept`` (square reduced systems over (R, selection), filtered, as
+arrays).  ``enumerate_grid`` clusters those arrays for all R at once into a
+``GridEnumeration``, which builds per-point report objects only on demand.
 ``CoefficientPath`` solves one selection along R unfiltered and refuses,
 naming R, a point where that system is exactly singular or a coefficient
 is not finite.
@@ -65,6 +67,7 @@ class SolverTolerances:
 
 
 DEFAULT_TOL = SolverTolerances()
+REASONS = ("", "singular", "not_real", "residual")   # rejection reasons by code
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class CDSolution:
 class SelectionResult:
     selection: tuple
     accepted: bool
-    reason: str = ""                # "", "singular", "not_real", "residual"
+    reason: str = ""                # one of REASONS
     solution: CDSolution = None
     cond: float = np.nan
     max_imag: float = np.nan
@@ -235,39 +238,44 @@ def reduce_system(model, R, n, selection):
     )
 
 
-def _accept(selections, M, b, F, rhs_full, tol):
-    """Solve and filter square reduced systems M x = b over (point, selection).
+def _accept(idx, C, rhs, rows, tol):
+    """Solve and filter the square reduced systems of S selections at N states.
 
-    M (N, S, m, m) and b (N, S, m) hold the systems of the S selections at
-    N states; F (N, S, dim, m) holds M's columns over all rows and
-    rhs_full (N, dim) the full right-hand side, for the full residual.
-    Rejections in order: "singular" (cond above cond_max or not finite),
-    "not_real" (imaginary part above imag_tol), "residual".  Returns N
-    lists of S SelectionResult.
+    idx (S, m) holds each selection's coefficient indices, C and rhs (N, dim)
+    the states and full right-hand sides; the systems keep the merged
+    ``rows``, the residual takes all rows.  Rejections in order: "singular"
+    (cond above cond_max or not finite), "not_real" (imaginary part above
+    imag_tol), "residual".  Returns (N, S) arrays: coefficients (N, S, 9),
+    zero unless accepted; reason codes into REASONS (0: accepted); cond;
+    max_imag and residual, NaN where not reached.
     """
+    F = _operator_columns(BASIS[idx], C[:, None, :], range(C.shape[1]))   # (N, S, dim, m)
+    M = F[..., list(rows), :]
     cond = np.linalg.cond(M)
     regular = np.isfinite(cond) & (cond <= tol.cond_max)
-    x = np.zeros(b.shape, dtype=complex)
+    x = np.zeros(M.shape[:-1], dtype=complex)
     if np.any(regular):
+        b = np.broadcast_to(rhs[:, None, list(rows)], x.shape)
         x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
     max_imag = np.where(regular, np.max(np.abs(x.imag), axis=-1), np.nan)
     real = max_imag <= tol.imag_tol
-    full = (F @ x.real[..., None])[..., 0] - rhs_full[:, None, :]
+    full = (F @ x.real[..., None])[..., 0] - rhs[:, None, :]
     residual = np.where(real, np.linalg.norm(full, axis=-1), np.nan)
-    reasons = np.select([~regular, ~real, residual > tol.residual_tol],
-                        ["singular", "not_real", "residual"], "")
+    reason = np.select([~regular, ~real, residual > tol.residual_tol], [1, 2, 3], 0)
+    coefficients = np.zeros(reason.shape + (len(COEFF_NAMES),))
+    coefficients[:, np.arange(len(idx))[:, None], idx] = np.where(
+        reason[..., None] == 0, x.real, 0.0)
+    return coefficients, reason, cond, max_imag, residual
 
-    def result(k, s, sel):
-        solution = None
-        if not reasons[k, s]:
-            coeffs = AnsatzCoefficients(dict(zip(sel, x[k, s].real)), sel)
-            solution = CDSolution(coeffs, float(residual[k, s]))
-        return SelectionResult(
-            sel, solution is not None, str(reasons[k, s]), solution,
-            float(cond[k, s]), float(max_imag[k, s]), float(residual[k, s]),
-        )
 
-    return [[result(k, s, sel) for s, sel in enumerate(selections)] for k in range(len(M))]
+def _selection_result(selection, coefficients, reason, cond, max_imag, residual, group_id=-1):
+    """SelectionResult of one (point, selection) entry of the ``_accept`` arrays."""
+    solution = None
+    if reason == 0:
+        coeffs = AnsatzCoefficients(dict(zip(COEFF_NAMES, coefficients)), selection)
+        solution = CDSolution(coeffs, float(residual), int(group_id))
+    return SelectionResult(selection, solution is not None, REASONS[reason], solution,
+                           float(cond), float(max_imag), float(residual))
 
 
 def solve_selection(rs, tol=DEFAULT_TOL):
@@ -279,12 +287,9 @@ def solve_selection(rs, tol=DEFAULT_TOL):
     model with its field along x); the dense solve covers such families.
     """
     sel = tuple(rs.unknown_names)
-    C = rs.state_vector
-    F = _operator_columns(BASIS[_selection_indices(sel)], C, range(len(C)))
-    return _accept(
-        [sel], rs.coefficient_matrix[None, None], rs.rhs[None, None], F[None, None],
-        rs.rhs_full[None], tol,
-    )[0][0]
+    arrays = _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
+                     rs.rhs_full[None], rs.merged_rows, tol)
+    return _selection_result(sel, *(a[0, 0] for a in arrays))
 
 
 def admissible_selections(model):
@@ -308,11 +313,8 @@ def admissible_selections(model):
 
 
 def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL):
-    """Solve every admissible selection at R and cluster the accepted ones.
-
-    The one-point case of ``enumerate_grid``.
-    """
-    return enumerate_grid(model, [R], n, tol).reports[0]
+    """``enumerate_grid`` at the one point R, as its EnumerationReport."""
+    return enumerate_grid(model, [R], n, tol).report(0)
 
 
 def enumeration_grid(schedule, count):
@@ -323,62 +325,97 @@ def enumeration_grid(schedule, count):
 
 @dataclass(frozen=True)
 class GridEnumeration:
-    reports: tuple
-    partition_consistent: bool
+    """Selections solved at every point of an R grid, as (N, S) arrays.
+
+    The arrays are ``_accept``'s, with ``group_id`` -1 where rejected;
+    ``state``, ``derivative`` and ``rhs`` are the tracked (N, dim) arrays.
+    ``report``/``reports`` build the per-point objects on demand.
+    """
+
+    model_kind: str
+    state_index: int
+    R: np.ndarray
+    selections: tuple
+    coefficients: np.ndarray
+    reason: np.ndarray
+    cond: np.ndarray
+    max_imag: np.ndarray
+    residual: np.ndarray
+    group_id: np.ndarray
+    state: np.ndarray
+    derivative: np.ndarray
+    rhs: np.ndarray
 
     @property
     def accepted_counts(self):
-        return [r.n_accepted for r in self.reports]
+        return (self.reason == 0).sum(axis=1).tolist()
 
     @property
     def group_counts(self):
-        return [r.n_groups for r in self.reports]
+        return (self.group_id.max(axis=1, initial=-1) + 1).tolist()
+
+    @property
+    def partition_consistent(self):
+        """Every point puts the same selections into the same groups."""
+        return bool(np.all(self.group_id == self.group_id[:1]))
+
+    def report(self, k):
+        """EnumerationReport of point k; each group is represented by its first member."""
+        gids = self.group_id[k]
+        results = tuple(map(_selection_result, self.selections, self.coefficients[k],
+                            self.reason[k].tolist(), self.cond[k], self.max_imag[k],
+                            self.residual[k], gids))
+        groups = tuple(self.coefficients[k, np.argmax(gids == g)] for g in range(max(gids) + 1))
+        return EnumerationReport(self.model_kind, float(self.R[k]), self.state_index, results,
+                                 groups, self.state[k], self.derivative[k], self.rhs[k])
+
+    @property
+    def reports(self):
+        return tuple(self.report(k) for k in range(len(self.R)))
 
 
-def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL):
-    """Enumeration at every point of an R grid, with partition-consistency check.
+def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
+    """Every selection at every point of an R grid, unclustered (group ids -1).
 
     One ``tracked_state`` call covers the grid and one ``_accept`` call
-    every (R, selection) pair; then the accepted solutions of each point
-    are clustered into groups.
+    every (R, selection) pair.
     """
-    selections = admissible_selections(model)
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, n)
     _check_merged_rows(model, R, C, rhs)
-    rows = list(_merged_rows(model))
-    idx = [_selection_indices(sel) for sel in selections]
-    F = _operator_columns(BASIS[idx], C[:, None, :], range(model.dim))   # (N, S, dim, m)
-    b = np.broadcast_to(rhs[:, None, rows], F.shape[:2] + (len(rows),))
-    results = _accept(selections, F[..., rows, :], b, F, rhs, tol)
-    reports = tuple(
-        _clustered_report(model, *point, n, tol)
-        for point in zip(R, results, C, dC, rhs)
-    )
-    partitions = {
-        tuple((r.selection, r.solution.group_id if r.accepted else None) for r in rep.results)
-        for rep in reports
-    }
-    return GridEnumeration(reports, len(partitions) <= 1)
+    idx = np.array([_selection_indices(sel) for sel in selections])
+    arrays = _accept(idx, C, rhs, _merged_rows(model), tol)
+    return GridEnumeration(model.kind, n, R, tuple(selections), *arrays,
+                           np.full(arrays[1].shape, -1), C, dC, rhs)
 
 
-def _clustered_report(model, R, results, C, dC, rhs, n, tol):
-    """EnumerationReport of one point, its accepted solutions grouped.
+def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL):
+    """Every admissible selection at every point of an R grid, clustered."""
+    grid = solve_grid(model, R_values, admissible_selections(model), n, tol)
+    return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0, tol.group_tol))
 
-    Each accepted solution joins the first group whose representative (its
-    first member) lies within group_tol, or opens a new group.
+
+def _cluster(coefficients, accepted, group_tol):
+    """Group ids (N, S) of the accepted solutions, -1 where rejected.
+
+    At each point, selection by selection, an accepted solution joins the
+    first group whose representative (its first member) lies within
+    group_tol in every coefficient, or opens a new group; all points at once.
     """
-    reps = []
-    for i, res in enumerate(results):
-        if res.accepted:
-            v = res.solution.coefficients.as_array()
-            gid = next((g for g, rep in enumerate(reps)
-                        if np.max(np.abs(rep - v)) < tol.group_tol), len(reps))
-            if gid == len(reps):
-                reps.append(v)
-            results[i] = replace(res, solution=replace(res.solution, group_id=gid))
-    return EnumerationReport(model.kind, float(R), n, tuple(results), tuple(reps),
-                             C, dC, rhs)
+    reps = np.zeros_like(coefficients)          # reps[k, g]: group g's first member
+    count = np.zeros(len(coefficients), dtype=int)
+    gid = np.full(accepted.shape, -1)
+    for s in np.flatnonzero(accepted.any(axis=0)):
+        v = coefficients[:, s]
+        G = count.max() + 1
+        near = np.max(np.abs(reps[:, :G] - v[:, None]), axis=-1) < group_tol
+        near &= np.arange(G) < count[:, None]
+        g = np.where(near.any(axis=1), np.argmax(near, axis=1), count)
+        gid[:, s] = np.where(accepted[:, s], g, -1)
+        new = gid[:, s] == count
+        reps[new, count[new]] = v[new]
+        count += new
+    return gid
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from . import models, propagator, tables
 from .ansatz import COEFF_NAMES, ansatz_matrix
 from .cdsolver import (
+    REASONS,
     admissible_selections,
     drb_counterdiabatic,
     enumerate_grid,
@@ -29,6 +30,7 @@ from .cdsolver import (
     reduce_system,
     solve_dense,
     solve_lz,
+    solve_grid,
     solve_selection,
 )
 from .config import load_config, load_preset, parse_selection
@@ -50,8 +52,9 @@ class SelectionRejectedError(SpinFFError):
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _fmt(x):
-    return repr(float(x))
+def _float_rows(values):
+    """Each row of a 2-d float array as comma-joined shortest round-trip reprs."""
+    return [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
 
 
 def _sig12(x):
@@ -161,29 +164,18 @@ def run_job(config):
         + ["norm", "fidelity"]
         + [f"coef_{name}" for name in names]
     )
-    rows = []
-    pops = traj.populations
-    for i in range(len(traj.t)):
-        row = [_fmt(traj.t[i]), _fmt(traj.R_adv[i])]
-        row += [_fmt(traj.psi[i, j].real) for j in range(dim)]
-        row += [_fmt(traj.psi[i, j].imag) for j in range(dim)]
-        row += [_fmt(pops[i, j]) for j in range(dim)]
-        row += [_fmt(traj.norm[i]), _fmt(traj.fidelity[i])]
-        row += [_fmt(traj.coefficients[i, k]) for k in range(len(names))]
-        rows.append(row)
-    write_csv(os.path.join(config.out, "trajectory.csv"), header, rows)
+    values = np.column_stack([traj.t, traj.R_adv, traj.psi.real, traj.psi.imag,
+                              traj.populations, traj.norm, traj.fidelity, traj.coefficients])
+    write_csv(os.path.join(config.out, "trajectory.csv"), header,
+              [[line] for line in _float_rows(values)])
 
     header = ["t", "R_adv", "v"] + [f"coef_{n}" for n in names] + [
         f"drive_{n}" for n in names
     ]
-    rows = []
-    for i in range(len(traj.t)):
-        v = traj.velocity[i]
-        row = [_fmt(traj.t[i]), _fmt(traj.R_adv[i]), _fmt(v)]
-        row += [_fmt(traj.coefficients[i, k]) for k in range(len(names))]
-        row += [_fmt(v * traj.coefficients[i, k]) for k in range(len(names))]
-        rows.append(row)
-    write_csv(os.path.join(config.out, "coefficients.csv"), header, rows)
+    values = np.column_stack([traj.t, traj.R_adv, traj.velocity, traj.coefficients,
+                              traj.velocity[:, None] * traj.coefficients])
+    write_csv(os.path.join(config.out, "coefficients.csv"), header,
+              [[line] for line in _float_rows(values)])
 
     passed = traj.min_fidelity >= config.fidelity_bar
     summary = _config_payload(config)
@@ -217,22 +209,23 @@ _SELECTION_HEADER = (
 )
 
 
-def _selection_row(R, res):
-    coeffs = (
-        res.solution.coefficients.as_array()
-        if res.accepted
-        else np.zeros(len(COEFF_NAMES))
-    )
-    return (
-        [_fmt(R), "|".join(res.selection), "1" if res.accepted else "0", res.reason]
-        + [_fmt(c) for c in coeffs]
-        + [
-            _fmt(res.residual) if np.isfinite(res.residual) else "nan",
-            _fmt(res.cond) if np.isfinite(res.cond) else "inf",
-            _fmt(res.max_imag) if np.isfinite(res.max_imag) else "nan",
-            str(res.solution.group_id) if res.accepted else "-1",
-        ]
-    )
+def _selection_rows(grid, which):
+    """CSV rows of the grid's selections ``which`` (indices), point by point.
+
+    Unsolved entries print as ``_accept`` leaves them: residual and
+    max_imag nan, and cond inf where singular.
+    """
+    numbers = np.concatenate([grid.coefficients[:, which], np.stack(
+        [grid.residual, grid.cond, grid.max_imag], axis=-1)[:, which]], axis=-1)
+    labels = ["|".join(grid.selections[s]) for s in which]
+    reasons = grid.reason[:, which].tolist()
+    gids = grid.group_id[:, which].tolist()
+    lines = iter(_float_rows(numbers.reshape(-1, numbers.shape[-1])))
+    return [
+        [R, label, "0" if code else "1", REASONS[code], next(lines), str(gid)]
+        for R, codes, point_gids in zip(map(repr, grid.R.tolist()), reasons, gids)
+        for label, code, gid in zip(labels, codes, point_gids)
+    ]
 
 
 def solve_cd_job(config):
@@ -241,29 +234,26 @@ def solve_cd_job(config):
     header, rows = _SELECTION_HEADER, []
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
-        for R in R_values:
-            sol = solve_lz(config.model, float(R), config.state,
-                           config.tolerances)
-            rows.append([_fmt(R), _fmt(sol.h11), _fmt(sol.h12.real),
-                         _fmt(sol.h12.imag), _fmt(sol.residual)])
+        sols = [solve_lz(config.model, R, config.state, config.tolerances)
+                for R in R_values.tolist()]
+        rows = [[line] for line in _float_rows([[R, s.h11, s.h12.real, s.h12.imag, s.residual]
+                                                for R, s in zip(R_values.tolist(), sols)])]
     elif selection == "dense":
-        for R in R_values:
-            sol = solve_dense(config.model, float(R), config.state,
-                              config.tolerances)
-            rows.append([_fmt(R), "dense", "1", ""]
-                        + [_fmt(c) for c in sol.coefficients.as_array()]
-                        + [_fmt(sol.residual), "nan", "nan", "-1"])
+        sols = [solve_dense(config.model, R, config.state, config.tolerances)
+                for R in R_values.tolist()]
+        numbers = _float_rows([[*s.coefficients.as_array(), s.residual, np.nan, np.nan]
+                               for s in sols])
+        rows = [[repr(R), "dense", "1", "", line, "-1"]
+                for R, line in zip(R_values.tolist(), numbers)]
     elif selection in admissible_selections(config.model):
         # the selection's rows of one enumeration of the whole grid
         grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
-        for R, report in zip(R_values, grid.reports):
-            rows += [_selection_row(float(R), res) for res in report.results
-                     if res.selection == selection]
+        rows = _selection_rows(grid, [grid.selections.index(selection)])
     else:
-        # accepted, but outside the enumeration: one solve per grid point
-        for R in R_values:
-            rs = reduce_system(config.model, float(R), config.state, selection)
-            rows.append(_selection_row(float(R), solve_selection(rs, config.tolerances)))
+        # accepted, but outside the enumeration: solved alone, unclustered
+        grid = solve_grid(config.model, R_values, [selection], config.state,
+                          config.tolerances)
+        rows = _selection_rows(grid, [0])
     write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
     return EXIT_OK
 
@@ -273,10 +263,7 @@ def enumerate_job(config):
         raise ConfigError("enumeration applies to the two-spin models")
     R_values = enumeration_grid(config.schedule, config.grid)
     grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
-    rows = []
-    for R, report in zip(R_values, grid.reports):
-        for res in report.results:
-            rows.append(_selection_row(float(R), res))
+    rows = _selection_rows(grid, range(len(grid.selections)))
     write_csv(os.path.join(config.out, "enumerate.csv"), _SELECTION_HEADER, rows)
     summary = _config_payload(config)
     summary.update(
@@ -284,7 +271,7 @@ def enumerate_job(config):
             "grid_points": len(R_values),
             "accepted_per_point": grid.accepted_counts,
             "groups_per_point": grid.group_counts,
-            "partition_consistent": bool(grid.partition_consistent),
+            "partition_consistent": grid.partition_consistent,
         }
     )
     write_json(os.path.join(config.out, "enumerate_summary.json"), summary)
@@ -299,13 +286,11 @@ def verify_table_job(config):
                                        config.tolerances)
     header = ["entry", "frame", "pair", "max_residual", "max_solver_gap",
               "max_vanishing", "group_id", "passed"]
-    rows = []
-    for e in verification.entries:
-        rows.append([
-            str(e.index), e.frame, "|".join(e.pair), _fmt(e.max_residual),
-            _fmt(e.max_solver_gap), _fmt(e.max_vanishing), str(e.group_id),
-            "1" if e.passed else "0",
-        ])
+    entries = verification.entries
+    numbers = _float_rows([[e.max_residual, e.max_solver_gap, e.max_vanishing]
+                           for e in entries])
+    rows = [[str(e.index), e.frame, "|".join(e.pair), line, str(e.group_id),
+             "1" if e.passed else "0"] for e, line in zip(entries, numbers)]
     write_csv(os.path.join(config.out, "table_report.csv"), header, rows)
     payload = {
         "passed": bool(verification.passed),
@@ -379,7 +364,7 @@ def _checks():
         return enumerate_grid(qa.model, enumeration_grid(qa.schedule, qa.grid))
 
     def qa_table():
-        verification = tables.verify_table_reports(qa.model, qa_grid().reports)
+        verification = tables.verify_table_grid(qa.model, qa_grid())
         worst = max(e.max_residual for e in verification.entries)
         return verification.passed, {
             "max_residual": worst,
@@ -389,8 +374,7 @@ def _checks():
 
     def qa_counts():
         grid = qa_grid()
-        ok = (all(c == 18 for c in grid.accepted_counts)
-              and all(g == 3 for g in grid.group_counts)
+        ok = (set(grid.accepted_counts) == {18} and set(grid.group_counts) == {3}
               and grid.partition_consistent)
         return ok, {
             "accepted": sorted(set(grid.accepted_counts)),
@@ -401,8 +385,7 @@ def _checks():
     def tfim_counts():
         R_values = enumeration_grid(tfim.schedule, tfim.grid)
         grid = enumerate_grid(tfim.model, R_values)
-        ok = (all(c == 4 for c in grid.accepted_counts)
-              and all(g == 1 for g in grid.group_counts)
+        ok = (set(grid.accepted_counts) == {4} and set(grid.group_counts) == {1}
               and grid.partition_consistent)
         return ok, {
             "accepted": sorted(set(grid.accepted_counts)),

@@ -298,19 +298,26 @@ def _legendre_rule(count):
     return x, w
 
 
-def _gauss_nodes(t_end, count=PHASE_NODES):
-    x, w = _legendre_rule(count)
-    return 0.5 * t_end * (x + 1.0), 0.5 * t_end * w
+def _phases(model, schedule, n, t_values, nodes=PHASE_NODES):
+    """(adiabatic, dynamical) phases accumulated up to each time.
+
+    One ``tracked_state`` call over the Gauss nodes of all the times gives
+    the rate v i <C|dC/dR> and the energy of state n.
+    """
+    t = np.asarray(t_values, dtype=float)[:, None]
+    x, w = _legendre_rule(nodes)
+    tau = (0.5 * t * (x + 1.0)).ravel()
+    energies, C, dC, _ = models.tracked_state(
+        model, advanced_parameter(schedule, tau, clamp=True), n)
+    rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
+    rate = (velocity(schedule, tau, clamp=True) * rate).reshape(-1, nodes)
+    terms = zip(0.5 * t * w, rate, energies[:, n].reshape(-1, nodes))
+    return np.array([(np.dot(wk, rk), np.dot(wk, ek)) for wk, rk, ek in terms]).T
 
 
 def dynamical_phase(model, schedule, n, t, nodes=PHASE_NODES):
     """Integral of the instantaneous energy along the advanced path."""
-    if t == 0.0:
-        return 0.0
-    tau, wts = _gauss_nodes(t, nodes)
-    R_tau = advanced_parameter(schedule, tau, clamp=True)
-    w, _ = models.eigensystem_batch(model, R_tau)
-    return float(np.dot(wts, w[:, n]))
+    return float(_phases(model, schedule, n, [t], nodes)[1][0])
 
 
 def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES):
@@ -318,14 +325,7 @@ def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES):
 
     Zero (to derivative noise) for models with real eigenvectors.
     """
-    if t == 0.0:
-        return 0.0
-    tau, wts = _gauss_nodes(t, nodes)
-    R_tau = advanced_parameter(schedule, tau, clamp=True)
-    v_tau = velocity(schedule, tau, clamp=True)
-    _, C, dC, _ = models.tracked_state(model, R_tau, n)
-    rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
-    return float(np.dot(wts, v_tau * rate))
+    return float(_phases(model, schedule, n, [t], nodes)[0][0])
 
 
 def ff_state(model, schedule, n, t_values, anchor=None):
@@ -343,9 +343,8 @@ def ff_state(model, schedule, n, t_values, anchor=None):
         _, V = models.eigensystem_batch(model, Rs[mid : mid + 1])
         anchor = int(np.argmax(np.abs(V[0, :, n])))
     _, vecs, _, _ = models.tracked_state(model, Rs, n, anchor=anchor)
-    phases = [adiabatic_phase(model, schedule, n, t) - dynamical_phase(model, schedule, n, t)
-              for t in t_values.tolist()]
-    return vecs * np.exp(1j * np.array(phases))[:, None]
+    adiabatic, dynamical = _phases(model, schedule, n, t_values)
+    return vecs * np.exp(1j * (adiabatic - dynamical))[:, None]
 
 
 def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):

@@ -187,41 +187,29 @@ class TableVerification:
 
 
 def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9):
-    """``verify_table_reports`` on a fresh enumeration of the R grid."""
-    R_values = np.atleast_1d(np.asarray(R_values, dtype=float))
-    reports = enumerate_grid(model, R_values, n, tol).reports
-    return verify_table_reports(model, reports, residual_tol)
+    """``verify_table_grid`` on a fresh enumeration of the R grid."""
+    return verify_table_grid(model, enumerate_grid(model, R_values, n, tol), residual_tol)
 
 
-def verify_table_reports(model, reports, residual_tol=1e-9):
+def verify_table_grid(model, grid, residual_tol=1e-9):
     """Substitute all eighteen closed forms into the defining equation.
 
-    At every point of an annealing-model enumeration: evaluate each entry,
-    apply it to the tracked eigenvector, and compare against the right-hand
-    side; also require agreement with the report's solution of the matching
-    selection, including the vanishing of the frame coefficient.  Entry
-    grouping must match the enumeration's clustering.
+    At every point of an annealing-model ``GridEnumeration``: evaluate each
+    entry, apply it to the tracked eigenvector, and compare against the
+    right-hand side; also require agreement with the grid's solution of the
+    matching selection, including the vanishing of the frame coefficient.
+    Entry grouping must match the enumeration's clustering.
     """
     if model.kind != "qa":
         raise ConfigError("the closed-form table applies to the annealing model")
-    worst_res = np.zeros(len(QA_TABLE))
-    worst_gap = np.zeros(len(QA_TABLE))
-    worst_van = np.zeros(len(QA_TABLE))
+    worst_res, worst_gap, worst_van = np.zeros((3, len(QA_TABLE)))
     groups_ok = True
     group_ids = [0] * len(QA_TABLE)
-    # the reports' states and solutions stacked over the N points: solver
-    # coefficients (N, S, 9) and group ids (N, S), -1 where rejected
-    C, dC, rhs = (np.array([getattr(report, name) for report in reports])
-                  for name in ("state", "derivative", "rhs"))
-    selections = [res.selection for res in reports[0].results]
-    solved = np.array([[res.solution.coefficients.as_array() if res.accepted
-                        else np.zeros(len(COEFF_NAMES)) for res in report.results]
-                       for report in reports])
-    gids = np.array([[res.solution.group_id if res.accepted else -1
-                      for res in report.results] for report in reports])
+    C, dC, rhs = grid.state, grid.derivative, grid.rhs
+    selections, solved, gids = list(grid.selections), grid.coefficients, grid.group_id
     args = (1j * dC[:, 0], 1j * dC[:, 1], 1j * dC[:, 3], C[:, 0], C[:, 1], C[:, 3])
     for k, (frame, forms) in enumerate(QA_TABLE):
-        x = np.zeros((len(reports), len(COEFF_NAMES)))
+        x = np.zeros((len(C), len(COEFF_NAMES)))
         cols = [COEFF_NAMES.index(name) for name in forms]
         x[:, cols] = np.stack([fn(*args).real for fn in forms.values()], axis=1)
         residual = np.linalg.norm((matrices_from_rows(x) @ C[..., None])[..., 0] - rhs, axis=1)
@@ -242,16 +230,8 @@ def verify_table_reports(model, reports, residual_tol=1e-9):
     pair_groups = {(tuple(sorted(forms)), gid) for (_, forms), gid in zip(QA_TABLE, group_ids)}
     groups_ok &= len(pair_groups) == len({pair for pair, _ in pair_groups}) == 3
     entries = tuple(
-        TableEntryReport(
-            index=k + 1,
-            frame=frame,
-            pair=tuple(sorted(forms)),
-            max_residual=float(worst_res[k]),
-            max_solver_gap=float(worst_gap[k]),
-            max_vanishing=float(worst_van[k]),
-            group_id=group_ids[k],
-            residual_tol=residual_tol,
-        )
+        TableEntryReport(k + 1, frame, tuple(sorted(forms)), float(worst_res[k]),
+                         float(worst_gap[k]), float(worst_van[k]), group_ids[k], residual_tol)
         for k, (frame, forms) in enumerate(QA_TABLE)
     )
     return TableVerification(entries, groups_ok)

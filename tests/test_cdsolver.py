@@ -21,7 +21,9 @@ from spinff import (
 )
 from spinff.ansatz import ANTISYM_BASIS, BASIS
 from spinff.cdsolver import (
+    DEFAULT_TOL,
     CoefficientPath,
+    _cluster,
     enumeration_grid,
 )
 from spinff.errors import ConsistencyError
@@ -204,6 +206,48 @@ def test_qa_grid_consistency(qa_model, qa_schedule):
     assert all(c == 18 for c in grid.accepted_counts)
     assert all(g == 3 for g in grid.group_counts)
     assert grid.partition_consistent
+
+
+def _greedy_groups(coefficients, accepted, tol):
+    # the first-member rule one point at a time: an accepted solution joins
+    # the first group whose first member lies within tol, or opens one
+    gids = np.full(accepted.shape, -1)
+    for k in range(len(accepted)):
+        reps = []
+        for s in np.flatnonzero(accepted[k]):
+            v = coefficients[k, s]
+            g = next((i for i, rep in enumerate(reps) if np.max(np.abs(rep - v)) < tol),
+                     len(reps))
+            if g == len(reps):
+                reps.append(v)
+            gids[k, s] = g
+    return gids
+
+
+def test_array_clustering_is_the_per_point_greedy_rule():
+    tol = DEFAULT_TOL.group_tol
+    base = np.linspace(-1.0, 1.0, 9)
+    step = np.zeros(9)
+    step[4] = 1.0
+    # per point: an accepted solution, a rejected one between, then one at
+    # 0.99 tol and one at 1.01 tol from the first; the point order varies
+    offsets = np.array([[0.0, 0.5, 1.0 - 0.01, 1.0 + 0.01],
+                        [0.0, 0.5, 1.0 + 0.01, 1.0 - 0.01],
+                        [1.0 + 0.01, 0.5, 0.0, 1.0 - 0.01]]) * tol
+    coefficients = base + offsets[..., None] * step
+    accepted = np.array([[True, False, True, True]] * 3)
+    gids = _cluster(coefficients, accepted, tol)
+    np.testing.assert_array_equal(gids, _greedy_groups(coefficients, accepted, tol))
+    np.testing.assert_array_equal(gids, [[0, -1, 0, 1], [0, -1, 1, 0], [0, -1, 1, 0]])
+    # a solution within tol of a later member but not of the first opens a group
+    chain = base + np.array([[0.0, 0.6, 1.2]])[..., None] * tol * step
+    np.testing.assert_array_equal(_cluster(chain, np.ones((1, 3), bool), tol), [[0, 0, 1]])
+    # many points on a lattice of tol / 2, where ties at exactly tol abound
+    rng = np.random.default_rng(7)
+    lattice = rng.integers(0, 4, size=(40, 12, 9)) * (0.5 * tol)
+    accepted = rng.random((40, 12)) < 0.7
+    np.testing.assert_array_equal(_cluster(lattice, accepted, tol),
+                                  _greedy_groups(lattice, accepted, tol))
 
 
 def test_real_only_selection_rejected(qa_model):

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from spinff.ansatz import COEFF_NAMES
 from spinff.cdsolver import (
     admissible_selections,
+    enumerate_grid,
     enumeration_grid,
     reduce_system,
     solve_selection,
 )
-from spinff.cli import main
+from spinff.cli import _SELECTION_HEADER, _selection_rows, main
 from spinff.config import load_config, load_preset
 from spinff.errors import ConfigError
 
@@ -249,3 +251,57 @@ def test_solve_cd_solves_a_selection_outside_the_enumeration(tmp_path):
         assert row[1:3] == ["W2|Bz", "1"]
         for name in ("W2", "Bz"):
             assert float(row[header.index(f"coef_{name}")]) == res.solution.coefficients[name]
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _object_row(R, res):
+    # the per-object row of one SelectionResult, as written before the
+    # columnar writer
+    coeffs = (
+        res.solution.coefficients.as_array()
+        if res.accepted
+        else np.zeros(len(COEFF_NAMES))
+    )
+    return (
+        [_fmt(R), "|".join(res.selection), "1" if res.accepted else "0", res.reason]
+        + [_fmt(c) for c in coeffs]
+        + [
+            _fmt(res.residual) if np.isfinite(res.residual) else "nan",
+            _fmt(res.cond) if np.isfinite(res.cond) else "inf",
+            _fmt(res.max_imag) if np.isfinite(res.max_imag) else "nan",
+            str(res.solution.group_id) if res.accepted else "-1",
+        ]
+    )
+
+
+def _csv_text(rows):
+    return "\n".join([",".join(_SELECTION_HEADER)] + [",".join(r) for r in rows]) + "\n"
+
+
+@pytest.mark.parametrize("preset", ["gen", "qa"])
+def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
+    config = load_preset(preset)
+    R_values = enumeration_grid(config.schedule, config.grid)
+    grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
+    reports = grid.reports
+    objects = [_object_row(R, res) for R, report in zip(R_values, reports)
+               for res in report.results]
+    assert main(["enumerate", "--config", f"preset:{preset}",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "enumerate.csv").read_text() == _csv_text(objects)
+    # the sparse solve-cd rows of every selection, accepted or not
+    for s, selection in enumerate(grid.selections):
+        expected = [_object_row(R, report.results[s]) for R, report in zip(R_values, reports)]
+        assert _csv_text(_selection_rows(grid, [s])) == _csv_text(expected), selection
+    if preset == "gen":
+        # every row rejected, both ways, some with a non-finite cond
+        assert {row[3] for row in objects} == {"singular", "not_real"}
+        assert any(row[-3] == "inf" for row in objects)
+    else:
+        assert main(["solve-cd", "--config", "preset:qa", "--out", str(tmp_path)]) == 0
+        s = grid.selections.index(config.selection)
+        expected = [_object_row(R, report.results[s]) for R, report in zip(R_values, reports)]
+        assert (tmp_path / "solve_cd.csv").read_text() == _csv_text(expected)

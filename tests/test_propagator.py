@@ -16,7 +16,7 @@ from spinff import (
 from spinff import models, propagator
 from spinff.errors import DomainError, StepSizeError
 from spinff.propagator import adiabatic_phase, dynamical_phase
-from spinff.schedule import advanced_parameter
+from spinff.schedule import advanced_parameter, velocity
 
 QA_SEL = ("W2", "By", "Bz")
 
@@ -135,6 +135,37 @@ def test_ff_state_probe_time_must_be_interior(qa_model, qa_schedule):
 def test_ff_state_is_unit_norm(gen_model, gen_schedule):
     psi = ff_state(gen_model, gen_schedule, 0, [0.03, 0.05])
     assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["qa", "gen", "tfim"])
+def test_batched_phases_are_the_per_time_phases(kind):
+    # each time on its own, as the phases were integrated before ff_state
+    # stacked the Gauss nodes of all its times into one state call
+    model = {"qa": ModelSpec.qa(), "gen": ModelSpec.gen(),
+             "tfim": ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5))}[kind]
+    sched = Schedule(0.0, {"qa": 100.0, "gen": 250.0, "tfim": 20.0}[kind], 0.1)
+    x, w = np.polynomial.legendre.leggauss(propagator.PHASE_NODES)
+    ts = np.array([0.0, 0.025 - 1e-6, 0.025, 0.05, 0.075 + 1e-6])
+    phases = []
+    for t in ts.tolist():
+        tau, wts = 0.5 * t * (x + 1.0), 0.5 * t * w
+        R_tau = advanced_parameter(sched, tau, clamp=True)
+        _, C, dC, _ = models.tracked_state(model, R_tau, 0)
+        rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
+        adiabatic = float(np.dot(wts, velocity(sched, tau, clamp=True) * rate))
+        energies, _ = models.eigensystem_batch(model, R_tau)
+        dynamical = float(np.dot(wts, energies[:, 0]))
+        assert adiabatic_phase(model, sched, 0, t) == adiabatic
+        assert dynamical_phase(model, sched, 0, t) == dynamical
+        phases.append(adiabatic - dynamical)
+    batched = propagator._phases(model, sched, 0, ts)
+    assert (batched[0] - batched[1]).tolist() == phases
+    mid = advanced_parameter(sched, ts[2:3], clamp=True)
+    anchor = int(np.argmax(np.abs(models.eigensystem_batch(model, mid)[1][0, :, 0])))
+    _, vecs, _, _ = models.tracked_state(model, advanced_parameter(sched, ts, clamp=True), 0,
+                                         anchor=anchor)
+    np.testing.assert_array_equal(ff_state(model, sched, 0, ts),
+                                  vecs * np.exp(1j * np.array(phases))[:, None])
 
 
 # ---------------------------------------------------------------------------
