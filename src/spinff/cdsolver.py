@@ -127,15 +127,9 @@ class EnumerationReport:
         return len(self.groups)
 
 
-def _state_rhs(model, R, n):
-    """Tracked state C and i dC/dR - i (C^dag dC/dR) C at scalar R."""
-    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), n)
-    return C[0], rhs[0]
-
-
 def rhs_vector(model, R, n):
     """i dC/dR - i (C^dag dC/dR) C for the tracked state; orthogonal to C."""
-    return _state_rhs(model, R, n)[1]
+    return models.tracked_state(model, np.array([float(R)]), n)[3][0]
 
 
 def _merged_rows(model):
@@ -145,21 +139,21 @@ def _merged_rows(model):
     return (0, 1, 3)
 
 
-def _operator_columns(basis, C, rows):
+def _operator_columns(basis, C, rows=None):
     """(basis_k C)[rows] as the columns of (..., len(rows), k) matrices.
 
-    ``basis`` (..., k, d, d) and ``C`` (..., d) broadcast over leading axes.
+    ``basis`` (..., k, d, d) and ``C`` (..., d) broadcast over leading axes;
+    ``rows`` defaults to all d.
     """
-    return np.einsum("...kab,...b->...ak", basis, C)[..., list(rows), :]
+    F = np.einsum("...kab,...b->...ak", basis, C)
+    return F if rows is None else F[..., list(rows), :]
 
 
-def _min_norm(basis, C, rhs, rows):
-    """Minimum-norm real coefficients of ``basis`` solving the rows, batched.
+def _min_norm(A, b):
+    """Minimum-norm real x solving the complex rows A x = b, batched.
 
     The real and imaginary parts of the rows form one real system.
     """
-    A = _operator_columns(basis, C, rows)
-    b = rhs[..., list(rows)]
     Mr = np.concatenate([A.real, A.imag], axis=-2)
     rr = np.concatenate([b.real, b.imag], axis=-1)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(Mr, rcond=DENSE_RCOND), rr)
@@ -225,7 +219,7 @@ def reduce_system(model, R, n, selection):
         raise ValueError(
             f"selection size {len(idx)} does not match system size {len(rows)}"
         )
-    C, rhs_full = _state_rhs(model, R, n)
+    _, (C,), _, (rhs_full,) = models.tracked_state(model, np.array([float(R)]), n)
     _check_merged_rows(model, [R], C[None], rhs_full[None])
     return ReducedSystem(
         coefficient_matrix=_operator_columns(BASIS[idx], C, rows),
@@ -432,19 +426,30 @@ def solve_dense(model, R, n=0, tol=DEFAULT_TOL):
     """
     if model.dim != 4:
         raise ConfigError("dense ansatz solutions exist for two-spin models only")
-    x, residual = _min_norm_solve(model, R, n, BASIS, tol)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
     coeffs = AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), COEFF_NAMES)
-    return CDSolution(coeffs, residual)
+    return CDSolution(coeffs, float(residual))
 
 
-def _min_norm_solve(model, R, n, basis, tol):
-    """Minimum-norm coefficients at R and their residual; refuses a large one."""
-    C, rhs = _state_rhs(model, R, n)
-    x = _min_norm(basis, C, rhs, range(model.dim))
-    residual = float(np.linalg.norm(matrices_from_rows([x], basis)[0] @ C - rhs))
-    if residual > tol.residual_tol:
+def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
+    """Minimum-norm coefficients (N, k) over a 1-d R and their residuals (N,).
+
+    The basis is the nine-term ansatz for the two-spin models and (sz, sx,
+    -sy) for the two-level one; ``solve_dense`` and ``solve_lz`` are the
+    one-point case.  Refuses, naming the first R, a residual above
+    tol.residual_tol.
+    """
+    basis = LZ_BASIS if model.dim == 2 else BASIS
+    R = np.asarray(R, dtype=float)
+    _, C, _, rhs = models.tracked_state(model, R, n)
+    x = _min_norm(_operator_columns(basis, C), rhs)
+    residual = np.linalg.norm((matrices_from_rows(x, basis) @ C[..., None])[..., 0] - rhs,
+                              axis=-1)
+    bad = residual > tol.residual_tol
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise ConsistencyError(
-            f"minimum-norm solve left residual {residual:.3e} at R={R}; "
+            f"minimum-norm solve left residual {residual[k]:.3e} at R={R[k]}; "
             "the right-hand side is outside the ansatz span"
         )
     return x, residual
@@ -470,8 +475,8 @@ def solve_lz(model, R, n=1, tol=DEFAULT_TOL):
     """Regularization term for the two-level model (either state)."""
     if model.dim != 2:
         raise ConfigError("solve_lz applies to the two-level model")
-    x, residual = _min_norm_solve(model, R, n, LZ_BASIS, tol)
-    return LZSolution(float(x[0]), complex(x[1], x[2]), residual)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
+    return LZSolution(float(x[0]), complex(x[1], x[2]), float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -481,34 +486,37 @@ def drb_counterdiabatic(model, R):
     """State-independent counter-diabatic operator (per unit velocity).
 
     i * sum_n (|dn><n| - |n><n|dn><n|), gauge independent, so one
-    eigensolve gives it through the spectral formula: its eigenbasis
-    elements are i <m|dH/dR|n> / (E_n - E_m) off the diagonal and zero on
-    it.  Refuses any level pair closer than GAP_MIN, and checks that the
-    diagonal in the eigenbasis vanishes.
+    eigensolve per point gives it through the spectral formula: its
+    eigenbasis elements are i <m|dH/dR|n> / (E_n - E_m) off the diagonal
+    and zero on it.  R is a scalar or an array, and the result is shaped
+    like ``models.hamiltonian``'s.  Refuses any level pair closer than
+    GAP_MIN, and checks that the diagonal in the eigenbasis vanishes; both
+    errors name the first offending R.
     """
-    R = float(R)
-    w, V = models._eigh_model(model, np.array([R]))
-    w, V = w[0], V[0]
-    denom = w[None, :] - w[:, None]                 # E_n - E_m at [m, n]
-    gap = float(np.min(np.abs(denom[~np.eye(model.dim, dtype=bool)])))
-    if gap < models.GAP_MIN:
+    flat = np.ravel(np.asarray(R, dtype=float))
+    w, V = models._eigh_model(model, flat)
+    denom = w[:, None, :] - w[:, :, None]           # E_n - E_m at [k, m, n]
+    diagonal = np.eye(model.dim, dtype=bool)
+    gap = np.abs(denom[:, ~diagonal]).min(axis=1)
+    if np.any(gap < models.GAP_MIN):
+        k = int(np.argmax(gap < models.GAP_MIN))
         raise DegeneracyError(
-            f"eigenvalue gap {gap:.3e} at R={R} is below GAP_MIN={models.GAP_MIN:.1e}"
+            f"eigenvalue gap {gap[k]:.3e} at R={flat[k]} is below GAP_MIN={models.GAP_MIN:.1e}"
         )
-    np.fill_diagonal(denom, 1.0)
-    K = 1j * (np.conj(V.T) @ model.slope_matrix @ V) / denom
-    np.fill_diagonal(K, 0.0)
-    H = V @ K @ np.conj(V.T)
-    H = 0.5 * (H + H.conj().T)
-    for n in range(model.dim):
-        C = V[:, n]
-        diag = abs(np.vdot(C, H @ C))
-        if diag > DRB_DIAG_TOL:
-            raise ConsistencyError(
-                f"counter-diabatic operator has diagonal element {diag:.3e} "
-                f"in eigenbasis (state {n}) at R={R}"
-            )
-    return H
+    denom[:, diagonal] = 1.0
+    Vh = np.conj(np.swapaxes(V, -1, -2))
+    K = 1j * (Vh @ model.slope_matrix @ V) / denom
+    K[:, diagonal] = 0.0
+    H = V @ K @ Vh
+    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+    diag = np.abs(np.einsum("kam,kab,kbm->km", np.conj(V), H, V))   # |<n|H|n>|
+    if np.any(diag > DRB_DIAG_TOL):
+        k, n = np.unravel_index(np.argmax(diag > DRB_DIAG_TOL), diag.shape)
+        raise ConsistencyError(
+            f"counter-diabatic operator has diagonal element {diag[k, n]:.3e} "
+            f"in eigenbasis (state {n}) at R={flat[k]}"
+        )
+    return H.reshape(np.shape(R) + H.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +559,11 @@ class CoefficientPath:
         """
         R_array = np.asarray(R_array, dtype=float)
         _, C, _, rhs = models.tracked_state(self.model, R_array, self.n, H=H)
-        if self.mode == "selection":
-            M = _operator_columns(self.basis, C, self.rows)
-            x = _solve_each(M, rhs[:, list(self.rows)]).real
-        else:
-            # for the dense mode the merged rows suffice: the swap-degenerate
-            # middle rows coincide, and for a consistent system the
-            # minimum-norm member is the same
-            x = _min_norm(self.basis, C, rhs, self.rows)
+        M, b = _operator_columns(self.basis, C, self.rows), rhs[:, list(self.rows)]
+        # for the dense mode the merged rows suffice: the swap-degenerate
+        # middle rows coincide, and for a consistent system the minimum-norm
+        # member is the same
+        x = _solve_each(M, b).real if self.mode == "selection" else _min_norm(M, b)
         bad = ~np.all(np.isfinite(x), axis=1)
         if np.any(bad):
             raise ConsistencyError(
@@ -600,13 +605,16 @@ def is_driven(schedule, R, v):
 def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
     """H0 at the advanced parameter plus velocity times the regularization.
 
-    Exactly H0 wherever the point is not driven (both protocol endpoints),
-    which also sidesteps the coefficient singularities that can sit there.
+    t is a scalar or an array, and the result is shaped like
+    ``models.hamiltonian``'s.  Exactly H0 wherever the point is not driven
+    (both protocol endpoints), which also sidesteps the coefficient
+    singularities that can sit there.
     """
-    R = advanced_parameter(schedule, t)
-    v = velocity(schedule, t)
+    t = np.asarray(t, dtype=float)
+    R, v = advanced_parameter(schedule, t.ravel()), velocity(schedule, t.ravel())
     H = models.hamiltonian(model, R)
-    if not is_driven(schedule, R, v):
-        return H
-    path = coefficient_path(model, solution, n)
-    return H + v * path.matrices(np.array([R]))[0]
+    live = is_driven(schedule, R, v)
+    if np.any(live):
+        path = coefficient_path(model, solution, n)
+        H[live] += v[live, None, None] * path.matrices(R[live])
+    return H.reshape(t.shape + H.shape[1:])

@@ -19,9 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import models, propagator, tables
-from .ansatz import COEFF_NAMES, ansatz_matrix
+from .ansatz import COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from .cdsolver import (
     REASONS,
+    _min_norm_solve,
     admissible_selections,
     drb_counterdiabatic,
     enumerate_grid,
@@ -29,7 +30,6 @@ from .cdsolver import (
     enumeration_grid,
     reduce_system,
     solve_dense,
-    solve_lz,
     solve_grid,
     solve_selection,
 )
@@ -234,15 +234,11 @@ def solve_cd_job(config):
     header, rows = _SELECTION_HEADER, []
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
-        sols = [solve_lz(config.model, R, config.state, config.tolerances)
-                for R in R_values.tolist()]
-        rows = [[line] for line in _float_rows([[R, s.h11, s.h12.real, s.h12.imag, s.residual]
-                                                for R, s in zip(R_values.tolist(), sols)])]
+        x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
+        rows = [[line] for line in _float_rows(np.column_stack([R_values, x, residual]))]
     elif selection == "dense":
-        sols = [solve_dense(config.model, R, config.state, config.tolerances)
-                for R in R_values.tolist()]
-        numbers = _float_rows([[*s.coefficients.as_array(), s.residual, np.nan, np.nan]
-                               for s in sols])
+        x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
+        numbers = _float_rows(np.column_stack([x, residual, np.full((len(x), 2), np.nan)]))
         rows = [[repr(R), "dense", "1", "", line, "-1"]
                 for R, line in zip(R_values.tolist(), numbers)]
     elif selection in admissible_selections(config.model):
@@ -309,54 +305,54 @@ def verify_table_job(config):
 # ---------------------------------------------------------------------------
 # verify: the cross-check suite
 
+def _solve_accepted(model, R, selection):
+    """(N, 9) coefficients of one selection over R; refuses a rejected point."""
+    grid = solve_grid(model, R, [selection])
+    reason = grid.reason[:, 0]
+    if np.any(reason != 0):
+        k = int(np.argmax(reason != 0))
+        raise SelectionRejectedError(selection, f"{REASONS[reason[k]]} at R={R[k]}")
+    return grid.coefficients[:, 0]
+
+
+def _max_error(errors, tolerance, key="max_error"):
+    """A check's verdict on the largest of its errors."""
+    worst = float(np.max(np.abs(errors)))
+    return worst < tolerance, {key: worst, "tolerance": tolerance}
+
+
 def _checks():
     lz = load_preset("lz")
     tfim = load_preset("tfim")
     qa = load_preset("qa")
     gen = load_preset("gen")
 
+    lz_R = enumeration_grid(lz.schedule, 9)
+    tfim_R = enumeration_grid(tfim.schedule, 9)
+
     def lz_closed_form():
-        worst = 0.0
-        for R in enumeration_grid(lz.schedule, 9):
-            sol = solve_lz(lz.model, float(R))
-            closed = tables.lz_h12_imag(lz.model, float(R))
-            worst = max(worst, abs(sol.h12.imag - closed), abs(sol.h12.real),
-                        abs(sol.h11))
-        return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
+        x, _ = _min_norm_solve(lz.model, lz_R, 1)
+        closed = tables.lz_h12_imag(lz.model, lz_R)
+        return _max_error([x[:, 2] - closed, x[:, 1], x[:, 0]], 1e-10)
 
     def lz_drb_equality():
-        worst = 0.0
-        for R in enumeration_grid(lz.schedule, 9):
-            sol = solve_lz(lz.model, float(R))
-            H = drb_counterdiabatic(lz.model, float(R))
-            worst = max(worst, float(np.max(np.abs(H - sol.matrix()))))
-        return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
+        x, _ = _min_norm_solve(lz.model, lz_R, 1)
+        H = drb_counterdiabatic(lz.model, lz_R)
+        return _max_error(H - matrices_from_rows(x, LZ_BASIS), 1e-10)
 
     def tfim_closed_form():
-        worst = 0.0
-        for R in enumeration_grid(tfim.schedule, 9):
-            rs = reduce_system(tfim.model, float(R), 0, ("J3", "W2"))
-            res = solve_selection(rs)
-            w2 = res.solution.coefficients["W2"]
-            worst = max(worst, abs(w2 - tables.tfim_w2(tfim.model, float(R))))
-        return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
+        w2 = _solve_accepted(tfim.model, tfim_R, ("J3", "W2"))[:, COEFF_NAMES.index("W2")]
+        return _max_error(w2 - tables.tfim_w2(tfim.model, tfim_R), 1e-10)
 
     def tfim_polar_identity():
-        worst = 0.0
-        for R in enumeration_grid(tfim.schedule, 9):
-            worst = max(worst, abs(tables.tfim_w2(tfim.model, float(R))
-                                   - tables.tfim_polar_rate(tfim.model, float(R))))
-        return worst < 1e-9, {"max_error": worst, "tolerance": 1e-9}
+        return _max_error(tables.tfim_w2(tfim.model, tfim_R)
+                          - tables.tfim_polar_rate(tfim.model, tfim_R), 1e-9)
 
     def tfim_drb_equality():
-        worst = 0.0
-        for R in enumeration_grid(tfim.schedule, 5):
-            rs = reduce_system(tfim.model, float(R), 0, ("J3", "W2"))
-            res = solve_selection(rs)
-            H = drb_counterdiabatic(tfim.model, float(R))
-            Ht = ansatz_matrix(res.solution.coefficients)
-            worst = max(worst, float(np.max(np.abs(H - Ht))))
-        return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
+        R = enumeration_grid(tfim.schedule, 5)
+        x = _solve_accepted(tfim.model, R, ("J3", "W2"))
+        H = drb_counterdiabatic(tfim.model, R)
+        return _max_error(H - matrices_from_rows(x), 1e-10)
 
     @functools.cache
     def qa_grid():
@@ -392,19 +388,17 @@ def _checks():
             "groups": sorted(set(grid.group_counts)),
         }
 
-    def _drb_action(config, solution_of):
-        worst_action = 0.0
-        for R in enumeration_grid(config.schedule, 5):
-            C, _ = models.state_and_derivative(config.model, float(R), 0)
-            Ht = solution_of(float(R))
-            H = drb_counterdiabatic(config.model, float(R))
-            worst_action = max(worst_action,
-                               float(np.linalg.norm((H - Ht) @ C)))
+    def _drb_action(config, coefficients_of):
+        # one batch of five grid points and the mid-excursion R
+        R = np.append(enumeration_grid(config.schedule, 5), _mid_R(config))
+        Ht = matrices_from_rows(coefficients_of(R))
+        C = models.tracked_state(config.model, R, 0)[1]
+        H = drb_counterdiabatic(config.model, R)
+        action = np.linalg.norm(((H - Ht) @ C[..., None])[..., 0], axis=-1)
+        worst_action = float(np.max(action[:-1]))
         # the matrices themselves stay apart (state-dependence), checked at
         # a generic mid-excursion point
-        R_mid = _mid_R(config)
-        gap = float(np.max(np.abs(drb_counterdiabatic(config.model, R_mid)
-                                  - solution_of(R_mid))))
+        gap = float(np.max(np.abs(H[-1] - Ht[-1])))
         ok = worst_action < 1e-9 and gap > 1e-3
         return ok, {
             "max_action_error": worst_action,
@@ -414,38 +408,22 @@ def _checks():
         }
 
     def qa_drb_action():
-        def sol(R):
-            rs = reduce_system(qa.model, R, 0, ("W2", "By", "Bz"))
-            return ansatz_matrix(solve_selection(rs).solution.coefficients)
-
-        return _drb_action(qa, sol)
+        return _drb_action(qa, lambda R: _solve_accepted(qa.model, R, ("W2", "By", "Bz")))
 
     def gen_drb_action():
-        def sol(R):
-            return ansatz_matrix(solve_dense(gen.model, R).coefficients)
-
-        return _drb_action(gen, sol)
+        return _drb_action(gen, lambda R: _min_norm_solve(gen.model, R, 0)[0])
 
     def schedule_quadrature():
         from scipy.integrate import quad
 
-        worst = 0.0
-        for cfg in (lz, tfim, qa, gen):
-            s = cfg.schedule
-            total, _ = quad(lambda t: velocity(s, t), 0.0, s.T_FF, limit=200)
-            worst = max(worst, abs(total - s.v_bar * s.T_FF))
-        return worst < 1e-10, {"max_error": worst, "tolerance": 1e-10}
+        errors = [quad(lambda t: velocity(s, t), 0.0, s.T_FF, limit=200)[0] - s.v_bar * s.T_FF
+                  for s in (lz.schedule, tfim.schedule, qa.schedule, gen.schedule)]
+        return _max_error(errors, 1e-10)
 
     def ff_residual(model, sched, selection):
-        def check():
-            worst = 0.0
-            for frac in (0.25, 0.5, 0.75):
-                t = frac * sched.T_FF
-                r = propagator.ff_state_residual(model, sched, selection, 0, t, 1e-6)
-                worst = max(worst, r)
-            return worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
-
-        return check
+        t = np.array([0.25, 0.5, 0.75]) * sched.T_FF
+        return lambda: _max_error(
+            propagator.ff_state_residual(model, sched, selection, 0, t, 1e-6), 1e-6, "max_residual")
 
     return [
         ("lz_closed_form", lz_closed_form),

@@ -23,6 +23,7 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"kind", "constants", "schedule_map"}
 _SCHEDULE_KEYS = {"R0", "v_bar", "T_FF"}
 _TOL_KEYS = {"cond_max", "imag_tol", "residual_tol", "group_tol"}
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml where built
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def config_from_dict(data):
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -190,5 +191,5 @@ def load_preset(name):
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; have {PRESET_NAMES}")
     ref = resources.files("spinff").joinpath(f"presets/{name}.yaml")
-    data = yaml.safe_load(ref.read_text(encoding="utf-8"))
+    data = yaml.load(ref.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     return config_from_dict(data)

@@ -247,10 +247,11 @@ def tracked_state(model, R, n, *, anchor=None, H=None):
     rhs = i dC/dR - i <C|dC/dR> C, the right-hand side of the defining
     equation, are (N, dim).  One eigensolve per point; the derivative is
     sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), carried into the gauge
-    that holds ``anchor`` (default: ``default_anchor`` at each point) real
-    and positive by -i Im(dC_a / C_a) C.  Raises DegeneracyError where
-    state n comes within GAP_MIN of another level, and GaugeError where the
-    anchor component is below ANCHOR_MIN (only an explicit anchor can be).
+    that holds ``anchor`` (one index, or one per point; default:
+    ``default_anchor`` at each point) real and positive by -i Im(dC_a / C_a) C.
+    Raises DegeneracyError where state n comes within GAP_MIN of another
+    level, and GaugeError where the anchor component is below ANCHOR_MIN
+    (only an explicit anchor can be).
     ``H`` optionally holds ``hamiltonian(model, R)`` already built.
     """
     R = np.asarray(R, dtype=float)
@@ -269,7 +270,7 @@ def tracked_state(model, R, n, *, anchor=None, H=None):
     coupling = np.einsum("kam,ka->km", np.conj(V), v @ model.slope_matrix.T)
     coupling[:, n] = 0.0
     dv = np.einsum("kam,km->ka", V, coupling / denom)
-    anchors = default_anchor(model, v) if anchor is None else np.full(len(R), anchor)
+    anchors = default_anchor(model, v) if anchor is None else np.broadcast_to(anchor, len(R))
     idx = np.arange(len(R))
     small = np.abs(v[idx, anchors]) < ANCHOR_MIN
     if np.any(small):
@@ -352,10 +353,11 @@ def _cubic_roots(model, R):
 def analytic_eigenvalues(model, R, *, numeric=None):
     """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Returns R.shape + (dim,).  Given ``numeric`` (for the cubic models by
-    default the dense solver's spectrum), every point is compared with it
-    and ConsistencyError, naming R, is raised where they differ by more
-    than BRANCH_TOL relative to the spectrum's scale.
+    Returns R.shape + (dim,), from the closed form alone: no Hamiltonian
+    is built and nothing is diagonalized.  Given ``numeric`` (R.shape +
+    (dim,), such as the dense solver's spectrum), every point is compared
+    with it and ConsistencyError, naming R, is raised where they differ by
+    more than BRANCH_TOL relative to the spectrum's scale.
     """
     # levels lead, R trails, so the reductions run over the leading axis
     R = np.asarray(R, dtype=float)
@@ -373,9 +375,7 @@ def analytic_eigenvalues(model, R, *, numeric=None):
         roots = np.concatenate([np.broadcast_to(asym, (1,) + cubic.shape[1:]), cubic])
     levels = np.sort(roots, axis=0)                           # (level,) + R.shape
     if numeric is None:
-        if model.kind in ("lz", "tfim"):
-            return np.moveaxis(levels, 0, -1)
-        numeric = np.linalg.eigvalsh(hamiltonian(model, R))
+        return np.moveaxis(levels, 0, -1)
     numeric = np.moveaxis(np.sort(numeric, axis=-1), -1, 0)
     scale = np.maximum(1.0, np.maximum(np.abs(numeric[0]), np.abs(numeric[-1])))
     err = np.max(np.abs(levels - numeric), axis=0) / scale    # R.shape

@@ -333,31 +333,41 @@ def ff_state(model, schedule, n, t_values, anchor=None):
 
     Combines the instantaneous eigenvector at the advanced parameter with
     the accumulated dynamical and adiabatic phases.  Every sample holds
-    ``anchor`` real and positive, by default the largest component of the
-    middle sample.
+    ``anchor`` (one index, or one per sample) real and positive, by
+    default the largest component of the middle sample.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     Rs = advanced_parameter(schedule, t_values, clamp=True)
     if anchor is None:
-        mid = len(Rs) // 2
-        _, V = models.eigensystem_batch(model, Rs[mid : mid + 1])
-        anchor = int(np.argmax(np.abs(V[0, :, n])))
+        anchor = _largest_component(model, Rs[[len(Rs) // 2]], n)
     _, vecs, _, _ = models.tracked_state(model, Rs, n, anchor=anchor)
     adiabatic, dynamical = _phases(model, schedule, n, t_values)
     return vecs * np.exp(1j * (adiabatic - dynamical))[:, None]
 
 
+def _largest_component(model, R, n):
+    """Index of the largest component of state n at each point of a 1-d R."""
+    return np.argmax(np.abs(models.eigensystem_batch(model, R)[1][:, :, n]), axis=1)
+
+
 def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
-    """TDSE residual of the analytic fast-forward state at time t.
+    """TDSE residual of the analytic fast-forward state at probe times t.
 
     Finite-differences the state in time with step dt_probe and returns
-    || i dpsi/dt - H_FF psi ||, which shrinks as dt_probe^2.
+    || i dpsi/dt - H_FF psi ||, which shrinks as dt_probe^2: a float for
+    scalar t, else an array shaped like t.  The three probes around each t
+    hold one anchor, the largest component at t, as ``ff_state`` of that
+    triple alone would.
     """
-    if not 0.0 < t < schedule.T_FF:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t < schedule.T_FF)):
         raise DomainError("probe time must be interior to (0, T_FF)")
     dt_probe = float(dt_probe)
-    ts = np.array([t - dt_probe, t, t + dt_probe])
-    psi = ff_state(model, schedule, n, ts)
-    dpsi = (psi[2] - psi[0]) / (2.0 * dt_probe)
-    H = fast_forward_hamiltonian(model, schedule, solution, t, n)
-    return float(np.linalg.norm(1j * dpsi - H @ psi[1]))
+    tk = t.ravel()
+    ts = np.stack([tk - dt_probe, tk, tk + dt_probe], axis=1)      # (K, 3)
+    anchors = _largest_component(model, advanced_parameter(schedule, tk, clamp=True), n)
+    psi = ff_state(model, schedule, n, ts.ravel(), np.repeat(anchors, 3)).reshape(ts.shape + (-1,))
+    dpsi = (psi[:, 2] - psi[:, 0]) / (2.0 * dt_probe)
+    H = fast_forward_hamiltonian(model, schedule, solution, tk, n)
+    residual = np.linalg.norm(1j * dpsi - (H @ psi[:, 1, :, None])[..., 0], axis=-1)
+    return float(residual[0]) if t.ndim == 0 else residual.reshape(t.shape)

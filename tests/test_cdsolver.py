@@ -19,14 +19,18 @@ from spinff import (
     solve_lz,
     solve_selection,
 )
-from spinff.ansatz import ANTISYM_BASIS, BASIS
+from spinff import models
+from spinff.ansatz import ANTISYM_BASIS, BASIS, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
     DEFAULT_TOL,
+    DENSE_RCOND,
     CoefficientPath,
+    SolverTolerances,
     _cluster,
+    _min_norm_solve,
     enumeration_grid,
 )
-from spinff.errors import ConsistencyError
+from spinff.errors import ConsistencyError, DegeneracyError
 from spinff.models import state_and_derivative
 from spinff.schedule import advanced_parameter, velocity
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
@@ -471,6 +475,85 @@ def test_drb_refuses_degenerate_levels():
 
     with pytest.raises(DegeneracyError):
         drb_counterdiabatic(ModelSpec.lz(delta=0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against their per-point bodies
+
+GRIDS = {
+    "lz": (ModelSpec.lz(), np.linspace(-4.0, 4.0, 9)),
+    "tfim": (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), np.linspace(0.1, 2.4, 8)),
+    "qa": (ModelSpec.qa(), np.linspace(0.3, 9.5, 8)),
+    "gen": (ModelSpec.gen(), np.linspace(0.3, 24.7, 11)),
+}
+
+
+def _drb_at_point(model, R):
+    # drb_counterdiabatic at one R, as written before it took R arrays
+    w, V = models._eigh_model(model, np.array([R]))
+    w, V = w[0], V[0]
+    denom = w[None, :] - w[:, None]
+    assert np.min(np.abs(denom[~np.eye(model.dim, dtype=bool)])) >= models.GAP_MIN
+    np.fill_diagonal(denom, 1.0)
+    K = 1j * (np.conj(V.T) @ model.slope_matrix @ V) / denom
+    np.fill_diagonal(K, 0.0)
+    H = V @ K @ np.conj(V.T)
+    return 0.5 * (H + H.conj().T)
+
+
+def _min_norm_at_point(model, R, n, basis):
+    # the minimum-norm solve at one R, as written before it took R arrays
+    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), n)
+    C, rhs = C[0], rhs[0]
+    A = np.einsum("kab,b->ak", basis, C)
+    M = np.concatenate([A.real, A.imag])
+    x = np.einsum("ij,j->i", np.linalg.pinv(M, rcond=DENSE_RCOND),
+                  np.concatenate([rhs.real, rhs.imag]))
+    return x, float(np.linalg.norm(matrices_from_rows([x], basis)[0] @ C - rhs))
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_batched_drb_is_the_per_point_operator(kind):
+    model, R = GRIDS[kind]
+    H = drb_counterdiabatic(model, R)
+    assert H.shape == R.shape + (model.dim, model.dim)
+    for k, r in enumerate(R.tolist()):
+        np.testing.assert_allclose(H[k], _drb_at_point(model, r), rtol=0, atol=1e-14)
+    # shaped like hamiltonian: a scalar gives one matrix, a 2-d R a 2-d stack
+    np.testing.assert_array_equal(drb_counterdiabatic(model, R[0]), H[0])
+    np.testing.assert_array_equal(drb_counterdiabatic(model, R[:8].reshape(2, 4)),
+                                  H[:8].reshape(2, 4, model.dim, model.dim))
+
+
+def test_batched_drb_refusal_names_the_degenerate_point():
+    with pytest.raises(DegeneracyError, match="at R=0.0 "):
+        drb_counterdiabatic(ModelSpec.lz(delta=0.0), np.array([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind, n", [("lz", 1), ("lz", 0), ("qa", 0), ("gen", 0), ("gen", 2)])
+def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
+    model, R = GRIDS[kind]
+    basis = LZ_BASIS if model.dim == 2 else BASIS
+    x, residual = _min_norm_solve(model, R, n)
+    assert x.shape == (len(R), len(basis)) and residual.shape == R.shape
+    for k, r in enumerate(R.tolist()):
+        x_k, residual_k = _min_norm_at_point(model, r, n, basis)
+        np.testing.assert_allclose(x[k], x_k, rtol=0, atol=1e-15)
+        assert abs(residual[k] - residual_k) < 1e-20
+        # solve_lz and solve_dense are the one-point case
+        if model.dim == 2:
+            sol = solve_lz(model, r, n)
+            assert [sol.h11, sol.h12.real, sol.h12.imag, sol.residual] == [*x[k], residual[k]]
+        else:
+            sol = solve_dense(model, r, n)
+            assert sol.coefficients.as_array().tolist() == x[k].tolist()
+            assert sol.residual == residual[k]
+
+
+def test_min_norm_grid_solve_refuses_a_large_residual():
+    model, R = GRIDS["gen"]
+    with pytest.raises(ConsistencyError, match="minimum-norm solve left residual .* at R="):
+        _min_norm_solve(model, R, 0, SolverTolerances(residual_tol=1e-300))
 
 
 # ---------------------------------------------------------------------------

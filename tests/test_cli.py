@@ -1,7 +1,10 @@
 import json
+import random
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from spinff.ansatz import COEFF_NAMES
 from spinff.cdsolver import (
@@ -9,10 +12,12 @@ from spinff.cdsolver import (
     enumerate_grid,
     enumeration_grid,
     reduce_system,
+    solve_dense,
+    solve_lz,
     solve_selection,
 )
 from spinff.cli import _SELECTION_HEADER, _selection_rows, main
-from spinff.config import load_config, load_preset
+from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_config, load_preset
 from spinff.errors import ConfigError
 
 QA_CONFIG = """\
@@ -218,6 +223,70 @@ def test_verify_enumerates_the_qa_grid_once(tmp_path, monkeypatch):
     on_grid = [R for R in calls if np.isin(R, grid).any()]
     assert len(grid) == 50
     assert len(on_grid) == 1 and np.array_equal(on_grid[0], grid)
+
+
+def test_verify_makes_at_most_30_state_calls(tmp_path, monkeypatch):
+    # each check solves its whole R grid (or probe times) in one call per
+    # kernel; a state call per point made this 92
+    import spinff.models
+
+    calls = []
+    original = spinff.models.tracked_state
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spinff.models, "tracked_state", counting)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "verify.json").read_text())["checks"]) == 15
+    assert len(calls) <= 30
+
+
+def _preset_text(name):
+    return resources.files("spinff").joinpath(f"presets/{name}.yaml").read_text(encoding="utf-8")
+
+
+def test_yaml_loaders_read_the_same_data(tmp_path):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    assert YAML_LOADER is yaml.CSafeLoader
+    rng = random.Random(7)
+    for name in PRESET_NAMES:
+        text = _preset_text(name)
+        data = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == data
+        assert load_preset(name) == config_from_dict(data)
+        # a jittered config, written with full-precision floats
+        for key in data["model"].get("constants") or {}:
+            data["model"]["constants"][key] *= 1.0 + rng.uniform(-0.03, 0.03)
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=True))
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_config(str(path)) == config_from_dict(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("preset", ["lz", "gen"])
+def test_solve_cd_min_norm_rows_are_the_point_solves(preset, tmp_path):
+    # the lz and dense rows come from one grid solve; each is the one-point
+    # solve at its R
+    config = load_preset(preset)
+    assert main(["solve-cd", "--config", f"preset:{preset}", "--grid", "5",
+                 "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "solve_cd.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    for R, row in zip(enumeration_grid(config.schedule, 5).tolist(), rows):
+        assert float(row[0]) == R
+        if preset == "lz":
+            sol = solve_lz(config.model, R, config.state)
+            expected = [sol.h11, sol.h12.real, sol.h12.imag, sol.residual]
+            assert [float(v) for v in row[1:]] == expected
+        else:
+            sol = solve_dense(config.model, R, config.state)
+            assert row[1:4] == ["dense", "1", ""] and row[-3:] == ["nan", "nan", "-1"]
+            expected = [*sol.coefficients.as_array(), sol.residual]
+            assert [float(v) for v in row[4:-3]] == expected
 
 
 def test_solve_cd_rows_are_the_enumeration_rows_of_the_selection(tmp_path):

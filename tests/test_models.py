@@ -12,7 +12,7 @@ from spinff import (
     hamiltonian,
     state_and_derivative,
 )
-from spinff.models import eigensystem_batch, state_and_derivative_batch
+from spinff.models import eigensystem_batch, state_and_derivative_batch, tracked_state
 from spinff.errors import (
     ConfigError,
     ConsistencyError,
@@ -155,6 +155,36 @@ def test_analytic_eigenvalues_over_R_array_match_pointwise():
         for k, r in enumerate(R):
             np.testing.assert_allclose(vals[k], analytic_eigenvalues(model, float(r)),
                                        rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def test_analytic_eigenvalues_run_no_eigensolve(monkeypatch):
+    numeric = {name: np.linalg.eigvalsh(hamiltonian(model, np.linspace(lo, hi, 7)))
+               for name, (model, (lo, hi)) in ALL_MODELS.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name, (model, (lo, hi)) in ALL_MODELS.items():
+        vals = analytic_eigenvalues(model, np.linspace(lo, hi, 7))
+        scale = np.maximum(1.0, np.abs(numeric[name]).max(axis=1, keepdims=True))
+        assert np.max(np.abs(vals - numeric[name]) / scale) < 1e-10, name
+        assert analytic_eigenvalues(model, lo).shape == (model.dim,)
+        # a spectrum handed in is still checked
+        with pytest.raises(ConsistencyError):
+            analytic_eigenvalues(model, lo, numeric=numeric[name][0] + 1e-3)
+
+
+def test_tracked_state_takes_one_anchor_per_point(qa_model):
+    R = np.array([1.0, 5.0, 9.0])
+    anchors = np.array([0, 1, 3])
+    batched = tracked_state(qa_model, R, 0, anchor=anchors)
+    for k, (r, a) in enumerate(zip(R.tolist(), anchors.tolist())):
+        single = tracked_state(qa_model, np.array([r]), 0, anchor=a)
+        for got, want in zip(batched, single):
+            np.testing.assert_allclose(got[k], want[0], rtol=0, atol=1e-14)
+        assert batched[1][k, a].real > 0 and batched[1][k, a].imag == 0
 
 
 def test_batched_path_runs_the_branch_check():

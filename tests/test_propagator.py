@@ -9,6 +9,7 @@ from spinff import (
     Schedule,
     eigensystem,
     evolve,
+    fast_forward_hamiltonian,
     ff_state,
     ff_state_residual,
     fidelity,
@@ -130,6 +131,46 @@ def test_ff_state_residual_lz_reference_point(lz_model):
 def test_ff_state_probe_time_must_be_interior(qa_model, qa_schedule):
     with pytest.raises(DomainError):
         ff_state_residual(qa_model, qa_schedule, ("W2", "By", "Bz"), 0, 0.0, 1e-6)
+
+
+def _ff_residual_at_time(model, schedule, solution, n, t, dt_probe):
+    # ff_state_residual at one probe time, as written before it took t arrays
+    ts = np.array([t - dt_probe, t, t + dt_probe])
+    psi = ff_state(model, schedule, n, ts)
+    dpsi = (psi[2] - psi[0]) / (2.0 * dt_probe)
+    H = fast_forward_hamiltonian(model, schedule, solution, t, n)
+    return float(np.linalg.norm(1j * dpsi - H @ psi[1]))
+
+
+@pytest.mark.parametrize("kind", ["lz", "tfim", "qa", "gen"])
+def test_ff_state_residual_over_probe_times_is_the_per_time_residual(kind):
+    model, sched, solution = {
+        "lz": (ModelSpec.lz(), Schedule(-2.5, 10.0, 0.5), None),
+        "tfim": (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), Schedule(0.0, 20.0, 0.1),
+                 ("J3", "W2")),
+        "qa": (ModelSpec.qa(), Schedule(0.0, 100.0, 0.1), QA_SEL),
+        "gen": (ModelSpec.gen(), Schedule(0.0, 250.0, 0.1), "dense"),
+    }[kind]
+    t = np.array([0.25, 0.5, 0.75]) * sched.T_FF
+    for dt_probe in (1e-6, 1e-4):
+        batched = ff_state_residual(model, sched, solution, 0, t, dt_probe)
+        assert batched.shape == t.shape
+        single = [_ff_residual_at_time(model, sched, solution, 0, tk, dt_probe)
+                  for tk in t.tolist()]
+        # the finite difference amplifies rounding in the state by 1/dt_probe
+        np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-12)
+        # a scalar time gives a float, an array of times an array of its shape
+        scalar = ff_state_residual(model, sched, solution, 0, float(t[1]), dt_probe)
+        assert isinstance(scalar, float)
+        assert abs(scalar - single[1]) <= 1e-9 * single[1] + 1e-12
+        grid = ff_state_residual(model, sched, solution, 0, np.stack([t, t]), dt_probe)
+        np.testing.assert_array_equal(grid, np.stack([batched, batched]))
+
+
+def test_ff_state_residual_refuses_any_probe_outside(qa_model, qa_schedule):
+    t = np.array([0.25, 1.0]) * qa_schedule.T_FF
+    with pytest.raises(DomainError):
+        ff_state_residual(qa_model, qa_schedule, QA_SEL, 0, t, 1e-6)
 
 
 def test_ff_state_is_unit_norm(gen_model, gen_schedule):
