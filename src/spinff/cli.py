@@ -184,6 +184,7 @@ def run_job(config):
             "selection_used": list(selection) if isinstance(selection, tuple)
             else selection,
             "dt": _sig12(traj.dt),
+            "steps": traj.steps,
             "samples": len(traj.t),
             "min_fidelity": _sig12(traj.min_fidelity),
             "terminal_populations": [_sig12(p) for p in traj.terminal_populations],

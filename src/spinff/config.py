@@ -32,7 +32,7 @@ class RunConfig:
     schedule: Schedule
     state: int = 0
     selection: object = None        # tuple of names, "dense", or None
-    dt: float = None                # None -> T_FF / 8000 (propagator.DEFAULT_STEPS)
+    dt: float = None                # None -> steps picked by propagator.evolve's error estimate
     samples: int = 1000
     out: str = "out"
     fidelity_bar: float = 1.0 - 1e-6

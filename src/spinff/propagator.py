@@ -1,7 +1,7 @@
 """Time-dependent Schroedinger propagation under the driving Hamiltonian.
 
-The integrator is the fixed-step fourth-order commutator-free Magnus
-scheme CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
+The integrator is the fourth-order commutator-free Magnus scheme
+CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
 Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), built from the
 Hamiltonian at each step's start, midpoint and end (the stage grid of
 2*steps+1 points).  Each of its exponentials is a degree-6 Taylor sum
@@ -22,11 +22,16 @@ the two block-end states over 15 estimates the error of the fine steps
 (step doubling at fourth order), summed over blocks into a
 StepSizeError bound.  No renormalization is applied anywhere.
 
+Each pass is fixed-step.  Without an explicit dt, ``evolve`` chooses
+the step count from this estimate (extrapolation step-size control,
+Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
 eigenvector; with an exact regularization term it stays at 1 up to
 integration noise.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +44,8 @@ from .schedule import advanced_parameter, velocity
 
 NORM_DRIFT_MAX = 1e-6
 STEP_ERROR_MAX = 1e-6       # bound on the summed step-doubling error estimate
-DEFAULT_STEPS = 8000
+STEP_TOL = 1e-10            # estimate the default step count aims at
+DEFAULT_STEPS = 8000        # fallback step count of a default run (samples if larger)
 DEFAULT_SAMPLES = 1000
 MIN_SAMPLES = 200
 PHASE_NODES = 128
@@ -61,6 +67,7 @@ class Trajectory:
     coefficient_names: tuple
     velocity: np.ndarray          # (S,)
     dt: float
+    steps: int
     state_index: int
     step_error: float             # step-doubling estimate of the error in psi, summed over blocks
 
@@ -82,8 +89,6 @@ class Trajectory:
 
 
 def _steps_from_dt(schedule, dt):
-    if dt is None:
-        return DEFAULT_STEPS
     ratio = schedule.T_FF / dt
     steps = int(round(ratio))
     if steps < 2 or abs(ratio - steps) > 1e-9 * steps:
@@ -172,8 +177,33 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     a CDSolution, "dense", or None for the two-level model); coefficients
     are re-solved along the advanced-parameter path.  Returns a Trajectory
     with at least MIN_SAMPLES uniform samples.
+
+    Without ``dt`` the step count is chosen by the step-doubling estimate:
+    a pilot pass at max(samples, MIN_SAMPLES) steps, kept if its estimate
+    is at most STEP_TOL; else one pass at the count the h**4 law predicts
+    for STEP_TOL / 2; else, or when a pass raises StepSizeError, one pass
+    at max(DEFAULT_STEPS, samples), where STEP_ERROR_MAX still refuses.
     """
-    steps = _steps_from_dt(schedule, dt)
+    if dt is not None:
+        return _evolve(model, schedule, solution, n, _steps_from_dt(schedule, dt), samples)
+    cap = max(DEFAULT_STEPS, samples)
+    steps = max(samples, MIN_SAMPLES)
+    for _ in range(2):
+        if steps >= cap:
+            break
+        try:
+            traj = _evolve(model, schedule, solution, n, steps, samples)
+        except StepSizeError:
+            break
+        if traj.step_error <= STEP_TOL:
+            return traj
+        # the estimate need not fall as predicted: a second miss goes to cap
+        steps = math.ceil(steps * (traj.step_error / (0.5 * STEP_TOL)) ** 0.25)
+    return _evolve(model, schedule, solution, n, cap, samples)
+
+
+def _evolve(model, schedule, solution, n, steps, samples):
+    """``evolve`` at a fixed step count."""
     dt = schedule.T_FF / steps
     n_chunks = max(MIN_SAMPLES, min(samples, steps))
     n_chunks = min(n_chunks, steps)
@@ -278,6 +308,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
         coefficient_names=tuple(path.names) if path is not None else (),
         velocity=v_s,
         dt=dt,
+        steps=steps,
         state_index=n,
         step_error=step_error,
     )

@@ -134,7 +134,7 @@ def report(criterion, label, ok, detail):
 @pytest.fixture(scope="module")
 def qa_run():
     start = time.perf_counter()
-    traj = evolve(QA_MODEL, QA_SCHED, QA_SELECTION)  # default dt = T_FF/8000
+    traj = evolve(QA_MODEL, QA_SCHED, QA_SELECTION)  # default: steps from the error estimate
     return traj, time.perf_counter() - start
 
 

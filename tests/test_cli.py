@@ -71,6 +71,14 @@ def test_run_output_is_byte_identical(qa_config_file, tmp_path):
     assert first == second
 
 
+def test_default_step_run_is_byte_identical(tmp_path):
+    out = tmp_path / "out"
+    main(["run", "--config", "preset:qa", "--out", str(out)])
+    first = (out / "trajectory.csv").read_bytes()
+    main(["run", "--config", "preset:qa", "--out", str(out)])
+    assert (out / "trajectory.csv").read_bytes() == first
+
+
 def test_run_multiple_configs(qa_config_file, tmp_path):
     other = tmp_path / "qa2.yaml"
     other.write_text(QA_CONFIG.format(out=tmp_path / "out2"))

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from spinff import (
     fidelity,
 )
 from spinff import models, propagator
+from spinff.config import load_preset
 from spinff.errors import DomainError, StepSizeError
 from spinff.propagator import adiabatic_phase, dynamical_phase
 from spinff.schedule import advanced_parameter, velocity
@@ -98,6 +101,83 @@ def test_step_error_estimate_tracks_true_error(gen_model, gen_schedule, steps):
     fine = evolve(gen_model, gen_schedule, "dense", dt=T / (16 * steps))
     true = np.linalg.norm(traj.psi[-1] - fine.psi[-1])
     assert true / 3.0 <= traj.step_error <= 3.0 * true, (traj.step_error, true)
+
+
+# ---------------------------------------------------------------------------
+# default step count
+
+def _record_passes(monkeypatch, reported=()):
+    """Step counts of the fixed-step passes of the evolve calls that follow.
+
+    Pass k, for k < len(reported), reports reported[k] as its step error.
+    """
+    passes = []
+    inner = propagator._evolve
+
+    def recording(model, schedule, solution, n, steps, samples):
+        passes.append(steps)
+        traj = inner(model, schedule, solution, n, steps, samples)
+        if len(passes) <= len(reported):
+            traj = dataclasses.replace(traj, step_error=reported[len(passes) - 1])
+        return traj
+
+    monkeypatch.setattr(propagator, "_evolve", recording)
+    return passes
+
+
+def _assert_same_trajectory(a, b):
+    for field in dataclasses.fields(propagator.Trajectory):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+@pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
+def test_default_run_meets_step_tol(name, monkeypatch):
+    config = load_preset(name)
+    args = (config.model, config.schedule, config.selection, config.state)
+    passes = _record_passes(monkeypatch)
+    traj = evolve(*args, samples=config.samples)
+    assert traj.step_error <= propagator.STEP_TOL
+    assert len(traj.t) == config.samples + 1
+    assert traj.steps == passes[-1]
+    assert 1 <= len(passes) <= 3
+    assert max(passes) <= max(propagator.DEFAULT_STEPS, config.samples)
+    ref = evolve(*args, dt=config.schedule.T_FF / 8000, samples=config.samples)
+    assert np.max(np.abs(traj.psi[-1] - ref.psi[-1])) <= 1e-10
+
+
+def test_explicit_dt_runs_one_pass(qa_model, qa_schedule, monkeypatch):
+    direct = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 3000, 500)
+    passes = _record_passes(monkeypatch)
+    traj = evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 3000, samples=500)
+    assert passes == [3000]
+    _assert_same_trajectory(traj, direct)
+
+
+def test_default_run_takes_at_most_three_passes(qa_model, qa_schedule, monkeypatch):
+    # the estimate rises from the predicted pass: the cap pass is the result
+    passes = _record_passes(monkeypatch, reported=[1e-9, 2e-10])
+    traj = evolve(qa_model, qa_schedule, QA_SEL)
+    n1 = math.ceil(1000 * (1e-9 / (0.5 * propagator.STEP_TOL)) ** 0.25)
+    assert passes == [1000, n1, propagator.DEFAULT_STEPS]
+    assert traj.steps == propagator.DEFAULT_STEPS
+    # a prediction beyond the cap is clipped to it
+    passes = _record_passes(monkeypatch, reported=[1e-3])
+    evolve(qa_model, qa_schedule, QA_SEL, samples=3000)
+    assert passes == [3000, propagator.DEFAULT_STEPS]
+    # more samples than DEFAULT_STEPS: the pilot is the cap pass
+    passes = _record_passes(monkeypatch, reported=[1e-3])
+    assert evolve(qa_model, qa_schedule, QA_SEL, samples=9000).steps == 9000
+    assert passes == [9000]
+
+
+def test_refused_pilot_falls_through_to_cap(qa_model, qa_schedule, monkeypatch):
+    # the 1000-step pilot estimates ~1e-9, the 8000-step pass ~2e-13
+    monkeypatch.setattr(propagator, "STEP_ERROR_MAX", 1e-11)
+    passes = _record_passes(monkeypatch)
+    traj = evolve(qa_model, qa_schedule, QA_SEL)
+    assert passes == [1000, propagator.DEFAULT_STEPS]
+    _assert_same_trajectory(traj, evolve(qa_model, qa_schedule, QA_SEL,
+                                         dt=qa_schedule.T_FF / propagator.DEFAULT_STEPS))
 
 
 def test_phase_integrals_zero_at_origin(qa_model, qa_schedule):
