@@ -549,16 +549,18 @@ class CoefficientPath:
             self.names = canonical_selection(selection)
             self.basis = BASIS[_selection_indices(self.names)]
 
-    def values(self, R_array, *, H=None):
+    def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
 
-        ``H`` optionally holds the model Hamiltonians at R_array, built by
-        the caller, for the eigensolve.  Raises ConsistencyError at the
+        ``state`` optionally holds ``models.tracked_state`` of state n at
+        R_array, computed by the caller.  Raises ConsistencyError at the
         first R where the reduced system is exactly singular or a
         coefficient is not finite.
         """
         R_array = np.asarray(R_array, dtype=float)
-        _, C, _, rhs = models.tracked_state(self.model, R_array, self.n, H=H)
+        if state is None:
+            state = models.tracked_state(self.model, R_array, self.n)
+        _, C, _, rhs = state
         M, b = _operator_columns(self.basis, C, self.rows), rhs[:, list(self.rows)]
         # for the dense mode the merged rows suffice: the swap-degenerate
         # middle rows coincide, and for a consistent system the minimum-norm

@@ -164,18 +164,20 @@ def run_job(config):
         + ["norm", "fidelity"]
         + [f"coef_{name}" for name in names]
     )
-    values = np.column_stack([traj.t, traj.R_adv, traj.psi.real, traj.psi.imag,
-                              traj.populations, traj.norm, traj.fidelity, traj.coefficients])
-    write_csv(os.path.join(config.out, "trajectory.csv"), header,
-              [[line] for line in _float_rows(values)])
+    # t, R_adv and the coefficients are columns of both files: each row's
+    # share of them is formatted once
+    t_R = _float_rows(np.column_stack([traj.t, traj.R_adv]))
+    coef = [_float_rows(traj.coefficients)] if names else []
+    state = _float_rows(np.column_stack([traj.psi.real, traj.psi.imag, traj.populations,
+                                         traj.norm, traj.fidelity]))
+    write_csv(os.path.join(config.out, "trajectory.csv"), header, zip(t_R, state, *coef))
 
     header = ["t", "R_adv", "v"] + [f"coef_{n}" for n in names] + [
         f"drive_{n}" for n in names
     ]
-    values = np.column_stack([traj.t, traj.R_adv, traj.velocity, traj.coefficients,
-                              traj.velocity[:, None] * traj.coefficients])
+    drive = [_float_rows(traj.velocity[:, None] * traj.coefficients)] if names else []
     write_csv(os.path.join(config.out, "coefficients.csv"), header,
-              [[line] for line in _float_rows(values)])
+              zip(t_R, map(repr, traj.velocity.tolist()), *coef, *drive))
 
     passed = traj.min_fidelity >= config.fidelity_bar
     summary = _config_payload(config)

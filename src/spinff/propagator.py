@@ -23,15 +23,20 @@ the two block-end states over 15 estimates the error of the fine steps
 StepSizeError bound.  No renormalization is applied anywhere.
 
 Each pass is fixed-step.  Without an explicit dt, ``evolve`` chooses
-the step count from this estimate (extrapolation step-size control,
-Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+the step count from this estimate by step doubling (extrapolation
+step-size control, Hairer, Norsett & Wanner, Solving ODEs I, II.4):
+passes at N0, 2 N0, 4 N0, ... steps over the same N0 chunks, each built
+on the one before.  The even stage points of a pass are the stage points
+of the one before, whose R, v and coefficient rows it reuses, so only its
+odd points are solved; its 2h product over a chunk is the transfer matrix
+of that chunk in the pass before, and its samples sit on the same points.
 
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
 eigenvector; with an exact regularization term it stays at 1 up to
 integration noise.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,6 +93,15 @@ class Trajectory:
         return self.populations[-1]
 
 
+# What a pass keeps for the pass at twice its step count, which has the same
+# chunks and whose even stage points are these stage points: R and v on the
+# stage grid (2*steps+1,), the coefficient rows there (zero where undriven;
+# None if no point is driven), the transfer matrix of each chunk
+# (chunks, dim, dim), and the spectrum and eigenvector n at the samples.
+# No Hamiltonian or step-matrix stack is kept.
+_Stages = namedtuple("_Stages", "R v rows G energies targets")
+
+
 def _steps_from_dt(schedule, dt):
     ratio = schedule.T_FF / dt
     steps = int(round(ratio))
@@ -96,11 +110,23 @@ def _steps_from_dt(schedule, dt):
     return steps
 
 
-def _stage_block(model, schedule, steps, s0, s1):
-    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
-    u = np.arange(2 * s0, 2 * s1 + 1) * (schedule.T_FF / (2 * steps))
-    Rs = advanced_parameter(schedule, u, clamp=True)
-    vs = velocity(schedule, u, clamp=True)
+def _stage_block(model, schedule, steps, s0, s1, base=None):
+    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints).
+
+    With ``base``, the record of the pass at steps / 2, the even points are
+    its stage points s0 .. s1, and only the odd points are computed.
+    """
+    scale = schedule.T_FF / (2 * steps)
+    if base is None:
+        u = np.arange(2 * s0, 2 * s1 + 1) * scale
+        Rs = advanced_parameter(schedule, u, clamp=True)
+        vs = velocity(schedule, u, clamp=True)
+    else:
+        u = np.arange(2 * s0 + 1, 2 * s1, 2) * scale
+        Rs, vs = np.empty((2, 2 * (s1 - s0) + 1))
+        Rs[0::2], vs[0::2] = base.R[s0 : s1 + 1], base.v[s0 : s1 + 1]
+        Rs[1::2] = advanced_parameter(schedule, u, clamp=True)
+        vs[1::2] = velocity(schedule, u, clamp=True)
     return Rs, vs, models.hamiltonian(model, Rs)
 
 
@@ -118,11 +144,16 @@ def _expm_hermitian(K, h):
     X = K * (-1j * h * np.exp2(-s))[..., None, None]
     X2 = X @ X
     X3 = X2 @ X
-    # exp(X) ~ (I + X + X^2/2) + X^3 (I/6 + X/24 + X^2/120 + X^3/720)
-    B = X3 * (1.0 / 720.0) + X2 * (1.0 / 120.0) + X * (1.0 / 24.0)
+    # exp(X) ~ (I + X + X^2/2) + X^3 (I/6 + X/24 + X^2/120 + X^3/720),
+    # summed in place to hold few stacks at once
+    B = X3 * (1.0 / 720.0)
+    B += X2 * (1.0 / 120.0)
+    B += X * (1.0 / 24.0)
     _add_to_diagonal(B, 1.0 / 6.0)
     E = X3 @ B
-    E += X2 * 0.5
+    del X3, B
+    X2 *= 0.5
+    E += X2
     E += X
     _add_to_diagonal(E, 1.0)
     for j in range(s.max(initial=0)):
@@ -146,9 +177,18 @@ def _cf4_step_matrices(H, h):
     factor is a Taylor sum (``_expm_hermitian``), not an eigensolve.
     """
     H_s, H_m, H_e = H[0:-1:2], H[1::2], H[2::2]
-    half_a1 = (H_s + 4.0 * H_m + H_e) / 12.0
-    two_a2 = (H_e - H_s) / 6.0
-    return _expm_hermitian(half_a1 + two_a2, h) @ _expm_hermitian(half_a1 - two_a2, h)
+    # in place where possible: these stacks set the peak memory of a block
+    half_a1 = H_s + 4.0 * H_m
+    half_a1 += H_e
+    half_a1 /= 12.0
+    two_a2 = H_e - H_s
+    two_a2 /= 6.0
+    left = half_a1 + two_a2
+    half_a1 -= two_a2
+    del two_a2
+    right = _expm_hermitian(half_a1, h)
+    del half_a1
+    return _expm_hermitian(left, h) @ right
 
 
 def _product(M):
@@ -178,32 +218,38 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     are re-solved along the advanced-parameter path.  Returns a Trajectory
     with at least MIN_SAMPLES uniform samples.
 
-    Without ``dt`` the step count is chosen by the step-doubling estimate:
-    a pilot pass at max(samples, MIN_SAMPLES) steps, kept if its estimate
-    is at most STEP_TOL; else one pass at the count the h**4 law predicts
-    for STEP_TOL / 2; else, or when a pass raises StepSizeError, one pass
-    at max(DEFAULT_STEPS, samples), where STEP_ERROR_MAX still refuses.
+    Without ``dt`` the step count is chosen by step doubling: passes at
+    N0 = max(samples, MIN_SAMPLES) steps, then 2 N0, 4 N0, ..., each built
+    on the one before.  The first pass whose estimate is at most STEP_TOL
+    is kept, and is the same trajectory as a run with that dt.  The first
+    pass at max(DEFAULT_STEPS, samples) steps or more ends the search;
+    only there do STEP_ERROR_MAX and NORM_DRIFT_MAX raise StepSizeError,
+    and an earlier pass that exceeds either is not kept.
     """
     if dt is not None:
-        return _evolve(model, schedule, solution, n, _steps_from_dt(schedule, dt), samples)
+        return _evolve(model, schedule, solution, n, _steps_from_dt(schedule, dt), samples)[0]
     cap = max(DEFAULT_STEPS, samples)
     steps = max(samples, MIN_SAMPLES)
-    for _ in range(2):
-        if steps >= cap:
-            break
-        try:
-            traj = _evolve(model, schedule, solution, n, steps, samples)
-        except StepSizeError:
-            break
-        if traj.step_error <= STEP_TOL:
+    base = None
+    while True:
+        last = steps >= cap
+        traj, base = _evolve(model, schedule, solution, n, steps, samples, base, last)
+        refused = traj.step_error > STEP_ERROR_MAX or traj.max_norm_drift > NORM_DRIFT_MAX
+        if last or (traj.step_error <= STEP_TOL and not refused):
             return traj
-        # the estimate need not fall as predicted: a second miss goes to cap
-        steps = math.ceil(steps * (traj.step_error / (0.5 * STEP_TOL)) ** 0.25)
-    return _evolve(model, schedule, solution, n, cap, samples)
+        steps *= 2
+        del traj    # not held through the next pass
 
 
-def _evolve(model, schedule, solution, n, steps, samples):
-    """``evolve`` at a fixed step count."""
+def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
+    """``evolve`` at a fixed step count: (Trajectory, _Stages or None).
+
+    ``base`` is the record of the pass at steps / 2 over the same chunks:
+    its stage points, coefficient rows, chunk products and sample states
+    are reused, so only the new stage points are solved.  A pass that is
+    not ``last`` runs to its end without raising StepSizeError and
+    returns its own record.
+    """
     dt = schedule.T_FF / steps
     n_chunks = max(MIN_SAMPLES, min(samples, steps))
     n_chunks = min(n_chunks, steps)
@@ -228,7 +274,17 @@ def _evolve(model, schedule, solution, n, steps, samples):
     norm_s = np.empty(n_chunks + 1)
     R_s = np.empty(n_chunks + 1)
     v_s = np.empty(n_chunks + 1)
-    path = coeffs = None
+    # spectrum and eigenvector n at the samples: the samples are the same
+    # points in every pass, solved by the first pass's stage eigensolve
+    if base is None:
+        w_s = np.empty((n_chunks + 1, dim))
+        C_s = np.empty((n_chunks + 1, dim), dtype=complex)
+    else:
+        w_s, C_s = base.energies, base.targets
+    if not last:
+        R_all, v_all = np.empty((2, 2 * steps + 1))
+        G_all = np.empty((n_chunks, dim, dim), dtype=complex)
+    path = coeffs = rows_all = None
     step_error = 0.0
 
     for j0 in range(0, n_chunks, group):
@@ -245,59 +301,87 @@ def _evolve(model, schedule, solution, n, steps, samples):
             s0 = bounds[j0] + l0
             s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
             if s1 > s0:
-                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1)
+                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1, base)
                 live = is_driven(schedule, Rs, vs)
+                k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
+                pos = 2 * (bounds[k] - s0)
                 rows = None
                 if np.any(live):
                     if path is None:
                         path = coefficient_path(model, solution, n)
                         coeffs = np.zeros((n_chunks + 1, len(path.names)))
-                    vals = path.values(Rs[live], H=H[live])
-                    H[live] += vs[live, None, None] * path.matrices_from_values(vals)
-                    rows = np.zeros((len(Rs), vals.shape[1]))
-                    rows[live] = vals
+                        if not last:
+                            rows_all = np.zeros((2 * steps + 1, len(path.names)))
+                    rows = np.zeros((len(Rs), len(path.names)))
+                    new = live.copy()
+                    if base is not None:
+                        # the even points are solved in base (zero rows where undriven)
+                        new[0::2] = False
+                        if base.rows is not None:
+                            rows[0::2] = base.rows[s0 : s1 + 1]
+                    if np.any(new):
+                        state = models.tracked_state(model, Rs[new], n, H=H[new])
+                        rows[new] = path.values(Rs[new], state=state)
+                        if base is None:
+                            at = live[pos]
+                            idx = np.searchsorted(np.flatnonzero(live), pos[at])
+                            w_s[k[at]], C_s[k[at]] = state[0][idx], state[1][idx]
+                        del state   # not held through the step matrices, the block's peak
+                    H[live] += vs[live, None, None] * path.matrices_from_values(rows[live])
                 fine = _cf4_step_matrices(H, dt)
                 Mpad[valid] = fine
-                coarse = _coarse_product(H, fine, dt) @ coarse
+                if base is None:
+                    coarse = _coarse_product(H, fine, dt) @ coarse
+                del fine    # not held through the next block's step matrices
 
                 # sample rows on the block's stage points
-                k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
-                pos = 2 * (bounds[k] - s0)
                 R_s[k], v_s[k] = Rs[pos], vs[pos]
                 if rows is not None:
                     coeffs[k] = rows[pos]
+                if not last:
+                    R_all[2 * s0 : 2 * s1 + 1], v_all[2 * s0 : 2 * s1 + 1] = Rs, vs
+                    if rows is not None:
+                        rows_all[2 * s0 : 2 * s1 + 1] = rows
             # fold chunk-wise: one batched matmul per intra-chunk index
             for i in range(len(l)):
                 G = Mpad[:, i] @ G
 
+        if base is not None:
+            # each chunk of base is two steps here: its product is the 2h one
+            coarse = _product(base.G[j0:j1])
+        if not last:
+            G_all[j0:j1] = G
         psi_coarse = coarse @ psi
         for j in range(j0, j1):
             psi = G[j - j0] @ psi
             psi_s[j + 1] = psi
         # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
         step_error += float(np.linalg.norm(psi - psi_coarse)) / 15.0
-        if step_error > STEP_ERROR_MAX:
+        if last and step_error > STEP_ERROR_MAX:
             raise StepSizeError(
                 f"estimated step error {step_error:.3e} exceeds {STEP_ERROR_MAX:.0e}; "
                 f"use a smaller dt than {dt:.3e}"
             )
         norm_s[j0 : j1 + 1] = np.linalg.norm(psi_s[j0 : j1 + 1], axis=1)
         drift = float(np.max(np.abs(norm_s[: j1 + 1] - 1.0)))
-        if drift > NORM_DRIFT_MAX:
+        if last and drift > NORM_DRIFT_MAX:
             raise StepSizeError(
                 f"norm drift {drift:.3e} exceeds {NORM_DRIFT_MAX:.0e}; "
                 f"use a smaller dt than {dt:.3e}"
             )
 
+    if base is None:
+        # the undriven samples, at least the one at R0, had no stage eigensolve
+        rest = ~is_driven(schedule, R_s, v_s)
+        w, V = models.eigensystem_batch(model, R_s[rest])
+        w_s[rest], C_s[rest] = w, V[:, :, n]
     t_s = bounds * dt
     t_s[-1] = schedule.T_FF
-    w_s, V_s = models.eigensystem_batch(model, R_s)
-    targets = V_s[:, :, n]
-    fid = np.abs(np.einsum("sd,sd->s", np.conj(targets), psi_s))
+    fid = np.abs(np.einsum("sd,sd->s", np.conj(C_s), psi_s))
     if path is None:
         coeffs = np.zeros((len(t_s), 0))
 
-    return Trajectory(
+    traj = Trajectory(
         t=t_s,
         R_adv=R_s,
         psi=psi_s,
@@ -312,6 +396,9 @@ def _evolve(model, schedule, solution, n, steps, samples):
         state_index=n,
         step_error=step_error,
     )
+    if last:
+        return traj, None
+    return traj, _Stages(R_all, v_all, rows_all, G_all, w_s, C_s)
 
 
 def fidelity(psi, model, R_adv, n=0):

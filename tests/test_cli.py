@@ -16,9 +16,10 @@ from spinff.cdsolver import (
     solve_lz,
     solve_selection,
 )
-from spinff.cli import _SELECTION_HEADER, _selection_rows, main
+from spinff.cli import _SELECTION_HEADER, _selection_rows, main, resolve_selection
 from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_config, load_preset
 from spinff.errors import ConfigError
+from spinff.propagator import evolve
 
 QA_CONFIG = """\
 model:
@@ -77,6 +78,24 @@ def test_default_step_run_is_byte_identical(tmp_path):
     first = (out / "trajectory.csv").read_bytes()
     main(["run", "--config", "preset:qa", "--out", str(out)])
     assert (out / "trajectory.csv").read_bytes() == first
+
+
+def test_run_csvs_are_the_row_wise_reprs(qa_config_file, tmp_path):
+    # each row as the row-wise writer formatted it before the columns
+    # shared by both files were formatted once
+    config = load_config(qa_config_file)
+    assert main(["run", "--config", qa_config_file]) == 0
+    traj = evolve(config.model, config.schedule, resolve_selection(config), config.state,
+                  dt=config.dt, samples=config.samples)
+    files = {
+        "trajectory.csv": [traj.t, traj.R_adv, traj.psi.real, traj.psi.imag,
+                           traj.populations, traj.norm, traj.fidelity, traj.coefficients],
+        "coefficients.csv": [traj.t, traj.R_adv, traj.velocity, traj.coefficients,
+                             traj.velocity[:, None] * traj.coefficients],
+    }
+    for name, columns in files.items():
+        rows = [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
+        assert (tmp_path / "out" / name).read_text().splitlines()[1:] == rows, name
 
 
 def test_run_multiple_configs(qa_config_file, tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +15,7 @@ from spinff import (
     ff_state_residual,
     fidelity,
 )
-from spinff import models, propagator
+from spinff import cdsolver, models, propagator
 from spinff.config import load_preset
 from spinff.errors import DomainError, StepSizeError
 from spinff.propagator import adiabatic_phase, dynamical_phase
@@ -114,12 +113,12 @@ def _record_passes(monkeypatch, reported=()):
     passes = []
     inner = propagator._evolve
 
-    def recording(model, schedule, solution, n, steps, samples):
+    def recording(model, schedule, solution, n, steps, samples, *rest):
         passes.append(steps)
-        traj = inner(model, schedule, solution, n, steps, samples)
+        traj, stages = inner(model, schedule, solution, n, steps, samples, *rest)
         if len(passes) <= len(reported):
             traj = dataclasses.replace(traj, step_error=reported[len(passes) - 1])
-        return traj
+        return traj, stages
 
     monkeypatch.setattr(propagator, "_evolve", recording)
     return passes
@@ -128,6 +127,15 @@ def _record_passes(monkeypatch, reported=()):
 def _assert_same_trajectory(a, b):
     for field in dataclasses.fields(propagator.Trajectory):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def _assert_same_run(traj, ref):
+    # a default run against the run at its dt: the step-error estimate may
+    # sum its blocks' products in another order
+    for field in dataclasses.fields(propagator.Trajectory):
+        if field.name != "step_error":
+            assert np.array_equal(getattr(traj, field.name), getattr(ref, field.name)), field.name
+    assert abs(traj.step_error - ref.step_error) <= 1e-12 * ref.step_error
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
@@ -146,38 +154,119 @@ def test_default_run_meets_step_tol(name, monkeypatch):
 
 
 def test_explicit_dt_runs_one_pass(qa_model, qa_schedule, monkeypatch):
-    direct = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 3000, 500)
+    direct, _ = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 3000, 500)
     passes = _record_passes(monkeypatch)
     traj = evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 3000, samples=500)
     assert passes == [3000]
     _assert_same_trajectory(traj, direct)
 
 
-def test_default_run_takes_at_most_three_passes(qa_model, qa_schedule, monkeypatch):
-    # the estimate rises from the predicted pass: the cap pass is the result
-    passes = _record_passes(monkeypatch, reported=[1e-9, 2e-10])
+def _assert_doubling(passes, samples):
+    # N0 * 2**k up to the first count at or above the cap, and no further
+    n0 = max(samples, propagator.MIN_SAMPLES)
+    cap = max(propagator.DEFAULT_STEPS, samples)
+    assert passes == [n0 * 2 ** k for k in range(len(passes))]
+    assert all(p < cap for p in passes[:-1])
+    first_at_cap = n0
+    while first_at_cap < cap:
+        first_at_cap *= 2
+    assert passes[-1] <= first_at_cap
+
+
+def test_default_passes_double_up_to_the_cap(qa_model, qa_schedule, monkeypatch):
+    # every estimate above STEP_TOL: the search runs to the cap
+    passes = _record_passes(monkeypatch, reported=[1e-9] * 8)
     traj = evolve(qa_model, qa_schedule, QA_SEL)
-    n1 = math.ceil(1000 * (1e-9 / (0.5 * propagator.STEP_TOL)) ** 0.25)
-    assert passes == [1000, n1, propagator.DEFAULT_STEPS]
-    assert traj.steps == propagator.DEFAULT_STEPS
-    # a prediction beyond the cap is clipped to it
-    passes = _record_passes(monkeypatch, reported=[1e-3])
-    evolve(qa_model, qa_schedule, QA_SEL, samples=3000)
-    assert passes == [3000, propagator.DEFAULT_STEPS]
-    # more samples than DEFAULT_STEPS: the pilot is the cap pass
+    assert passes == [1000, 2000, 4000, 8000]
+    assert traj.steps == 8000
+    _assert_doubling(passes, propagator.DEFAULT_SAMPLES)
+    # the first pass at or above the cap is the last, however far above
+    passes = _record_passes(monkeypatch, reported=[1e-3] * 8)
+    assert evolve(qa_model, qa_schedule, QA_SEL, samples=3000).steps == 12000
+    assert passes == [3000, 6000, 12000]
+    _assert_doubling(passes, 3000)
+    # more samples than DEFAULT_STEPS: the first pass is the cap pass
     passes = _record_passes(monkeypatch, reported=[1e-3])
     assert evolve(qa_model, qa_schedule, QA_SEL, samples=9000).steps == 9000
     assert passes == [9000]
+    # fewer samples than MIN_SAMPLES: the passes start at MIN_SAMPLES
+    passes = _record_passes(monkeypatch)
+    traj = evolve(qa_model, qa_schedule, QA_SEL, samples=50)
+    _assert_doubling(passes, 50)
+    assert passes[0] == propagator.MIN_SAMPLES and traj.step_error <= propagator.STEP_TOL
 
 
-def test_refused_pilot_falls_through_to_cap(qa_model, qa_schedule, monkeypatch):
-    # the 1000-step pilot estimates ~1e-9, the 8000-step pass ~2e-13
+def test_refused_pass_is_never_kept(qa_model, qa_schedule, monkeypatch):
+    # the 2000-step pass meets STEP_TOL (~6e-11) but exceeds this bound:
+    # it is refused and the 4000-step pass (~4e-12) is kept
     monkeypatch.setattr(propagator, "STEP_ERROR_MAX", 1e-11)
     passes = _record_passes(monkeypatch)
     traj = evolve(qa_model, qa_schedule, QA_SEL)
-    assert passes == [1000, propagator.DEFAULT_STEPS]
-    _assert_same_trajectory(traj, evolve(qa_model, qa_schedule, QA_SEL,
-                                         dt=qa_schedule.T_FF / propagator.DEFAULT_STEPS))
+    assert passes == [1000, 2000, 4000]
+    assert traj.step_error <= propagator.STEP_ERROR_MAX
+    _assert_same_run(traj, evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 4000))
+    # refused by norm drift everywhere: the search goes on to the cap pass,
+    # the only one that raises
+    monkeypatch.setattr(propagator, "NORM_DRIFT_MAX", -1.0)
+    passes = _record_passes(monkeypatch)
+    with pytest.raises(StepSizeError, match="norm drift"):
+        evolve(qa_model, qa_schedule, QA_SEL)
+    assert passes == [1000, 2000, 4000, 8000]
+
+
+def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
+    # what the next pass reuses: per stage point R, v and the
+    # coefficient row, per chunk one transfer matrix, per sample its states
+    _, stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500, last=False)
+    shapes = {name: np.shape(getattr(stages, name)) for name in stages._fields}
+    assert shapes == {"R": (2001,), "v": (2001,), "rows": (2001, 3), "G": (500, 4, 4),
+                      "energies": (501, 4), "targets": (501, 4)}
+    # the last pass, and so every run at an explicit dt, keeps nothing
+    assert propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500)[1] is None
+
+
+@pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
+def test_default_run_is_the_run_at_its_step_count(name):
+    config = load_preset(name)
+    args = (config.model, config.schedule, config.selection, config.state)
+    traj = evolve(*args, samples=config.samples)
+    _assert_same_run(traj, evolve(*args, dt=config.schedule.T_FF / traj.steps,
+                                  samples=config.samples))
+
+
+@pytest.mark.parametrize("name", ["qa", "gen"])
+def test_default_run_solves_each_driven_stage_point_once(name, monkeypatch):
+    config = load_preset(name)
+    solved = []
+    values = cdsolver.CoefficientPath.values
+
+    def recording(self, R_array, **kwargs):
+        solved.append(np.array(R_array, dtype=float))
+        return values(self, R_array, **kwargs)
+
+    monkeypatch.setattr(cdsolver.CoefficientPath, "values", recording)
+    passes = _record_passes(monkeypatch)
+    traj = evolve(config.model, config.schedule, config.selection, config.state,
+                  samples=config.samples)
+    assert len(passes) >= 2    # the kept pass is built on earlier ones
+    sched = config.schedule
+    u = np.arange(2 * traj.steps + 1) * (sched.T_FF / (2 * traj.steps))
+    R, v = advanced_parameter(sched, u, clamp=True), velocity(sched, u, clamp=True)
+    driven = R[cdsolver.is_driven(sched, R, v)]
+    got = np.sort(np.concatenate(solved))
+    assert len(got) == len(driven)
+    assert np.array_equal(got, np.sort(driven))
+
+
+@pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
+def test_fidelity_is_the_overlap_with_the_eigensystem(name):
+    config = load_preset(name)
+    traj = evolve(config.model, config.schedule, config.selection, config.state,
+                  samples=config.samples)
+    w, V = models.eigensystem_batch(config.model, traj.R_adv)
+    oracle = np.abs(np.einsum("sd,sd->s", np.conj(V[:, :, config.state]), traj.psi))
+    assert np.array_equal(traj.energies, w)
+    assert np.array_equal(traj.fidelity, oracle)
 
 
 def test_phase_integrals_zero_at_origin(qa_model, qa_schedule):
