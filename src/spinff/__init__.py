@@ -2,10 +2,7 @@
 
 from .ansatz import COEFF_NAMES, AnsatzCoefficients, ansatz_matrix
 from .cdsolver import (
-    CDSolution,
     CoefficientPath,
-    EnumerationReport,
-    LZSolution,
     ReducedSystem,
     SelectionResult,
     SolverTolerances,
@@ -16,23 +13,19 @@ from .cdsolver import (
     enumeration_grid,
     fast_forward_hamiltonian,
     reduce_system,
-    rhs_vector,
     solve_dense,
     solve_lz,
     solve_selection,
 )
 from .config import RunConfig, load_config, load_preset
 from .models import (
-    EigenState,
     ModelSpec,
-    adiabatic_phase_rate,
     analytic_eigenvalues,
     eigensystem,
-    eigenvector_derivative,
     hamiltonian,
     state_and_derivative,
 )
-from .propagator import Trajectory, evolve, ff_state, ff_state_residual, fidelity
+from .propagator import Trajectory, evolve, ff_state, ff_state_residual
 from .schedule import Schedule, advanced_parameter, velocity
 from .tables import verify_table
 

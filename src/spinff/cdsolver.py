@@ -26,11 +26,10 @@ Every state and right-hand side comes from ``models.tracked_state``.  Two
 batched kernels solve every system built by ``_operator_columns``:
 ``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) and
 ``_accept`` (square reduced systems over (R, selection), filtered, as
-arrays).  ``enumerate_grid`` clusters those arrays for all R at once into a
-``GridEnumeration``, which builds per-point report objects only on demand.
-``CoefficientPath`` solves one selection along R unfiltered and refuses,
-naming R, a point where that system is exactly singular or a coefficient
-is not finite.
+arrays), which ``solve_grid``/``enumerate_grid`` run over an R grid; the
+scalar functions are their one-point case.  ``CoefficientPath`` solves one
+selection along R unfiltered and refuses, naming R, a point where that
+system is exactly singular or a coefficient is not finite.
 """
 
 from dataclasses import dataclass, replace
@@ -82,54 +81,14 @@ class ReducedSystem:
 
 
 @dataclass(frozen=True)
-class CDSolution:
-    coefficients: AnsatzCoefficients
-    residual: float
-    group_id: int = -1
-
-    @property
-    def selection(self):
-        return self.coefficients.selection
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     selection: tuple
     accepted: bool
     reason: str = ""                # one of REASONS
-    solution: CDSolution = None
+    coefficients: AnsatzCoefficients = None     # None unless accepted
     cond: float = np.nan
     max_imag: float = np.nan
     residual: float = np.nan
-
-
-@dataclass(frozen=True)
-class EnumerationReport:
-    model_kind: str
-    R: float
-    state_index: int
-    results: tuple                   # SelectionResult per admissible selection
-    groups: tuple                    # one representative 9-vector per group
-    state: np.ndarray                # tracked eigenvector C at R
-    derivative: np.ndarray           # dC/dR
-    rhs: np.ndarray                  # i dC/dR - i (C^dag dC/dR) C
-
-    @property
-    def accepted(self):
-        return tuple(r for r in self.results if r.accepted)
-
-    @property
-    def n_accepted(self):
-        return len(self.accepted)
-
-    @property
-    def n_groups(self):
-        return len(self.groups)
-
-
-def rhs_vector(model, R, n):
-    """i dC/dR - i (C^dag dC/dR) C for the tracked state; orthogonal to C."""
-    return models.tracked_state(model, np.array([float(R)]), n)[3][0]
 
 
 def _merged_rows(model):
@@ -189,6 +148,18 @@ def canonical_selection(selection):
     return tuple(COEFF_NAMES[i] for i in sorted(idx))
 
 
+def _square_indices(model, selections):
+    """(S, m) coefficient indices of selections squaring the reduced system, else ConfigError."""
+    if model.dim != 4:
+        raise ConfigError("reduced ansatz systems exist for two-spin models only")
+    m = len(_merged_rows(model))
+    for sel in selections:
+        if len(sel) != m:
+            raise ConfigError(f"selection {','.join(sel)} has {len(sel)} coefficients; "
+                              f"the {model.kind} reduced system needs {m}")
+    return np.array([_selection_indices(sel) for sel in selections])
+
+
 def _check_merged_rows(model, R, C, rhs_full):
     """Raise ConsistencyError unless the rows the reduction merges coincide.
 
@@ -211,14 +182,8 @@ def reduce_system(model, R, n, selection):
     Exploits the row degeneracies of the symmetric eigenvectors; raises
     ConsistencyError when the rows that must coincide do not.
     """
-    if model.dim != 4:
-        raise ConfigError("reduced ansatz systems exist for two-spin models only")
+    (idx,) = _square_indices(model, [selection])
     rows = _merged_rows(model)
-    idx = _selection_indices(selection)
-    if len(idx) != len(rows):
-        raise ValueError(
-            f"selection size {len(idx)} does not match system size {len(rows)}"
-        )
     _, (C,), _, (rhs_full,) = models.tracked_state(model, np.array([float(R)]), n)
     _check_merged_rows(model, [R], C[None], rhs_full[None])
     return ReducedSystem(
@@ -262,16 +227,6 @@ def _accept(idx, C, rhs, rows, tol):
     return coefficients, reason, cond, max_imag, residual
 
 
-def _selection_result(selection, coefficients, reason, cond, max_imag, residual, group_id=-1):
-    """SelectionResult of one (point, selection) entry of the ``_accept`` arrays."""
-    solution = None
-    if reason == 0:
-        coeffs = AnsatzCoefficients(dict(zip(COEFF_NAMES, coefficients)), selection)
-        solution = CDSolution(coeffs, float(residual), int(group_id))
-    return SelectionResult(selection, solution is not None, REASONS[reason], solution,
-                           float(cond), float(max_imag), float(residual))
-
-
 def solve_selection(rs, tol=DEFAULT_TOL):
     """Solve a reduced system; accept only regular, real solutions.
 
@@ -281,9 +236,13 @@ def solve_selection(rs, tol=DEFAULT_TOL):
     model with its field along x); the dense solve covers such families.
     """
     sel = tuple(rs.unknown_names)
-    arrays = _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
-                     rs.rhs_full[None], rs.merged_rows, tol)
-    return _selection_result(sel, *(a[0, 0] for a in arrays))
+    x, reason, cond, max_imag, residual = (
+        a[0, 0] for a in _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
+                                 rs.rhs_full[None], rs.merged_rows, tol))
+    coefficients = (AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), sel) if reason == 0
+                    else None)
+    return SelectionResult(sel, bool(reason == 0), REASONS[reason], coefficients,
+                           float(cond), float(max_imag), float(residual))
 
 
 def admissible_selections(model):
@@ -307,8 +266,8 @@ def admissible_selections(model):
 
 
 def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL):
-    """``enumerate_grid`` at the one point R, as its EnumerationReport."""
-    return enumerate_grid(model, [R], n, tol).report(0)
+    """``enumerate_grid`` at the one point R: a one-point GridEnumeration."""
+    return enumerate_grid(model, [R], n, tol)
 
 
 def enumeration_grid(schedule, count):
@@ -323,7 +282,6 @@ class GridEnumeration:
 
     The arrays are ``_accept``'s, with ``group_id`` -1 where rejected;
     ``state``, ``derivative`` and ``rhs`` are the tracked (N, dim) arrays.
-    ``report``/``reports`` build the per-point objects on demand.
     """
 
     model_kind: str
@@ -353,20 +311,6 @@ class GridEnumeration:
         """Every point puts the same selections into the same groups."""
         return bool(np.all(self.group_id == self.group_id[:1]))
 
-    def report(self, k):
-        """EnumerationReport of point k; each group is represented by its first member."""
-        gids = self.group_id[k]
-        results = tuple(map(_selection_result, self.selections, self.coefficients[k],
-                            self.reason[k].tolist(), self.cond[k], self.max_imag[k],
-                            self.residual[k], gids))
-        groups = tuple(self.coefficients[k, np.argmax(gids == g)] for g in range(max(gids) + 1))
-        return EnumerationReport(self.model_kind, float(self.R[k]), self.state_index, results,
-                                 groups, self.state[k], self.derivative[k], self.rhs[k])
-
-    @property
-    def reports(self):
-        return tuple(self.report(k) for k in range(len(self.R)))
-
 
 def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
     """Every selection at every point of an R grid, unclustered (group ids -1).
@@ -374,10 +318,10 @@ def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
     One ``tracked_state`` call covers the grid and one ``_accept`` call
     every (R, selection) pair.
     """
+    idx = _square_indices(model, selections)
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, n)
     _check_merged_rows(model, R, C, rhs)
-    idx = np.array([_selection_indices(sel) for sel in selections])
     arrays = _accept(idx, C, rhs, _merged_rows(model), tol)
     return GridEnumeration(model.kind, n, R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
@@ -422,13 +366,12 @@ def solve_dense(model, R, n=0, tol=DEFAULT_TOL):
     operator solves it within the ansatz span) but rank deficient; the
     pseudoinverse picks the smallest-coefficient member of the solution
     family.  This is the route for models whose sparse selections all fail
-    the realness filter.
+    the realness filter.  Returns (x, residual) of ``_min_norm_solve`` at R.
     """
     if model.dim != 4:
         raise ConfigError("dense ansatz solutions exist for two-spin models only")
     (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
-    coeffs = AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), COEFF_NAMES)
-    return CDSolution(coeffs, float(residual))
+    return x, residual
 
 
 def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
@@ -455,28 +398,12 @@ def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
     return x, residual
 
 
-# ---------------------------------------------------------------------------
-# single-spin (2x2) regularization
-
-@dataclass(frozen=True)
-class LZSolution:
-    """Traceless Hermitian 2x2 regularization: H11 real, H12 complex."""
-
-    h11: float
-    h12: complex
-    residual: float
-
-    def matrix(self):
-        values = [[self.h11, self.h12.real, self.h12.imag]]
-        return matrices_from_rows(values, LZ_BASIS)[0]
-
-
 def solve_lz(model, R, n=1, tol=DEFAULT_TOL):
-    """Regularization term for the two-level model (either state)."""
+    """(H11, Re H12, Im H12) of the two-level term at R (either state), and the residual."""
     if model.dim != 2:
         raise ConfigError("solve_lz applies to the two-level model")
     (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
-    return LZSolution(float(x[0]), complex(x[1], x[2]), float(residual))
+    return x, residual
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +474,7 @@ class CoefficientPath:
         else:
             self.mode = "selection"
             self.names = canonical_selection(selection)
-            self.basis = BASIS[_selection_indices(self.names)]
+            self.basis = BASIS[_square_indices(model, [self.names])[0]]
 
     def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
@@ -583,17 +510,6 @@ class CoefficientPath:
         return matrices_from_rows(vals, self.basis)
 
 
-def coefficient_path(model, solution, n=0):
-    """Normalize a solution-like argument into a CoefficientPath."""
-    if isinstance(solution, CoefficientPath):
-        return solution
-    if isinstance(solution, CDSolution):
-        sel = solution.selection
-        sel = "dense" if tuple(sel) == COEFF_NAMES else sel
-        return CoefficientPath(model, sel, n)
-    return CoefficientPath(model, solution, n)
-
-
 def is_driven(schedule, R, v):
     """Where v * Htilde(R) applies: v above zero, R strictly inside the sweep.
 
@@ -617,6 +533,6 @@ def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
     H = models.hamiltonian(model, R)
     live = is_driven(schedule, R, v)
     if np.any(live):
-        path = coefficient_path(model, solution, n)
+        path = CoefficientPath(model, solution, n)
         H[live] += v[live, None, None] * path.matrices(R[live])
     return H.reshape(t.shape + H.shape[1:])

@@ -26,12 +26,8 @@ from .cdsolver import (
     admissible_selections,
     drb_counterdiabatic,
     enumerate_grid,
-    enumerate_solutions,
     enumeration_grid,
-    reduce_system,
-    solve_dense,
     solve_grid,
-    solve_selection,
 )
 from .config import load_config, load_preset, parse_selection
 from .errors import ConfigError, SpinFFError
@@ -118,25 +114,25 @@ def resolve_selection(config):
 
     Validation and the default policy ("first accepted in enumeration
     order") are evaluated at the mid-excursion R, away from endpoint
-    singularities of the coefficient formulas.
+    singularities of the coefficient formulas.  The two-level model takes
+    no selection.
     """
-    if config.model.dim == 2:
+    model, R = config.model, [_mid_R(config)]
+    if model.dim == 2:
+        if config.selection is not None:
+            raise ConfigError(f"the two-level model takes no selection, got {config.selection}")
         return None
     if config.selection == "dense":
-        solve_dense(config.model, _mid_R(config), config.state, config.tolerances)
+        _min_norm_solve(model, R, config.state, config.tolerances)
         return "dense"
-    if config.selection is not None:
-        rs = reduce_system(config.model, _mid_R(config), config.state,
-                           config.selection)
-        res = solve_selection(rs, config.tolerances)
-        if not res.accepted:
-            raise SelectionRejectedError(config.selection, res.reason)
-        return config.selection
-    report = enumerate_solutions(config.model, _mid_R(config), config.state,
-                                 config.tolerances)
-    for res in report.results:
-        if res.accepted:
-            return res.selection
+    chosen = config.selection is not None
+    selections = [config.selection] if chosen else admissible_selections(model)
+    grid = solve_grid(model, R, selections, config.state, config.tolerances)
+    reason = grid.reason[0]
+    if np.any(reason == 0):
+        return grid.selections[int(np.argmax(reason == 0))]
+    if chosen:
+        raise SelectionRejectedError(config.selection, REASONS[reason[0]])
     raise SelectionRejectedError(
         ("auto",), "no admissible selection accepted; consider selection: dense"
     )

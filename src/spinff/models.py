@@ -17,8 +17,8 @@ one state layer: over an array of R it returns the energies, the tracked
 eigenvector C, its derivative from the spectral formula
 dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), exact because every
 coupling is affine in R (so dH/dR is a constant matrix), and the right-hand
-side i dC/dR - i <C|dC/dR> C of the defining equation.  The scalar
-functions are its one-point case.
+side i dC/dR - i <C|dC/dR> C of the defining equation; ``eigensystem_batch``
+gives every level.  The other state functions are thin views of these two.
 """
 
 from dataclasses import dataclass, field
@@ -142,17 +142,6 @@ class ModelSpec:
             constants={"J": j, "Bx": bx, "By": by},
             schedule_map={"Bz": (b0, -1.0)},
         )
-
-
-@dataclass(frozen=True)
-class EigenState:
-    """One gauge-fixed instantaneous eigenpair."""
-
-    n: int
-    energy: float
-    amplitudes: np.ndarray
-    gauge: str          # "real_positive" or "fixed_component_phase"
-    anchor: int
 
 
 def hamiltonian(model, R):
@@ -305,7 +294,7 @@ def eigensystem_batch(model, R_array):
 
 
 def eigensystem(model, R, *, n=None):
-    """All instantaneous eigenpairs at scalar R, sorted by energy and gauge-fixed.
+    """(w, V) of ``eigensystem_batch`` at the one scalar R: (dim,) and (dim, dim).
 
     ``n`` names a tracked state, held to the guards of ``tracked_state``
     (gap to the other levels at least GAP_MIN); without it crossings are
@@ -315,10 +304,7 @@ def eigensystem(model, R, *, n=None):
     if n is not None:
         tracked_state(model, R, n)
     w, V = eigensystem_batch(model, R)
-    anchors = default_anchor(model, V[0].T)
-    gauge = "real_positive" if model.is_real else "fixed_component_phase"
-    return [EigenState(m, float(w[0, m]), V[0, :, m], gauge, int(anchors[m]))
-            for m in range(model.dim)]
+    return w[0], V[0]
 
 
 def _cubic_roots(model, R):
@@ -393,31 +379,6 @@ def state_and_derivative(model, R, n, *, anchor=None):
     """(C, dC/dR) for state n at scalar R: ``tracked_state`` at one point."""
     _, C, dC, _ = tracked_state(model, np.array([float(R)]), n, anchor=anchor)
     return C[0], dC[0]
-
-
-def eigenvector_derivative(model, R, n, *, anchor=None):
-    """d/dR of the gauge-fixed eigenvector of state n (see tracked_state)."""
-    return state_and_derivative(model, R, n, anchor=anchor)[1]
-
-
-PHASE_IMAG_TOL = 1e-10
-
-
-def adiabatic_phase_rate(model, R, n, **kw):
-    """d(xi)/dR = i <C|dC/dR>, a real number; zero for real eigenvectors.
-
-    The real part of <C|dC/dR> must vanish by normalization; a residue
-    above tolerance signals a broken gauge.
-    """
-    C, dC = state_and_derivative(model, R, n, **kw)
-    overlap = np.vdot(C, dC)
-    value = 1j * overlap
-    if abs(value.imag) > PHASE_IMAG_TOL:
-        raise GaugeError(
-            f"adiabatic phase rate has imaginary residue {value.imag:.3e} "
-            f"at R={R} (state {n})"
-        )
-    return float(value.real)
 
 
 def state_and_derivative_batch(model, R_array, n, *, H=None):

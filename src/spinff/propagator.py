@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
-from .cdsolver import coefficient_path, fast_forward_hamiltonian, is_driven
+from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, velocity
 
@@ -214,7 +214,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     """Integrate the TDSE from the gauge-fixed eigenvector n at R0.
 
     ``solution`` selects the regularization strategy (a selection tuple,
-    a CDSolution, "dense", or None for the two-level model); coefficients
+    "dense", or None for the two-level model); coefficients
     are re-solved along the advanced-parameter path.  Returns a Trajectory
     with at least MIN_SAMPLES uniform samples.
 
@@ -308,7 +308,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                 rows = None
                 if np.any(live):
                     if path is None:
-                        path = coefficient_path(model, solution, n)
+                        path = CoefficientPath(model, solution, n)
                         coeffs = np.zeros((n_chunks + 1, len(path.names)))
                         if not last:
                             rows_all = np.zeros((2 * steps + 1, len(path.names)))
@@ -401,13 +401,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     return traj, _Stages(R_all, v_all, rows_all, G_all, w_s, C_s)
 
 
-def fidelity(psi, model, R_adv, n=0):
-    """|overlap| between a state and the instantaneous eigenvector n."""
-    psi = np.asarray(psi, dtype=complex)
-    _, V = models.eigensystem_batch(model, np.array([float(R_adv)]))
-    return float(abs(np.vdot(V[0][:, n], psi)))
-
-
 @lru_cache(maxsize=None)
 def _legendre_rule(count):
     """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
@@ -431,19 +424,6 @@ def _phases(model, schedule, n, t_values, nodes=PHASE_NODES):
     rate = (velocity(schedule, tau, clamp=True) * rate).reshape(-1, nodes)
     terms = zip(0.5 * t * w, rate, energies[:, n].reshape(-1, nodes))
     return np.array([(np.dot(wk, rk), np.dot(wk, ek)) for wk, rk, ek in terms]).T
-
-
-def dynamical_phase(model, schedule, n, t, nodes=PHASE_NODES):
-    """Integral of the instantaneous energy along the advanced path."""
-    return float(_phases(model, schedule, n, [t], nodes)[1][0])
-
-
-def adiabatic_phase(model, schedule, n, t, nodes=PHASE_NODES):
-    """Accumulated phase from i <C|dC/dR> along the advanced path.
-
-    Zero (to derivative noise) for models with real eigenvectors.
-    """
-    return float(_phases(model, schedule, n, [t], nodes)[0][0])
 
 
 def ff_state(model, schedule, n, t_values, anchor=None):

@@ -46,9 +46,10 @@ from spinff import (
     solve_selection,
     verify_table,
 )
+from spinff.ansatz import COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import DEFAULT_TOL, enumeration_grid
 from spinff.models import state_and_derivative
-from spinff.propagator import adiabatic_phase
+from spinff.propagator import _phases
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
 
 QA_MODEL = ModelSpec.qa(j=1.0, bz=0.1, b0=10.0)
@@ -239,8 +240,9 @@ def test_criterion_3_gen_count():
         for sel in combinations(ORACLE_OPS, 3)
     }
     census_set = {sel for sel, res in census.items() if res <= tol}
-    accepted = {r.selection for r in enumerate_solutions(GEN_MODEL, R).accepted}
-    dense = solve_dense(GEN_MODEL, R).coefficients
+    grid = enumerate_solutions(GEN_MODEL, R)
+    accepted = {sel for sel, code in zip(grid.selections, grid.reason[0]) if code == 0}
+    dense = dict(zip(COEFF_NAMES, solve_dense(GEN_MODEL, R)[0]))
     dense_residual = float(np.linalg.norm(
         sum(dense[name] * op for name, op in ORACLE_OPS.items()) @ C - rhs))
     closest = ", ".join(
@@ -285,21 +287,23 @@ def test_criterion_4_table(qa_grid):
 def test_criterion_5_closed_form_oracles():
     worst_lz = 0.0
     for R in enumeration_grid(LZ_SCHED, 9):
-        sol = solve_lz(LZ_MODEL, float(R))
-        worst_lz = max(worst_lz, abs(sol.h12.imag - lz_h12_imag(LZ_MODEL, float(R))),
-                       abs(sol.h12.real), abs(sol.h11))
+        x, _ = solve_lz(LZ_MODEL, float(R))
+        h11, re_h12, im_h12 = x
+        worst_lz = max(worst_lz, abs(im_h12 - lz_h12_imag(LZ_MODEL, float(R))),
+                       abs(re_h12), abs(h11))
         H = drb_counterdiabatic(LZ_MODEL, float(R))
-        worst_lz = max(worst_lz, float(np.max(np.abs(H - sol.matrix()))))
+        worst_lz = max(worst_lz, float(np.max(np.abs(
+            H - matrices_from_rows([x], LZ_BASIS)[0]))))
 
     worst_w2, worst_polar, worst_drb = 0.0, 0.0, 0.0
     for R in enumeration_grid(TFIM_SCHED, 9):
         res = solve_selection(reduce_system(TFIM_MODEL, float(R), 0, ("J3", "W2")))
-        w2 = res.solution.coefficients["W2"]
+        w2 = res.coefficients["W2"]
         worst_w2 = max(worst_w2, abs(w2 - tfim_w2(TFIM_MODEL, float(R))))
         worst_polar = max(worst_polar, abs(w2 - tfim_polar_rate(TFIM_MODEL, float(R))))
         H = drb_counterdiabatic(TFIM_MODEL, float(R))
         worst_drb = max(worst_drb, float(np.max(np.abs(
-            H - ansatz_matrix(res.solution.coefficients)))))
+            H - ansatz_matrix(res.coefficients)))))
 
     ok = worst_lz < 1e-10 and worst_w2 < 1e-10 and worst_polar < 1e-9 \
         and worst_drb < 1e-10
@@ -314,10 +318,10 @@ def test_criterion_5_closed_form_oracles():
 def test_criterion_5_state_dependent_actions():
     def qa_solution(R):
         res = solve_selection(reduce_system(QA_MODEL, R, 0, QA_SELECTION))
-        return ansatz_matrix(res.solution.coefficients)
+        return ansatz_matrix(res.coefficients)
 
     def gen_solution(R):
-        return ansatz_matrix(solve_dense(GEN_MODEL, R).coefficients)
+        return ansatz_matrix(solve_dense(GEN_MODEL, R)[0])
 
     details = []
     ok = True
@@ -379,9 +383,9 @@ def test_criterion_7_hygiene(qa_run, qa_run_half_step):
     drift = traj.max_norm_drift
     terminal_gap = float(np.max(np.abs(traj.psi[-1] - half.psi[-1])))
     xi = {
-        "lz": abs(adiabatic_phase(LZ_MODEL, LZ_SCHED, 0, LZ_SCHED.T_FF)),
-        "tfim": abs(adiabatic_phase(TFIM_MODEL, TFIM_SCHED, 0, TFIM_SCHED.T_FF)),
-        "qa": abs(adiabatic_phase(QA_MODEL, QA_SCHED, 0, QA_SCHED.T_FF)),
+        "lz": abs(_phases(LZ_MODEL, LZ_SCHED, 0, [LZ_SCHED.T_FF])[0, 0]),
+        "tfim": abs(_phases(TFIM_MODEL, TFIM_SCHED, 0, [TFIM_SCHED.T_FF])[0, 0]),
+        "qa": abs(_phases(QA_MODEL, QA_SCHED, 0, [QA_SCHED.T_FF])[0, 0]),
     }
     worst_xi = max(xi.values())
     ok = drift < 1e-8 and terminal_gap < 1e-8 and worst_xi < 1e-8

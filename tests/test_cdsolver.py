@@ -14,23 +14,23 @@ from spinff import (
     fast_forward_hamiltonian,
     hamiltonian,
     reduce_system,
-    rhs_vector,
     solve_dense,
     solve_lz,
     solve_selection,
 )
 from spinff import models
-from spinff.ansatz import ANTISYM_BASIS, BASIS, LZ_BASIS, matrices_from_rows
+from spinff.ansatz import ANTISYM_BASIS, BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
     DEFAULT_TOL,
     DENSE_RCOND,
+    REASONS,
     CoefficientPath,
     SolverTolerances,
     _cluster,
     _min_norm_solve,
     enumeration_grid,
 )
-from spinff.errors import ConsistencyError, DegeneracyError
+from spinff.errors import ConfigError, ConsistencyError, DegeneracyError
 from spinff.models import state_and_derivative
 from spinff.schedule import advanced_parameter, velocity
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
@@ -38,6 +38,11 @@ from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
 
 # ---------------------------------------------------------------------------
 # right-hand side
+
+def _rhs(model, R, n):
+    """i dC/dR - i <C|dC/dR> C at one R: tracked_state at N = 1."""
+    return models.tracked_state(model, np.array([float(R)]), n)[3][0]
+
 
 def test_rhs_orthogonal_to_state():
     cases = [
@@ -48,13 +53,13 @@ def test_rhs_orthogonal_to_state():
     ]
     for model, R, n in cases:
         C, _ = state_and_derivative(model, R, n)
-        rhs = rhs_vector(model, R, n)
+        rhs = _rhs(model, R, n)
         assert abs(np.vdot(C, rhs)) < 1e-10
 
 
 def test_rhs_zero_for_constant_couplings():
     model = ModelSpec("qa", constants={"J": 1.0, "Bz": 0.1, "Bx": 4.0})
-    assert np.max(np.abs(rhs_vector(model, 2.0, 0))) < 1e-12
+    assert np.max(np.abs(_rhs(model, 2.0, 0))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +67,25 @@ def test_rhs_zero_for_constant_couplings():
 
 def test_lz_solution_closed_form(lz_model):
     for R in (-2.0, 0.0, 0.7, 3.0):
-        sol = solve_lz(lz_model, R)
-        assert abs(sol.h11) < 1e-10
-        assert abs(sol.h12.real) < 1e-10
-        assert abs(sol.h12.imag - lz_h12_imag(lz_model, R)) < 1e-10
-        assert sol.residual < 1e-10
+        (h11, re_h12, im_h12), residual = solve_lz(lz_model, R)
+        assert abs(h11) < 1e-10
+        assert abs(re_h12) < 1e-10
+        assert abs(im_h12 - lz_h12_imag(lz_model, R)) < 1e-10
+        assert residual < 1e-10
 
 
 def test_lz_state_independence(lz_model):
-    a = solve_lz(lz_model, 0.7, n=0)
-    b = solve_lz(lz_model, 0.7, n=1)
-    assert abs(a.h12 - b.h12) < 1e-10
-    assert abs(a.h11 - b.h11) < 1e-10
+    a, _ = solve_lz(lz_model, 0.7, n=0)
+    b, _ = solve_lz(lz_model, 0.7, n=1)
+    assert abs(complex(*a[1:]) - complex(*b[1:])) < 1e-10
+    assert abs(a[0] - b[0]) < 1e-10
 
 
 def test_lz_drb_agreement(lz_model):
     for R in (-1.0, 0.4, 2.0):
         H = drb_counterdiabatic(lz_model, R)
-        assert np.max(np.abs(H - solve_lz(lz_model, R).matrix())) < 1e-10
+        x, _ = solve_lz(lz_model, R)
+        assert np.max(np.abs(H - matrices_from_rows([x], LZ_BASIS)[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,7 @@ def test_tfim_reduced_system_structure(tfim_model):
 
 
 def test_tfim_selection_size_guard(tfim_model):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         reduce_system(tfim_model, 1.0, 0, ("J3", "W2", "Bx"))
 
 
@@ -146,17 +152,17 @@ def test_tfim_j3_solution_and_closed_form(tfim_model):
         rs = reduce_system(tfim_model, R, 0, ("J3", "W2"))
         res = solve_selection(rs)
         assert res.accepted
-        assert abs(res.solution.coefficients["J3"]) < 1e-10
-        w2 = res.solution.coefficients["W2"]
+        assert abs(res.coefficients["J3"]) < 1e-10
+        w2 = res.coefficients["W2"]
         assert abs(w2 - tfim_w2(tfim_model, R)) < 1e-10
         assert abs(w2 - tfim_polar_rate(tfim_model, R)) < 1e-9
 
 
 def test_tfim_four_selections_degenerate(tfim_model):
     report = enumerate_solutions(tfim_model, 1.0)
-    assert report.n_accepted == 4
-    assert report.n_groups == 1
-    values = [r.solution.coefficients["W2"] for r in report.accepted]
+    assert report.accepted_counts == [4]
+    assert report.group_counts == [1]
+    values = report.coefficients[0, report.reason[0] == 0, COEFF_NAMES.index("W2")]
     assert np.ptp(values) < 1e-8
 
 
@@ -164,13 +170,13 @@ def test_tfim_state_independent_solution(tfim_model):
     # the ground and highest states give the same driving coefficients
     lo = solve_selection(reduce_system(tfim_model, 1.0, 0, ("J3", "W2")))
     hi = solve_selection(reduce_system(tfim_model, 1.0, 3, ("J3", "W2")))
-    assert abs(lo.solution.coefficients["W2"] - hi.solution.coefficients["W2"]) < 1e-10
+    assert abs(lo.coefficients["W2"] - hi.coefficients["W2"]) < 1e-10
 
 
 def test_tfim_drb_equality(tfim_model):
     res = solve_selection(reduce_system(tfim_model, 1.0, 0, ("J3", "W2")))
     H = drb_counterdiabatic(tfim_model, 1.0)
-    assert np.max(np.abs(H - ansatz_matrix(res.solution.coefficients))) < 1e-10
+    assert np.max(np.abs(H - ansatz_matrix(res.coefficients))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def test_qa_first_group_solution(qa_model):
     rs = reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz"))
     res = solve_selection(rs)
     assert res.accepted
-    sol = res.solution.coefficients
+    sol = res.coefficients
     assert abs(sol["Bz"]) < 1e-9
     C, dC = state_and_derivative(qa_model, 5.0, 0)
     a, b, c = 1j * dC[0], 1j * dC[1], 1j * dC[3]
@@ -194,13 +200,12 @@ def test_qa_first_group_solution(qa_model):
 
 def test_qa_eighteen_accepted_three_groups(qa_model):
     report = enumerate_solutions(qa_model, 5.0)
-    assert len(report.results) == 18
-    assert report.n_accepted == 18
-    assert report.n_groups == 3
+    assert len(report.selections) == 18
+    assert report.accepted_counts == [18]
+    assert report.group_counts == [3]
     pairs = set()
-    for r in report.accepted:
-        sol = r.solution.coefficients
-        nonzero = tuple(sorted(n for n in sol.values if abs(sol[n]) > 1e-8))
+    for sol in report.coefficients[0, report.reason[0] == 0]:
+        nonzero = tuple(sorted(COEFF_NAMES[i] for i in np.flatnonzero(np.abs(sol) > 1e-8)))
         pairs.add(nonzero)
     assert pairs == {("By", "W1"), ("By", "W2"), ("W1", "W2")}
 
@@ -284,8 +289,8 @@ def test_tfim_closed_form_over_random_couplings(j0, j1, b0, b1, R):
     model = ModelSpec.tfim(j=(j0, j1), bx=(b0, b1))
     res = solve_selection(reduce_system(model, R, 0, ("J3", "W2")))
     assert res.accepted
-    assert abs(res.solution.coefficients["J3"]) < 1e-9
-    assert abs(res.solution.coefficients["W2"] - tfim_w2(model, R)) < 1e-9
+    assert abs(res.coefficients["J3"]) < 1e-9
+    assert abs(res.coefficients["W2"] - tfim_w2(model, R)) < 1e-9
 
 
 @given(st.floats(min_value=0.2, max_value=9.8))
@@ -303,7 +308,7 @@ def test_coefficient_path_refuses_singular_grid_point(qa_model):
         path.values(np.array([5.0, 10.0]))
     vals = path.values(np.array([5.0]))
     res = solve_selection(reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz")))
-    expect = [res.solution.coefficients[n] for n in ("W2", "By", "Bz")]
+    expect = [res.coefficients[n] for n in ("W2", "By", "Bz")]
     assert np.max(np.abs(vals[0] - expect)) < 1e-10
 
 
@@ -323,21 +328,22 @@ def _same(a, b):
 )
 def test_enumeration_matches_per_selection_solves(model, R):
     report = enumerate_solutions(model, R)
-    assert [r.selection for r in report.results] == admissible_selections(model)
-    for batched in report.results:
-        single = solve_selection(reduce_system(model, R, 0, batched.selection))
-        assert batched.reason == single.reason, batched.selection
-        assert batched.accepted == single.accepted
-        assert _same(batched.cond, single.cond), batched.selection
-        assert _same(batched.max_imag, single.max_imag), batched.selection
+    assert list(report.selections) == admissible_selections(model)
+    for s, selection in enumerate(report.selections):
+        single = solve_selection(reduce_system(model, R, 0, selection))
+        reason, residual = report.reason[0, s], report.residual[0, s]
+        assert REASONS[reason] == single.reason, selection
+        assert (reason == 0) == single.accepted
+        assert _same(report.cond[0, s], single.cond), selection
+        assert _same(report.max_imag[0, s], single.max_imag), selection
         if single.accepted:
             np.testing.assert_array_equal(
-                batched.solution.coefficients.as_array(),
-                single.solution.coefficients.as_array(),
+                report.coefficients[0, s],
+                single.coefficients.as_array(),
             )
-            assert abs(batched.residual - single.residual) <= 1e-15
+            assert abs(residual - single.residual) <= 1e-15
         else:
-            assert _same(batched.residual, single.residual), batched.selection
+            assert _same(residual, single.residual), selection
 
 
 def test_rank_deficient_selection_with_real_family_is_singular():
@@ -359,9 +365,9 @@ def test_gen_enumeration_has_no_sparse_real_solution(gen_model):
     # selection then solves with real coefficients.  The eighty-four formal
     # solves split into singular and complex-valued ones.
     report = enumerate_solutions(gen_model, 12.5)
-    assert len(report.results) == 84
-    assert report.n_accepted == 0
-    reasons = {r.reason for r in report.results}
+    assert len(report.selections) == 84
+    assert report.accepted_counts == [0]
+    reasons = {REASONS[code] for code in report.reason[0]}
     assert reasons == {"singular", "not_real"}
 
 
@@ -378,18 +384,18 @@ def test_gen_named_selections_are_complex_not_tiny(gen_model):
 
 def test_gen_dense_solution_is_real_and_exact(gen_model):
     for R in (2.0, 12.5, 23.0):
-        sol = solve_dense(gen_model, R)
-        assert sol.residual < 1e-10
+        x, residual = solve_dense(gen_model, R)
+        assert residual < 1e-10
         C, _ = state_and_derivative(gen_model, R, 0)
-        rhs = rhs_vector(gen_model, R, 0)
-        H = ansatz_matrix(sol.coefficients)
+        rhs = _rhs(gen_model, R, 0)
+        H = ansatz_matrix(x)
         assert np.linalg.norm(H @ C - rhs) < 1e-10
 
 
 def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
     R = 12.5
     H_drb = drb_counterdiabatic(gen_model, R)
-    H_sol = ansatz_matrix(solve_dense(gen_model, R).coefficients)
+    H_sol = ansatz_matrix(solve_dense(gen_model, R)[0])
     C, _ = state_and_derivative(gen_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
     assert np.max(np.abs(H_drb - H_sol)) > 1e-3
@@ -398,7 +404,7 @@ def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
 def test_qa_drb_action_matches_but_matrix_differs(qa_model):
     R = 5.0
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
-    H_sol = ansatz_matrix(res.solution.coefficients)
+    H_sol = ansatz_matrix(res.coefficients)
     H_drb = drb_counterdiabatic(qa_model, R)
     C, _ = state_and_derivative(qa_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
@@ -416,7 +422,7 @@ def test_antisymmetric_couplings_solve_to_zero():
     basis = np.concatenate([BASIS, ANTISYM_BASIS])
     for model, R in cases:
         C, _ = state_and_derivative(model, R, 0)
-        rhs = rhs_vector(model, R, 0)
+        rhs = _rhs(model, R, 0)
         A = np.einsum("kab,b->ak", basis, C)
         M = np.concatenate([A.real, A.imag])
         x = np.linalg.lstsq(M, np.concatenate([rhs.real, rhs.imag]), rcond=1e-8)[0]
@@ -430,8 +436,8 @@ def test_drb_diagonal_vanishes_in_eigenbasis(qa_model):
     from spinff import eigensystem
 
     H = drb_counterdiabatic(qa_model, 5.0)
-    for s in eigensystem(qa_model, 5.0):
-        assert abs(np.vdot(s.amplitudes, H @ s.amplitudes)) < 1e-10
+    for amp in eigensystem(qa_model, 5.0)[1].T:
+        assert abs(np.vdot(amp, H @ amp)) < 1e-10
 
 
 def test_drb_zero_for_constant_couplings():
@@ -542,12 +548,12 @@ def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
         assert abs(residual[k] - residual_k) < 1e-20
         # solve_lz and solve_dense are the one-point case
         if model.dim == 2:
-            sol = solve_lz(model, r, n)
-            assert [sol.h11, sol.h12.real, sol.h12.imag, sol.residual] == [*x[k], residual[k]]
+            x_1, residual_1 = solve_lz(model, r, n)
+            assert [*x_1, residual_1] == [*x[k], residual[k]]
         else:
-            sol = solve_dense(model, r, n)
-            assert sol.coefficients.as_array().tolist() == x[k].tolist()
-            assert sol.residual == residual[k]
+            x_1, residual_1 = solve_dense(model, r, n)
+            assert x_1.tolist() == x[k].tolist()
+            assert residual_1 == residual[k]
 
 
 def test_min_norm_grid_solve_refuses_a_large_residual():
@@ -607,7 +613,7 @@ def test_qa_midpoint_ff_hamiltonian(qa_model, qa_schedule):
     assert velocity(qa_schedule, t) == pytest.approx(2 * qa_schedule.v_bar)
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
     expect = hamiltonian(qa_model, R) + 2 * qa_schedule.v_bar * ansatz_matrix(
-        res.solution.coefficients
+        res.coefficients
     )
     got = fast_forward_hamiltonian(qa_model, qa_schedule, ("W2", "By", "Bz"), t)
     assert np.max(np.abs(got - expect)) < 1e-8
@@ -620,14 +626,13 @@ def test_coefficient_path_matches_pointwise(qa_model, lz_model, tfim_model, gen_
         vals = CoefficientPath(model, sel).values(Rs)
         for i, R in enumerate(Rs):
             res = solve_selection(reduce_system(model, float(R), 0, sel))
-            expect = [res.solution.coefficients[n] for n in sel]
+            expect = [res.coefficients[n] for n in sel]
             assert np.max(np.abs(vals[i] - expect)) < 1e-10, (model.kind, R)
     vals = CoefficientPath(lz_model, None).values(Rs)
     for i, R in enumerate(Rs):
-        sol = solve_lz(lz_model, float(R), n=0)
-        expect = [sol.h11, sol.h12.real, sol.h12.imag]
+        expect, _ = solve_lz(lz_model, float(R), n=0)
         assert np.max(np.abs(vals[i] - expect)) < 1e-10, ("lz", R)
     vals = CoefficientPath(gen_model, "dense").values(Rs)
     for i, R in enumerate(Rs):
-        expect = solve_dense(gen_model, float(R)).coefficients.as_array()
+        expect, _ = solve_dense(gen_model, float(R))
         assert np.max(np.abs(vals[i] - expect)) < 1e-10, ("gen", R)

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -222,6 +223,55 @@ def test_selection_override(qa_config_file, tmp_path):
     assert summary["selection_used"] == ["J3", "W1", "W2"]
 
 
+@pytest.mark.parametrize("preset, expected", [("qa", ("J1", "W1", "By")),
+                                              ("tfim", ("J1", "W2"))])
+def test_default_selection_is_the_first_accepted_at_mid_R(preset, expected):
+    # no configured selection: the first accepted entry, in
+    # admissible_selections order, of the enumeration at the mid-excursion R
+    config = replace(load_preset(preset), selection=None)
+    schedule = config.schedule
+    R_mid = schedule.R0 + 0.5 * schedule.v_bar * schedule.T_FF
+    grid = enumerate_grid(config.model, [R_mid], config.state, config.tolerances)
+    assert grid.selections == tuple(admissible_selections(config.model))
+    first = grid.selections[int(np.argmax(grid.reason[0] == 0))]
+    assert resolve_selection(config) == first == expected
+
+
+def test_default_selection_of_gen_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "gen.yaml"
+    cfg.write_text("model:\n  kind: gen\n  constants: {J: 8.0, Bx: 1.0, By: 1.0}\n"
+                   "  schedule_map:\n    Bz: {offset: 25.0, slope: -1.0}\n"
+                   "schedule: {R0: 0.0, v_bar: 250.0, T_FF: 0.1}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "consider selection: dense" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "preset:qa", "--selection", "J3,W2"],
+    ["solve-cd", "--config", "preset:tfim", "--selection", "J3,W2,Bx"],
+], ids=["run-qa", "solve-cd-tfim"])
+def test_wrong_size_selection_is_a_configuration_error(argv, tmp_path, capsys):
+    # qa's reduced system has three rows and tfim's two
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", "preset:lz", "--selection", "J3,W2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    cfg = tmp_path / "lz.yaml"
+    cfg.write_text(_preset_text("lz") + "selection: [J3, W2]\n")
+    for command in ("run", "solve-cd"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_strict_coupling_names(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("model:\n  kind: qa\n  constants: {J: 1.0, Bz: 0.1, Delta: 2.0}\n"
@@ -306,14 +356,12 @@ def test_solve_cd_min_norm_rows_are_the_point_solves(preset, tmp_path):
     for R, row in zip(enumeration_grid(config.schedule, 5).tolist(), rows):
         assert float(row[0]) == R
         if preset == "lz":
-            sol = solve_lz(config.model, R, config.state)
-            expected = [sol.h11, sol.h12.real, sol.h12.imag, sol.residual]
-            assert [float(v) for v in row[1:]] == expected
+            x, residual = solve_lz(config.model, R, config.state)
+            assert [float(v) for v in row[1:]] == [*x, residual]
         else:
-            sol = solve_dense(config.model, R, config.state)
+            x, residual = solve_dense(config.model, R, config.state)
             assert row[1:4] == ["dense", "1", ""] and row[-3:] == ["nan", "nan", "-1"]
-            expected = [*sol.coefficients.as_array(), sol.residual]
-            assert [float(v) for v in row[4:-3]] == expected
+            assert [float(v) for v in row[4:-3]] == [*x, residual]
 
 
 def test_solve_cd_rows_are_the_enumeration_rows_of_the_selection(tmp_path):
@@ -346,18 +394,36 @@ def test_solve_cd_solves_a_selection_outside_the_enumeration(tmp_path):
         assert float(row[0]) == float(R)
         assert row[1:3] == ["W2|Bz", "1"]
         for name in ("W2", "Bz"):
-            assert float(row[header.index(f"coef_{name}")]) == res.solution.coefficients[name]
+            assert float(row[header.index(f"coef_{name}")]) == res.coefficients[name]
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def _object_row(R, res):
+def _point_results(config, R):
+    # each admissible selection solved alone at R, with the group id of the
+    # first-member rule: the per-object path the columnar writer replaced
+    tol = config.tolerances
+    reps, results = [], []
+    for selection in admissible_selections(config.model):
+        res = solve_selection(reduce_system(config.model, float(R), config.state, selection), tol)
+        gid = -1
+        if res.accepted:
+            x = res.coefficients.as_array()
+            near = [g for g, rep in enumerate(reps) if np.max(np.abs(rep - x)) < tol.group_tol]
+            gid = near[0] if near else len(reps)
+            if not near:
+                reps.append(x)
+        results.append((res, gid))
+    return results
+
+
+def _object_row(R, res, group_id):
     # the per-object row of one SelectionResult, as written before the
     # columnar writer
     coeffs = (
-        res.solution.coefficients.as_array()
+        res.coefficients.as_array()
         if res.accepted
         else np.zeros(len(COEFF_NAMES))
     )
@@ -368,7 +434,7 @@ def _object_row(R, res):
             _fmt(res.residual) if np.isfinite(res.residual) else "nan",
             _fmt(res.cond) if np.isfinite(res.cond) else "inf",
             _fmt(res.max_imag) if np.isfinite(res.max_imag) else "nan",
-            str(res.solution.group_id) if res.accepted else "-1",
+            str(group_id),
         ]
     )
 
@@ -382,15 +448,14 @@ def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     config = load_preset(preset)
     R_values = enumeration_grid(config.schedule, config.grid)
     grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
-    reports = grid.reports
-    objects = [_object_row(R, res) for R, report in zip(R_values, reports)
-               for res in report.results]
+    points = [_point_results(config, R) for R in R_values]
+    objects = [_object_row(R, *entry) for R, point in zip(R_values, points) for entry in point]
     assert main(["enumerate", "--config", f"preset:{preset}",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "enumerate.csv").read_text() == _csv_text(objects)
     # the sparse solve-cd rows of every selection, accepted or not
     for s, selection in enumerate(grid.selections):
-        expected = [_object_row(R, report.results[s]) for R, report in zip(R_values, reports)]
+        expected = [_object_row(R, *point[s]) for R, point in zip(R_values, points)]
         assert _csv_text(_selection_rows(grid, [s])) == _csv_text(expected), selection
     if preset == "gen":
         # every row rejected, both ways, some with a non-finite cond
@@ -399,5 +464,5 @@ def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     else:
         assert main(["solve-cd", "--config", "preset:qa", "--out", str(tmp_path)]) == 0
         s = grid.selections.index(config.selection)
-        expected = [_object_row(R, report.results[s]) for R, report in zip(R_values, reports)]
+        expected = [_object_row(R, *point[s]) for R, point in zip(R_values, points)]
         assert (tmp_path / "solve_cd.csv").read_text() == _csv_text(expected)

@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from spinff import (
     ModelSpec,
-    adiabatic_phase_rate,
     analytic_eigenvalues,
     eigensystem,
-    eigenvector_derivative,
     hamiltonian,
     state_and_derivative,
 )
-from spinff.models import eigensystem_batch, state_and_derivative_batch, tracked_state
+from spinff.models import (
+    default_anchor,
+    eigensystem_batch,
+    state_and_derivative_batch,
+    tracked_state,
+)
 from spinff.errors import (
     ConfigError,
     ConsistencyError,
@@ -97,19 +100,19 @@ def test_hamiltonian_over_R_array_matches_pointwise():
 # eigen-systems
 
 def test_lz_eigensystem_at_origin(lz_model):
-    states = eigensystem(lz_model, 0.0)
-    assert [s.energy for s in states] == pytest.approx([-0.5, 0.5])
-    ground = states[0].amplitudes.real
+    w, V = eigensystem(lz_model, 0.0)
+    assert w.tolist() == pytest.approx([-0.5, 0.5])
+    ground = V[:, 0].real
     expect = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.max(np.abs(ground - expect)), np.max(np.abs(ground + expect))) < 1e-12
 
 
 def test_tfim_ground_state_symmetry(tfim_model):
     for R in (0.0, 1.0, 2.5):
-        states = eigensystem(tfim_model, R)
+        w, V = eigensystem(tfim_model, R)
         c = tfim_model.couplings(R)
-        assert states[0].energy == pytest.approx(-np.hypot(c["J"], c["Bx"]), abs=1e-12)
-        amp = states[0].amplitudes
+        assert w[0] == pytest.approx(-np.hypot(c["J"], c["Bx"]), abs=1e-12)
+        amp = V[:, 0]
         assert abs(amp[1] - amp[2]) < 1e-12
         assert abs(amp[0] - amp[3]) < 1e-12
         assert np.max(np.abs(amp.imag)) < 1e-14
@@ -117,22 +120,21 @@ def test_tfim_ground_state_symmetry(tfim_model):
 
 def test_qa_initial_entangled_amplitudes(qa_model):
     # truncated four-digit reference values for the Bx = 10 ground state
-    amp = eigensystem(qa_model, 0.0)[0].amplitudes.real
+    amp = eigensystem(qa_model, 0.0)[1][:, 0].real
     expect = [0.5300, 0.4744, 0.4744, 0.5184]
     assert np.max(np.abs(amp - expect)) < 1e-4
 
 
 def test_qa_eigenvector_symmetry_c2_c3(qa_model):
     for R in (1.0, 5.0, 9.0):
-        for s in eigensystem(qa_model, R):
-            assert abs(s.amplitudes[1] - s.amplitudes[2]) < 1e-12 or \
-                abs(s.amplitudes[1] + s.amplitudes[2]) < 1e-12
+        for amp in eigensystem(qa_model, R)[1].T:
+            assert abs(amp[1] - amp[2]) < 1e-12 or abs(amp[1] + amp[2]) < 1e-12
 
 
 def test_gen_antisymmetric_level_is_minus_J(gen_model):
     # the (ud - du) combination decouples; its energy is -J, not +J
     vals = analytic_eigenvalues(gen_model, 12.5)
-    w = [s.energy for s in eigensystem(gen_model, 12.5)]
+    w = eigensystem(gen_model, 12.5)[0]
     assert np.max(np.abs(vals - w)) < 1e-10 * max(np.abs(w))
     assert any(abs(x + 8.0) < 1e-10 for x in w)
     assert not any(abs(x - 8.0) < 1e-6 for x in w)
@@ -141,7 +143,7 @@ def test_gen_antisymmetric_level_is_minus_J(gen_model):
 def test_analytic_matches_numeric_everywhere():
     for name, (model, (lo, hi)) in ALL_MODELS.items():
         for R in np.linspace(lo, hi, 11):
-            w = np.array([s.energy for s in eigensystem(model, float(R))])
+            w = eigensystem(model, float(R))[0]
             vals = analytic_eigenvalues(model, float(R), numeric=w)
             scale = max(1.0, np.max(np.abs(w)))
             assert np.max(np.abs(vals - w)) / scale < 1e-10, name
@@ -200,9 +202,10 @@ def test_eigenpair_residuals():
         for R in np.linspace(lo, hi, 5):
             H = hamiltonian(model, float(R))
             scale = max(1.0, np.linalg.norm(H))
-            for s in eigensystem(model, float(R)):
-                assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-                res = np.linalg.norm(H @ s.amplitudes - s.energy * s.amplitudes)
+            w, V = eigensystem(model, float(R))
+            for energy, amp in zip(w, V.T):
+                assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
+                res = np.linalg.norm(H @ amp - energy * amp)
                 assert res / scale < 1e-10
 
 
@@ -210,8 +213,9 @@ def test_eigenpair_residuals():
 def test_qa_eigenproblem_property(R):
     model = ModelSpec.qa()
     H = hamiltonian(model, R)
-    for s in eigensystem(model, R):
-        res = np.linalg.norm(H @ s.amplitudes - s.energy * s.amplitudes)
+    w, V = eigensystem(model, R)
+    for energy, amp in zip(w, V.T):
+        res = np.linalg.norm(H @ amp - energy * amp)
         assert res < 1e-10 * max(1.0, np.linalg.norm(H))
 
 
@@ -228,8 +232,8 @@ def test_degenerate_gap_refused():
 
 def central_difference(model, R, n, h=1e-5):
     """Plain central difference of the gauge-fixed eigensystem amplitudes."""
-    plus = eigensystem(model, R + h)[n].amplitudes
-    minus = eigensystem(model, R - h)[n].amplitudes
+    plus = eigensystem(model, R + h)[1][:, n]
+    minus = eigensystem(model, R - h)[1][:, n]
     return (plus - minus) / (2 * h)
 
 
@@ -242,9 +246,14 @@ def test_lz_derivative_matches_closed_form(lz_model):
         assert np.max(np.abs(sign * dC.real - expect)) < 1e-6
 
 
+def _derivative(model, R, n, **kw):
+    """dC/dR of state n at one R: tracked_state at N = 1."""
+    return tracked_state(model, np.array([float(R)]), n, **kw)[2][0]
+
+
 def test_lz_derivative_values_at_origin(lz_model):
     # |dC/dR| = 1/(2 sqrt(2)) for both components at the crossing
-    dC = eigenvector_derivative(lz_model, 0.0, 1)
+    dC = _derivative(lz_model, 0.0, 1)
     mag = 1.0 / (2.0 * np.sqrt(2.0))
     assert abs(dC[0]) == pytest.approx(mag, abs=1e-8)
     assert abs(dC[1]) == pytest.approx(mag, abs=1e-8)
@@ -253,7 +262,7 @@ def test_lz_derivative_values_at_origin(lz_model):
 
 def test_constant_couplings_have_zero_derivative():
     model = ModelSpec("tfim", schedule_map={"J": (0.4, 0.0), "Bx": (1.7, 0.0)})
-    dC = eigenvector_derivative(model, 1.0, 0)
+    dC = _derivative(model, 1.0, 0)
     assert np.max(np.abs(dC)) < 1e-12
 
 
@@ -276,7 +285,7 @@ def test_derivative_matches_central_difference_of_eigensystem():
         n = TRACKED[name]
         for R in np.linspace(lo, hi, 7):
             C, dC = state_and_derivative(model, R, n)
-            np.testing.assert_allclose(C, eigensystem(model, R)[n].amplitudes,
+            np.testing.assert_allclose(C, eigensystem(model, R)[1][:, n],
                                        rtol=0, atol=1e-14)
             err = np.max(np.abs(dC - central_difference(model, R, n)))
             assert err < 1e-9, (name, R, err)
@@ -291,12 +300,12 @@ def test_richardson_step_stability(qa_model):
     base = richardson(3e-4)
     half = richardson(1.5e-4)
     assert np.max(np.abs(base - half)) < 1e-6
-    spectral = eigenvector_derivative(qa_model, 3.0, 0)
+    spectral = _derivative(qa_model, 3.0, 0)
     assert np.max(np.abs(spectral - half)) < 1e-6
 
 
 def test_plain_central_difference_mode(qa_model):
-    spectral = eigenvector_derivative(qa_model, 3.0, 0)
+    spectral = _derivative(qa_model, 3.0, 0)
     plain = central_difference(qa_model, 3.0, 0, h=1e-6)
     assert np.max(np.abs(spectral - plain)) < 1e-6
 
@@ -311,7 +320,7 @@ def test_gauge_anchor_guard(qa_model):
     # near Bx -> 0 the last ground-state component collapses; a pinned
     # anchor there must be refused
     with pytest.raises(GaugeError):
-        eigenvector_derivative(qa_model, 10.0 - 1e-7, 0, anchor=3)
+        _derivative(qa_model, 10.0 - 1e-7, 0, anchor=3)
 
 
 def test_batched_gauge_is_the_scalar_gauge(gen_model):
@@ -326,25 +335,37 @@ def test_batched_gauge_is_the_scalar_gauge(gen_model):
 
 
 def test_gen_designated_anchor_is_last_component(gen_model):
-    states = eigensystem(gen_model, 0.0)
-    assert states[0].anchor == 3
-    assert states[0].amplitudes[3].imag == pytest.approx(0.0, abs=1e-15)
-    assert states[0].amplitudes[3].real > 0
+    ground = eigensystem(gen_model, 0.0)[1][:, 0]
+    assert default_anchor(gen_model, ground) == 3
+    assert ground[3].imag == pytest.approx(0.0, abs=1e-15)
+    assert ground[3].real > 0
 
 
 # ---------------------------------------------------------------------------
 # adiabatic phase rate
 
+def _phase_rate(model, R, n):
+    """d(xi)/dR = i <C|dC/dR> from tracked_state at N = 1.
+
+    Normalization makes Re <C|dC/dR> vanish, so the imaginary part of the
+    rate is a gauge residue; it must stay below 1e-10.
+    """
+    _, (C,), (dC,), _ = tracked_state(model, np.array([float(R)]), n)
+    rate = 1j * np.vdot(C, dC)
+    assert abs(rate.imag) < 1e-10, (model.kind, R, n)
+    return float(rate.real)
+
+
 def test_phase_rate_vanishes_for_real_models(tfim_model, qa_model):
-    assert adiabatic_phase_rate(tfim_model, 1.0, 0) == pytest.approx(0.0, abs=1e-10)
-    assert adiabatic_phase_rate(qa_model, 5.0, 0) == pytest.approx(0.0, abs=1e-10)
-    assert adiabatic_phase_rate(ModelSpec.lz(), 0.3, 1) == pytest.approx(0.0, abs=1e-10)
+    assert _phase_rate(tfim_model, 1.0, 0) == pytest.approx(0.0, abs=1e-10)
+    assert _phase_rate(qa_model, 5.0, 0) == pytest.approx(0.0, abs=1e-10)
+    assert _phase_rate(ModelSpec.lz(), 0.3, 1) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gen_phase_rate_against_plain_difference(gen_model):
     # independent check: plain central difference of the anchored family
-    rate = adiabatic_phase_rate(gen_model, 0.0, 0)
-    C = eigensystem(gen_model, 0.0)[0].amplitudes
+    rate = _phase_rate(gen_model, 0.0, 0)
+    C = eigensystem(gen_model, 0.0)[1][:, 0]
     oracle = np.real(1j * np.vdot(C, central_difference(gen_model, 0.0, 0)))
     assert rate == pytest.approx(oracle, abs=1e-8)
     # constant component phases make it vanish here too

@@ -13,12 +13,10 @@ from spinff import (
     fast_forward_hamiltonian,
     ff_state,
     ff_state_residual,
-    fidelity,
 )
 from spinff import cdsolver, models, propagator
 from spinff.config import load_preset
 from spinff.errors import DomainError, StepSizeError
-from spinff.propagator import adiabatic_phase, dynamical_phase
 from spinff.schedule import advanced_parameter, velocity
 
 QA_SEL = ("W2", "By", "Bz")
@@ -29,8 +27,8 @@ def test_stationary_schedule_keeps_eigenstate(qa_model):
     traj = evolve(qa_model, sched, ("W2", "By", "Bz"), dt=0.05 / 2000)
     assert traj.min_fidelity > 1.0 - 1e-12
     # pure phase evolution exp(-i E t)
-    state = eigensystem(qa_model, 3.0)[0]
-    expect = state.amplitudes * np.exp(-1j * state.energy * traj.t[-1])
+    w, V = eigensystem(qa_model, 3.0)
+    expect = V[:, 0] * np.exp(-1j * w[0] * traj.t[-1])
     assert np.max(np.abs(traj.psi[-1] - expect)) < 1e-9
     # no stage point is live: no coefficient columns
     assert traj.coefficient_names == ()
@@ -70,10 +68,11 @@ def test_step_halving_changes_little(qa_model, qa_schedule):
 
 
 def test_fidelity_trivial_cases(qa_model):
-    state = eigensystem(qa_model, 2.0)[0]
-    assert fidelity(state.amplitudes, qa_model, 2.0, 0) == pytest.approx(1.0, abs=1e-12)
-    other = eigensystem(qa_model, 2.0)[1]
-    assert fidelity(other.amplitudes, qa_model, 2.0, 0) == pytest.approx(0.0, abs=1e-12)
+    # the fidelity is |<C_n(R)|psi>| with C_n from eigensystem_batch at N = 1
+    _, (V,) = models.eigensystem_batch(qa_model, np.array([2.0]))
+    state, other = eigensystem(qa_model, 2.0)[1][:, :2].T
+    assert abs(np.vdot(V[:, 0], state)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(V[:, 0], other)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dt_must_divide_duration(qa_model, qa_schedule):
@@ -270,8 +269,9 @@ def test_fidelity_is_the_overlap_with_the_eigensystem(name):
 
 
 def test_phase_integrals_zero_at_origin(qa_model, qa_schedule):
-    assert dynamical_phase(qa_model, qa_schedule, 0, 0.0) == 0.0
-    assert adiabatic_phase(qa_model, qa_schedule, 0, 0.0) == 0.0
+    adiabatic, dynamical = propagator._phases(qa_model, qa_schedule, 0, [0.0])[:, 0]
+    assert dynamical == 0.0
+    assert adiabatic == 0.0
 
 
 def test_adiabatic_phase_accumulation_vanishes():
@@ -281,7 +281,7 @@ def test_adiabatic_phase_accumulation_vanishes():
         (ModelSpec.qa(), Schedule(0.0, 100.0, 0.1)),
     ]
     for model, sched in cases:
-        assert abs(adiabatic_phase(model, sched, 0, sched.T_FF)) < 1e-8
+        assert abs(propagator._phases(model, sched, 0, [sched.T_FF])[0, 0]) < 1e-8
 
 
 def test_ff_state_solves_tdse_tfim(tfim_model):
@@ -365,8 +365,9 @@ def test_batched_phases_are_the_per_time_phases(kind):
         adiabatic = float(np.dot(wts, velocity(sched, tau, clamp=True) * rate))
         energies, _ = models.eigensystem_batch(model, R_tau)
         dynamical = float(np.dot(wts, energies[:, 0]))
-        assert adiabatic_phase(model, sched, 0, t) == adiabatic
-        assert dynamical_phase(model, sched, 0, t) == dynamical
+        single = propagator._phases(model, sched, 0, [t])[:, 0]
+        assert single[0] == adiabatic
+        assert single[1] == dynamical
         phases.append(adiabatic - dynamical)
     batched = propagator._phases(model, sched, 0, ts)
     assert (batched[0] - batched[1]).tolist() == phases
@@ -482,4 +483,5 @@ def test_phase_rule_matches_fresh_legendre_rule(qa_model, qa_schedule):
         tau, wts = 0.5 * t * (x + 1.0), 0.5 * t * w
         energies, _ = models.eigensystem_batch(
             qa_model, advanced_parameter(qa_schedule, tau, clamp=True))
-        assert dynamical_phase(qa_model, qa_schedule, 0, t) == float(np.dot(wts, energies[:, 0]))
+        dynamical = propagator._phases(qa_model, qa_schedule, 0, [t])[1, 0]
+        assert dynamical == float(np.dot(wts, energies[:, 0]))

@@ -47,7 +47,7 @@ def test_entry_thirteen_w2_form(qa_model):
         reduce_system(qa_model, 5.0, 0, ("W1", "W2", "Bz"))
     )
     assert res.accepted
-    assert res.solution.coefficients["W2"] == pytest.approx(w2.real, abs=1e-9)
+    assert res.coefficients["W2"] == pytest.approx(w2.real, abs=1e-9)
     assert abs(w2.imag) < 1e-9
 
 
@@ -60,8 +60,8 @@ def test_entry_one_matches_first_group_selection(qa_model):
     res = spinff.cdsolver.solve_selection(
         reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz"))
     )
-    assert res.solution.coefficients["By"] == pytest.approx(by.real, abs=1e-9)
-    assert res.solution.coefficients["W2"] == pytest.approx(w2.real, abs=1e-9)
+    assert res.coefficients["By"] == pytest.approx(by.real, abs=1e-9)
+    assert res.coefficients["W2"] == pytest.approx(w2.real, abs=1e-9)
 
 
 def test_table_requires_annealing_model(tfim_model):
