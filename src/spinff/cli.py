@@ -29,7 +29,7 @@ from .cdsolver import (
     enumeration_grid,
     solve_grid,
 )
-from .config import load_config, load_preset, parse_selection
+from .config import load_config, load_preset
 from .errors import ConfigError, SpinFFError
 from .schedule import Schedule, velocity
 
@@ -476,25 +476,16 @@ def verify_job(only=None, out=None, kind=None):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _load(path_or_preset):
+def _overrides(args):
+    """The command-line overrides given, as config keys."""
+    keys = ("out", "dt", "samples", "grid", "selection")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+
+def _load(path_or_preset, overrides=None):
     if path_or_preset.startswith("preset:"):
-        return load_preset(path_or_preset.split(":", 1)[1])
-    return load_config(path_or_preset)
-
-
-def _apply_overrides(config, args):
-    updates = {}
-    if getattr(args, "out", None):
-        updates["out"] = args.out
-    if getattr(args, "dt", None):
-        updates["dt"] = args.dt
-    if getattr(args, "samples", None):
-        updates["samples"] = args.samples
-    if getattr(args, "grid", None):
-        updates["grid"] = args.grid
-    if getattr(args, "selection", None):
-        updates["selection"] = parse_selection(args.selection)
-    return replace(config, **updates) if updates else config
+        return load_preset(path_or_preset.split(":", 1)[1], overrides)
+    return load_config(path_or_preset, overrides)
 
 
 def _run_configs(args):
@@ -504,13 +495,12 @@ def _run_configs(args):
     configured out>``; two jobs that would still share a directory are
     refused before any of them starts.
     """
-    loaded = [_load(p) for p in args.config]
-    configs = [_apply_overrides(c, args) for c in loaded]
-    if args.out and len(configs) > 1:
-        configs = [
-            replace(c, out=os.path.join(args.out, os.path.basename(os.path.normpath(o.out))))
-            for c, o in zip(configs, loaded)
-        ]
+    overrides = _overrides(args)
+    shared = overrides.pop("out", None) if len(args.config) > 1 else None
+    configs = [_load(p, overrides) for p in args.config]
+    if shared is not None:
+        configs = [replace(c, out=os.path.join(shared, os.path.basename(os.path.normpath(c.out))))
+                   for c in configs]
     owners = {}
     for ref, config in zip(args.config, configs):
         key = os.path.abspath(config.out)
@@ -565,11 +555,11 @@ def main(argv=None):
                 codes = list(pool.map(run_job, configs))
             return max(codes)
         if args.command == "solve-cd":
-            return solve_cd_job(_apply_overrides(_load(args.config), args))
+            return solve_cd_job(_load(args.config, _overrides(args)))
         if args.command == "enumerate":
-            return enumerate_job(_apply_overrides(_load(args.config), args))
+            return enumerate_job(_load(args.config, _overrides(args)))
         if args.command == "verify-table":
-            return verify_table_job(_apply_overrides(_load(args.config), args))
+            return verify_table_job(_load(args.config, _overrides(args)))
         if args.command == "verify":
             kind = _load(args.config).model.kind if args.config else None
             return verify_job(only=args.only, out=args.out, kind=kind)

@@ -4,6 +4,7 @@ Every mapping level rejects unknown keys so that typos fail loudly with
 the offending field named.  Parse errors surface the YAML line/column.
 """
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -54,8 +55,8 @@ def _number(mapping, key, where, default=None, required=False):
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -139,7 +140,7 @@ def config_from_dict(data):
         raise ConfigError(f"grid: expected a positive integer, got {grid!r}")
     fidelity_bar = _number(data, "fidelity_bar", "config", default=1.0 - 1e-6)
     out = data.get("out", "out")
-    if not isinstance(out, str):
+    if not isinstance(out, str) or not out:
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
     traw = data.get("tolerances") or {}
@@ -168,7 +169,8 @@ def config_from_dict(data):
     )
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """The config file at ``path``, its top-level keys replaced by ``overrides``, validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=YAML_LOADER)
@@ -181,15 +183,15 @@ def load_config(path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a top-level mapping")
     try:
-        return config_from_dict(data)
+        return config_from_dict({**data, **(overrides or {})})
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_preset(name):
-    """One of the bundled experiment configurations."""
+def load_preset(name, overrides=None):
+    """One of the bundled experiment configurations, with ``load_config``'s overrides."""
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; have {PRESET_NAMES}")
     ref = resources.files("spinff").joinpath(f"presets/{name}.yaml")
     data = yaml.load(ref.read_text(encoding="utf-8"), Loader=YAML_LOADER)
-    return config_from_dict(data)
+    return config_from_dict({**data, **(overrides or {})})

@@ -1,7 +1,9 @@
 """Spin models: Hamiltonians, analytic eigen-systems, gauge-fixed derivatives.
 
-Four parametrized models are supported, each driven by a single scalar
-control parameter R through affine coupling maps:
+Four models, each a table in ``OPERATORS`` that maps couplings, affine in
+one control parameter R, to operators of the ansatz basis (lz: sigma_z/2
+and sigma_x/2); ``hamiltonian`` and ``ModelSpec.slope_matrix`` contract
+the couplings or their slopes with it:
 
   lz    one spin in a sweeping field, H = (Bz(R) sigma_z + Delta sigma_x)/2
   tfim  two-spin transverse Ising, H = J(R) s1z s2z - (s1x+s2x) Bx(R)/2
@@ -26,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .ansatz import BASIS, COEFF_NAMES, LZ_BASIS
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -34,15 +37,17 @@ from .errors import (
     GaugeError,
 )
 
-MODEL_KINDS = ("lz", "tfim", "qa", "gen")
+# H(R) = sum over couplings c(R) op_c; J3 is s1z s2z, Bx, By, Bz are (s1 + s2).e/2
+_ANSATZ = dict(zip(COEFF_NAMES, BASIS))
+OPERATORS = {
+    "lz": {"Bz": LZ_BASIS[0] / 2, "Delta": LZ_BASIS[1] / 2},
+    "tfim": {"J": _ANSATZ["J3"], "Bx": -_ANSATZ["Bx"]},
+    "qa": {"J": -_ANSATZ["J3"], "Bz": -_ANSATZ["Bz"], "Bx": -_ANSATZ["Bx"]},
+    "gen": {"J": _ANSATZ["J3"], "Bx": _ANSATZ["Bx"], "By": _ANSATZ["By"], "Bz": _ANSATZ["Bz"]},
+}
 
 # Couplings each Hamiltonian reads; any of them may be scheduled in R.
-REQUIRED_COUPLINGS = {
-    "lz": ("Bz", "Delta"),
-    "tfim": ("J", "Bx"),
-    "qa": ("J", "Bz", "Bx"),
-    "gen": ("J", "Bx", "By", "Bz"),
-}
+REQUIRED_COUPLINGS = {kind: tuple(table) for kind, table in OPERATORS.items()}
 
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
@@ -64,7 +69,7 @@ class ModelSpec:
     schedule_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in OPERATORS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         for name in REQUIRED_COUPLINGS[self.kind]:
             if name not in self.schedule_map and name not in self.constants:
@@ -77,14 +82,21 @@ class ModelSpec:
             if not (np.isfinite(offset) and np.isfinite(slope)):
                 raise DomainError(f"schedule map for {name!r} is not finite")
 
-    @property
-    def dim(self):
-        return 2 if self.kind == "lz" else 4
+    @cached_property
+    def operators(self):
+        """(couplings, dim, dim) read-only stack of the model's operator table."""
+        ops = np.array(list(OPERATORS[self.kind].values()))
+        ops.flags.writeable = False
+        return ops
 
     @property
+    def dim(self):
+        return self.operators.shape[-1]
+
+    @cached_property
     def is_real(self):
         """True when the Hamiltonian matrix is real symmetric for all R."""
-        return self.kind != "gen"
+        return not self.operators.imag.any()
 
     def coupling_slope(self, name):
         """dc/dR for the named coupling (0 for constants)."""
@@ -107,14 +119,8 @@ class ModelSpec:
 
     @cached_property
     def slope_matrix(self):
-        """dH/dR, a constant read-only matrix.
-
-        Every Hamiltonian is linear in its couplings and every coupling is
-        affine in R, so dH/dR is the Hamiltonian with each coupling replaced
-        by its slope.
-        """
-        slopes = dict(zip(REQUIRED_COUPLINGS[self.kind], self.coupling_affine[1]))
-        H = hamiltonian(ModelSpec(self.kind, constants=slopes), 0.0)
+        """dH/dR, a constant read-only matrix: the coupling slopes contracted with the table."""
+        H = _contract(self.operators, self.coupling_affine[1][None])[0]
         H.flags.writeable = False
         return H
 
@@ -144,55 +150,30 @@ class ModelSpec:
         )
 
 
+def _contract(operators, c):
+    """sum_k c[:, k] operators[k] for (N, k) real c: one real product, (N, dim, dim)."""
+    k, d = operators.shape[:2]
+    return (c @ operators.view(float).reshape(k, -1)).view(complex).reshape(-1, d, d)
+
+
 def hamiltonian(model, R):
     """Hermitian model matrix at parameter R (scalar or array of R values).
 
     Returns shape ``(dim, dim)`` for scalar R, ``R.shape + (dim, dim)``
-    otherwise.  Entries follow the usual two-spin basis ordering
-    |uu>, |ud>, |du>, |dd>.
+    otherwise: the couplings at R contracted with the model's operator
+    table, in the two-spin basis ordering |uu>, |ud>, |du>, |dd>.
     """
     R = np.asarray(R, dtype=float)
     if not np.isfinite(R).all():
         raise DomainError("R is not finite")
     offset, slope = model.coupling_affine
-    axes = offset.shape + (1,) * R.ndim
-    c = offset.reshape(axes) + slope.reshape(axes) * R     # one R-shaped array per coupling
+    c = offset[:, None] + slope[:, None] * R.ravel()        # (couplings, N)
     finite = np.isfinite(c)
     if not finite.all():
-        bad = np.argmin(finite.reshape(len(c), -1).all(axis=1))
-        name = REQUIRED_COUPLINGS[model.kind][bad]
-        raise DomainError(f"coupling {name!r} is not finite at R={R}")
-    d = model.dim
-    H = np.zeros(R.shape + (d, d), dtype=complex)
-    if model.kind == "lz":
-        Bz, Delta = c
-        H[..., 0, 0] = 0.5 * Bz
-        H[..., 1, 1] = -0.5 * Bz
-        H[..., 0, 1] = 0.5 * Delta
-        H[..., 1, 0] = 0.5 * Delta
-    elif model.kind == "tfim":
-        J, Bx = c
-        H[..., 0, 0] = H[..., 3, 3] = J
-        H[..., 1, 1] = H[..., 2, 2] = -J
-        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
-            H[..., i, j] = H[..., j, i] = -0.5 * Bx
-    elif model.kind == "qa":
-        J, Bz, Bx = c
-        H[..., 0, 0] = -J - Bz
-        H[..., 1, 1] = H[..., 2, 2] = J
-        H[..., 3, 3] = -J + Bz
-        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
-            H[..., i, j] = H[..., j, i] = -0.5 * Bx
-    else:  # gen
-        J, Bx, By, Bz = c
-        z = 0.5 * (Bx - 1j * By)
-        H[..., 0, 0] = J + Bz
-        H[..., 1, 1] = H[..., 2, 2] = -J
-        H[..., 3, 3] = J - Bz
-        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
-            H[..., i, j] = z
-            H[..., j, i] = np.conj(z)
-    return H
+        point = np.argmin(finite.all(axis=0))
+        name = REQUIRED_COUPLINGS[model.kind][np.argmin(finite[:, point])]
+        raise DomainError(f"coupling {name!r} is not finite at R={R.flat[point]}")
+    return _contract(model.operators, c.T).reshape(R.shape + (model.dim,) * 2)
 
 
 def _eigh_model(model, R, H=None):

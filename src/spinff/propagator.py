@@ -27,8 +27,8 @@ the step count from this estimate by step doubling (extrapolation
 step-size control, Hairer, Norsett & Wanner, Solving ODEs I, II.4):
 passes at N0, 2 N0, 4 N0, ... steps over the same N0 chunks, each built
 on the one before.  The even stage points of a pass are the stage points
-of the one before, whose R, v and coefficient rows it reuses, so only its
-odd points are solved; its 2h product over a chunk is the transfer matrix
+of the one before, whose coefficient rows it reuses, so only its odd
+points are solved; its 2h product over a chunk is the transfer matrix
 of that chunk in the pass before, and its samples sit on the same points.
 
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
@@ -94,12 +94,13 @@ class Trajectory:
 
 
 # What a pass keeps for the pass at twice its step count, which has the same
-# chunks and whose even stage points are these stage points: R and v on the
-# stage grid (2*steps+1,), the coefficient rows there (zero where undriven;
-# None if no point is driven), the transfer matrix of each chunk
-# (chunks, dim, dim), and the spectrum and eigenvector n at the samples.
-# No Hamiltonian or step-matrix stack is kept.
-_Stages = namedtuple("_Stages", "R v rows G energies targets")
+# chunks and whose even stage points are these stage points: the coefficient
+# rows on the stage grid (2*steps+1, k; zero where undriven, None if no point
+# is driven), the transfer matrix of each chunk (chunks, dim, dim), and the
+# spectrum and eigenvector n at the samples.  R and v are not kept: point 2j
+# of the next pass sits at 2j fl(T/(4N)) = j fl(T/(2N)), the same u bit for
+# bit.  No Hamiltonian or step-matrix stack is kept.
+_Stages = namedtuple("_Stages", "rows G energies targets")
 
 
 def _steps_from_dt(schedule, dt):
@@ -110,24 +111,11 @@ def _steps_from_dt(schedule, dt):
     return steps
 
 
-def _stage_block(model, schedule, steps, s0, s1, base=None):
-    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints).
-
-    With ``base``, the record of the pass at steps / 2, the even points are
-    its stage points s0 .. s1, and only the odd points are computed.
-    """
-    scale = schedule.T_FF / (2 * steps)
-    if base is None:
-        u = np.arange(2 * s0, 2 * s1 + 1) * scale
-        Rs = advanced_parameter(schedule, u, clamp=True)
-        vs = velocity(schedule, u, clamp=True)
-    else:
-        u = np.arange(2 * s0 + 1, 2 * s1, 2) * scale
-        Rs, vs = np.empty((2, 2 * (s1 - s0) + 1))
-        Rs[0::2], vs[0::2] = base.R[s0 : s1 + 1], base.v[s0 : s1 + 1]
-        Rs[1::2] = advanced_parameter(schedule, u, clamp=True)
-        vs[1::2] = velocity(schedule, u, clamp=True)
-    return Rs, vs, models.hamiltonian(model, Rs)
+def _stage_block(model, schedule, steps, s0, s1):
+    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
+    u = np.arange(2 * s0, 2 * s1 + 1) * (schedule.T_FF / (2 * steps))
+    Rs = advanced_parameter(schedule, u, clamp=True)
+    return Rs, velocity(schedule, u, clamp=True), models.hamiltonian(model, Rs)
 
 
 def _expm_hermitian(K, h):
@@ -245,14 +233,13 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     """``evolve`` at a fixed step count: (Trajectory, _Stages or None).
 
     ``base`` is the record of the pass at steps / 2 over the same chunks:
-    its stage points, coefficient rows, chunk products and sample states
+    its coefficient rows, chunk products and sample states
     are reused, so only the new stage points are solved.  A pass that is
     not ``last`` runs to its end without raising StepSizeError and
     returns its own record.
     """
     dt = schedule.T_FF / steps
-    n_chunks = max(MIN_SAMPLES, min(samples, steps))
-    n_chunks = min(n_chunks, steps)
+    n_chunks = min(steps, max(MIN_SAMPLES, samples))
     dim = model.dim
     eye = np.eye(dim, dtype=complex)
 
@@ -282,7 +269,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     else:
         w_s, C_s = base.energies, base.targets
     if not last:
-        R_all, v_all = np.empty((2, 2 * steps + 1))
         G_all = np.empty((n_chunks, dim, dim), dtype=complex)
     path = coeffs = rows_all = None
     step_error = 0.0
@@ -301,7 +287,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
             s0 = bounds[j0] + l0
             s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
             if s1 > s0:
-                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1, base)
+                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1)
                 live = is_driven(schedule, Rs, vs)
                 k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
                 pos = 2 * (bounds[k] - s0)
@@ -338,10 +324,8 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                 R_s[k], v_s[k] = Rs[pos], vs[pos]
                 if rows is not None:
                     coeffs[k] = rows[pos]
-                if not last:
-                    R_all[2 * s0 : 2 * s1 + 1], v_all[2 * s0 : 2 * s1 + 1] = Rs, vs
-                    if rows is not None:
-                        rows_all[2 * s0 : 2 * s1 + 1] = rows
+                if not last and rows is not None:
+                    rows_all[2 * s0 : 2 * s1 + 1] = rows
             # fold chunk-wise: one batched matmul per intra-chunk index
             for i in range(len(l)):
                 G = Mpad[:, i] @ G
@@ -398,7 +382,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     )
     if last:
         return traj, None
-    return traj, _Stages(R_all, v_all, rows_all, G_all, w_s, C_s)
+    return traj, _Stages(rows_all, G_all, w_s, C_s)
 
 
 @lru_cache(maxsize=None)

@@ -272,6 +272,53 @@ def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "preset:lz", "--dt", "0"],
+    ["run", "--config", "preset:lz", "--dt", "-0.001"],
+    ["run", "--config", "preset:lz", "--dt", "nan"],
+    ["run", "--config", "preset:lz", "--samples", "0"],
+    ["run", "--config", "preset:lz", "--samples", "1"],
+    ["run", "--config", "preset:lz", "--samples", "-5"],
+    ["enumerate", "--config", "preset:qa", "--grid", "0"],
+    ["enumerate", "--config", "preset:qa", "--grid", "-2"],
+    ["solve-cd", "--config", "preset:tfim", "--grid", "-1"],
+], ids=["dt-0", "dt-negative", "dt-nan", "samples-0", "samples-1", "samples-negative",
+        "grid-0", "grid-negative", "solve-cd-grid-negative"])
+def test_bad_override_is_a_configuration_error(argv, tmp_path, capsys):
+    # an override is checked as the config key it replaces
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["dt: .nan", "fidelity_bar: .nan", "fidelity_bar: .inf",
+                                  "tolerances: {cond_max: .nan}", "tolerances: {imag_tol: .inf}"])
+def test_non_finite_config_number_is_a_configuration_error(line, tmp_path, capsys):
+    cfg = tmp_path / "lz.yaml"
+    cfg.write_text(_preset_text("lz") + line + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "finite" in err
+    assert not out.exists()
+
+
+def test_empty_out_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "preset:lz", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not any(tmp_path.iterdir())
+
+
+def test_loader_overrides_replace_config_keys():
+    qa = load_preset("qa")
+    assert load_preset("qa", {}) == qa
+    changed = load_preset("qa", {"dt": 1e-4, "grid": 7, "selection": "W1,W2,J3"})
+    assert changed == replace(qa, dt=1e-4, grid=7, selection=("J3", "W1", "W2"))
+
+
 def test_strict_coupling_names(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("model:\n  kind: qa\n  constants: {J: 1.0, Bz: 0.1, Delta: 2.0}\n"

@@ -10,7 +10,9 @@ from spinff import (
     hamiltonian,
     state_and_derivative,
 )
+from spinff.ansatz import BASIS, COEFF_NAMES
 from spinff.models import (
+    REQUIRED_COUPLINGS,
     default_anchor,
     eigensystem_batch,
     state_and_derivative_batch,
@@ -82,8 +84,9 @@ def test_nonfinite_coupling_rejected():
         ModelSpec.lz(delta=float("nan"))
     with pytest.raises(DomainError):
         hamiltonian(ModelSpec.lz(), float("inf"))
-    # finite R, overflowing coupling: the error names the coupling
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="coupling 'Bx'"):
+    # finite R, overflowing coupling: the error names the coupling and the first such R
+    with np.errstate(over="ignore"), pytest.raises(DomainError,
+                                                   match=r"coupling 'Bx' .* at R=-1e\+308$"):
         hamiltonian(ModelSpec.qa(b0=1e308), np.array([0.0, -1e308]))
 
 
@@ -94,6 +97,53 @@ def test_hamiltonian_over_R_array_matches_pointwise():
         assert H.shape == (3, 4, model.dim, model.dim)
         for idx in np.ndindex(R.shape):
             assert np.array_equal(H[idx], hamiltonian(model, R[idx]))
+
+
+# an independent construction from Pauli Kronecker products, per model
+_PAULI = {"x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
+          "z": np.array([[1, 0], [0, -1]])}
+_ZZ = np.kron(_PAULI["z"], _PAULI["z"])
+
+
+def _field(axis):
+    return 0.5 * (np.kron(_PAULI[axis], np.eye(2)) + np.kron(np.eye(2), _PAULI[axis]))
+
+
+KRONECKER = {
+    "lz": lambda c: c["Bz"] * _PAULI["z"] / 2 + c["Delta"] * _PAULI["x"] / 2,
+    "tfim": lambda c: c["J"] * _ZZ - c["Bx"] * _field("x"),
+    "qa": lambda c: -c["J"] * _ZZ - c["Bz"] * _field("z") - c["Bx"] * _field("x"),
+    "gen": lambda c: (c["J"] * _ZZ + c["Bx"] * _field("x") + c["By"] * _field("y")
+                      + c["Bz"] * _field("z")),
+}
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+_COUPLING = st.floats(min_value=-50.0, max_value=50.0, allow_subnormal=False)
+
+
+@given(st.sampled_from(sorted(REQUIRED_COUPLINGS)), st.data())
+def test_hamiltonian_and_slope_matrix_are_the_kronecker_construction(kind, data):
+    names = REQUIRED_COUPLINGS[kind]
+    affine = {name: (data.draw(_COUPLING), data.draw(_COUPLING)) for name in names}
+    constant = data.draw(st.sets(st.sampled_from(names)))
+    model = ModelSpec(kind, constants={name: affine[name][0] for name in constant},
+                      schedule_map={name: affine[name] for name in names if name not in constant})
+    slopes = {name: 0.0 if name in constant else b for name, (a, b) in affine.items()}
+    R = np.array(data.draw(st.lists(_COUPLING, min_size=1, max_size=5)))
+    expect = KRONECKER[kind]({name: (a + slopes[name] * R)[:, None, None]
+                              for name, (a, b) in affine.items()})
+    assert np.array_equal(hamiltonian(model, R), expect)
+    assert np.array_equal(model.slope_matrix, KRONECKER[kind](slopes))
+    assert model.is_real == (kind != "gen")
+
+
+def test_two_spin_models_and_ansatz_operators_commute_with_swap():
+    for name, (model, (lo, hi)) in ALL_MODELS.items():
+        if model.dim == 4:
+            H = hamiltonian(model, np.linspace(lo, hi, 7))
+            assert np.all(H @ SWAP - SWAP @ H == 0), name
+            assert np.all(model.slope_matrix @ SWAP - SWAP @ model.slope_matrix == 0), name
+    for name, op in zip(COEFF_NAMES, BASIS):
+        assert np.all(op @ SWAP - SWAP @ op == 0), name
 
 
 # ---------------------------------------------------------------------------

@@ -214,14 +214,25 @@ def test_refused_pass_is_never_kept(qa_model, qa_schedule, monkeypatch):
 
 
 def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
-    # what the next pass reuses: per stage point R, v and the
-    # coefficient row, per chunk one transfer matrix, per sample its states
+    # what the next pass reuses: per stage point the coefficient row, per
+    # chunk one transfer matrix, per sample its states
     _, stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500, last=False)
     shapes = {name: np.shape(getattr(stages, name)) for name in stages._fields}
-    assert shapes == {"R": (2001,), "v": (2001,), "rows": (2001, 3), "G": (500, 4, 4),
+    assert shapes == {"rows": (2001, 3), "G": (500, 4, 4),
                       "energies": (501, 4), "targets": (501, 4)}
     # the last pass, and so every run at an explicit dt, keeps nothing
     assert propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500)[1] is None
+
+
+@pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
+def test_even_stage_points_of_a_pass_are_the_stage_points_of_the_pass_before(name):
+    # why a pass record need not keep R and v: recomputed, they are the same bits
+    config = load_preset(name)
+    for steps in (1000, 1250, 4000):
+        coarse = propagator._stage_block(config.model, config.schedule, steps, 0, steps)
+        fine = propagator._stage_block(config.model, config.schedule, 2 * steps, 0, 2 * steps)
+        for a, b in zip(coarse, fine):
+            assert np.array_equal(b[0::2], a)
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
