@@ -413,9 +413,8 @@ def _checks():
         return _drb_action(gen, lambda R: _min_norm_solve(gen.model, R, 0)[0])
 
     def schedule_quadrature():
-        from scipy.integrate import quad
-
-        errors = [quad(lambda t: velocity(s, t), 0.0, s.T_FF, limit=200)[0] - s.v_bar * s.T_FF
+        x, w = propagator._legendre_rule(64)    # Gauss-Legendre, cached per process
+        errors = [0.5 * s.T_FF * np.dot(w, velocity(s, 0.5 * s.T_FF * (x + 1.0))) - s.v_bar * s.T_FF
                   for s in (lz.schedule, tfim.schedule, qa.schedule, gen.schedule)]
         return _max_error(errors, 1e-10)
 
@@ -512,6 +511,7 @@ def _run_configs(args):
     return configs
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinff",

@@ -11,9 +11,9 @@ from importlib import resources
 import yaml
 
 from .cdsolver import SolverTolerances, canonical_selection
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .models import REQUIRED_COUPLINGS, ModelSpec
-from .schedule import Schedule
+from .schedule import Schedule, step_count
 
 PRESET_NAMES = ("lz", "tfim", "qa", "gen")
 
@@ -130,8 +130,13 @@ def config_from_dict(data):
         raise ConfigError(f"state: {state} outside 0..{model.dim - 1}")
 
     dt = _number(data, "dt", "config")
-    if dt is not None and dt <= 0:
-        raise ConfigError(f"dt: must be positive, got {dt}")
+    if dt is not None:
+        if dt <= 0:
+            raise ConfigError(f"dt: must be positive, got {dt}")
+        try:
+            step_count(schedule, dt)
+        except DomainError as exc:
+            raise ConfigError(f"dt: {exc}") from exc
     samples = data.get("samples", 1000)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise ConfigError(f"samples: expected an integer >= 2, got {samples!r}")

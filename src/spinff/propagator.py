@@ -45,7 +45,7 @@ import numpy as np
 from . import models
 from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
-from .schedule import advanced_parameter, velocity
+from .schedule import advanced_parameter, step_count, velocity
 
 NORM_DRIFT_MAX = 1e-6
 STEP_ERROR_MAX = 1e-6       # bound on the summed step-doubling error estimate
@@ -54,6 +54,7 @@ DEFAULT_STEPS = 8000        # fallback step count of a default run (samples if l
 DEFAULT_SAMPLES = 1000
 MIN_SAMPLES = 200
 PHASE_NODES = 128
+PROBE_NODES = 4             # Gauss nodes on each half of an ff_state_residual probe triple
 BLOCK_STAGE_POINTS = 2048   # stage points evolve holds at once
 TAYLOR_THETA = 0.0178       # ||X||_1 at which the degree-6 remainder theta**7/7! is below 2**-53
 
@@ -101,14 +102,6 @@ class Trajectory:
 # of the next pass sits at 2j fl(T/(4N)) = j fl(T/(2N)), the same u bit for
 # bit.  No Hamiltonian or step-matrix stack is kept.
 _Stages = namedtuple("_Stages", "rows G energies targets")
-
-
-def _steps_from_dt(schedule, dt):
-    ratio = schedule.T_FF / dt
-    steps = int(round(ratio))
-    if steps < 2 or abs(ratio - steps) > 1e-9 * steps:
-        raise DomainError(f"dt={dt} does not divide T_FF={schedule.T_FF}")
-    return steps
 
 
 def _stage_block(model, schedule, steps, s0, s1):
@@ -215,7 +208,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     and an earlier pass that exceeds either is not kept.
     """
     if dt is not None:
-        return _evolve(model, schedule, solution, n, _steps_from_dt(schedule, dt), samples)[0]
+        return _evolve(model, schedule, solution, n, step_count(schedule, dt), samples)[0]
     cap = max(DEFAULT_STEPS, samples)
     steps = max(samples, MIN_SAMPLES)
     base = None
@@ -439,7 +432,10 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     || i dpsi/dt - H_FF psi ||, which shrinks as dt_probe^2: a float for
     scalar t, else an array shaped like t.  The three probes around each t
     hold one anchor, the largest component at t, as ``ff_state`` of that
-    triple alone would.
+    triple alone would.  A global phase drops out of the residual, so each
+    triple measures its phases from its first time t - dt_probe: one
+    ``tracked_state`` call covers the probes and PROBE_NODES Gauss nodes on
+    each half of every triple, where ``ff_state`` integrates from 0.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 < t) & (t < schedule.T_FF)):
@@ -447,8 +443,22 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     dt_probe = float(dt_probe)
     tk = t.ravel()
     ts = np.stack([tk - dt_probe, tk, tk + dt_probe], axis=1)      # (K, 3)
-    anchors = _largest_component(model, advanced_parameter(schedule, tk, clamp=True), n)
-    psi = ff_state(model, schedule, n, ts.ravel(), np.repeat(anchors, 3)).reshape(ts.shape + (-1,))
+    width = np.diff(ts, axis=1)                                    # (K, 2) halves
+    x, w = _legendre_rule(PROBE_NODES)
+    tau = (ts[:, :2, None] + 0.5 * width[..., None] * (x + 1.0)).ravel()
+    # the probes hold the largest component at t, the phase rate the
+    # default gauge at t, as ff_state's phase integral does
+    v = models.eigensystem_batch(model, advanced_parameter(schedule, tk, clamp=True))[1][:, :, n]
+    anchors = np.concatenate([np.repeat(np.argmax(np.abs(v), axis=1), 3),
+                              np.repeat(models.default_anchor(model, v), 2 * PROBE_NODES)])
+    energies, C, dC, _ = models.tracked_state(
+        model, advanced_parameter(schedule, np.append(ts, tau), clamp=True), n, anchor=anchors)
+    k = ts.size                                                    # probes first, then nodes
+    rate = (velocity(schedule, tau, clamp=True)
+            * np.real(1j * np.einsum("nd,nd->n", np.conj(C[k:]), dC[k:])) - energies[k:, n])
+    step = 0.5 * width * (rate.reshape(width.shape + (-1,)) @ w)
+    phase = np.concatenate([np.zeros((len(tk), 1)), np.cumsum(step, axis=1)], axis=1)
+    psi = C[:k].reshape(ts.shape + (-1,)) * np.exp(1j * phase)[..., None]
     dpsi = (psi[:, 2] - psi[:, 0]) / (2.0 * dt_probe)
     H = fast_forward_hamiltonian(model, schedule, solution, tk, n)
     residual = np.linalg.norm(1j * dpsi - (H @ psi[:, 1, :, None])[..., 0], axis=-1)

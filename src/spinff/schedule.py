@@ -59,3 +59,13 @@ def advanced_parameter(s, t, *, clamp=False):
     t = _check_range(s, t, clamp)
     r = s.R0 + s.v_bar * (t - s.T_FF / (2.0 * np.pi) * np.sin(2.0 * np.pi * t / s.T_FF))
     return float(r) if np.ndim(r) == 0 else r
+
+
+def step_count(s, dt):
+    """T_FF / dt as a whole step count in [2, 2**53]; DomainError otherwise."""
+    ratio = s.T_FF / dt
+    steps = round(ratio) if np.isfinite(ratio) else 0
+    if not 2 <= steps <= 2 ** 53 or abs(ratio - steps) > 1e-9 * steps:
+        raise DomainError(f"dt={dt} is not T_FF={s.T_FF} over a whole step count "
+                          f"in [2, 2**53]")
+    return steps

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -17,7 +20,8 @@ from spinff.cdsolver import (
     solve_lz,
     solve_selection,
 )
-from spinff.cli import _SELECTION_HEADER, _selection_rows, main, resolve_selection
+import spinff
+from spinff.cli import _SELECTION_HEADER, _selection_rows, build_parser, main, resolve_selection
 from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_config, load_preset
 from spinff.errors import ConfigError
 from spinff.propagator import evolve
@@ -282,8 +286,12 @@ def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
     ["enumerate", "--config", "preset:qa", "--grid", "0"],
     ["enumerate", "--config", "preset:qa", "--grid", "-2"],
     ["solve-cd", "--config", "preset:tfim", "--grid", "-1"],
+    ["run", "--config", "preset:qa", "--dt", "1e-300"],
+    ["run", "--config", "preset:qa", "--dt", "1e300"],
+    ["run", "--config", "preset:qa", "--dt", "0.03"],
 ], ids=["dt-0", "dt-negative", "dt-nan", "samples-0", "samples-1", "samples-negative",
-        "grid-0", "grid-negative", "solve-cd-grid-negative"])
+        "grid-0", "grid-negative", "solve-cd-grid-negative", "dt-tiny", "dt-huge",
+        "dt-not-dividing"])
 def test_bad_override_is_a_configuration_error(argv, tmp_path, capsys):
     # an override is checked as the config key it replaces
     out = tmp_path / "out"
@@ -317,6 +325,44 @@ def test_loader_overrides_replace_config_keys():
     assert load_preset("qa", {}) == qa
     changed = load_preset("qa", {"dt": 1e-4, "grid": 7, "selection": "W1,W2,J3"})
     assert changed == replace(qa, dt=1e-4, grid=7, selection=("J3", "W1", "W2"))
+
+
+def test_dt_must_give_a_whole_step_count_from_2_to_2_pow_53():
+    T = load_preset("qa").schedule.T_FF
+    for dt in (T / 2, T / 2**53, T / 1000):
+        assert load_preset("qa", {"dt": dt}).dt == dt
+    for dt in (T, T / 1.5, T / 2**54, T / 1000.5, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="^dt: "):
+            load_preset("qa", {"dt": dt})
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["run", "--config", "preset:lz", "--samples", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "preset:lz", "--grid", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+
+
+def test_verify_imports_no_scipy(tmp_path):
+    # a fresh interpreter: scipy would cost tens of MB of RSS per process
+    script = ("import sys\n"
+              "from spinff.cli import main\n"
+              "assert main(['verify', '--out', sys.argv[1]]) == 0\n"
+              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = os.path.dirname(os.path.dirname(spinff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["passed"] is True
 
 
 def test_strict_coupling_names(tmp_path):

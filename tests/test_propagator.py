@@ -322,29 +322,61 @@ def _ff_residual_at_time(model, schedule, solution, n, t, dt_probe):
     return float(np.linalg.norm(1j * dpsi - H @ psi[1]))
 
 
-@pytest.mark.parametrize("kind", ["lz", "tfim", "qa", "gen"])
-def test_ff_state_residual_over_probe_times_is_the_per_time_residual(kind):
-    model, sched, solution = {
-        "lz": (ModelSpec.lz(), Schedule(-2.5, 10.0, 0.5), None),
-        "tfim": (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), Schedule(0.0, 20.0, 0.1),
-                 ("J3", "W2")),
-        "qa": (ModelSpec.qa(), Schedule(0.0, 100.0, 0.1), QA_SEL),
-        "gen": (ModelSpec.gen(), Schedule(0.0, 250.0, 0.1), "dense"),
-    }[kind]
+FF_CASES = {
+    "lz": (ModelSpec.lz(), Schedule(-2.5, 10.0, 0.5), None),
+    "tfim": (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), Schedule(0.0, 20.0, 0.1),
+             ("J3", "W2")),
+    "qa": (ModelSpec.qa(), Schedule(0.0, 100.0, 0.1), QA_SEL),
+    "gen": (ModelSpec.gen(), Schedule(0.0, 250.0, 0.1), "dense"),
+}
+
+
+@pytest.mark.parametrize("kind", list(FF_CASES))
+def test_ff_state_residual_agrees_with_the_from_zero_residual(kind):
+    # each probe triple measures its phases from its first time; a global
+    # phase drops out, so the residual is the one of ff_state's phases from
+    # 0 up to rounding, which the finite difference amplifies by 1/dt_probe
+    # (at most 6e-11 apart at dt_probe = 1e-6 on these cases)
+    model, sched, solution = FF_CASES[kind]
     t = np.array([0.25, 0.5, 0.75]) * sched.T_FF
-    for dt_probe in (1e-6, 1e-4):
-        batched = ff_state_residual(model, sched, solution, 0, t, dt_probe)
-        assert batched.shape == t.shape
+    for dt_probe, rtol, atol in ((1e-4, 1e-6, 0.0), (1e-6, 0.0, 2e-10)):
+        residual = ff_state_residual(model, sched, solution, 0, t, dt_probe)
         single = [_ff_residual_at_time(model, sched, solution, 0, tk, dt_probe)
                   for tk in t.tolist()]
-        # the finite difference amplifies rounding in the state by 1/dt_probe
-        np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-12)
-        # a scalar time gives a float, an array of times an array of its shape
-        scalar = ff_state_residual(model, sched, solution, 0, float(t[1]), dt_probe)
-        assert isinstance(scalar, float)
-        assert abs(scalar - single[1]) <= 1e-9 * single[1] + 1e-12
-        grid = ff_state_residual(model, sched, solution, 0, np.stack([t, t]), dt_probe)
-        np.testing.assert_array_equal(grid, np.stack([batched, batched]))
+        np.testing.assert_allclose(residual, single, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("kind", ["qa", "gen"])
+def test_ff_state_residual_is_shaped_like_t(kind):
+    model, sched, solution = FF_CASES[kind]
+    t = np.array([0.25, 0.5, 0.75]) * sched.T_FF
+    residual = ff_state_residual(model, sched, solution, 0, t)
+    assert residual.shape == t.shape
+    # a scalar time gives a float, an array of times an array of its shape
+    scalar = ff_state_residual(model, sched, solution, 0, float(t[1]))
+    assert isinstance(scalar, float)
+    assert abs(scalar - residual[1]) <= 1e-9 * residual[1]
+    grid = ff_state_residual(model, sched, solution, 0, np.stack([t, t]))
+    np.testing.assert_array_equal(grid, np.stack([residual, residual]))
+
+
+def test_ff_state_residual_solves_a_few_points_per_probe_time(monkeypatch):
+    # the phases come from each probe triple's own Gauss nodes, not from
+    # integrals over [0, t] on PHASE_NODES nodes for each of its 3 times
+    model, sched, solution = FF_CASES["gen"]
+    points = []
+    real = models.tracked_state
+
+    def counted(model, R, n, **kw):
+        points.append(len(R))
+        return real(model, R, n, **kw)
+
+    monkeypatch.setattr(models, "tracked_state", counted)
+    for K in (3, 12):
+        points.clear()
+        ff_state_residual(model, sched, solution, 0, np.linspace(0.2, 0.8, K) * sched.T_FF)
+        assert len(points) <= 2
+        assert sum(points) <= K * (3 + 2 * propagator.PROBE_NODES + 1)
 
 
 def test_ff_state_residual_refuses_any_probe_outside(qa_model, qa_schedule):
