@@ -27,9 +27,13 @@ batched kernels solve every system built by ``_operator_columns``:
 ``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) and
 ``_accept`` (square reduced systems over (R, selection), filtered, as
 arrays), which ``solve_grid``/``enumerate_grid`` run over an R grid; the
-scalar functions are their one-point case.  ``CoefficientPath`` solves one
-selection along R unfiltered and refuses, naming R, a point where that
-system is exactly singular or a coefficient is not finite.
+scalar functions are their one-point case.  ``_accept`` filters each 2x2
+or 3x3 system by its 2-norm condition number, taken in closed form from
+the system's Gram and adjugate matrices, not by an SVD; it is inf where
+det = 0 or the system is singular to working precision.
+``CoefficientPath`` solves one selection along R unfiltered and refuses,
+naming R, a point where that system is exactly singular or a coefficient
+is not finite.
 """
 
 from dataclasses import dataclass, replace
@@ -55,6 +59,7 @@ SYMMETRY_TOL = 1e-10
 DRB_DIAG_TOL = 1e-10
 DENSE_RCOND = 1e-8
 VELOCITY_EPS = 1e-12   # relative threshold below which v(t) counts as zero
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,78 @@ def _min_norm(A, b):
     Mr = np.concatenate([A.real, A.imag], axis=-2)
     rr = np.concatenate([b.real, b.imag], axis=-1)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(Mr, rcond=DENSE_RCOND), rr)
+
+
+def _squared_norms(V):
+    """|V[k]|^2 of the vectors V (k, n, ...), summed one axis at a time.
+
+    A sum over several axes at once may take its terms in an order that
+    depends on the stack's shape; this one rounds alike for any stack.
+    """
+    return (V.real ** 2 + V.imag ** 2).sum(axis=1)
+
+
+def _norm2_squared(V):
+    """Squared spectral norm of the matrices whose k = 2 or 3 columns are V (k, n, ...).
+
+    It is the largest eigenvalue of their Gram matrix, in closed form for
+    k = 2 and by Smith's trigonometric form (Commun. ACM 4, 168 (1961)) for
+    k = 3; the latter loses up to about 1e-8 relative accuracy where the
+    two largest eigenvalues coincide.
+    """
+    d = _squared_norms(V)
+    if len(V) == 2:
+        q = (V[0].conj() * V[1]).sum(axis=0)
+        return (d[0] + d[1] + np.hypot(d[0] - d[1], 2 * abs(q))) / 2
+    # the Gram entries 01, 02, 12
+    e, f, g = (V.take([0, 0, 1], axis=0).conj() * V.take([1, 2, 2], axis=0)).sum(axis=1)
+    mean = d.mean(axis=0)
+    d0, d1, d2 = d - mean
+    e2, f2, g2 = abs(e) ** 2, abs(f) ** 2, abs(g) ** 2
+    p = np.sqrt((d0 ** 2 + d1 ** 2 + d2 ** 2 + 2 * (e2 + f2 + g2)) / 6)
+    det = d0 * d1 * d2 + 2 * (e * g * f.conj()).real - d0 * g2 - d1 * f2 - d2 * e2
+    r = np.divide(det, 2 * p ** 3, out=np.zeros_like(p), where=p > 0)
+    return mean + 2 * p * np.cos(np.arccos(np.clip(r, -1, 1)) / 3)
+
+
+def _cross(V):
+    """Cross products V[1] x V[2], V[2] x V[0], V[0] x V[1] of the vectors V (3, 3, ...).
+
+    Both products of a component keep their operand order, so two equal
+    vectors give exact zeros.
+    """
+    W, X = V.take([1, 2, 0], axis=0), V.take([2, 0, 1], axis=0)
+    return (W.take([1, 2, 0], axis=1) * X.take([2, 0, 1], axis=1)
+            - X.take([1, 2, 0], axis=1) * W.take([2, 0, 1], axis=1))
+
+
+def _condition_number(M):
+    """2-norm condition numbers of a (..., m, m) stack, m = 2 or 3; inf if singular.
+
+    cond = sigma_max(M) sigma_max(adj M) / |det M|, in closed form.  For
+    m = 2, sigma_max(adj M) = sigma_max(M).  For m = 3 the rows of adj M
+    are the cross products of M's columns, and |det M| = |adj(adj M)| / |M|
+    (Frobenius norms), since adj(adj M) = det(M) M.  Its error is that of a
+    backward-stable det, about eps cond relative; the cofactor expansion
+    a.(b x c) errs by up to eps cond^2 and rates some rank-1 matrices as
+    well conditioned.  A zero or repeated column gives det exactly 0.  A
+    system singular to working precision (cond >= 1/eps) gets cond inf.
+    Smith's form loses up to about 1e-8 relative accuracy where two
+    singular values of M coincide (s1 = s2 in the Gram matrix of M,
+    s2 = s3 in that of adj M).
+    """
+    V = np.moveaxis(M, (-1, -2), (0, 1))   # V[k] is column k
+    if len(V) == 2:
+        det = abs(V[0, 0] * V[1, 1] - V[1, 0] * V[0, 1])
+        num = _norm2_squared(V)
+    else:
+        U = _cross(V)                      # rows of adj M
+        size = _squared_norms(V).sum(axis=0)
+        det = np.sqrt(np.divide(_squared_norms(_cross(U)).sum(axis=0), size,
+                                out=np.zeros_like(size), where=size > 0))
+        num = np.sqrt(_norm2_squared(V) * _norm2_squared(U))
+    # inf where 1/cond <= eps: singular to working precision (LAPACK xGESVX), det = 0 included
+    return np.divide(num, det, out=np.full_like(num, np.inf), where=det > EPS * num)
 
 
 def _solve_each(M, b):
@@ -204,13 +281,16 @@ def _accept(idx, C, rhs, rows, tol):
     the states and full right-hand sides; the systems keep the merged
     ``rows``, the residual takes all rows.  Rejections in order: "singular"
     (cond above cond_max or not finite), "not_real" (imaginary part above
-    imag_tol), "residual".  Returns (N, S) arrays: coefficients (N, S, 9),
-    zero unless accepted; reason codes into REASONS (0: accepted); cond;
-    max_imag and residual, NaN where not reached.
+    imag_tol), "residual".  cond is the 2-norm condition number of each
+    system in closed form (``_condition_number``), inf where det = 0 or
+    cond >= 1/eps.
+    Returns (N, S) arrays: coefficients (N, S, 9), zero unless accepted;
+    reason codes into REASONS (0: accepted); cond; max_imag and residual,
+    NaN where not reached.
     """
     F = _operator_columns(BASIS[idx], C[:, None, :], range(C.shape[1]))   # (N, S, dim, m)
     M = F[..., list(rows), :]
-    cond = np.linalg.cond(M)
+    cond = _condition_number(M)
     regular = np.isfinite(cond) & (cond <= tol.cond_max)
     x = np.zeros(M.shape[:-1], dtype=complex)
     if np.any(regular):

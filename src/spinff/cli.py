@@ -57,6 +57,17 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates its file 0600; artifacts get the mode open() would give.
+# Read once: the run thread pool writes from several threads.
+_FILE_MODE = 0o666 & ~_umask()
+
+
 def write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -64,6 +75,7 @@ def write_atomic(path, text):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -18,7 +20,7 @@ from spinff import (
     solve_lz,
     solve_selection,
 )
-from spinff import models
+from spinff import cdsolver, models
 from spinff.ansatz import ANTISYM_BASIS, BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
     DEFAULT_TOL,
@@ -26,10 +28,16 @@ from spinff.cdsolver import (
     REASONS,
     CoefficientPath,
     SolverTolerances,
+    _accept,
     _cluster,
+    _condition_number,
+    _merged_rows,
     _min_norm_solve,
+    _operator_columns,
     enumeration_grid,
+    solve_grid,
 )
+from spinff.config import load_preset
 from spinff.errors import ConfigError, ConsistencyError, DegeneracyError
 from spinff.models import state_and_derivative
 from spinff.schedule import advanced_parameter, velocity
@@ -355,6 +363,112 @@ def test_rank_deficient_selection_with_real_family_is_singular():
     res = solve_selection(rs)
     assert not res.accepted
     assert res.reason == "singular"
+
+
+# ---------------------------------------------------------------------------
+# condition numbers
+
+def _with_singular_values(rng, s, count):
+    """(count, m, m) complex matrices with singular values s and random singular vectors."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(count, len(s), len(s)))
+                            + 1j * rng.normal(size=(count, len(s), len(s))))
+        return q
+    return unitary() @ (np.asarray(s)[:, None] * unitary().conj().swapaxes(-1, -2))
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0),
+       st.floats(0.0, 1.0))
+def test_condition_number_is_the_svd_cond(m, seed, log_cond, split):
+    # cond <= 1e4.  Both the closed form and the SVD err by about eps cond
+    # (measured <= 3e-12), so bound 1e-10 -- unless two singular values lie
+    # within 1 %: there the trigonometric form loses up to about sqrt(eps)
+    # (measured <= 5e-9), so bound 2e-8
+    s = [1.0, 10 ** (-log_cond * split), 10 ** -log_cond]
+    s = np.array(s if m == 3 else s[::2])
+    M = _with_singular_values(np.random.default_rng(seed), s, 8)
+    svd = np.linalg.cond(M)
+    bound = 2e-8 if np.any(s[1:] / s[:-1] > 0.99) else 1e-10
+    assert np.max(np.abs(_condition_number(M) / svd - 1)) <= bound
+
+
+@pytest.mark.parametrize("s", [(1.0, 1.0, 1e-2), (1.0, 1e-2, 1e-2), (1.0, 1.0, 1e-6),
+                               (1.0, 1.0, 1.0)])
+def test_condition_number_where_singular_values_coincide(s):
+    # the trigonometric form's worst case: a double largest eigenvalue of
+    # the Gram matrix of M (s1 = s2) or of adj M (s2 = s3)
+    M = _with_singular_values(np.random.default_rng(0), s, 500)
+    assert np.max(np.abs(_condition_number(M) / np.linalg.cond(M) - 1)) <= 2e-8
+
+
+def test_exactly_singular_systems_have_infinite_cond():
+    rng = np.random.default_rng(1)
+    for m in (2, 3):
+        base = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        cases = [np.zeros((m, m))]
+        for j in range(m):
+            cases.append(base.copy())
+            cases[-1][:, j] = 0
+            for k in set(range(m)) - {j}:
+                cases.append(base.copy())
+                cases[-1][:, k] = base[:, j]
+        assert np.all(np.isinf(_condition_number(np.stack(cases)))), m
+        # rank deficient to rounding: the cofactor expansion a.(b x c)
+        # would rate most rank-1 3x3 matrices well conditioned
+        u, v = rng.normal(size=(2, 1000, m)) + 1j * rng.normal(size=(2, 1000, m))
+        deficient = [u[:, :, None] * v[:, None, :]]
+        if m == 3:
+            deficient.append(np.stack([u, v, 0.3 * u - 0.7j * v], axis=-1))
+        for M in deficient:
+            assert np.all(_condition_number(M) > 1e14), m
+
+
+def test_repeated_coefficient_is_singular_with_infinite_cond(qa_model):
+    _, C, _, rhs = models.tracked_state(qa_model, np.array([2.0, 5.0]), 0)
+    k, j = COEFF_NAMES.index("W2"), COEFF_NAMES.index("Bz")
+    _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs,
+                                           _merged_rows(qa_model), DEFAULT_TOL)
+    assert np.all(np.isinf(cond))
+    assert np.all(reason == REASONS.index("singular"))
+    assert np.all(np.isnan(max_imag))
+
+
+def test_system_just_above_cond_max_is_singular(qa_model):
+    rng = np.random.default_rng(2)
+    cond_max = DEFAULT_TOL.cond_max
+    for factor in (1.01, 0.99):
+        M = _with_singular_values(rng, [1.0, 0.3, 1 / (factor * cond_max)], 50)
+        cond = _condition_number(M)
+        assert np.max(np.abs(cond / (factor * cond_max) - 1)) <= 1e-4
+        assert np.all((cond > cond_max) == (factor > 1))
+    # on the qa states: the worst-conditioned selection at R = 5, with
+    # cond_max just below and just above its cond
+    grid = solve_grid(qa_model, [5.0], admissible_selections(qa_model))
+    s = int(np.argmax(grid.cond[0]))
+    assert grid.reason[0, s] == 0
+    for factor, reason in ((1 - 1e-9, "singular"), (1 + 1e-9, "")):
+        tol = replace(DEFAULT_TOL, cond_max=grid.cond[0, s] * factor)
+        one = solve_grid(qa_model, [5.0], [grid.selections[s]], tol=tol)
+        assert REASONS[one.reason[0, 0]] == reason
+
+
+@pytest.mark.parametrize("preset", ["gen", "qa", "tfim"])
+def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
+    config = load_preset(preset)
+    R = enumeration_grid(config.schedule, config.grid)
+    grid = enumerate_grid(config.model, R, config.state, config.tolerances)
+    idx = np.array([[COEFF_NAMES.index(name) for name in sel] for sel in grid.selections])
+    svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :],
+                                           _merged_rows(config.model)))
+    moderate = svd <= 1e8
+    assert moderate.any()
+    np.testing.assert_allclose(grid.cond[moderate], svd[moderate], rtol=1e-12, atol=0)
+    assert np.all(grid.cond[~moderate] > config.tolerances.cond_max)
+    # the filter with the SVD cond in its place keeps every reason and group
+    monkeypatch.setattr(cdsolver, "_condition_number", np.linalg.cond)
+    ref = enumerate_grid(config.model, R, config.state, config.tolerances)
+    for name in ("reason", "group_id", "coefficients", "max_imag", "residual"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name), err_msg=name)
 
 
 # ---------------------------------------------------------------------------

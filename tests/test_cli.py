@@ -365,6 +365,31 @@ def test_verify_imports_no_scipy(tmp_path):
     assert json.loads((tmp_path / "verify.json").read_text())["passed"] is True
 
 
+def test_artifacts_get_the_mode_of_the_umask(tmp_path):
+    # a fresh interpreter, so the umask is set before spinff.cli reads it;
+    # 027 tells the umask-derived 0640 from mkstemp's 0600 and a fixed 0644
+    script = ("import os, sys\n"
+              "os.umask(0o027)\n"
+              "from spinff.cli import main\n"
+              "out = sys.argv[1]\n"
+              "assert main(['run', '--config', 'preset:lz', 'preset:tfim',\n"
+              "             '--out', os.path.join(out, 'run')]) == 0\n"
+              "assert main(['enumerate', '--config', 'preset:qa',\n"
+              "             '--out', os.path.join(out, 'enumerate')]) == 0\n")
+    src = os.path.dirname(os.path.dirname(spinff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert {"run/lz/trajectory.csv", "run/tfim/summary.json", "enumerate/enumerate.csv",
+            "enumerate/enumerate_summary.json"} <= set(files)
+    assert not [f for f in files if ".tmp-" in f]
+    modes = {f: oct((tmp_path / f).stat().st_mode & 0o777) for f in files}
+    assert set(modes.values()) == {"0o640"}, modes
+
+
 def test_strict_coupling_names(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("model:\n  kind: qa\n  constants: {J: 1.0, Bz: 0.1, Delta: 2.0}\n"
