@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 verification/fidelity failure, 2 configuration
 error, 3 solver rejection of the requested selection.  All files are
-written atomically (write-then-rename) with shortest round-trip float
-formatting in CSV and 12 significant digits in JSON summaries.
+written atomically (write-then-rename), with 12 significant digits in
+JSON summaries.  CSV floats are exactly Python's ``repr``: orjson's
+shortest round-trip digits, written in ``repr``'s notation.
 """
 
 import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -48,9 +50,36 @@ class SelectionRejectedError(SpinFFError):
 # ---------------------------------------------------------------------------
 # deterministic writers
 
+# orjson's exponents as repr writes them: 1e16 -> 1e+16, 1e-6 -> 1e-06
+_EXPONENT_SIGN = re.compile(r"e(?=\d)")
+_EXPONENT_PAD = re.compile(r"e-(?=\d\b)")
+
+
 def _float_rows(values):
-    """Each row of a 2-d float array as comma-joined shortest round-trip reprs."""
-    return [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
+    """Each row of a 2-d float array as comma-joined shortest round-trip reprs.
+
+    orjson writes the same shortest digits as ``repr`` (Ryu) and, apart
+    from the exponent's sign and zero padding, the same notation, except
+    where it writes ``null`` (non-finite) or positional ``0.0000...``
+    (1e-5 <= |x| < 1e-4): those values are written as nan and spliced
+    back as their ``repr``.
+    """
+    import orjson  # imports zoneinfo: paid by the first writer, not at import
+
+    a = np.array(values, dtype=np.float64, order="C")
+    if not len(a):
+        return []
+    magnitude = np.abs(a)
+    marked = ~np.isfinite(a) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+    spliced = list(map(repr, a[marked].tolist()))
+    a[marked] = np.nan
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = _EXPONENT_PAD.sub("e-0", _EXPONENT_SIGN.sub("e+", text))
+    if spliced:  # each null in row-major order, between the pieces around it
+        pieces = [None] * (2 * len(spliced) + 1)
+        pieces[::2], pieces[1::2] = text.split("null"), spliced
+        text = "".join(pieces)
+    return text[2:-2].split("],[")
 
 
 def _sig12(x):
@@ -84,6 +113,7 @@ def write_atomic(path, text):
 
 
 def write_csv(path, header, rows):
+    """One line per row; a row is a sequence of comma-joined pieces."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     write_atomic(path, "\n".join(lines) + "\n")
@@ -172,20 +202,20 @@ def run_job(config):
         + ["norm", "fidelity"]
         + [f"coef_{name}" for name in names]
     )
-    # t, R_adv and the coefficients are columns of both files: each row's
-    # share of them is formatted once
-    t_R = _float_rows(np.column_stack([traj.t, traj.R_adv]))
-    coef = [_float_rows(traj.coefficients)] if names else []
-    state = _float_rows(np.column_stack([traj.psi.real, traj.psi.imag, traj.populations,
-                                         traj.norm, traj.fidelity]))
-    write_csv(os.path.join(config.out, "trajectory.csv"), header, zip(t_R, state, *coef))
+    lines = _float_rows(np.column_stack([
+        traj.t, traj.R_adv, traj.psi.real, traj.psi.imag, traj.populations,
+        traj.norm, traj.fidelity, traj.coefficients,
+    ]))
+    write_csv(os.path.join(config.out, "trajectory.csv"), header, zip(lines))
 
     header = ["t", "R_adv", "v"] + [f"coef_{n}" for n in names] + [
         f"drive_{n}" for n in names
     ]
-    drive = [_float_rows(traj.velocity[:, None] * traj.coefficients)] if names else []
-    write_csv(os.path.join(config.out, "coefficients.csv"), header,
-              zip(t_R, map(repr, traj.velocity.tolist()), *coef, *drive))
+    lines = _float_rows(np.column_stack([
+        traj.t, traj.R_adv, traj.velocity, traj.coefficients,
+        traj.velocity[:, None] * traj.coefficients,
+    ]))
+    write_csv(os.path.join(config.out, "coefficients.csv"), header, zip(lines))
 
     passed = traj.min_fidelity >= config.fidelity_bar
     summary = _config_payload(config)
@@ -246,7 +276,7 @@ def solve_cd_job(config):
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
         x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
-        rows = [[line] for line in _float_rows(np.column_stack([R_values, x, residual]))]
+        rows = zip(_float_rows(np.column_stack([R_values, x, residual])))
     elif selection == "dense":
         x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
         numbers = _float_rows(np.column_stack([x, residual, np.full((len(x), 2), np.nan)]))

@@ -9,6 +9,8 @@ from importlib import resources
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinff.ansatz import COEFF_NAMES
 from spinff.cdsolver import (
@@ -21,7 +23,14 @@ from spinff.cdsolver import (
     solve_selection,
 )
 import spinff
-from spinff.cli import _SELECTION_HEADER, _selection_rows, build_parser, main, resolve_selection
+from spinff.cli import (
+    _SELECTION_HEADER,
+    _float_rows,
+    _selection_rows,
+    build_parser,
+    main,
+    resolve_selection,
+)
 from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_config, load_preset
 from spinff.errors import ConfigError
 from spinff.propagator import evolve
@@ -85,11 +94,49 @@ def test_default_step_run_is_byte_identical(tmp_path):
     assert (out / "trajectory.csv").read_bytes() == first
 
 
-def test_run_csvs_are_the_row_wise_reprs(qa_config_file, tmp_path):
-    # each row as the row-wise writer formatted it before the columns
-    # shared by both files were formatted once
-    config = load_config(qa_config_file)
-    assert main(["run", "--config", qa_config_file]) == 0
+def _repr_rows(values):
+    return [",".join(map(repr, row)) for row in np.asarray(values, float).tolist()]
+
+
+# where orjson's notation leaves repr's (non-finite, 1e-5 <= |x| < 1e-4) or
+# its exponent needs a sign or padding (|x| >= 1e16, |x| < 1e-5), and the
+# neighbours of each boundary
+_EDGES = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf] + [
+    sign * y for x in (1e-5, 1e-4, 1e16) for sign in (1.0, -1.0)
+    for y in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))
+]
+_FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.sampled_from(_EDGES),
+)
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_float_rows_are_the_row_wise_reprs(n, k, data):
+    a = np.array(data.draw(st.lists(_FLOAT64, min_size=n * k, max_size=n * k))).reshape(n, k)
+    wide = np.concatenate([a, a[:, ::-1]], axis=1)
+    view = wide[:, ::2]          # a non-contiguous column slice
+    nested = a.tolist()          # what verify_table_job passes
+    bits = [x.view(np.uint64).copy() for x in (a, wide)]
+    for values in (a, view, nested):
+        assert _float_rows(values) == _repr_rows(values)
+    assert np.array_equal(a.view(np.uint64), bits[0])
+    assert np.array_equal(wide.view(np.uint64), bits[1])
+    assert np.array_equal(np.array(nested).view(np.uint64), bits[0])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (1, 1)])
+def test_float_rows_of_edge_shapes(shape):
+    a = np.full(shape, 1e-5)
+    assert _float_rows(a) == _repr_rows(a)
+    assert np.all(a == 1e-5)
+
+
+@pytest.mark.parametrize("preset", ["lz", "tfim", "qa", "gen"])
+def test_run_csvs_are_the_row_wise_reprs(preset, tmp_path):
+    # each run CSV is the row-wise repr of its trajectory columns
+    config = load_preset(preset)
+    assert main(["run", "--config", f"preset:{preset}", "--out", str(tmp_path)]) == 0
     traj = evolve(config.model, config.schedule, resolve_selection(config), config.state,
                   dt=config.dt, samples=config.samples)
     files = {
@@ -99,8 +146,8 @@ def test_run_csvs_are_the_row_wise_reprs(qa_config_file, tmp_path):
                              traj.velocity[:, None] * traj.coefficients],
     }
     for name, columns in files.items():
-        rows = [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
-        assert (tmp_path / "out" / name).read_text().splitlines()[1:] == rows, name
+        rows = _repr_rows(np.column_stack(columns))
+        assert (tmp_path / name).read_text().splitlines()[1:] == rows, name
 
 
 def test_run_multiple_configs(qa_config_file, tmp_path):
