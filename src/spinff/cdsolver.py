@@ -4,11 +4,13 @@ The defining linear problem for the tracked eigenvector C(R) reads
 
     Htilde C = i dC/dR - i (C^dag dC/dR) C        (hbar = 1)
 
-with Htilde restricted to the nine-coefficient ansatz.  The two-spin
-models share the swap symmetry C2 = C3, which makes the middle rows of
-the 4x4 problem degenerate; the transverse Ising model additionally has
-C1 = C4.  A *selection* picks which ansatz coefficients stay free (the
-rest pinned to zero) so the reduced system becomes square.  Solutions are
+with Htilde restricted to the nine-coefficient ansatz.  C, dC/dR and
+the right-hand side are the four amplitudes of ``models.tracked_state``
+(solved on the state's SWAP sector).  The two-spin models' triplet
+states have C2 = C3, which makes the middle rows of the four-row problem
+degenerate; the transverse Ising model additionally has C1 = C4.  A
+*selection* picks which ansatz coefficients stay free (the rest pinned
+to zero) so the reduced system becomes square.  Solutions are
 accepted only when the reduced matrix is regular and every solved
 coefficient is real; the survivors cluster into degenerate groups.
 
@@ -583,11 +585,7 @@ class CoefficientPath:
 
     def matrices(self, R_array):
         """(N, dim, dim) regularization matrices (velocity not applied)."""
-        return self.matrices_from_values(self.values(R_array))
-
-    def matrices_from_values(self, vals):
-        """Regularization matrices of (N, k) values returned by ``values``."""
-        return matrices_from_rows(vals, self.basis)
+        return matrices_from_rows(self.values(R_array), self.basis)
 
 
 def is_driven(schedule, R, v):

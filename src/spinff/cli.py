@@ -112,11 +112,9 @@ def write_atomic(path, text):
         raise
 
 
-def write_csv(path, header, rows):
-    """One line per row; a row is a sequence of comma-joined pieces."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    write_atomic(path, "\n".join(lines) + "\n")
+def write_csv(path, header, lines):
+    """The header, then the given lines: one comma-joined string per row."""
+    write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_json(path, payload):
@@ -206,7 +204,7 @@ def run_job(config):
         traj.t, traj.R_adv, traj.psi.real, traj.psi.imag, traj.populations,
         traj.norm, traj.fidelity, traj.coefficients,
     ]))
-    write_csv(os.path.join(config.out, "trajectory.csv"), header, zip(lines))
+    write_csv(os.path.join(config.out, "trajectory.csv"), header, lines)
 
     header = ["t", "R_adv", "v"] + [f"coef_{n}" for n in names] + [
         f"drive_{n}" for n in names
@@ -215,7 +213,7 @@ def run_job(config):
         traj.t, traj.R_adv, traj.velocity, traj.coefficients,
         traj.velocity[:, None] * traj.coefficients,
     ]))
-    write_csv(os.path.join(config.out, "coefficients.csv"), header, zip(lines))
+    write_csv(os.path.join(config.out, "coefficients.csv"), header, lines)
 
     passed = traj.min_fidelity >= config.fidelity_bar
     summary = _config_payload(config)
@@ -251,7 +249,7 @@ _SELECTION_HEADER = (
 
 
 def _selection_rows(grid, which):
-    """CSV rows of the grid's selections ``which`` (indices), point by point.
+    """CSV lines of the grid's selections ``which`` (indices), point by point.
 
     Unsolved entries print as ``_accept`` leaves them: residual and
     max_imag nan, and cond inf where singular.
@@ -259,14 +257,15 @@ def _selection_rows(grid, which):
     numbers = np.concatenate([grid.coefficients[:, which], np.stack(
         [grid.residual, grid.cond, grid.max_imag], axis=-1)[:, which]], axis=-1)
     labels = ["|".join(grid.selections[s]) for s in which]
-    reasons = grid.reason[:, which].tolist()
-    gids = grid.group_id[:, which].tolist()
-    lines = iter(_float_rows(numbers.reshape(-1, numbers.shape[-1])))
-    return [
-        [R, label, "0" if code else "1", REASONS[code], next(lines), str(gid)]
-        for R, codes, point_gids in zip(map(repr, grid.R.tolist()), reasons, gids)
-        for label, code, gid in zip(labels, codes, point_gids)
-    ]
+    status = [f"{int(code == 0)},{reason}" for code, reason in enumerate(REASONS)]
+    lines = _float_rows(numbers.reshape(-1, numbers.shape[-1]))
+    rows, S = [], len(labels)
+    for k, (R, codes, gids) in enumerate(zip(map(repr, grid.R.tolist()),
+                                             grid.reason[:, which].tolist(),
+                                             grid.group_id[:, which].tolist())):
+        rows += [f"{R},{label},{status[code]},{line},{gid}" for label, code, line, gid
+                 in zip(labels, codes, lines[k * S : (k + 1) * S], gids)]
+    return rows
 
 
 def solve_cd_job(config):
@@ -276,12 +275,11 @@ def solve_cd_job(config):
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
         x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
-        rows = zip(_float_rows(np.column_stack([R_values, x, residual])))
+        rows = _float_rows(np.column_stack([R_values, x, residual]))
     elif selection == "dense":
         x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
         numbers = _float_rows(np.column_stack([x, residual, np.full((len(x), 2), np.nan)]))
-        rows = [[repr(R), "dense", "1", "", line, "-1"]
-                for R, line in zip(R_values.tolist(), numbers)]
+        rows = [f"{R!r},dense,1,,{line},-1" for R, line in zip(R_values.tolist(), numbers)]
     elif selection in admissible_selections(config.model):
         # the selection's rows of one enumeration of the whole grid
         grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
@@ -326,8 +324,8 @@ def verify_table_job(config):
     entries = verification.entries
     numbers = _float_rows([[e.max_residual, e.max_solver_gap, e.max_vanishing]
                            for e in entries])
-    rows = [[str(e.index), e.frame, "|".join(e.pair), line, str(e.group_id),
-             "1" if e.passed else "0"] for e, line in zip(entries, numbers)]
+    rows = [f"{e.index},{e.frame},{'|'.join(e.pair)},{line},{e.group_id},{int(e.passed)}"
+            for e, line in zip(entries, numbers)]
     write_csv(os.path.join(config.out, "table_report.csv"), header, rows)
     payload = {
         "passed": bool(verification.passed),

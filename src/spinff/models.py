@@ -10,17 +10,23 @@ the couplings or their slopes with it:
   qa    two-spin annealer, H = -J s1z s2z - (s1z+s2z) Bz/2 - (s1x+s2x) Bx(R)/2
   gen   Ising + general field, H = J s1z s2z + (s1 + s2).B/2, Bz = Bz(R)
 
-Every eigensolve goes through one batched dense Hermitian solver whose
+Every two-spin operator commutes with SWAP, so H never couples the
+triplet {|uu>, (|ud>+|du>)/sqrt2, |dd>} and the singlet (|ud>-|du>)/sqrt2;
+``SECTORS`` holds both as isometries P (lz: one sector, the identity), and
+each model's block table P^H op P is derived from its operator table.
+Every eigensolve is one batched Hermitian solve of the triplet block (lz:
+its 2x2 matrix), with the singlet energy read off its 1x1 block; the whole
 spectrum is checked against the closed-form eigenvalues (including the
 cubic roots of the two-spin models, from the principal cube root).  One
-gauge rule, ``default_anchor``, keeps an anchor component of each
-eigenvector real and positive.  ``tracked_state`` is the
-one state layer: over an array of R it returns the energies, the tracked
-eigenvector C, its derivative from the spectral formula
-dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), exact because every
-coupling is affine in R (so dH/dR is a constant matrix), and the right-hand
-side i dC/dR - i <C|dC/dR> C of the defining equation; ``eigensystem_batch``
-gives every level.  The other state functions are thin views of these two.
+gauge rule, ``default_anchor``, keeps an anchor component of each expanded
+eigenvector real and positive.  ``tracked_state`` is the one state layer:
+over an array of R it returns the energies, the tracked eigenvector C, its
+derivative from the spectral formula
+dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the levels of n's
+sector (no other couples), exact because every coupling is affine in R (so
+dH/dR is a constant matrix), and the right-hand side i dC/dR - i <C|dC/dR> C
+of the defining equation; ``eigensystem_batch`` gives every level.  The
+other state functions are thin views of these two.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +54,15 @@ OPERATORS = {
 
 # Couplings each Hamiltonian reads; any of them may be scheduled in R.
 REQUIRED_COUPLINGS = {kind: tuple(table) for kind, table in OPERATORS.items()}
+
+# SWAP sectors of |uu>, |ud>, |du>, |dd> as isometries (dim, b) by model
+# dimension: the triplet and the singlet; the two-level model is one sector
+_R = np.sqrt(0.5)
+SECTORS = {
+    2: (np.eye(2),),
+    4: (np.array([[1, 0, 0], [0, _R, 0], [0, _R, 0], [0, 0, 1]]),
+        np.array([[0], [_R], [-_R], [0]])),
+}
 
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
@@ -124,6 +139,19 @@ class ModelSpec:
         H.flags.writeable = False
         return H
 
+    @property
+    def sectors(self):
+        """The isometries P (dim, b) of the SWAP sectors, which H never couples."""
+        return SECTORS[self.dim]
+
+    @cached_property
+    def block_operators(self):
+        """Per sector, the read-only (couplings, b, b) block table P^H op P."""
+        blocks = tuple(P.T @ self.operators @ P for P in self.sectors)
+        for ops in blocks:
+            ops.flags.writeable = False
+        return blocks
+
     # -- canonical parametrizations ------------------------------------
 
     @classmethod
@@ -156,14 +184,8 @@ def _contract(operators, c):
     return (c @ operators.view(float).reshape(k, -1)).view(complex).reshape(-1, d, d)
 
 
-def hamiltonian(model, R):
-    """Hermitian model matrix at parameter R (scalar or array of R values).
-
-    Returns shape ``(dim, dim)`` for scalar R, ``R.shape + (dim, dim)``
-    otherwise: the couplings at R contracted with the model's operator
-    table, in the two-spin basis ordering |uu>, |ud>, |du>, |dd>.
-    """
-    R = np.asarray(R, dtype=float)
+def _coupling_values(model, R):
+    """(N, couplings) values at the points of R, refusing a non-finite one by name."""
     if not np.isfinite(R).all():
         raise DomainError("R is not finite")
     offset, slope = model.coupling_affine
@@ -173,22 +195,58 @@ def hamiltonian(model, R):
         point = np.argmin(finite.all(axis=0))
         name = REQUIRED_COUPLINGS[model.kind][np.argmin(finite[:, point])]
         raise DomainError(f"coupling {name!r} is not finite at R={R.flat[point]}")
-    return _contract(model.operators, c.T).reshape(R.shape + (model.dim,) * 2)
+    return c.T
 
 
-def _eigh_model(model, R, H=None):
-    """Batched dense eigensolve over a 1-d R, checked against the closed form.
+def hamiltonian(model, R):
+    """Hermitian model matrix at parameter R (scalar or array of R values).
 
-    The real-symmetric models take the real path.  Every spectrum is
-    compared with the closed form of ``analytic_eigenvalues``.
-    ``H`` passes in the model matrices at R when the caller already holds
-    them, so they are not built a second time.
+    Returns shape ``(dim, dim)`` for scalar R, ``R.shape + (dim, dim)``
+    otherwise: the couplings at R contracted with the model's operator
+    table, in the two-spin basis ordering |uu>, |ud>, |du>, |dd>.
     """
-    if H is None:
-        H = hamiltonian(model, R)
-    w, V = np.linalg.eigh(H.real if model.is_real else H)
+    R = np.asarray(R, dtype=float)
+    return _contract(model.operators, _coupling_values(model, R)).reshape(
+        R.shape + (model.dim,) * 2)
+
+
+def sector_hamiltonians(model, R):
+    """Per sector, the (N, b, b) blocks P^H H P of the Hamiltonian over a 1-d R."""
+    c = _coupling_values(model, np.asarray(R, dtype=float))
+    return [_contract(ops, c) for ops in model.block_operators]
+
+
+def _sector_eigh(model, R, blocks=None):
+    """Eigensolves of the sector blocks over a 1-d R: (w, solved, where).
+
+    ``solved`` holds (energies (N, b), vectors (N, b, b)) per sector, a 1x1
+    block's energy read off the block.  w (N, dim) is the whole spectrum,
+    ascending and checked against ``analytic_eigenvalues``; level m is
+    entry where[:, m] of the sectors' concatenated energies.  ``blocks``
+    optionally holds ``sector_hamiltonians(model, R)`` already built.
+    """
+    solved = []
+    for H in sector_hamiltonians(model, R) if blocks is None else blocks:
+        if H.shape[-1] == 1:
+            solved.append((H[..., 0].real, np.ones_like(H)))
+        else:
+            w, V = np.linalg.eigh(H.real if model.is_real else H)
+            solved.append((w, V.astype(complex, copy=False)))
+    energies = np.concatenate([w for w, _ in solved], axis=1)
+    where = np.argsort(energies, axis=1, kind="stable")
+    w = np.take_along_axis(energies, where, axis=1)
     analytic_eigenvalues(model, R, numeric=w)
-    return w, V.astype(complex, copy=False)
+    return w, solved, where
+
+
+def _eigh_model(model, R):
+    """(w (N, dim), V (N, dim, dim)) over a 1-d R: the sector eigensolves, expanded.
+
+    V[:, :, m] is level m expanded to the dim amplitudes, P v.
+    """
+    w, solved, where = _sector_eigh(model, R)
+    V = np.concatenate([P @ Vb for P, (_, Vb) in zip(model.sectors, solved)], axis=2)
+    return w, np.take_along_axis(V, where[:, None, :], axis=2)
 
 
 def default_anchor(model, amplitudes):
@@ -210,22 +268,23 @@ def _phase_to(vectors, anchors):
     return np.conj(pivot) / np.abs(pivot)
 
 
-def tracked_state(model, R, n, *, anchor=None, H=None):
+def tracked_state(model, R, n, *, anchor=None, blocks=None):
     """(w, C, dC, rhs) of state n over a 1-d array of R values.
 
     w (N, dim) holds every energy; C, dC/dR and
     rhs = i dC/dR - i <C|dC/dR> C, the right-hand side of the defining
-    equation, are (N, dim).  One eigensolve per point; the derivative is
-    sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m), carried into the gauge
+    equation, are (N, dim).  One eigensolve per point and sector; the
+    derivative is sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the
+    levels m of n's sector, carried into the gauge
     that holds ``anchor`` (one index, or one per point; default:
     ``default_anchor`` at each point) real and positive by -i Im(dC_a / C_a) C.
     Raises DegeneracyError where state n comes within GAP_MIN of another
-    level, and GaugeError where the anchor component is below ANCHOR_MIN
-    (only an explicit anchor can be).
-    ``H`` optionally holds ``hamiltonian(model, R)`` already built.
+    level of any sector, and GaugeError where the anchor component is below
+    ANCHOR_MIN (only an explicit anchor can be).
+    ``blocks`` optionally holds ``sector_hamiltonians(model, R)`` already built.
     """
     R = np.asarray(R, dtype=float)
-    w, V = _eigh_model(model, R, H)
+    w, solved, where = _sector_eigh(model, R, blocks)
     denom = w[:, n, None] - w
     denom[:, n] = np.inf
     gap = np.abs(denom).min(axis=1)
@@ -235,11 +294,29 @@ def tracked_state(model, R, n, *, anchor=None, H=None):
             f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
             f"is below GAP_MIN={GAP_MIN:.1e}"
         )
-    denom[:, n] = 1.0
-    v = V[:, :, n]
-    coupling = np.einsum("kam,ka->km", np.conj(V), v @ model.slope_matrix.T)
-    coupling[:, n] = 0.0
-    dv = np.einsum("kam,km->ka", V, coupling / denom)
+    v = np.empty((len(R), model.dim), dtype=complex)
+    dv = np.empty_like(v)
+    start = 0
+    slope = model.coupling_affine[1][None]
+    for P, ops, (wb, Vb) in zip(model.sectors, model.block_operators, solved):
+        # the points where state n lies in this sector, as its level j there
+        j = where[:, n] - start
+        at = (j >= 0) & (j < P.shape[1])
+        start += P.shape[1]
+        if not at.any():
+            continue
+        if not at.all():
+            j, wb, Vb = j[at], wb[at], Vb[at]
+        idx = np.arange(len(j))
+        vb = Vb[idx, :, j]
+        denom = wb[idx, j, None] - wb
+        denom[idx, j] = 1.0
+        dH = _contract(ops, slope)[0]
+        # einsum, not matmul: its sums do not depend on the number of points
+        coupling = np.einsum("kam,ka->km", np.conj(Vb), np.einsum("ab,kb->ka", dH, vb))
+        coupling[idx, j] = 0.0
+        v[at] = vb @ P.T
+        dv[at] = np.einsum("kam,km->ka", Vb, coupling / denom) @ P.T
     anchors = default_anchor(model, v) if anchor is None else np.broadcast_to(anchor, len(R))
     idx = np.arange(len(R))
     small = np.abs(v[idx, anchors]) < ANCHOR_MIN
@@ -362,7 +439,7 @@ def state_and_derivative(model, R, n, *, anchor=None):
     return C[0], dC[0]
 
 
-def state_and_derivative_batch(model, R_array, n, *, H=None):
+def state_and_derivative_batch(model, R_array, n, *, blocks=None):
     """(C, dC/dR, E_n, all energies) of state n over R_array (see tracked_state)."""
-    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n, H=H)
+    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n, blocks=blocks)
     return C, dC, w[:, n], w

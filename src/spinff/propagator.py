@@ -8,6 +8,13 @@ Hamiltonian at each step's start, midpoint and end (the stage grid of
 with per-matrix scaling and squaring, not an eigensolve.  Because the
 equation is linear the whole run reduces to a product of per-step
 transfer matrices, folded per sample interval (chunk) in time order.
+
+H_FF = H0 + v Htilde never leaves the SWAP sector of the initial state
+(``models.SECTORS``), so every step matrix, product and state update runs
+on that sector's b x b block P^H H_FF P (b = 3 for the triplet, 1 for the
+singlet, 2 for the two-level model); the state is expanded to its dim
+amplitudes, P psi_b, only at the samples.
+
 The stage grid is walked in blocks of whole chunks, at most
 BLOCK_STAGE_POINTS stage points each (a chunk wider than that is
 split): each block builds its stage Hamiltonians once, solves the
@@ -43,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
+from .ansatz import matrices_from_rows
 from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, step_count, velocity
@@ -97,18 +105,17 @@ class Trajectory:
 # What a pass keeps for the pass at twice its step count, which has the same
 # chunks and whose even stage points are these stage points: the coefficient
 # rows on the stage grid (2*steps+1, k; zero where undriven, None if no point
-# is driven), the transfer matrix of each chunk (chunks, dim, dim), and the
+# is driven), the block transfer matrix of each chunk (chunks, b, b), and the
 # spectrum and eigenvector n at the samples.  R and v are not kept: point 2j
 # of the next pass sits at 2j fl(T/(4N)) = j fl(T/(2N)), the same u bit for
 # bit.  No Hamiltonian or step-matrix stack is kept.
 _Stages = namedtuple("_Stages", "rows G energies targets")
 
 
-def _stage_block(model, schedule, steps, s0, s1):
-    """R, v and H0 on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
+def _stage_block(schedule, steps, s0, s1):
+    """R and v on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
     u = np.arange(2 * s0, 2 * s1 + 1) * (schedule.T_FF / (2 * steps))
-    Rs = advanced_parameter(schedule, u, clamp=True)
-    return Rs, velocity(schedule, u, clamp=True), models.hamiltonian(model, Rs)
+    return advanced_parameter(schedule, u, clamp=True), velocity(schedule, u, clamp=True)
 
 
 def _expm_hermitian(K, h):
@@ -233,8 +240,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     """
     dt = schedule.T_FF / steps
     n_chunks = min(steps, max(MIN_SAMPLES, samples))
-    dim = model.dim
-    eye = np.eye(dim, dtype=complex)
 
     # sample intervals (chunks) of near-equal step counts; sample k sits on
     # step bounds[k], i.e. on stage point 2 * bounds[k]
@@ -246,11 +251,17 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     group = max(1, BLOCK_STAGE_POINTS // (2 * width))
     span = min(width, max(1, BLOCK_STAGE_POINTS // 2))
 
-    # initial state: gauge-fixed eigenvector at R0
-    _, V0 = models.eigensystem_batch(model, np.array([schedule.R0]))
-    psi = V0[0][:, n].copy()
+    # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
+    # so that it lies in one sector; the run is evolved on that block
+    _, (C0,), _, _ = models.tracked_state(model, np.array([schedule.R0]), n)
+    sector = int(np.argmax([np.linalg.norm(C0 @ P) for P in model.sectors]))
+    P = model.sectors[sector]
+    dim = model.dim
+    eye = np.eye(P.shape[1], dtype=complex)
+    psi_b = np.empty((n_chunks + 1, P.shape[1]), dtype=complex)
+    psi_b[0] = C0 @ P
     psi_s = np.empty((n_chunks + 1, dim), dtype=complex)
-    psi_s[0] = psi
+    psi_s[0] = psi_b[0] @ P.T
     norm_s = np.empty(n_chunks + 1)
     R_s = np.empty(n_chunks + 1)
     v_s = np.empty(n_chunks + 1)
@@ -262,25 +273,27 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     else:
         w_s, C_s = base.energies, base.targets
     if not last:
-        G_all = np.empty((n_chunks, dim, dim), dtype=complex)
+        G_all = np.empty((n_chunks,) + eye.shape, dtype=complex)
     path = coeffs = rows_all = None
     step_error = 0.0
 
     for j0 in range(0, n_chunks, group):
         j1 = min(j0 + group, n_chunks)
-        G = np.broadcast_to(eye, (j1 - j0, dim, dim)).copy()
+        G = None
         coarse = eye
         for l0 in range(0, width, span):
             l = np.arange(l0, min(l0 + span, width))
             # step matrices of the block, padded with eye past each chunk's end
             valid = l[None, :] < sizes[j0:j1, None]
-            Mpad = np.broadcast_to(eye, valid.shape + (dim, dim)).copy()
+            Mpad = np.broadcast_to(eye, valid.shape + eye.shape).copy()
             # in row-major order the valid entries are steps s0 .. s1-1; a
             # segment can hold padding only, when a wide chunk is one step short
             s0 = bounds[j0] + l0
             s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
             if s1 > s0:
-                Rs, vs, H = _stage_block(model, schedule, steps, s0, s1)
+                Rs, vs = _stage_block(schedule, steps, s0, s1)
+                blocks = models.sector_hamiltonians(model, Rs)
+                H = blocks[sector]
                 live = is_driven(schedule, Rs, vs)
                 k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
                 pos = 2 * (bounds[k] - s0)
@@ -288,6 +301,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                 if np.any(live):
                     if path is None:
                         path = CoefficientPath(model, solution, n)
+                        drive = P.T @ path.basis @ P
                         coeffs = np.zeros((n_chunks + 1, len(path.names)))
                         if not last:
                             rows_all = np.zeros((2 * steps + 1, len(path.names)))
@@ -299,14 +313,15 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                         if base.rows is not None:
                             rows[0::2] = base.rows[s0 : s1 + 1]
                     if np.any(new):
-                        state = models.tracked_state(model, Rs[new], n, H=H[new])
+                        state = models.tracked_state(model, Rs[new], n,
+                                                     blocks=[b[new] for b in blocks])
                         rows[new] = path.values(Rs[new], state=state)
                         if base is None:
                             at = live[pos]
                             idx = np.searchsorted(np.flatnonzero(live), pos[at])
                             w_s[k[at]], C_s[k[at]] = state[0][idx], state[1][idx]
                         del state   # not held through the step matrices, the block's peak
-                    H[live] += vs[live, None, None] * path.matrices_from_values(rows[live])
+                    H[live] += vs[live, None, None] * matrices_from_rows(rows[live], drive)
                 fine = _cf4_step_matrices(H, dt)
                 Mpad[valid] = fine
                 if base is None:
@@ -319,21 +334,22 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                     coeffs[k] = rows[pos]
                 if not last and rows is not None:
                     rows_all[2 * s0 : 2 * s1 + 1] = rows
-            # fold chunk-wise: one batched matmul per intra-chunk index
+            # fold chunk-wise: one batched matmul per intra-chunk index after
+            # the first, which every chunk has
             for i in range(len(l)):
-                G = Mpad[:, i] @ G
+                G = Mpad[:, i] if G is None else Mpad[:, i] @ G
 
         if base is not None:
             # each chunk of base is two steps here: its product is the 2h one
             coarse = _product(base.G[j0:j1])
         if not last:
             G_all[j0:j1] = G
-        psi_coarse = coarse @ psi
+        psi_coarse = coarse @ psi_b[j0]
         for j in range(j0, j1):
-            psi = G[j - j0] @ psi
-            psi_s[j + 1] = psi
+            np.matmul(G[j - j0], psi_b[j], out=psi_b[j + 1])
+        psi_s[j0 + 1 : j1 + 1] = psi_b[j0 + 1 : j1 + 1] @ P.T
         # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
-        step_error += float(np.linalg.norm(psi - psi_coarse)) / 15.0
+        step_error += float(np.linalg.norm(psi_b[j1] - psi_coarse)) / 15.0
         if last and step_error > STEP_ERROR_MAX:
             raise StepSizeError(
                 f"estimated step error {step_error:.3e} exceeds {STEP_ERROR_MAX:.0e}; "

@@ -621,7 +621,7 @@ def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     # the sparse solve-cd rows of every selection, accepted or not
     for s, selection in enumerate(grid.selections):
         expected = [_object_row(R, *point[s]) for R, point in zip(R_values, points)]
-        assert _csv_text(_selection_rows(grid, [s])) == _csv_text(expected), selection
+        assert _csv_text(zip(_selection_rows(grid, [s]))) == _csv_text(expected), selection
     if preset == "gen":
         # every row rejected, both ways, some with a non-finite cond
         assert {row[3] for row in objects} == {"singular", "not_real"}

@@ -10,11 +10,13 @@ from spinff import (
     hamiltonian,
     state_and_derivative,
 )
+from spinff import models
 from spinff.ansatz import BASIS, COEFF_NAMES
 from spinff.models import (
     REQUIRED_COUPLINGS,
     default_anchor,
     eigensystem_batch,
+    sector_hamiltonians,
     state_and_derivative_batch,
     tracked_state,
 )
@@ -244,7 +246,7 @@ def test_batched_path_runs_the_branch_check():
     model = ModelSpec.qa()
     R = np.array([2.0, 5.0])
     with pytest.raises(ConsistencyError):
-        state_and_derivative_batch(model, R, 0, H=hamiltonian(model, R + 1.0))
+        state_and_derivative_batch(model, R, 0, blocks=sector_hamiltonians(model, R + 1.0))
 
 
 def test_eigenpair_residuals():
@@ -389,6 +391,57 @@ def test_gen_designated_anchor_is_last_component(gen_model):
     assert default_anchor(gen_model, ground) == 3
     assert ground[3].imag == pytest.approx(0.0, abs=1e-15)
     assert ground[3].real > 0
+
+
+# ---------------------------------------------------------------------------
+# SWAP-sector eigensolve against the full 4x4 eigh
+
+_SECTOR_COUPLING = st.floats(min_value=-5.0, max_value=5.0, allow_subnormal=False)
+
+
+@given(st.sampled_from(["tfim", "qa", "gen"]), st.data())
+def test_sector_eigensolve_is_the_full_eigh(kind, data):
+    names = REQUIRED_COUPLINGS[kind]
+    model = ModelSpec(kind, schedule_map={
+        name: (data.draw(_SECTOR_COUPLING), data.draw(_SECTOR_COUPLING)) for name in names})
+    R = np.array(data.draw(st.lists(_SECTOR_COUPLING, min_size=1, max_size=5)))
+    w, V = models._eigh_model(model, R)
+    w_ref, V_ref = np.linalg.eigh(hamiltonian(model, R))
+    scale = np.maximum(1.0, np.abs(w_ref).max(axis=1))
+    assert np.all(np.abs(w - w_ref).max(axis=1) <= 1e-12 * scale)
+    # every level apart from the others: the same vector up to a phase,
+    # and its tracked state has the same right-hand side up to that phase
+    other = ~np.eye(4, dtype=bool)
+    gap = np.where(other, np.abs(w_ref[:, :, None] - w_ref[:, None, :]), np.inf).min(axis=2)
+    overlap = np.abs(np.einsum("kam,kam->km", np.conj(V_ref), V))
+    apart = gap > 1e-6 * scale[:, None]
+    assert np.all(np.abs(overlap[apart] - 1.0) <= 1e-12)
+    slope = np.conj(np.swapaxes(V_ref, 1, 2)) @ model.slope_matrix @ V_ref
+    for m in range(4):
+        k = gap[:, m] > 1e-2 * scale
+        if not k.any():
+            continue
+        _, C, _, rhs = tracked_state(model, R[k], m)
+        phase = np.einsum("ka,ka->k", np.conj(V_ref[k, :, m]), C)
+        denom = np.where(other[m], w_ref[k, m, None] - w_ref[k], np.inf)
+        dv = np.einsum("kab,kb->ka", V_ref[k], slope[k, :, m] / denom)
+        bound = 1e-9 * np.abs(model.slope_matrix).max() / gap[k, m] ** 2 * scale[k] + 1e-12
+        assert np.all(np.abs(rhs * np.conj(phase)[:, None] - 1j * dv).max(axis=1) <= bound)
+
+
+def test_tracked_state_follows_its_level_across_the_sectors():
+    # J = 0.3 + 0.2 R changes sign at R = -1.5: level 1 is (|uu> - |dd>)/sqrt2
+    # (triplet) below it and the singlet above, within one batch
+    model = ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5))
+    R = np.array([-3.0, -2.5, 0.0, 1.0])
+    w, C, dC, rhs = tracked_state(model, R, 1)
+    singlet = models.SECTORS[4][1][:, 0]
+    assert np.allclose(np.abs(C @ singlet), [0, 0, 1, 1], rtol=0, atol=1e-15)
+    for k, r in enumerate(R.tolist()):
+        single = tracked_state(model, np.array([r]), 1)
+        for got, want in zip((w, C, dC, rhs), single):
+            assert np.array_equal(got[k], want[0])
+    np.testing.assert_array_equal(C, eigensystem_batch(model, R)[1][:, :, 1])
 
 
 # ---------------------------------------------------------------------------

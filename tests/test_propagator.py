@@ -15,8 +15,9 @@ from spinff import (
     ff_state_residual,
 )
 from spinff import cdsolver, models, propagator
+from spinff.cli import resolve_selection
 from spinff.config import load_preset
-from spinff.errors import DomainError, StepSizeError
+from spinff.errors import DegeneracyError, DomainError, StepSizeError
 from spinff.schedule import advanced_parameter, velocity
 
 QA_SEL = ("W2", "By", "Bz")
@@ -218,7 +219,8 @@ def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
     # chunk one transfer matrix, per sample its states
     _, stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500, last=False)
     shapes = {name: np.shape(getattr(stages, name)) for name in stages._fields}
-    assert shapes == {"rows": (2001, 3), "G": (500, 4, 4),
+    # (G holds the chunk products of the 3x3 triplet block the qa ground state lies in)
+    assert shapes == {"rows": (2001, 3), "G": (500, 3, 3),
                       "energies": (501, 4), "targets": (501, 4)}
     # the last pass, and so every run at an explicit dt, keeps nothing
     assert propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500)[1] is None
@@ -229,8 +231,8 @@ def test_even_stage_points_of_a_pass_are_the_stage_points_of_the_pass_before(nam
     # why a pass record need not keep R and v: recomputed, they are the same bits
     config = load_preset(name)
     for steps in (1000, 1250, 4000):
-        coarse = propagator._stage_block(config.model, config.schedule, steps, 0, steps)
-        fine = propagator._stage_block(config.model, config.schedule, 2 * steps, 0, 2 * steps)
+        coarse = propagator._stage_block(config.schedule, steps, 0, steps)
+        fine = propagator._stage_block(config.schedule, 2 * steps, 0, 2 * steps)
         for a, b in zip(coarse, fine):
             assert np.array_equal(b[0::2], a)
 
@@ -423,6 +425,53 @@ def test_batched_phases_are_the_per_time_phases(kind):
 
 
 # ---------------------------------------------------------------------------
+# the run on its SWAP-sector block against a plain 4x4 run
+
+def _cf4_reference(model, schedule, solution, n, steps, psi0):
+    """psi after every step of a plain 4x4 CF4:2 run: H_FF from
+    fast_forward_hamiltonian on the stage grid, each factor by scipy's expm."""
+    h = schedule.T_FF / steps
+    u = np.minimum(np.arange(2 * steps + 1) * (schedule.T_FF / (2 * steps)), schedule.T_FF)
+    H = fast_forward_hamiltonian(model, schedule, solution, u, n)
+    half_a1 = (H[0:-1:2] + 4.0 * H[1::2] + H[2::2]) / 12.0
+    two_a2 = (H[2::2] - H[0:-1:2]) / 6.0
+    U = (scipy.linalg.expm(-1j * h * (half_a1 + two_a2))
+         @ scipy.linalg.expm(-1j * h * (half_a1 - two_a2)))
+    psi = [psi0]
+    for step in U:
+        psi.append(step @ psi[-1])
+    return np.array(psi)
+
+
+@pytest.mark.parametrize("name, n", [("qa", 0), ("qa", 1), ("gen", 0), ("gen", 1), ("gen", 2),
+                                     ("gen", 3), ("tfim", 0), ("tfim", 3)])
+def test_sector_run_is_the_plain_4x4_run(name, n):
+    # gen level 1 is the singlet, a 1x1 block; the others lie in the triplet
+    config = dataclasses.replace(load_preset(name), state=n)
+    solution = resolve_selection(config)
+    steps = 400
+    traj = evolve(config.model, config.schedule, solution, n,
+                  dt=config.schedule.T_FF / steps, samples=200)
+    assert traj.psi.shape == (len(traj.t), 4)
+    # the initial state is level n of the full eigh, up to a phase
+    _, V = np.linalg.eigh(models.hamiltonian(config.model, config.schedule.R0))
+    overlap = np.vdot(V[:, n], traj.psi[0])
+    assert abs(abs(overlap) - 1.0) <= 1e-12
+    ref = _cf4_reference(config.model, config.schedule, solution, n, steps,
+                         V[:, n] * overlap / abs(overlap))
+    at = np.rint(traj.t / traj.dt).astype(int)
+    assert np.max(np.abs(traj.psi - ref[at])) <= 1e-12
+
+
+def test_run_degenerate_at_R0_is_refused_naming_R0(qa_model):
+    # Bx = 0 at R0 = 10: the singlet and the triplet level |ud> + |du> both sit at +J
+    schedule = Schedule(10.0, 10.0, 0.1)
+    for n in (2, 3):
+        with pytest.raises(DegeneracyError, match=r"state %d at R=10\.0 is below" % n):
+            evolve(qa_model, schedule, QA_SEL, n, dt=schedule.T_FF / 400)
+
+
+# ---------------------------------------------------------------------------
 # step exponentials
 
 def _hermitian_stack(dim, norms, seed=0):
@@ -505,14 +554,15 @@ def test_block_size_does_not_change_results(qa_model, qa_schedule, monkeypatch, 
 
 
 def test_stage_hamiltonians_built_once(qa_model, qa_schedule, monkeypatch):
+    # the stage blocks are built once and handed to the stage eigensolve
     points = []
-    build = models.hamiltonian
+    build = models.sector_hamiltonians
 
     def counting(model, R):
         points.append(np.size(R))
         return build(model, R)
 
-    monkeypatch.setattr(models, "hamiltonian", counting)
+    monkeypatch.setattr(models, "sector_hamiltonians", counting)
     steps = 6007
     traj = evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / steps, samples=200)
     # stage grid, block boundaries shared by two blocks, samples, initial state
