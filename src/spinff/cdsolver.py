@@ -31,8 +31,10 @@ batched kernels solve every system built by ``_operator_columns``:
 arrays), which ``solve_grid``/``enumerate_grid`` run over an R grid; the
 scalar functions are their one-point case.  ``_accept`` filters each 2x2
 or 3x3 system by its 2-norm condition number, taken in closed form from
-the system's Gram and adjugate matrices, not by an SVD; it is inf where
-det = 0 or the system is singular to working precision.
+the system's Gram and adjugate matrices, not by an SVD: their largest
+eigenvalues are roots of ``models.closed_form_eigenvalues``, the kernel of
+the models' closed-form spectrum.  cond is inf where det = 0 or the
+system is singular to working precision.
 ``CoefficientPath`` solves one selection along R unfiltered and refuses,
 naming R, a point where that system is exactly singular or a coefficient
 is not finite.
@@ -81,7 +83,6 @@ class ReducedSystem:
     coefficient_matrix: np.ndarray   # (m, k) complex
     rhs: np.ndarray                  # (m,) complex
     unknown_names: tuple
-    state_index: int
     state_vector: np.ndarray         # full C, for residual recomputation
     rhs_full: np.ndarray             # full 4-component right-hand side
     merged_rows: tuple
@@ -98,11 +99,15 @@ class SelectionResult:
     residual: float = np.nan
 
 
+# (kept, merged) rows of the four-row problem that coincide for the tracked
+# states: C2 = C3 in every two-spin model, and C1 = C4 in the transverse Ising one
+_MERGED_ROWS = {"lz": (), "qa": ((1, 2),), "gen": ((1, 2),), "tfim": ((1, 2), (0, 3))}
+
+
 def _merged_rows(model):
     """Rows left after merging the symmetry-degenerate ones (two-level: all)."""
-    if model.kind in ("tfim", "lz"):
-        return (0, 1)
-    return (0, 1, 3)
+    merged = {j for _, j in _MERGED_ROWS[model.kind]}
+    return tuple(i for i in range(model.dim) if i not in merged)
 
 
 def _operator_columns(basis, C, rows=None):
@@ -137,24 +142,13 @@ def _squared_norms(V):
 def _norm2_squared(V):
     """Squared spectral norm of the matrices whose k = 2 or 3 columns are V (k, n, ...).
 
-    It is the largest eigenvalue of their Gram matrix, in closed form for
-    k = 2 and by Smith's trigonometric form (Commun. ACM 4, 168 (1961)) for
-    k = 3; the latter loses up to about 1e-8 relative accuracy where the
-    two largest eigenvalues coincide.
+    It is the largest eigenvalue of their Gram matrix, the last root of
+    ``models.closed_form_eigenvalues``; for k = 3 it loses up to about 1e-8
+    relative accuracy where the two largest eigenvalues coincide.
     """
-    d = _squared_norms(V)
-    if len(V) == 2:
-        q = (V[0].conj() * V[1]).sum(axis=0)
-        return (d[0] + d[1] + np.hypot(d[0] - d[1], 2 * abs(q))) / 2
-    # the Gram entries 01, 02, 12
-    e, f, g = (V.take([0, 0, 1], axis=0).conj() * V.take([1, 2, 2], axis=0)).sum(axis=1)
-    mean = d.mean(axis=0)
-    d0, d1, d2 = d - mean
-    e2, f2, g2 = abs(e) ** 2, abs(f) ** 2, abs(g) ** 2
-    p = np.sqrt((d0 ** 2 + d1 ** 2 + d2 ** 2 + 2 * (e2 + f2 + g2)) / 6)
-    det = d0 * d1 * d2 + 2 * (e * g * f.conj()).real - d0 * g2 - d1 * f2 - d2 * e2
-    r = np.divide(det, 2 * p ** 3, out=np.zeros_like(p), where=p > 0)
-    return mean + 2 * p * np.cos(np.arccos(np.clip(r, -1, 1)) / 3)
+    pairs = ((0, 1),) if len(V) == 2 else ((0, 1), (0, 2), (1, 2))
+    upper = [(V[i].conj() * V[j]).sum(axis=0) for i, j in pairs]
+    return models.closed_form_eigenvalues(_squared_norms(V), upper)[-1]
 
 
 def _cross(V):
@@ -179,9 +173,9 @@ def _condition_number(M):
     a.(b x c) errs by up to eps cond^2 and rates some rank-1 matrices as
     well conditioned.  A zero or repeated column gives det exactly 0.  A
     system singular to working precision (cond >= 1/eps) gets cond inf.
-    Smith's form loses up to about 1e-8 relative accuracy where two
-    singular values of M coincide (s1 = s2 in the Gram matrix of M,
-    s2 = s3 in that of adj M).
+    The largest Gram eigenvalue (``_norm2_squared``) loses up to about 1e-8
+    relative accuracy where two singular values of M coincide (s1 = s2 in
+    the Gram matrix of M, s2 = s3 in that of adj M).
     """
     V = np.moveaxis(M, (-1, -2), (0, 1))   # V[k] is column k
     if len(V) == 2:
@@ -245,14 +239,12 @@ def _check_merged_rows(model, R, C, rhs_full):
     C and rhs_full are (N, dim) over the 1-d R; the error names the first
     offending R.
     """
-    checks = [("C2 != C3", C, 1, 2), ("degenerate middle rows differ", rhs_full, 1, 2)]
-    if model.kind == "tfim":
-        checks += [("C1 != C4", C, 0, 3), ("degenerate outer rows differ", rhs_full, 0, 3)]
-    for label, X, i, j in checks:
-        diff = np.abs(X[:, i] - X[:, j])
-        if np.any(diff > SYMMETRY_TOL):
-            k = int(np.argmax(diff > SYMMETRY_TOL))
-            raise ConsistencyError(f"{label} at R={R[k]}: {diff[k]:.3e}")
+    for i, j in _MERGED_ROWS[model.kind]:
+        for label, X in ((f"C{i + 1} != C{j + 1}", C), (f"rhs{i + 1} != rhs{j + 1}", rhs_full)):
+            diff = np.abs(X[:, i] - X[:, j])
+            if np.any(diff > SYMMETRY_TOL):
+                k = int(np.argmax(diff > SYMMETRY_TOL))
+                raise ConsistencyError(f"{label} at R={R[k]}: {diff[k]:.3e}")
 
 
 def reduce_system(model, R, n, selection):
@@ -269,7 +261,6 @@ def reduce_system(model, R, n, selection):
         coefficient_matrix=_operator_columns(BASIS[idx], C, rows),
         rhs=rhs_full[list(rows)],
         unknown_names=tuple(selection),
-        state_index=n,
         state_vector=C,
         rhs_full=rhs_full,
         merged_rows=rows,
@@ -366,8 +357,6 @@ class GridEnumeration:
     ``state``, ``derivative`` and ``rhs`` are the tracked (N, dim) arrays.
     """
 
-    model_kind: str
-    state_index: int
     R: np.ndarray
     selections: tuple
     coefficients: np.ndarray
@@ -405,7 +394,7 @@ def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
     _, C, dC, rhs = models.tracked_state(model, R, n)
     _check_merged_rows(model, R, C, rhs)
     arrays = _accept(idx, C, rhs, _merged_rows(model), tol)
-    return GridEnumeration(model.kind, n, R, tuple(selections), *arrays,
+    return GridEnumeration(R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
 
 

@@ -15,13 +15,14 @@ triplet {|uu>, (|ud>+|du>)/sqrt2, |dd>} and the singlet (|ud>-|du>)/sqrt2;
 ``SECTORS`` holds both as isometries P (lz: one sector, the identity), and
 each model's block table P^H op P is derived from its operator table.
 Every eigensolve is one batched Hermitian solve of the triplet block (lz:
-its 2x2 matrix), with the singlet energy read off its 1x1 block; the whole
-spectrum is checked against the closed-form eigenvalues (including the
-cubic roots of the two-spin models, from the principal cube root).  One
-gauge rule, ``default_anchor``, keeps an anchor component of each expanded
-eigenvector real and positive.  ``tracked_state`` is the one state layer:
-over an array of R it returns the energies, the tracked eigenvector C, its
-derivative from the spectral formula
+its 2x2 matrix), with the singlet energy read off its 1x1 block.  The
+closed-form spectrum is the same for every model: ``closed_form_eigenvalues``
+of each sector block, and each eigensolve is checked against it through the
+characteristic polynomial's coefficients, which a double root leaves
+accurate.  One gauge rule, ``default_anchor``, keeps an anchor component of
+each expanded eigenvector real and positive.  ``tracked_state`` is the one
+state layer: over an array of R it returns the energies, the tracked
+eigenvector C, its derivative from the spectral formula
 dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the levels of n's
 sector (no other couples), exact because every coupling is affine in R (so
 dH/dR is a constant matrix), and the right-hand side i dC/dR - i <C|dC/dR> C
@@ -67,6 +68,7 @@ SECTORS = {
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
 BRANCH_TOL = 1e-8       # analytic vs numeric eigenvalue guard
+_UPPER = {1: [], 2: [1], 3: [1, 2, 5]}   # flat row-major indices above a b x b diagonal
 
 
 @dataclass(frozen=True)
@@ -365,72 +367,76 @@ def eigensystem(model, R, *, n=None):
     return w[0], V[0]
 
 
-def _cubic_roots(model, R):
-    """The symmetric-sector cubic roots (lam2, lam3, lam4), shape (3,) + R.shape.
+def closed_form_eigenvalues(diagonal, upper):
+    """Eigenvalues (b, ...) of Hermitian 1x1, 2x2 or 3x3 matrices, ascending up to rounding.
 
-    They come from the principal cube root; the other two branches give
-    the same roots in another order.
+    ``diagonal`` (b, ...) holds the real diagonals, ``upper`` the entries
+    above them in row order.  3x3: Smith's trigonometric form (Commun. ACM
+    4, 168 (1961)), mean + 2p cos(theta + 2 pi j/3) for j = 1, 2, 0, with
+    p^2 = tr(B^2)/6, cos(3 theta) = det(B)/(2p^3) and B the matrix less its
+    mean diagonal.  A double root loses about sqrt(eps) relative accuracy
+    (arccos near +-1); the characteristic polynomial's coefficients do not.
     """
-    c = model.couplings(R)
-    J = c["J"]
-    if model.kind == "qa":
-        Bx, Bz = c["Bx"], c["Bz"]
-        gp = Bx**2 / 3 + Bz**2 / 3 + 4 * J**2 / 9
-        gm = Bx**2 * J / 3 - 2 * Bz**2 * J / 3 + 8 * J**3 / 27
-        base = -J / 3
-    else:  # gen
-        Bz = c["Bz"]
-        z2 = (c["Bx"] ** 2 + c["By"] ** 2) / 4
-        gp = Bz**2 / 3 + 4 * z2 / 3 + 4 * J**2 / 9
-        gm = 2 * Bz**2 * J / 3 - 4 * J * z2 / 3 - 8 * J**3 / 27
-        base = J / 3
-    u = gm + np.sqrt(np.asarray(gm**2 - gp**3, dtype=complex))
-    # beta = r exp(i phi) is the principal cube root of u; the roots are
-    # base + beta + conj(beta) and a pair split symmetrically around
-    # base - Re(beta), real by construction
-    r = np.abs(u) ** (1.0 / 3.0)
-    phi = np.angle(u) / 3
-    re, split = r * np.cos(phi), np.sqrt(3.0) * r * np.sin(phi)
-    return np.stack([base + 2 * re, base - re - split, base - re + split])
+    if len(diagonal) == 1:
+        return diagonal
+    if len(diagonal) == 2:
+        total = diagonal[0] + diagonal[1]
+        split = np.hypot(diagonal[0] - diagonal[1], 2 * abs(upper[0]))
+        return np.stack([(total - split) / 2, (total + split) / 2])
+    e, f, g = upper
+    mean = diagonal.mean(axis=0)
+    d0, d1, d2 = diagonal - mean
+    e2, f2, g2 = abs(e) ** 2, abs(f) ** 2, abs(g) ** 2
+    p = np.sqrt((d0 ** 2 + d1 ** 2 + d2 ** 2 + 2 * (e2 + f2 + g2)) / 6)
+    det = d0 * d1 * d2 + 2 * (e * g * np.conj(f)).real - d0 * g2 - d1 * f2 - d2 * e2
+    p3 = 2 * p ** 3     # 0 by underflow below p ~ 1e-103, where B is 0 to working precision
+    theta = np.arccos(np.clip(np.divide(det, p3, out=np.zeros_like(p), where=p3 > 0), -1, 1)) / 3
+    return mean + 2 * p * np.cos(np.add.outer(np.pi * np.array([2, 4, 0]) / 3, theta))
+
+
+def _elementary(x):
+    """Elementary symmetric functions e_1 ... e_b (b, ...) of the values x (b, ...)."""
+    e = np.zeros_like(x)
+    for value in x:
+        e[1:] += value * e[:-1]
+        e[0] += value
+    return e
 
 
 def analytic_eigenvalues(model, R, *, numeric=None):
     """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Returns R.shape + (dim,), from the closed form alone: no Hamiltonian
-    is built and nothing is diagonalized.  Given ``numeric`` (R.shape +
-    (dim,), such as the dense solver's spectrum), every point is compared
-    with it and ConsistencyError, naming R, is raised where they differ by
-    more than BRANCH_TOL relative to the spectrum's scale.
+    Returns R.shape + (dim,): ``closed_form_eigenvalues`` of each SWAP
+    sector block (the couplings contracted with ``block_operators``); no
+    eigensolve runs.  A double root inside a block (tfim and qa at Bx = 0)
+    is accurate to about sqrt(eps), up to about 1.3e-8 relative.  Given
+    ``numeric`` (R.shape + (dim,), such as the dense solver's spectrum), the
+    spectra are compared through their elementary symmetric functions e_k,
+    the characteristic polynomial's coefficients, which a double root
+    leaves accurate: ConsistencyError, naming R, is raised where some
+    |e_k - e_k'| exceeds BRANCH_TOL scale^k, scale = max(1, max |numeric|).
     """
-    # levels lead, R trails, so the reductions run over the leading axis
     R = np.asarray(R, dtype=float)
-    c = model.couplings(R)
-    if model.kind == "lz":
-        Q = np.hypot(c["Bz"], c["Delta"])
-        roots = np.stack([-Q / 2, Q / 2])
-    elif model.kind == "tfim":
-        s = np.hypot(c["J"], c["Bx"])
-        roots = np.stack([-c["J"], c["J"], -s, s])
-    else:
-        # the antisymmetric level, then the cubic roots
-        cubic = _cubic_roots(model, R)
-        asym = c["J"] if model.kind == "qa" else -c["J"]
-        roots = np.concatenate([np.broadcast_to(asym, (1,) + cubic.shape[1:]), cubic])
-    levels = np.sort(roots, axis=0)                           # (level,) + R.shape
-    if numeric is None:
-        return np.moveaxis(levels, 0, -1)
-    numeric = np.moveaxis(np.sort(numeric, axis=-1), -1, 0)
-    scale = np.maximum(1.0, np.maximum(np.abs(numeric[0]), np.abs(numeric[-1])))
-    err = np.max(np.abs(levels - numeric), axis=0) / scale    # R.shape
-    bad = ~(err <= BRANCH_TOL)
-    if np.any(bad):
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ConsistencyError(
-            f"closed-form eigenvalues of {model.kind} do not match the dense "
-            f"spectrum at R={R[k]}: relative error {err[k]:.3e}"
-        )
-    return np.moveaxis(levels, 0, -1)
+    c = _coupling_values(model, R)
+    roots = []
+    for ops in model.block_operators:
+        b = ops.shape[-1]
+        H = np.ascontiguousarray(_contract(ops, c).reshape(-1, b * b).T)  # (entry, N)
+        roots.append(closed_form_eigenvalues(H[::b + 1].real, H[_UPPER[b]]))
+    levels = np.sort(np.concatenate(roots), axis=0)           # (level, N)
+    if numeric is not None:
+        numeric = np.ascontiguousarray(np.reshape(numeric, (-1, model.dim)).T)
+        scale = np.maximum(1.0, np.abs(numeric).max(axis=0))
+        e = _elementary(np.stack([levels, numeric], axis=1) / scale)
+        err = np.abs(e[:, 0] - e[:, 1]).max(axis=0)
+        bad = ~(err <= BRANCH_TOL)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ConsistencyError(
+                f"closed-form eigenvalues of {model.kind} do not match the dense "
+                f"spectrum at R={R.flat[k]}: characteristic polynomial error {err[k]:.3e}"
+            )
+    return levels.T.reshape(R.shape + (model.dim,))
 
 
 def state_and_derivative(model, R, n, *, anchor=None):

@@ -402,20 +402,20 @@ def _legendre_rule(count):
     return x, w
 
 
-def _phases(model, schedule, n, t_values, nodes=PHASE_NODES):
+def _phases(model, schedule, n, t_values):
     """(adiabatic, dynamical) phases accumulated up to each time.
 
     One ``tracked_state`` call over the Gauss nodes of all the times gives
     the rate v i <C|dC/dR> and the energy of state n.
     """
     t = np.asarray(t_values, dtype=float)[:, None]
-    x, w = _legendre_rule(nodes)
+    x, w = _legendre_rule(PHASE_NODES)
     tau = (0.5 * t * (x + 1.0)).ravel()
     energies, C, dC, _ = models.tracked_state(
         model, advanced_parameter(schedule, tau, clamp=True), n)
     rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
-    rate = (velocity(schedule, tau, clamp=True) * rate).reshape(-1, nodes)
-    terms = zip(0.5 * t * w, rate, energies[:, n].reshape(-1, nodes))
+    rate = (velocity(schedule, tau, clamp=True) * rate).reshape(-1, PHASE_NODES)
+    terms = zip(0.5 * t * w, rate, energies[:, n].reshape(-1, PHASE_NODES))
     return np.array([(np.dot(wk, rk), np.dot(wk, ek)) for wk, rk, ek in terms]).T
 
 

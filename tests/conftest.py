@@ -7,6 +7,8 @@ settings.register_profile(
     "ci", max_examples=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# deeper runs of the property tests: pytest --hypothesis-profile thorough
+settings.register_profile("thorough", settings.get_profile("ci"), max_examples=1000)
 settings.load_profile("ci")
 
 

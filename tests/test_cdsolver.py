@@ -650,6 +650,16 @@ def test_batched_drb_refusal_names_the_degenerate_point():
         drb_counterdiabatic(ModelSpec.lz(delta=0.0), np.array([-1.0, 0.0, 1.0]))
 
 
+def test_zero_field_qa_spectrum_is_exact_and_its_drb_is_a_degeneracy():
+    # H = -J s1z s2z: a double root inside the triplet block and one across
+    # the sectors; the eigensolve is right, and DRB refuses only the gap
+    model = ModelSpec.qa(j=1.24, bz=0.0, b0=0.0)
+    w, _ = models.eigensystem_batch(model, [0.0])
+    np.testing.assert_allclose(w, [[-1.24, -1.24, 1.24, 1.24]], rtol=1e-15, atol=0)
+    with pytest.raises(DegeneracyError, match=r"gap 0\.000e\+00 at R=0\.0 "):
+        drb_counterdiabatic(model, 0.0)
+
+
 @pytest.mark.parametrize("kind, n", [("lz", 1), ("lz", 0), ("qa", 0), ("gen", 0), ("gen", 2)])
 def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
     model, R = GRIDS[kind]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinff import (
@@ -427,6 +427,48 @@ def test_sector_eigensolve_is_the_full_eigh(kind, data):
         dv = np.einsum("kab,kb->ka", V_ref[k], slope[k, :, m] / denom)
         bound = 1e-9 * np.abs(model.slope_matrix).max() / gap[k, m] ** 2 * scale[k] + 1e-12
         assert np.all(np.abs(rhs * np.conj(phase)[:, None] - 1j * dv).max(axis=1) <= bound)
+
+
+# exact zeros make double roots inside a block (qa and tfim at Bx = 0, ...)
+_AFFINE = st.one_of(st.just(0.0), _SECTOR_COUPLING)
+
+
+@st.composite
+def _affine_models(draw):
+    kind = draw(st.sampled_from(sorted(models.OPERATORS)))
+    return ModelSpec(kind, schedule_map={name: (draw(_AFFINE), draw(_AFFINE))
+                                         for name in REQUIRED_COUPLINGS[kind]})
+
+
+def _scaled(model, size):
+    return ModelSpec(model.kind, schedule_map={
+        name: (size * a, size * b) for name, a, b in zip(REQUIRED_COUPLINGS[model.kind],
+                                                         *model.coupling_affine)})
+
+
+@given(_affine_models(), st.lists(_AFFINE, min_size=1, max_size=5), st.integers(0, 3))
+@example(ModelSpec.qa(j=4.867241616140628, bz=0.0, b0=0.0), [0.0], 0)
+def test_closed_form_spectrum_of_random_affine_couplings(model, R, level):
+    R = np.array(R)
+    ref = np.linalg.eigvalsh(hamiltonian(model, R))
+    vals = analytic_eigenvalues(model, R)
+    scale = np.maximum(1.0, np.abs(ref).max(axis=1))
+    err = np.abs(vals - ref).max(axis=1) / scale
+    assert np.all(err <= 1e-7)
+    apart = np.diff(ref, axis=1).min(axis=1) > 1e-3 * scale
+    assert np.all(err[apart] <= 1e-12)
+    # the check reads the characteristic polynomial: it accepts the dense
+    # spectrum at a double root, and refuses one level moved by 1e-6 scale
+    analytic_eigenvalues(model, R, numeric=ref)
+    moved = ref.copy()
+    moved[:, level % model.dim] += 1e-6 * scale
+    for k in range(len(R)):
+        with pytest.raises(ConsistencyError):
+            analytic_eigenvalues(model, R[k], numeric=moved[k])
+    # couplings of 1e-131, where the cube of Smith's p underflows
+    tiny = _scaled(model, 1e-131)
+    vals = analytic_eigenvalues(tiny, R, numeric=np.linalg.eigvalsh(hamiltonian(tiny, R)))
+    assert np.all(np.isfinite(vals))
 
 
 def test_tracked_state_follows_its_level_across_the_sectors():
