@@ -5,14 +5,13 @@ The defining linear problem for the tracked eigenvector C(R) reads
     Htilde C = i dC/dR - i (C^dag dC/dR) C        (hbar = 1)
 
 with Htilde restricted to the nine-coefficient ansatz.  C, dC/dR and
-the right-hand side are the four amplitudes of ``models.tracked_state``
-(solved on the state's SWAP sector).  The two-spin models' triplet
-states have C2 = C3, which makes the middle rows of the four-row problem
-degenerate; the transverse Ising model additionally has C1 = C4.  A
-*selection* picks which ansatz coefficients stay free (the rest pinned
-to zero) so the reduced system becomes square.  Solutions are
-accepted only when the reduced matrix is regular and every solved
-coefficient is real; the survivors cluster into degenerate groups.
+the right-hand side are the four amplitudes of ``models.tracked_state``;
+``tracked_sector`` keeps the rows that fix a vector of their symmetry
+sector (triplet: rows 1, 2, 4, as C2 = C3; tfim's flip-even block: rows 1,
+2, as also C1 = C4).  A *selection* picks which ansatz coefficients stay
+free (the rest pinned to zero) so the reduced system becomes square.
+Solutions are accepted only when the reduced matrix is regular and every
+solved coefficient is real; the survivors cluster into degenerate groups.
 
 Sparse selections do not exhaust the solution set: the full nine-variable
 problem is rank deficient and carries a multi-parameter family of real
@@ -85,7 +84,7 @@ class ReducedSystem:
     unknown_names: tuple
     state_vector: np.ndarray         # full C, for residual recomputation
     rhs_full: np.ndarray             # full 4-component right-hand side
-    merged_rows: tuple
+    rows: tuple                      # the reduced rows of ``tracked_sector``
 
 
 @dataclass(frozen=True)
@@ -97,17 +96,6 @@ class SelectionResult:
     cond: float = np.nan
     max_imag: float = np.nan
     residual: float = np.nan
-
-
-# (kept, merged) rows of the four-row problem that coincide for the tracked
-# states: C2 = C3 in every two-spin model, and C1 = C4 in the transverse Ising one
-_MERGED_ROWS = {"lz": (), "qa": ((1, 2),), "gen": ((1, 2),), "tfim": ((1, 2), (0, 3))}
-
-
-def _merged_rows(model):
-    """Rows left after merging the symmetry-degenerate ones (two-level: all)."""
-    merged = {j for _, j in _MERGED_ROWS[model.kind]}
-    return tuple(i for i in range(model.dim) if i not in merged)
 
 
 def _operator_columns(basis, C, rows=None):
@@ -197,11 +185,8 @@ def _solve_each(M, b):
         return np.linalg.solve(M, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan, dtype=complex)
-        for i in range(len(M)):
-            try:
-                x[i] = np.linalg.solve(M[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
+        regular = np.linalg.slogdet(M)[0] != 0    # the LU of solve: sign 0 where it raises
+        x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
         return x
 
 
@@ -221,57 +206,51 @@ def canonical_selection(selection):
     return tuple(COEFF_NAMES[i] for i in sorted(idx))
 
 
-def _square_indices(model, selections):
-    """(S, m) coefficient indices of selections squaring the reduced system, else ConfigError."""
+def _square_indices(model, selections, rows):
+    """(S, m) coefficient indices of the selections; ConfigError unless each squares ``rows``."""
     if model.dim != 4:
         raise ConfigError("reduced ansatz systems exist for two-spin models only")
-    m = len(_merged_rows(model))
     for sel in selections:
-        if len(sel) != m:
+        if len(sel) != len(rows):
             raise ConfigError(f"selection {','.join(sel)} has {len(sel)} coefficients; "
-                              f"the {model.kind} reduced system needs {m}")
+                              f"the tracked state's reduced system needs {len(rows)}")
     return np.array([_selection_indices(sel) for sel in selections])
 
 
-def _check_merged_rows(model, R, C, rhs_full):
-    """Raise ConsistencyError unless the rows the reduction merges coincide.
+def tracked_sector(model, R, C, rhs):
+    """(sector, rows) of the tracked states C and right-hand sides rhs (N, dim) over the 1-d R.
 
-    C and rhs_full are (N, dim) over the 1-d R; the error names the first
-    offending R.
+    ``sector`` indexes ``model.sectors``, the one holding C[0]; more than SYMMETRY_TOL of a
+    state or right-hand side outside it raises ConsistencyError naming the first such R.
+    ``rows`` holds each sector column's first nonzero amplitude: they fix a sector vector.
     """
-    for i, j in _MERGED_ROWS[model.kind]:
-        for label, X in ((f"C{i + 1} != C{j + 1}", C), (f"rhs{i + 1} != rhs{j + 1}", rhs_full)):
-            diff = np.abs(X[:, i] - X[:, j])
-            if np.any(diff > SYMMETRY_TOL):
-                k = int(np.argmax(diff > SYMMETRY_TOL))
-                raise ConsistencyError(f"{label} at R={R[k]}: {diff[k]:.3e}")
+    sector = int(np.argmax([np.abs(C[0] @ P).max() for P in model.sectors]))
+    P = model.sectors[sector]
+    X = np.concatenate([C, rhs])                 # the states, then the right-hand sides
+    outside = np.linalg.norm(X - X @ P @ P.T, axis=1)
+    if np.any(outside > SYMMETRY_TOL):
+        k = int(np.argmax(outside > SYMMETRY_TOL))
+        label = "state" if k < len(C) else "right-hand side"
+        raise ConsistencyError(f"{label} leaves symmetry sector {sector} at R={R[k % len(C)]}: "
+                               f"{outside[k]:.3e} outside")
+    return sector, tuple((P != 0).argmax(axis=0).tolist())
 
 
 def reduce_system(model, R, n, selection):
-    """Square reduced system for the selected free coefficients.
-
-    Exploits the row degeneracies of the symmetric eigenvectors; raises
-    ConsistencyError when the rows that must coincide do not.
-    """
-    (idx,) = _square_indices(model, [selection])
-    rows = _merged_rows(model)
-    _, (C,), _, (rhs_full,) = models.tracked_state(model, np.array([float(R)]), n)
-    _check_merged_rows(model, [R], C[None], rhs_full[None])
-    return ReducedSystem(
-        coefficient_matrix=_operator_columns(BASIS[idx], C, rows),
-        rhs=rhs_full[list(rows)],
-        unknown_names=tuple(selection),
-        state_vector=C,
-        rhs_full=rhs_full,
-        merged_rows=rows,
-    )
+    """Square reduced system for the selected free coefficients, on ``tracked_sector``'s rows."""
+    R = np.array([float(R)])
+    _, C, _, rhs = models.tracked_state(model, R, n)
+    _, rows = tracked_sector(model, R, C, rhs)
+    (idx,) = _square_indices(model, [selection], rows)
+    return ReducedSystem(_operator_columns(BASIS[idx], C[0], rows), rhs[0, list(rows)],
+                         tuple(selection), C[0], rhs[0], rows)
 
 
 def _accept(idx, C, rhs, rows, tol):
     """Solve and filter the square reduced systems of S selections at N states.
 
     idx (S, m) holds each selection's coefficient indices, C and rhs (N, dim)
-    the states and full right-hand sides; the systems keep the merged
+    the states and full right-hand sides; the systems keep the reduced
     ``rows``, the residual takes all rows.  Rejections in order: "singular"
     (cond above cond_max or not finite), "not_real" (imaginary part above
     imag_tol), "residual".  cond is the 2-norm condition number of each
@@ -311,7 +290,7 @@ def solve_selection(rs, tol=DEFAULT_TOL):
     sel = tuple(rs.unknown_names)
     x, reason, cond, max_imag, residual = (
         a[0, 0] for a in _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
-                                 rs.rhs_full[None], rs.merged_rows, tol))
+                                 rs.rhs_full[None], rs.rows, tol))
     coefficients = (AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), sel) if reason == 0
                     else None)
     return SelectionResult(sel, bool(reason == 0), REASONS[reason], coefficients,
@@ -389,11 +368,10 @@ def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
     One ``tracked_state`` call covers the grid and one ``_accept`` call
     every (R, selection) pair.
     """
-    idx = _square_indices(model, selections)
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, n)
-    _check_merged_rows(model, R, C, rhs)
-    arrays = _accept(idx, C, rhs, _merged_rows(model), tol)
+    _, rows = tracked_sector(model, R, C, rhs)
+    arrays = _accept(_square_indices(model, selections, rows), C, rhs, rows, tol)
     return GridEnumeration(R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
 
@@ -533,7 +511,6 @@ class CoefficientPath:
     def __init__(self, model, selection=None, n=0):
         self.model = model
         self.n = n
-        self.rows = _merged_rows(model)
         if model.dim == 2:
             self.mode = "lz"
             self.names = LZ_NAMES
@@ -545,24 +522,26 @@ class CoefficientPath:
         else:
             self.mode = "selection"
             self.names = canonical_selection(selection)
-            self.basis = BASIS[_square_indices(model, [self.names])[0]]
+            self.basis = BASIS[_selection_indices(self.names)]
 
     def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
 
         ``state`` optionally holds ``models.tracked_state`` of state n at
         R_array, computed by the caller.  Raises ConsistencyError at the
-        first R where the reduced system is exactly singular or a
-        coefficient is not finite.
+        first R where a state leaves its sector (``tracked_sector``), the
+        reduced system is exactly singular or a coefficient is not finite.
         """
         R_array = np.asarray(R_array, dtype=float)
         if state is None:
             state = models.tracked_state(self.model, R_array, self.n)
         _, C, _, rhs = state
-        M, b = _operator_columns(self.basis, C, self.rows), rhs[:, list(self.rows)]
-        # for the dense mode the merged rows suffice: the swap-degenerate
-        # middle rows coincide, and for a consistent system the minimum-norm
-        # member is the same
+        _, rows = tracked_sector(self.model, R_array, C, rhs)
+        if self.mode == "selection":
+            _square_indices(self.model, [self.names], rows)
+        M, b = _operator_columns(self.basis, C, rows), rhs[:, list(rows)]
+        # the minimum-norm solves take the reduced rows too; on tfim's flip-even
+        # block they leave the flip-odd coefficients at 0 to rounding
         x = _solve_each(M, b).real if self.mode == "selection" else _min_norm(M, b)
         bad = ~np.all(np.isfinite(x), axis=1)
         if np.any(bad):

@@ -22,7 +22,7 @@ class GaugeError(SpinFFError):
 
 
 class ConsistencyError(SpinFFError):
-    """Analytic/numeric mismatch: cube-root branch or merged-row symmetry."""
+    """Analytic/numeric mismatch: closed-form spectrum, or a state outside its symmetry sector."""
 
 
 class StepSizeError(SpinFFError):

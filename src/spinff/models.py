@@ -10,12 +10,12 @@ the couplings or their slopes with it:
   qa    two-spin annealer, H = -J s1z s2z - (s1z+s2z) Bz/2 - (s1x+s2x) Bx(R)/2
   gen   Ising + general field, H = J s1z s2z + (s1 + s2).B/2, Bz = Bz(R)
 
-Every two-spin operator commutes with SWAP, so H never couples the
-triplet {|uu>, (|ud>+|du>)/sqrt2, |dd>} and the singlet (|ud>-|du>)/sqrt2;
-``SECTORS`` holds both as isometries P (lz: one sector, the identity), and
-each model's block table P^H op P is derived from its operator table.
-Every eigensolve is one batched Hermitian solve of the triplet block (lz:
-its 2x2 matrix), with the singlet energy read off its 1x1 block.  The
+``ModelSpec.sectors`` holds the sectors H never couples: the joint
+eigenspaces of the ``SYMMETRIES`` the table commutes with (lz: the
+identity).  SWAP gives the triplet {|uu>, (|ud>+|du>)/sqrt2, |dd>} and the
+singlet; tfim also commutes with the flip X (x) X, splitting its triplet
+into {(|uu>+|dd>)/sqrt2, (|ud>+|du>)/sqrt2} and (|uu>-|dd>)/sqrt2.  Every
+eigensolve is one batched Hermitian solve per block P^H H P wider than 1.  The
 closed-form spectrum is the same for every model: ``closed_form_eigenvalues``
 of each sector block, and each eigensolve is checked against it through the
 characteristic polynomial's coefficients, which a double root leaves
@@ -31,7 +31,8 @@ other state functions are thin views of these two.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 
@@ -56,14 +57,31 @@ OPERATORS = {
 # Couplings each Hamiltonian reads; any of them may be scheduled in R.
 REQUIRED_COUPLINGS = {kind: tuple(table) for kind, table in OPERATORS.items()}
 
-# SWAP sectors of |uu>, |ud>, |du>, |dd> as isometries (dim, b) by model
-# dimension: the triplet and the singlet; the two-level model is one sector
-_R = np.sqrt(0.5)
-SECTORS = {
-    2: (np.eye(2),),
-    4: (np.array([[1, 0, 0], [0, _R, 0], [0, _R, 0], [0, 0, 1]]),
-        np.array([[0], [_R], [-_R], [0]])),
-}
+# Symmetries the sectors are built from, by model dimension: SWAP and the spin
+# flip X (x) X, as permutations of |uu>, |ud>, |du>, |dd>; SECTORS holds each model's
+SYMMETRIES = {4: ((0, 2, 1, 3), (3, 2, 1, 0))}
+
+
+def _sectors(ops):
+    """Read-only isometries P (dim, b) of the sectors of an operator stack (k, dim, dim): per
+    sign pattern (+ first) of the ``SYMMETRIES`` S mapping every operator to itself, the
+    distinct nonzero columns of prod (I +- S)/2, normalized.
+    """
+    eye = np.eye(ops.shape[-1])
+    S = [eye[list(perm)] for perm in SYMMETRIES.get(len(eye), ())
+         if np.array_equal(ops[:, perm][:, :, perm], ops)]
+    sectors = []
+    for signs in product((1, -1), repeat=len(S)):
+        V = reduce(np.matmul, [(eye + s * X) / 2 for s, X in zip(signs, S)], eye).T
+        # each S permutes the basis: two columns are parallel or have disjoint support
+        P = [v * np.sqrt(1 / (v @ v)) for k, v in enumerate(V) if v.any() and not (V[:k] @ v).any()]
+        if P:
+            sectors.append(np.array(P).T.copy())
+            sectors[-1].flags.writeable = False
+    return tuple(sectors)
+
+
+SECTORS = {kind: _sectors(np.array(list(table.values()))) for kind, table in OPERATORS.items()}
 
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
@@ -143,8 +161,8 @@ class ModelSpec:
 
     @property
     def sectors(self):
-        """The isometries P (dim, b) of the SWAP sectors, which H never couples."""
-        return SECTORS[self.dim]
+        """The isometries P (dim, b) of the sectors, which H never couples (``SECTORS``)."""
+        return SECTORS[self.kind]
 
     @cached_property
     def block_operators(self):
@@ -406,7 +424,7 @@ def _elementary(x):
 def analytic_eigenvalues(model, R, *, numeric=None):
     """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Returns R.shape + (dim,): ``closed_form_eigenvalues`` of each SWAP
+    Returns R.shape + (dim,): ``closed_form_eigenvalues`` of each
     sector block (the couplings contracted with ``block_operators``); no
     eigensolve runs.  A double root inside a block (tfim and qa at Bx = 0)
     is accurate to about sqrt(eps), up to about 1.3e-8 relative.  Given

@@ -9,11 +9,11 @@ with per-matrix scaling and squaring, not an eigensolve.  Because the
 equation is linear the whole run reduces to a product of per-step
 transfer matrices, folded per sample interval (chunk) in time order.
 
-H_FF = H0 + v Htilde never leaves the SWAP sector of the initial state
-(``models.SECTORS``), so every step matrix, product and state update runs
-on that sector's b x b block P^H H_FF P (b = 3 for the triplet, 1 for the
-singlet, 2 for the two-level model); the state is expanded to its dim
-amplitudes, P psi_b, only at the samples.
+Every step runs on the b x b block P^H H_FF P of the initial state's
+sector (``cdsolver.tracked_sector``): b = 3 for the qa and gen triplet,
+2 for tfim's flip-even block and the two-level model, 1 for a singlet or
+(|uu>-|dd>)/sqrt2.  The block drops the drive's flip-odd part, 0 to
+rounding on tfim.  The state is expanded, P psi_b, only at the samples.
 
 The stage grid is walked in blocks of whole chunks, at most
 BLOCK_STAGE_POINTS stage points each (a chunk wider than that is
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import models
 from .ansatz import matrices_from_rows
-from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
+from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven, tracked_sector
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, step_count, velocity
 
@@ -82,7 +82,6 @@ class Trajectory:
     velocity: np.ndarray          # (S,)
     dt: float
     steps: int
-    state_index: int
     step_error: float             # step-doubling estimate of the error in psi, summed over blocks
 
     @property
@@ -253,13 +252,13 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
 
     # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
     # so that it lies in one sector; the run is evolved on that block
-    _, (C0,), _, _ = models.tracked_state(model, np.array([schedule.R0]), n)
-    sector = int(np.argmax([np.linalg.norm(C0 @ P) for P in model.sectors]))
+    _, C0, _, rhs0 = models.tracked_state(model, np.array([schedule.R0]), n)
+    sector, _ = tracked_sector(model, [schedule.R0], C0, rhs0)
     P = model.sectors[sector]
     dim = model.dim
     eye = np.eye(P.shape[1], dtype=complex)
     psi_b = np.empty((n_chunks + 1, P.shape[1]), dtype=complex)
-    psi_b[0] = C0 @ P
+    psi_b[0] = C0[0] @ P
     psi_s = np.empty((n_chunks + 1, dim), dtype=complex)
     psi_s[0] = psi_b[0] @ P.T
     norm_s = np.empty(n_chunks + 1)
@@ -386,7 +385,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
         velocity=v_s,
         dt=dt,
         steps=steps,
-        state_index=n,
         step_error=step_error,
     )
     if last:

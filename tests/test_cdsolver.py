@@ -31,11 +31,11 @@ from spinff.cdsolver import (
     _accept,
     _cluster,
     _condition_number,
-    _merged_rows,
     _min_norm_solve,
     _operator_columns,
     enumeration_grid,
     solve_grid,
+    tracked_sector,
 )
 from spinff.config import load_preset
 from spinff.errors import ConfigError, ConsistencyError, DegeneracyError
@@ -131,6 +131,43 @@ def test_merged_row_symmetry_guard(qa_model, monkeypatch):
 
     with pytest.raises(ConsistencyError):
         reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz"))
+
+
+@pytest.mark.parametrize("preset, n, sector, rows", [
+    ("qa", 0, 0, (0, 1, 3)), ("gen", 0, 0, (0, 1, 3)), ("tfim", 0, 0, (0, 1)), ("lz", 1, 0, (0, 1)),
+    ("qa", 2, 1, (1,)), ("tfim", 1, 2, (1,)), ("tfim", 2, 1, (0,)),
+], ids=["qa", "gen", "tfim", "lz", "qa-singlet", "tfim-singlet", "tfim-flip-odd"])
+def test_reduced_rows_are_read_off_the_sectors(preset, n, sector, rows):
+    # each sector column's first nonzero amplitude: the triplet's C2 = C3
+    # drops row 3, tfim's flip-even C1 = C4 also row 4
+    config = load_preset(preset)
+    R = enumeration_grid(config.schedule, 5)
+    _, C, _, rhs = models.tracked_state(config.model, R, n)
+    assert tracked_sector(config.model, R, C, rhs) == (sector, rows)
+
+
+def test_coefficient_path_refuses_a_state_outside_its_sector(qa_model, monkeypatch):
+    # a state or right-hand side with a singlet part leaves the triplet;
+    # the path names the first R where it does instead of solving its rows
+    R = np.array([2.0, 5.0, 8.0])
+    w, C, dC, rhs = models.tracked_state(qa_model, R, 0)
+    path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
+    crooked = rhs.copy()
+    crooked[2, 2] += 1e-6
+    with pytest.raises(ConsistencyError, match=r"right-hand side leaves .* at R=8\.0"):
+        path.values(R, state=(w, C, dC, crooked))
+
+    original = models.tracked_state
+
+    def shifted(model, R, n, **kw):
+        w, C, dC, rhs = original(model, R, n, **kw)
+        C = C.copy()
+        C[1:, 1] += 1e-6
+        return w, C, dC, rhs
+
+    monkeypatch.setattr(cdsolver.models, "tracked_state", shifted)
+    with pytest.raises(ConsistencyError, match=r"state leaves symmetry sector 0 at R=5\.0"):
+        path.values(R)
 
 
 def test_qa_reduced_system_structure(qa_model):
@@ -320,6 +357,32 @@ def test_coefficient_path_refuses_singular_grid_point(qa_model):
     assert np.max(np.abs(vals[0] - expect)) < 1e-10
 
 
+def test_coefficient_path_names_a_singular_point_mid_batch(qa_model):
+    # Bx = 0 at R = 10 between two regular points: the batched solve raises,
+    # the regular points are solved together and R = 10 is named
+    path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
+    with pytest.raises(ConsistencyError, match=r"singular .* at R=10\.0"):
+        path.values(np.array([5.0, 10.0, 7.0]))
+
+
+def test_solve_each_is_the_per_matrix_solve():
+    # exactly singular systems (a zero matrix, a zero column) mid-stack come
+    # back NaN; every other row is bitwise the per-matrix solve
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    M[2] = 0.0
+    M[4, :, 1] = 0.0
+    x = cdsolver._solve_each(M, b)
+    for i in range(len(M)):
+        try:
+            expect = np.linalg.solve(M[i], b[i])
+        except np.linalg.LinAlgError:
+            expect = np.full(3, np.nan)
+        assert np.array_equal(x[i], expect, equal_nan=True), i
+    assert np.isnan(x[[2, 4]]).all() and np.isfinite(np.delete(x, [2, 4], axis=0)).all()
+
+
 def _same(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
 
@@ -424,10 +487,12 @@ def test_exactly_singular_systems_have_infinite_cond():
 
 
 def test_repeated_coefficient_is_singular_with_infinite_cond(qa_model):
-    _, C, _, rhs = models.tracked_state(qa_model, np.array([2.0, 5.0]), 0)
+    R = np.array([2.0, 5.0])
+    _, C, _, rhs = models.tracked_state(qa_model, R, 0)
+    _, rows = tracked_sector(qa_model, R, C, rhs)
     k, j = COEFF_NAMES.index("W2"), COEFF_NAMES.index("Bz")
     _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs,
-                                           _merged_rows(qa_model), DEFAULT_TOL)
+                                           rows, DEFAULT_TOL)
     assert np.all(np.isinf(cond))
     assert np.all(reason == REASONS.index("singular"))
     assert np.all(np.isnan(max_imag))
@@ -458,8 +523,8 @@ def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     R = enumeration_grid(config.schedule, config.grid)
     grid = enumerate_grid(config.model, R, config.state, config.tolerances)
     idx = np.array([[COEFF_NAMES.index(name) for name in sel] for sel in grid.selections])
-    svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :],
-                                           _merged_rows(config.model)))
+    _, rows = tracked_sector(config.model, R, grid.state, grid.rhs)
+    svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :], rows))
     moderate = svd <= 1e8
     assert moderate.any()
     np.testing.assert_allclose(grid.cond[moderate], svd[moderate], rtol=1e-12, atol=0)

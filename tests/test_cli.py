@@ -310,6 +310,44 @@ def test_wrong_size_selection_is_a_configuration_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _level_config(tmp_path, preset, state):
+    data = yaml.safe_load(_preset_text(preset))
+    data["state"] = state
+    path = tmp_path / f"{preset}-{state}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("preset, state, selection", [
+    ("qa", 2, "W2,By,Bz"), ("tfim", 1, "J3,W2"), ("tfim", 2, "J3,W2"), ("tfim", 2, "J3,W2,Bx"),
+], ids=["qa-singlet", "tfim-singlet", "tfim-flip-odd", "tfim-flip-odd-three"])
+def test_selection_on_a_one_row_sector_is_a_configuration_error(preset, state, selection,
+                                                                tmp_path, capsys):
+    # the singlet and (|uu> - |dd>)/sqrt2 have one reduced row, which no
+    # two- or three-name selection squares
+    config, out = _level_config(tmp_path, preset, state), tmp_path / "out"
+    size = len(selection.split(","))
+    for command in ("run", "solve-cd"):
+        assert main([command, "--config", config, "--selection", selection,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"has {size} coefficients; the tracked state's reduced system needs 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, state, selection", [
+    ("tfim", 3, "J3,W2"), ("tfim", 2, "dense"), ("gen", 1, "dense"),
+])
+def test_runs_on_every_sector_still_run(preset, state, selection, tmp_path):
+    # a flip-even, a flip-odd and a singlet level
+    config = _level_config(tmp_path, preset, state)
+    for command in ("run", "solve-cd"):
+        assert main([command, "--config", config, "--selection", selection,
+                     "--out", str(tmp_path / command)]) == 0
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["passed"] is True
+
+
 def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", "preset:lz", "--selection", "J3,W2",

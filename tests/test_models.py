@@ -27,6 +27,7 @@ from spinff.errors import (
     DomainError,
     GaugeError,
 )
+from spinff.cdsolver import tracked_sector
 from spinff.tables import lz_upper_derivative
 
 # tracked state per model for derivative checks (lz: the upper level)
@@ -119,6 +120,9 @@ KRONECKER = {
                       + c["Bz"] * _field("z")),
 }
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+FLIP = np.eye(4)[[3, 2, 1, 0]]       # X (x) X
+# sector widths: the triplet and the singlet, tfim's triplet split by the flip
+SECTOR_WIDTHS = {"lz": [2], "tfim": [2, 1, 1], "qa": [3, 1], "gen": [3, 1]}
 _COUPLING = st.floats(min_value=-50.0, max_value=50.0, allow_subnormal=False)
 
 
@@ -146,6 +150,18 @@ def test_two_spin_models_and_ansatz_operators_commute_with_swap():
             assert np.all(model.slope_matrix @ SWAP - SWAP @ model.slope_matrix == 0), name
     for name, op in zip(COEFF_NAMES, BASIS):
         assert np.all(op @ SWAP - SWAP @ op == 0), name
+
+
+def test_ansatz_operators_are_even_or_odd_under_the_flip():
+    # the sectors' symmetries are SWAP and the flip; conjugation by the flip
+    # maps every ansatz operator to +- itself (by SWAP to itself, above): a
+    # flip-odd one (W1, W3, By, Bz) maps each flip sector into the other
+    assert len(models.SYMMETRIES[4]) == 2
+    for perm, S in zip(models.SYMMETRIES[4], (SWAP, FLIP)):
+        assert np.array_equal(np.eye(4)[list(perm)], S)
+    for name, op in zip(COEFF_NAMES, BASIS):
+        sign = -1 if name in ("W1", "W3", "By", "Bz") else 1
+        assert np.array_equal(FLIP @ op @ FLIP, sign * op), name
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +445,27 @@ def test_sector_eigensolve_is_the_full_eigh(kind, data):
         assert np.all(np.abs(rhs * np.conj(phase)[:, None] - 1j * dv).max(axis=1) <= bound)
 
 
+@given(st.sampled_from(sorted(REQUIRED_COUPLINGS)), st.data())
+def test_sectors_block_diagonalize_every_hamiltonian(kind, data):
+    # the sectors come from the kind's operator table alone, so this covers
+    # every preset: orthonormal and complete, and P^T op Q = 0 for distinct
+    # sectors P, Q, so also P^T H Q = 0 at every R of random affine couplings
+    names = REQUIRED_COUPLINGS[kind]
+    model = ModelSpec(kind, schedule_map={
+        name: (data.draw(_SECTOR_COUPLING), data.draw(_SECTOR_COUPLING)) for name in names})
+    assert [P.shape[1] for P in model.sectors] == SECTOR_WIDTHS[kind]
+    P = np.concatenate(model.sectors, axis=1)
+    np.testing.assert_allclose(P.T @ P, np.eye(model.dim), rtol=0, atol=1e-15)
+    R = np.array(data.draw(st.lists(_SECTOR_COUPLING, min_size=1, max_size=5)))
+    H = hamiltonian(model, R)
+    bound = 1e-15 * max(1.0, np.abs(H).max())
+    for a, Pa in enumerate(model.sectors):
+        for b, Pb in enumerate(model.sectors):
+            if a != b:
+                assert np.all(Pa.T @ model.operators @ Pb == 0), (a, b)
+                assert np.abs(Pa.T @ H @ Pb).max() <= bound, (a, b)
+
+
 # exact zeros make double roots inside a block (qa and tfim at Bx = 0, ...)
 _AFFINE = st.one_of(st.just(0.0), _SECTOR_COUPLING)
 
@@ -473,12 +510,15 @@ def test_closed_form_spectrum_of_random_affine_couplings(model, R, level):
 
 def test_tracked_state_follows_its_level_across_the_sectors():
     # J = 0.3 + 0.2 R changes sign at R = -1.5: level 1 is (|uu> - |dd>)/sqrt2
-    # (triplet) below it and the singlet above, within one batch
+    # (the flip-odd triplet sector) below it and the singlet above, within one batch
     model = ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5))
     R = np.array([-3.0, -2.5, 0.0, 1.0])
     w, C, dC, rhs = tracked_state(model, R, 1)
-    singlet = models.SECTORS[4][1][:, 0]
+    odd, singlet = np.array([1, 0, 0, -1]) / np.sqrt(2), np.array([0, 1, -1, 0]) / np.sqrt(2)
+    assert np.allclose(np.abs(C @ odd), [1, 1, 0, 0], rtol=0, atol=1e-15)
     assert np.allclose(np.abs(C @ singlet), [0, 0, 1, 1], rtol=0, atol=1e-15)
+    sectors = [tracked_sector(model, R[[k]], C[[k]], rhs[[k]])[0] for k in range(len(R))]
+    assert sectors == [1, 1, 2, 2]
     for k, r in enumerate(R.tolist()):
         single = tracked_state(model, np.array([r]), 1)
         for got, want in zip((w, C, dC, rhs), single):

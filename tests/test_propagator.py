@@ -425,7 +425,7 @@ def test_batched_phases_are_the_per_time_phases(kind):
 
 
 # ---------------------------------------------------------------------------
-# the run on its SWAP-sector block against a plain 4x4 run
+# the run on its symmetry-sector block against a plain 4x4 run
 
 def _cf4_reference(model, schedule, solution, n, steps, psi0):
     """psi after every step of a plain 4x4 CF4:2 run: H_FF from
@@ -446,7 +446,8 @@ def _cf4_reference(model, schedule, solution, n, steps, psi0):
 @pytest.mark.parametrize("name, n", [("qa", 0), ("qa", 1), ("gen", 0), ("gen", 1), ("gen", 2),
                                      ("gen", 3), ("tfim", 0), ("tfim", 3)])
 def test_sector_run_is_the_plain_4x4_run(name, n):
-    # gen level 1 is the singlet, a 1x1 block; the others lie in the triplet
+    # gen level 1 is the singlet, a 1x1 block; the other qa and gen levels lie
+    # in the triplet, the tfim ones in its 2x2 flip-even block
     config = dataclasses.replace(load_preset(name), state=n)
     solution = resolve_selection(config)
     steps = 400
@@ -461,6 +462,18 @@ def test_sector_run_is_the_plain_4x4_run(name, n):
                          V[:, n] * overlap / abs(overlap))
     at = np.rint(traj.t / traj.dt).astype(int)
     assert np.max(np.abs(traj.psi - ref[at])) <= 1e-12
+
+
+@pytest.mark.parametrize("selection, flip_odd", [(("J3", "W2"), 0), (("W2", "Bz"), 1), ("dense", 4)])
+def test_tfim_drive_has_no_flip_odd_part(selection, flip_odd):
+    # the run evolves on tfim's flip-even block, which drops the part of the
+    # drive that would leave it: the flip-odd coefficients (W1, W3, By, Bz)
+    config = load_preset("tfim")
+    traj = evolve(config.model, config.schedule, selection, config.state)
+    coef = np.abs(traj.coefficients)
+    odd = [k for k, name in enumerate(traj.coefficient_names) if name in ("W1", "W3", "By", "Bz")]
+    assert coef.max() > 0 and len(odd) == flip_odd
+    assert coef[:, odd].max(initial=0.0) <= 1e-15 * coef.max()
 
 
 def test_run_degenerate_at_R0_is_refused_naming_R0(qa_model):
