@@ -30,6 +30,7 @@ from .cdsolver import (
     enumerate_grid,
     enumeration_grid,
     solve_grid,
+    tracked_sector,
 )
 from .config import load_config, load_preset
 from .errors import ConfigError, SpinFFError
@@ -153,9 +154,10 @@ def resolve_selection(config):
     """The configured selection, validated; or the enumeration default.
 
     Validation and the default policy ("first accepted in enumeration
-    order") are evaluated at the mid-excursion R, away from endpoint
-    singularities of the coefficient formulas.  The two-level model takes
-    no selection.
+    order", among the admissible selections that square the tracked
+    state's reduced rows) are evaluated at the mid-excursion R, away from
+    endpoint singularities of the coefficient formulas.  The two-level
+    model takes no selection.
     """
     model, R = config.model, [_mid_R(config)]
     if model.dim == 2:
@@ -166,7 +168,16 @@ def resolve_selection(config):
         _min_norm_solve(model, R, config.state, config.tolerances)
         return "dense"
     chosen = config.selection is not None
-    selections = [config.selection] if chosen else admissible_selections(model)
+    if chosen:
+        selections = [config.selection]
+    else:
+        _, C, _, rhs = models.tracked_state(model, np.array(R), config.state)
+        rows = tracked_sector(model, R, C, rhs)[1]
+        selections = [sel for sel in admissible_selections(model) if len(sel) == len(rows)]
+        if not selections:
+            raise ConfigError("no selection configured, and no admissible selection has the "
+                              f"{len(rows)} coefficient(s) the tracked state's reduced system "
+                              "needs; configure one (selection: dense takes any row count)")
     grid = solve_grid(model, R, selections, config.state, config.tolerances)
     reason = grid.reason[0]
     if np.any(reason == 0):

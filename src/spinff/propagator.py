@@ -14,29 +14,32 @@ sector (``cdsolver.tracked_sector``): b = 3 for the qa and gen triplet,
 2 for tfim's flip-even block and the two-level model, 1 for a singlet or
 (|uu>-|dd>)/sqrt2.  The block drops the drive's flip-odd part, 0 to
 rounding on tfim.  The state is expanded, P psi_b, only at the samples.
+Once the drive is added, every matrix stack is (b, b, N), matrix axes
+first, and ``_mul`` multiplies two stacks as b**3 elementwise
+multiply-adds over N (a stacked matmul costs about as much per 3x3
+matrix as per 4x4); psi advances one chunk at a time.
 
 The stage grid is walked in blocks of whole chunks, at most
 BLOCK_STAGE_POINTS stage points each (a chunk wider than that is
 split): each block builds its stage Hamiltonians once, solves the
-regularization coefficients on them, builds the step matrices
-vectorized, folds them and emits its sample rows.  So memory does not
-grow with the step count.
+regularization coefficients on them, builds and folds the step
+matrices and emits its sample rows, so memory does not grow with the
+step count.
 
 The scheme is unitary to rounding, so norm drift does not measure the
 step size.  Each block also folds the product of steps of 2*dt over
-consecutive step pairs, on the same stage Hamiltonians; the distance of
-the two block-end states over 15 estimates the error of the fine steps
-(step doubling at fourth order), summed over blocks into a
-StepSizeError bound.  No renormalization is applied anywhere.
+consecutive step pairs; the distance of the two block-end states over
+15 estimates the error of the fine steps (step doubling at fourth
+order), summed over blocks into a StepSizeError bound.  No
+renormalization is applied anywhere.
 
 Each pass is fixed-step.  Without an explicit dt, ``evolve`` chooses
 the step count from this estimate by step doubling (extrapolation
 step-size control, Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-passes at N0, 2 N0, 4 N0, ... steps over the same N0 chunks, each built
-on the one before.  The even stage points of a pass are the stage points
-of the one before, whose coefficient rows it reuses, so only its odd
-points are solved; its 2h product over a chunk is the transfer matrix
-of that chunk in the pass before, and its samples sit on the same points.
+passes at N0, 2 N0, 4 N0, ... steps over the same N0 chunks.  The even
+stage points of a pass are those of the pass before, whose coefficient
+rows it reuses, and its 2h product over a chunk is that pass's transfer
+matrix of the chunk.
 
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
 eigenvector; with an exact regularization term it stays at 1 up to
@@ -101,13 +104,12 @@ class Trajectory:
         return self.populations[-1]
 
 
-# What a pass keeps for the pass at twice its step count, which has the same
-# chunks and whose even stage points are these stage points: the coefficient
-# rows on the stage grid (2*steps+1, k; zero where undriven, None if no point
-# is driven), the block transfer matrix of each chunk (chunks, b, b), and the
-# spectrum and eigenvector n at the samples.  R and v are not kept: point 2j
-# of the next pass sits at 2j fl(T/(4N)) = j fl(T/(2N)), the same u bit for
-# bit.  No Hamiltonian or step-matrix stack is kept.
+# What a pass keeps for the pass at twice its step count (same chunks; its even
+# stage points are these): the coefficient rows on the stage grid (2*steps+1, k;
+# zero where undriven, None if no point is driven), each chunk's block transfer
+# matrix (b, b, chunks), and the spectrum and eigenvector n at the samples.  R
+# and v are recomputed: point 2j of the next pass sits at 2j fl(T/(4N)) =
+# j fl(T/(2N)), the same u bit for bit.  No Hamiltonian or step stack is kept.
 _Stages = namedtuple("_Stages", "rows G energies targets")
 
 
@@ -117,53 +119,55 @@ def _stage_block(schedule, steps, s0, s1):
     return advanced_parameter(schedule, u, clamp=True), velocity(schedule, u, clamp=True)
 
 
-def _expm_hermitian(K, h):
-    """exp(-ihK) for a stack of Hermitian K, by a Taylor sum; no eigensolve.
+def _mul(A, B):
+    """A[..., k] @ B[..., k] over two (b, b, N) stacks; each depends on its own pair only."""
+    # B[None, k] keeps ndims equal: numpy rounds 1-element complex products of unequal ndims apart
+    C = A[:, 0, None] * B[None, 0]
+    for k in range(1, len(B)):
+        C += A[:, k, None] * B[None, k]
+    return C
 
-    Each matrix X = -ihK is scaled by its own power of two 2**-s so that
-    ||X 2**-s||_1 <= TAYLOR_THETA, summed to degree 6 by Paterson-Stockmeyer
-    (three matmuls) and squared s times (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31, 970 (2009)).  Each exponential depends on its own
-    matrix only, not on the rest of the stack.
+
+def _expm_hermitian(K, h):
+    """exp(-ihK) for a (b, b, N) stack of Hermitian K, by a Taylor sum; no eigensolve.
+
+    Each X = -ihK is scaled by its own 2**-s so that ||X 2**-s||_1 <= TAYLOR_THETA,
+    summed to degree 6 by Paterson-Stockmeyer (three products) and squared s
+    times (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), so
+    each exponential depends on its own matrix only, not on the rest of the stack.
     """
-    norm = h * np.abs(K).sum(axis=-2).max(axis=-1)
+    d = range(len(K))
+    norm = h * np.abs(K).sum(axis=0).max(axis=0)
     s = np.ceil(np.log2(np.maximum(norm / TAYLOR_THETA, 1.0))).astype(int)
-    X = K * (-1j * h * np.exp2(-s))[..., None, None]
-    X2 = X @ X
-    X3 = X2 @ X
+    X = K * (-1j * h * np.exp2(-s))
+    X2 = _mul(X, X)
+    X3 = _mul(X2, X)
     # exp(X) ~ (I + X + X^2/2) + X^3 (I/6 + X/24 + X^2/120 + X^3/720),
     # summed in place to hold few stacks at once
     B = X3 * (1.0 / 720.0)
     B += X2 * (1.0 / 120.0)
     B += X * (1.0 / 24.0)
-    _add_to_diagonal(B, 1.0 / 6.0)
-    E = X3 @ B
+    B[d, d] += 1.0 / 6.0
+    E = _mul(X3, B)
     del X3, B
     X2 *= 0.5
     E += X2
     E += X
-    _add_to_diagonal(E, 1.0)
+    E[d, d] += 1.0
     for j in range(s.max(initial=0)):
         sq = s > j
-        E[sq] = E[sq] @ E[sq]
+        E[:, :, sq] = _mul(E[:, :, sq], E[:, :, sq])
     return E
 
 
-def _add_to_diagonal(A, c):
-    """A[k] += c I for every matrix of a C-contiguous stack, in place."""
-    d = A.shape[-1]
-    A.reshape(-1, d * d)[:, :: d + 1] += c
-
-
 def _cf4_step_matrices(H, h):
-    """CF4:2 transfer matrices of the steps on a stage grid of 2*steps+1 points.
+    """CF4:2 transfer matrices (b, b, steps) of the steps on a (b, b, 2*steps+1) stage grid.
 
-    With the Simpson moments a1 = (H_s + 4 H_m + H_e)/6 and a2 = (H_e - H_s)/12
-    of each step, U = exp(-ih(a1/2 + 2 a2)) exp(-ih(a1/2 - 2 a2)).  The right
-    factor acts first; the reverse order is only second order.  Each
-    factor is a Taylor sum (``_expm_hermitian``), not an eigensolve.
+    With the Simpson moments a1 = (H_s + 4 H_m + H_e)/6 and a2 = (H_e - H_s)/12 of
+    each step, U = exp(-ih(a1/2 + 2 a2)) exp(-ih(a1/2 - 2 a2)), each factor by
+    ``_expm_hermitian``; the right one acts first (the reverse order is second order).
     """
-    H_s, H_m, H_e = H[0:-1:2], H[1::2], H[2::2]
+    H_s, H_m, H_e = H[..., 0:-1:2], H[..., 1::2], H[..., 2::2]
     # in place where possible: these stacks set the peak memory of a block
     half_a1 = H_s + 4.0 * H_m
     half_a1 += H_e
@@ -175,26 +179,22 @@ def _cf4_step_matrices(H, h):
     del two_a2
     right = _expm_hermitian(half_a1, h)
     del half_a1
-    return _expm_hermitian(left, h) @ right
+    return _mul(_expm_hermitian(left, h), right)
 
 
 def _product(M):
-    """Time-ordered product M[-1] @ ... @ M[0], by pairwise batched products."""
-    while len(M) > 1:
-        # multiply neighbours; an unpaired last matrix carries over
-        M = np.concatenate([M[1::2] @ M[0:-1:2], M[len(M) - len(M) % 2:]])
-    return M[0]
+    """Time-ordered product M[..., -1] @ ... @ M[..., 0] of a (b, b, N) stack, N >= 1."""
+    while M.shape[-1] > 1:
+        odd = M[..., M.shape[-1] // 2 * 2 :]    # an unpaired last matrix carries over
+        M = np.concatenate([_mul(M[..., 1::2], M[..., 0:-1:2]), odd], axis=-1)
+    return M[..., 0]
 
 
 def _coarse_product(H, fine, h):
-    """Product of the steps of size 2h over the step pairs of one stage block.
-
-    The pairs' start, mid and end points are every other step point of the
-    block; an unpaired last step enters as its fine matrix.
-    """
-    pairs = len(fine) // 2
-    coarse = _cf4_step_matrices(H[: 4 * pairs + 1 : 2], 2.0 * h)
-    return _product(np.concatenate([coarse, fine[2 * pairs :]]))
+    """Product of the 2h steps over the step pairs of a stage block, unpaired last step fine."""
+    pairs = fine.shape[-1] // 2
+    coarse = _cf4_step_matrices(H[..., : 4 * pairs + 1 : 2], 2.0 * h)
+    return _product(np.concatenate([coarse, fine[..., 2 * pairs :]], axis=-1))
 
 
 def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
@@ -272,7 +272,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     else:
         w_s, C_s = base.energies, base.targets
     if not last:
-        G_all = np.empty((n_chunks,) + eye.shape, dtype=complex)
+        G_all = np.empty(eye.shape + (n_chunks,), dtype=complex)
     path = coeffs = rows_all = None
     step_error = 0.0
 
@@ -282,9 +282,9 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
         coarse = eye
         for l0 in range(0, width, span):
             l = np.arange(l0, min(l0 + span, width))
-            # step matrices of the block, padded with eye past each chunk's end
+            # the block's step matrices (b, b, chunk, step), eye past each chunk's end
             valid = l[None, :] < sizes[j0:j1, None]
-            Mpad = np.broadcast_to(eye, valid.shape + eye.shape).copy()
+            Mpad = np.broadcast_to(eye[..., None, None], eye.shape + valid.shape).copy()
             # in row-major order the valid entries are steps s0 .. s1-1; a
             # segment can hold padding only, when a wide chunk is one step short
             s0 = bounds[j0] + l0
@@ -321,8 +321,9 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                             w_s[k[at]], C_s[k[at]] = state[0][idx], state[1][idx]
                         del state   # not held through the step matrices, the block's peak
                     H[live] += vs[live, None, None] * matrices_from_rows(rows[live], drive)
+                H = H.transpose(1, 2, 0).copy()     # (b, b, stage points) from here on
                 fine = _cf4_step_matrices(H, dt)
-                Mpad[valid] = fine
+                Mpad[:, :, valid] = fine
                 if base is None:
                     coarse = _coarse_product(H, fine, dt) @ coarse
                 del fine    # not held through the next block's step matrices
@@ -333,19 +334,18 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
                     coeffs[k] = rows[pos]
                 if not last and rows is not None:
                     rows_all[2 * s0 : 2 * s1 + 1] = rows
-            # fold chunk-wise: one batched matmul per intra-chunk index after
-            # the first, which every chunk has
+            # fold chunk-wise: one stack product per intra-chunk index after the first
             for i in range(len(l)):
-                G = Mpad[:, i] if G is None else Mpad[:, i] @ G
+                G = Mpad[..., i] if G is None else _mul(Mpad[..., i], G)
 
         if base is not None:
             # each chunk of base is two steps here: its product is the 2h one
-            coarse = _product(base.G[j0:j1])
+            coarse = _product(base.G[..., j0:j1])
         if not last:
-            G_all[j0:j1] = G
+            G_all[..., j0:j1] = G
         psi_coarse = coarse @ psi_b[j0]
-        for j in range(j0, j1):
-            np.matmul(G[j - j0], psi_b[j], out=psi_b[j + 1])
+        for j, g in enumerate(np.moveaxis(G, -1, 0).copy(), j0):    # contiguous b x b each
+            np.matmul(g, psi_b[j], out=psi_b[j + 1])
         psi_s[j0 + 1 : j1 + 1] = psi_b[j0 + 1 : j1 + 1] @ P.T
         # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
         step_error += float(np.linalg.norm(psi_b[j1] - psi_coarse)) / 15.0

@@ -336,6 +336,27 @@ def test_selection_on_a_one_row_sector_is_a_configuration_error(preset, state, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset, state", [("qa", 2), ("tfim", 1), ("tfim", 2)],
+                         ids=["qa-singlet", "tfim-singlet", "tfim-flip-odd"])
+def test_default_selection_on_a_one_row_sector_is_a_configuration_error(preset, state,
+                                                                        tmp_path, capsys):
+    # no selection configured: the refusal names no selection as the user's,
+    # and states the row count the sector needs
+    data = yaml.safe_load(_preset_text(preset))
+    data["state"] = state
+    del data["selection"]
+    config, out = tmp_path / f"{preset}-{state}.yaml", tmp_path / "out"
+    config.write_text(yaml.safe_dump(data))
+    for command in ("run", "solve-cd"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no selection configured")
+        assert "reduced system needs" in err and "1 coefficient" in err
+        named = [",".join(sel) for sel in admissible_selections(load_preset(preset).model)]
+        assert not any(sel in err for sel in named)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset, state, selection", [
     ("tfim", 3, "J3,W2"), ("tfim", 2, "dense"), ("gen", 1, "dense"),
 ])

@@ -217,11 +217,18 @@ def test_refused_pass_is_never_kept(qa_model, qa_schedule, monkeypatch):
 def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
     # what the next pass reuses: per stage point the coefficient row, per
     # chunk one transfer matrix, per sample its states
-    _, stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500, last=False)
-    shapes = {name: np.shape(getattr(stages, name)) for name in stages._fields}
-    # (G holds the chunk products of the 3x3 triplet block the qa ground state lies in)
-    assert shapes == {"rows": (2001, 3), "G": (500, 3, 3),
-                      "energies": (501, 4), "targets": (501, 4)}
+    samples = 500
+    shapes = {}
+    for steps in (1000, 2000):
+        stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, steps, samples, last=False)[1]
+        assert np.shape(stages.rows) == (2 * steps + 1, len(QA_SEL))
+        # one b x b matrix per chunk, b = 3 for the triplet block of the qa
+        # ground state, whatever the axis order
+        assert sorted(np.shape(stages.G)) == [3, 3, samples]
+        assert np.shape(stages.energies) == np.shape(stages.targets) == (samples + 1, 4)
+        shapes[steps] = [np.shape(stages.G), np.shape(stages.energies), np.shape(stages.targets)]
+    # nothing but the coefficient rows is sized by the stage grid
+    assert shapes[1000] == shapes[2000]
     # the last pass, and so every run at an explicit dt, keeps nothing
     assert propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500)[1] is None
 
@@ -488,40 +495,71 @@ def test_run_degenerate_at_R0_is_refused_naming_R0(qa_model):
 # step exponentials
 
 def _hermitian_stack(dim, norms, seed=0):
-    """Random Hermitian matrices with the given 1-norms."""
+    """Random Hermitian matrices with the given 1-norms, as a (dim, dim, N) stack."""
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(len(norms), dim, dim)) + 1j * rng.normal(size=(len(norms), dim, dim))
-    K = A + np.conj(np.swapaxes(A, -1, -2))
-    return K * (norms / np.abs(K).sum(axis=-2).max(axis=-1))[:, None, None]
+    A = rng.normal(size=(dim, dim, len(norms))) + 1j * rng.normal(size=(dim, dim, len(norms)))
+    K = A + np.conj(np.swapaxes(A, 0, 1))
+    return K * (norms / np.abs(K).sum(axis=0).max(axis=0))
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+def _unitary_stack(dim, count, seed=0):
+    """Random unitary matrices as a (dim, dim, count) stack."""
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return np.moveaxis(np.linalg.qr(Z)[0], 0, -1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_expm_hermitian_matches_scipy_expm(dim):
     # h||K||_1 from 1e-8 to 50: up to 12 squarings
     h = 0.5
     K = _hermitian_stack(dim, np.logspace(-8, np.log10(50.0), 60) / h)
     E = propagator._expm_hermitian(K, h)
-    for Ek, k in zip(E, K):
-        ref = scipy.linalg.expm(-1j * h * k)
+    assert E.shape == K.shape
+    for k in range(K.shape[-1]):
+        Ek = E[..., k]
+        ref = scipy.linalg.expm(-1j * h * K[..., k])
         assert np.linalg.norm(Ek - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(np.conj(Ek.T) @ Ek - np.eye(dim)) <= 1e-12
 
 
 def test_expm_hermitian_of_an_empty_stack():
-    assert propagator._expm_hermitian(np.zeros((0, 4, 4), dtype=complex), 0.1).shape == (0, 4, 4)
+    assert propagator._expm_hermitian(np.zeros((4, 4, 0), dtype=complex), 0.1).shape == (4, 4, 0)
 
 
 def test_expm_hermitian_depends_on_each_matrix_only():
     # scaling is per matrix: a matrix that needs squaring changes no other
-    K = _hermitian_stack(4, np.array([1e-3, 30.0, 5e-3, 0.2]))
-    E = propagator._expm_hermitian(K, 1.0)
-    for i in range(len(K)):
-        assert np.array_equal(E[i], propagator._expm_hermitian(K[i : i + 1], 1.0)[0]), i
+    for dim in (1, 2, 3, 4):
+        K = _hermitian_stack(dim, np.array([1e-3, 30.0, 5e-3, 0.2]))
+        E = propagator._expm_hermitian(K, 1.0)
+        for i in range(K.shape[-1]):
+            one = propagator._expm_hermitian(K[..., i : i + 1], 1.0)[..., 0]
+            assert np.array_equal(E[..., i], one), (dim, i)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stack_products_are_time_ordered(dim):
+    # the elementwise kernel is the matrix product of each pair, for empty,
+    # one-matrix and longer stacks
+    for count in (0, 1, 5):
+        A, B = _unitary_stack(dim, count, 1), _unitary_stack(dim, count, 2)
+        AB = propagator._mul(A, B)
+        assert AB.shape == (dim, dim, count)
+        for k in range(count):
+            assert np.max(np.abs(AB[..., k] - A[..., k] @ B[..., k])) <= 1e-14
+    # _product is M[..., -1] @ ... @ M[..., 0]; at an odd count the unpaired
+    # last matrix carries over
+    for count in (1, 2, 7):
+        M = _unitary_stack(dim, count, 3)
+        ref = np.eye(dim)
+        for k in range(count):
+            ref = M[..., k] @ ref
+        assert np.max(np.abs(propagator._product(M) - ref)) <= 1e-14
 
 
 def test_step_matrices_need_no_eigensolve(qa_model, monkeypatch):
     R = np.linspace(1.0, 3.0, 9)
-    H = models.hamiltonian(qa_model, R)
+    H = np.moveaxis(models.hamiltonian(qa_model, R), 0, -1)
     ref = propagator._cf4_step_matrices(H, 1e-4)
 
     def refuse(*args, **kwargs):
