@@ -5,7 +5,6 @@ from .cdsolver import (
     CoefficientPath,
     ReducedSystem,
     SelectionResult,
-    SolverTolerances,
     admissible_selections,
     drb_counterdiabatic,
     enumerate_grid,

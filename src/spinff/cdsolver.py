@@ -63,17 +63,10 @@ DRB_DIAG_TOL = 1e-10
 DENSE_RCOND = 1e-8
 VELOCITY_EPS = 1e-12   # relative threshold below which v(t) counts as zero
 EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SolverTolerances:
-    cond_max: float = 1e10
-    imag_tol: float = 1e-9
-    residual_tol: float = 1e-10
-    group_tol: float = 1e-8
-
-
-DEFAULT_TOL = SolverTolerances()
+COND_MAX = 1e10        # largest condition number of an accepted reduced system
+IMAG_TOL = 1e-9        # largest imaginary part of an accepted coefficient
+RESIDUAL_TOL = 1e-10   # largest full-system residual of an accepted solution
+GROUP_TOL = 1e-8       # largest coefficient distance within a degenerate group
 REASONS = ("", "singular", "not_real", "residual")   # rejection reasons by code
 
 
@@ -246,16 +239,16 @@ def reduce_system(model, R, n, selection):
                          tuple(selection), C[0], rhs[0], rows)
 
 
-def _accept(idx, C, rhs, rows, tol):
+def _accept(idx, C, rhs, rows):
     """Solve and filter the square reduced systems of S selections at N states.
 
     idx (S, m) holds each selection's coefficient indices, C and rhs (N, dim)
     the states and full right-hand sides; the systems keep the reduced
     ``rows``, the residual takes all rows.  Rejections in order: "singular"
-    (cond above cond_max or not finite), "not_real" (imaginary part above
-    imag_tol), "residual".  cond is the 2-norm condition number of each
-    system in closed form (``_condition_number``), inf where det = 0 or
-    cond >= 1/eps.
+    (cond above COND_MAX or not finite), "not_real" (imaginary part above
+    IMAG_TOL), "residual" (above RESIDUAL_TOL).  cond is the 2-norm
+    condition number of each system in closed form (``_condition_number``),
+    inf where det = 0 or cond >= 1/eps.
     Returns (N, S) arrays: coefficients (N, S, 9), zero unless accepted;
     reason codes into REASONS (0: accepted); cond; max_imag and residual,
     NaN where not reached.
@@ -263,23 +256,23 @@ def _accept(idx, C, rhs, rows, tol):
     F = _operator_columns(BASIS[idx], C[:, None, :], range(C.shape[1]))   # (N, S, dim, m)
     M = F[..., list(rows), :]
     cond = _condition_number(M)
-    regular = np.isfinite(cond) & (cond <= tol.cond_max)
+    regular = np.isfinite(cond) & (cond <= COND_MAX)
     x = np.zeros(M.shape[:-1], dtype=complex)
     if np.any(regular):
         b = np.broadcast_to(rhs[:, None, list(rows)], x.shape)
         x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
     max_imag = np.where(regular, np.max(np.abs(x.imag), axis=-1), np.nan)
-    real = max_imag <= tol.imag_tol
+    real = max_imag <= IMAG_TOL
     full = (F @ x.real[..., None])[..., 0] - rhs[:, None, :]
     residual = np.where(real, np.linalg.norm(full, axis=-1), np.nan)
-    reason = np.select([~regular, ~real, residual > tol.residual_tol], [1, 2, 3], 0)
+    reason = np.select([~regular, ~real, residual > RESIDUAL_TOL], [1, 2, 3], 0)
     coefficients = np.zeros(reason.shape + (len(COEFF_NAMES),))
     coefficients[:, np.arange(len(idx))[:, None], idx] = np.where(
         reason[..., None] == 0, x.real, 0.0)
     return coefficients, reason, cond, max_imag, residual
 
 
-def solve_selection(rs, tol=DEFAULT_TOL):
+def solve_selection(rs):
     """Solve a reduced system; accept only regular, real solutions.
 
     The residual is recomputed against the full (unreduced) problem.  A
@@ -290,7 +283,7 @@ def solve_selection(rs, tol=DEFAULT_TOL):
     sel = tuple(rs.unknown_names)
     x, reason, cond, max_imag, residual = (
         a[0, 0] for a in _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
-                                 rs.rhs_full[None], rs.rows, tol))
+                                 rs.rhs_full[None], rs.rows))
     coefficients = (AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), sel) if reason == 0
                     else None)
     return SelectionResult(sel, bool(reason == 0), REASONS[reason], coefficients,
@@ -317,9 +310,9 @@ def admissible_selections(model):
     raise ConfigError(f"enumeration is not defined for model {model.kind!r}")
 
 
-def enumerate_solutions(model, R, n=0, tol=DEFAULT_TOL):
+def enumerate_solutions(model, R, n=0):
     """``enumerate_grid`` at the one point R: a one-point GridEnumeration."""
-    return enumerate_grid(model, [R], n, tol)
+    return enumerate_grid(model, [R], n)
 
 
 def enumeration_grid(schedule, count):
@@ -362,7 +355,7 @@ class GridEnumeration:
         return bool(np.all(self.group_id == self.group_id[:1]))
 
 
-def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
+def solve_grid(model, R_values, selections, n=0):
     """Every selection at every point of an R grid, unclustered (group ids -1).
 
     One ``tracked_state`` call covers the grid and one ``_accept`` call
@@ -371,23 +364,23 @@ def solve_grid(model, R_values, selections, n=0, tol=DEFAULT_TOL):
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, n)
     _, rows = tracked_sector(model, R, C, rhs)
-    arrays = _accept(_square_indices(model, selections, rows), C, rhs, rows, tol)
+    arrays = _accept(_square_indices(model, selections, rows), C, rhs, rows)
     return GridEnumeration(R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
 
 
-def enumerate_grid(model, R_values, n=0, tol=DEFAULT_TOL):
+def enumerate_grid(model, R_values, n=0):
     """Every admissible selection at every point of an R grid, clustered."""
-    grid = solve_grid(model, R_values, admissible_selections(model), n, tol)
-    return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0, tol.group_tol))
+    grid = solve_grid(model, R_values, admissible_selections(model), n)
+    return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0))
 
 
-def _cluster(coefficients, accepted, group_tol):
+def _cluster(coefficients, accepted):
     """Group ids (N, S) of the accepted solutions, -1 where rejected.
 
     At each point, selection by selection, an accepted solution joins the
     first group whose representative (its first member) lies within
-    group_tol in every coefficient, or opens a new group; all points at once.
+    GROUP_TOL in every coefficient, or opens a new group; all points at once.
     """
     reps = np.zeros_like(coefficients)          # reps[k, g]: group g's first member
     count = np.zeros(len(coefficients), dtype=int)
@@ -395,7 +388,7 @@ def _cluster(coefficients, accepted, group_tol):
     for s in np.flatnonzero(accepted.any(axis=0)):
         v = coefficients[:, s]
         G = count.max() + 1
-        near = np.max(np.abs(reps[:, :G] - v[:, None]), axis=-1) < group_tol
+        near = np.max(np.abs(reps[:, :G] - v[:, None]), axis=-1) < GROUP_TOL
         near &= np.arange(G) < count[:, None]
         g = np.where(near.any(axis=1), np.argmax(near, axis=1), count)
         gid[:, s] = np.where(accepted[:, s], g, -1)
@@ -408,7 +401,7 @@ def _cluster(coefficients, accepted, group_tol):
 # ---------------------------------------------------------------------------
 # dense (all-coefficient) solutions
 
-def solve_dense(model, R, n=0, tol=DEFAULT_TOL):
+def solve_dense(model, R, n=0):
     """Minimum-norm real solution over all nine ansatz coefficients.
 
     The full system is consistent (the state-independent counter-diabatic
@@ -419,17 +412,17 @@ def solve_dense(model, R, n=0, tol=DEFAULT_TOL):
     """
     if model.dim != 4:
         raise ConfigError("dense ansatz solutions exist for two-spin models only")
-    (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], n)
     return x, residual
 
 
-def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
+def _min_norm_solve(model, R, n=0):
     """Minimum-norm coefficients (N, k) over a 1-d R and their residuals (N,).
 
     The basis is the nine-term ansatz for the two-spin models and (sz, sx,
     -sy) for the two-level one; ``solve_dense`` and ``solve_lz`` are the
     one-point case.  Refuses, naming the first R, a residual above
-    tol.residual_tol.
+    RESIDUAL_TOL.
     """
     basis = LZ_BASIS if model.dim == 2 else BASIS
     R = np.asarray(R, dtype=float)
@@ -437,7 +430,7 @@ def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
     x = _min_norm(_operator_columns(basis, C), rhs)
     residual = np.linalg.norm((matrices_from_rows(x, basis) @ C[..., None])[..., 0] - rhs,
                               axis=-1)
-    bad = residual > tol.residual_tol
+    bad = residual > RESIDUAL_TOL
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ConsistencyError(
@@ -447,11 +440,11 @@ def _min_norm_solve(model, R, n=0, tol=DEFAULT_TOL):
     return x, residual
 
 
-def solve_lz(model, R, n=1, tol=DEFAULT_TOL):
+def solve_lz(model, R, n=1):
     """(H11, Re H12, Im H12) of the two-level term at R (either state), and the residual."""
     if model.dim != 2:
         raise ConfigError("solve_lz applies to the two-level model")
-    (x,), (residual,) = _min_norm_solve(model, [float(R)], n, tol)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], n)
     return x, residual
 
 

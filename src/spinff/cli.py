@@ -165,7 +165,7 @@ def resolve_selection(config):
             raise ConfigError(f"the two-level model takes no selection, got {config.selection}")
         return None
     if config.selection == "dense":
-        _min_norm_solve(model, R, config.state, config.tolerances)
+        _min_norm_solve(model, R, config.state)
         return "dense"
     chosen = config.selection is not None
     if chosen:
@@ -178,7 +178,7 @@ def resolve_selection(config):
             raise ConfigError("no selection configured, and no admissible selection has the "
                               f"{len(rows)} coefficient(s) the tracked state's reduced system "
                               "needs; configure one (selection: dense takes any row count)")
-    grid = solve_grid(model, R, selections, config.state, config.tolerances)
+    grid = solve_grid(model, R, selections, config.state)
     reason = grid.reason[0]
     if np.any(reason == 0):
         return grid.selections[int(np.argmax(reason == 0))]
@@ -285,20 +285,19 @@ def solve_cd_job(config):
     header, rows = _SELECTION_HEADER, []
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
-        x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
+        x, residual = _min_norm_solve(config.model, R_values, config.state)
         rows = _float_rows(np.column_stack([R_values, x, residual]))
     elif selection == "dense":
-        x, residual = _min_norm_solve(config.model, R_values, config.state, config.tolerances)
+        x, residual = _min_norm_solve(config.model, R_values, config.state)
         numbers = _float_rows(np.column_stack([x, residual, np.full((len(x), 2), np.nan)]))
         rows = [f"{R!r},dense,1,,{line},-1" for R, line in zip(R_values.tolist(), numbers)]
     elif selection in admissible_selections(config.model):
         # the selection's rows of one enumeration of the whole grid
-        grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
+        grid = enumerate_grid(config.model, R_values, config.state)
         rows = _selection_rows(grid, [grid.selections.index(selection)])
     else:
         # accepted, but outside the enumeration: solved alone, unclustered
-        grid = solve_grid(config.model, R_values, [selection], config.state,
-                          config.tolerances)
+        grid = solve_grid(config.model, R_values, [selection], config.state)
         rows = _selection_rows(grid, [0])
     write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
     return EXIT_OK
@@ -308,7 +307,7 @@ def enumerate_job(config):
     if config.model.dim == 2:
         raise ConfigError("enumeration applies to the two-spin models")
     R_values = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
+    grid = enumerate_grid(config.model, R_values, config.state)
     rows = _selection_rows(grid, range(len(grid.selections)))
     write_csv(os.path.join(config.out, "enumerate.csv"), _SELECTION_HEADER, rows)
     summary = _config_payload(config)
@@ -328,8 +327,7 @@ def verify_table_job(config):
     if config.model.kind != "qa":
         raise ConfigError("verify-table applies to the annealing model")
     R_values = enumeration_grid(config.schedule, config.grid)
-    verification = tables.verify_table(config.model, R_values, config.state,
-                                       config.tolerances)
+    verification = tables.verify_table(config.model, R_values, config.state)
     header = ["entry", "frame", "pair", "max_residual", "max_solver_gap",
               "max_vanishing", "group_id", "passed"]
     entries = verification.entries
@@ -414,7 +412,7 @@ def _checks():
         worst = max(e.max_residual for e in verification.entries)
         return verification.passed, {
             "max_residual": worst,
-            "tolerance": 1e-9,
+            "tolerance": tables.TABLE_RESIDUAL_TOL,
             "groups_match": verification.groups_match_enumeration,
         }
 

@@ -5,12 +5,12 @@ the offending field named.  Parse errors surface the YAML line/column.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml
 
-from .cdsolver import SolverTolerances, canonical_selection
+from .cdsolver import canonical_selection
 from .errors import ConfigError, DomainError
 from .models import REQUIRED_COUPLINGS, ModelSpec
 from .schedule import Schedule, step_count
@@ -18,12 +18,10 @@ from .schedule import Schedule, step_count
 PRESET_NAMES = ("lz", "tfim", "qa", "gen")
 
 _TOP_KEYS = {
-    "model", "schedule", "state", "selection", "dt", "samples", "out",
-    "fidelity_bar", "grid", "tolerances",
+    "model", "schedule", "state", "selection", "dt", "samples", "out", "fidelity_bar", "grid",
 }
 _MODEL_KEYS = {"kind", "constants", "schedule_map"}
 _SCHEDULE_KEYS = {"R0", "v_bar", "T_FF"}
-_TOL_KEYS = {"cond_max", "imag_tol", "residual_tol", "group_tol"}
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml where built
 
 
@@ -38,7 +36,6 @@ class RunConfig:
     out: str = "out"
     fidelity_bar: float = 1.0 - 1e-6
     grid: int = 50
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -148,17 +145,6 @@ def config_from_dict(data):
     if not isinstance(out, str) or not out:
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    traw = data.get("tolerances") or {}
-    _reject_unknown(traw, _TOL_KEYS, "tolerances")
-    tols = {}
-    for key in _TOL_KEYS:
-        value = _number(traw, key, "tolerances")
-        if value is not None:
-            if value <= 0:
-                raise ConfigError(f"tolerances.{key}: must be positive")
-            tols[key] = value
-    tolerances = SolverTolerances(**tols)
-
     selection = parse_selection(data.get("selection"))
     return RunConfig(
         model=model,
@@ -170,7 +156,6 @@ def config_from_dict(data):
         out=out,
         fidelity_bar=fidelity_bar,
         grid=grid,
-        tolerances=tolerances,
     )
 
 

@@ -59,6 +59,7 @@ REQUIRED_COUPLINGS = {kind: tuple(table) for kind, table in OPERATORS.items()}
 
 # Symmetries the sectors are built from, by model dimension: SWAP and the spin
 # flip X (x) X, as permutations of |uu>, |ud>, |du>, |dd>; SECTORS holds each model's
+# sectors: the joint eigenspaces of those its operator table commutes with (lz: the identity)
 SYMMETRIES = {4: ((0, 2, 1, 3), (3, 2, 1, 0))}
 
 

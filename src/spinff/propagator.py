@@ -209,23 +209,35 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     N0 = max(samples, MIN_SAMPLES) steps, then 2 N0, 4 N0, ..., each built
     on the one before.  The first pass whose estimate is at most STEP_TOL
     is kept, and is the same trajectory as a run with that dt.  The first
-    pass at max(DEFAULT_STEPS, samples) steps or more ends the search;
-    only there do STEP_ERROR_MAX and NORM_DRIFT_MAX raise StepSizeError,
-    and an earlier pass that exceeds either is not kept.
+    pass at max(DEFAULT_STEPS, samples) steps or more ends the search; a
+    run at an explicit dt is that one pass.  Each finished pass is held to
+    STEP_ERROR_MAX and NORM_DRIFT_MAX here, once (``_refusal``): the last
+    pass raises StepSizeError, an earlier one that exceeds either is not kept.
     """
-    if dt is not None:
-        return _evolve(model, schedule, solution, n, step_count(schedule, dt), samples)[0]
-    cap = max(DEFAULT_STEPS, samples)
-    steps = max(samples, MIN_SAMPLES)
+    if dt is None:
+        cap, steps = max(DEFAULT_STEPS, samples), max(samples, MIN_SAMPLES)
+    else:
+        cap = steps = step_count(schedule, dt)
     base = None
     while True:
         last = steps >= cap
         traj, base = _evolve(model, schedule, solution, n, steps, samples, base, last)
-        refused = traj.step_error > STEP_ERROR_MAX or traj.max_norm_drift > NORM_DRIFT_MAX
-        if last or (traj.step_error <= STEP_TOL and not refused):
+        refusal = _refusal(traj)
+        if last and refusal:
+            raise StepSizeError(refusal)
+        if last or (traj.step_error <= STEP_TOL and not refusal):
             return traj
         steps *= 2
         del traj    # not held through the next pass
+
+
+def _refusal(traj):
+    """Why a pass's steps are too coarse (STEP_ERROR_MAX, NORM_DRIFT_MAX), or None."""
+    for what, value, bound in (("estimated step error", traj.step_error, STEP_ERROR_MAX),
+                               ("norm drift", traj.max_norm_drift, NORM_DRIFT_MAX)):
+        if value > bound:
+            return f"{what} {value:.3e} exceeds {bound:.0e}; use a smaller dt than {traj.dt:.3e}"
+    return None
 
 
 def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
@@ -234,8 +246,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     ``base`` is the record of the pass at steps / 2 over the same chunks:
     its coefficient rows, chunk products and sample states
     are reused, so only the new stage points are solved.  A pass that is
-    not ``last`` runs to its end without raising StepSizeError and
-    returns its own record.
+    not ``last`` returns its own record.
     """
     dt = schedule.T_FF / steps
     n_chunks = min(steps, max(MIN_SAMPLES, samples))
@@ -261,7 +272,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
     psi_b[0] = C0[0] @ P
     psi_s = np.empty((n_chunks + 1, dim), dtype=complex)
     psi_s[0] = psi_b[0] @ P.T
-    norm_s = np.empty(n_chunks + 1)
     R_s = np.empty(n_chunks + 1)
     v_s = np.empty(n_chunks + 1)
     # spectrum and eigenvector n at the samples: the samples are the same
@@ -349,18 +359,6 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
         psi_s[j0 + 1 : j1 + 1] = psi_b[j0 + 1 : j1 + 1] @ P.T
         # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
         step_error += float(np.linalg.norm(psi_b[j1] - psi_coarse)) / 15.0
-        if last and step_error > STEP_ERROR_MAX:
-            raise StepSizeError(
-                f"estimated step error {step_error:.3e} exceeds {STEP_ERROR_MAX:.0e}; "
-                f"use a smaller dt than {dt:.3e}"
-            )
-        norm_s[j0 : j1 + 1] = np.linalg.norm(psi_s[j0 : j1 + 1], axis=1)
-        drift = float(np.max(np.abs(norm_s[: j1 + 1] - 1.0)))
-        if last and drift > NORM_DRIFT_MAX:
-            raise StepSizeError(
-                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_MAX:.0e}; "
-                f"use a smaller dt than {dt:.3e}"
-            )
 
     if base is None:
         # the undriven samples, at least the one at R0, had no stage eigensolve
@@ -377,7 +375,7 @@ def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
         t=t_s,
         R_adv=R_s,
         psi=psi_s,
-        norm=norm_s,
+        norm=np.linalg.norm(psi_s, axis=1),
         fidelity=fid,
         energies=w_s,
         coefficients=coeffs,

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import COEFF_NAMES, matrices_from_rows
-from .cdsolver import DEFAULT_TOL, canonical_selection, enumerate_grid
+from .cdsolver import canonical_selection, enumerate_grid
 from .errors import ConfigError
+
+TABLE_RESIDUAL_TOL = 1e-9   # largest residual of a passing table entry
 
 # --- the eighteen annealing-model entries ---------------------------------
 # Each row: (frame coefficient forced to zero, {coefficient: formula}).
@@ -165,11 +167,10 @@ class TableEntryReport:
     max_solver_gap: float     # worst disagreement with the selection solver
     max_vanishing: float      # worst magnitude of the frame coefficient
     group_id: int
-    residual_tol: float = 1e-9
 
     @property
     def passed(self):
-        return self.max_residual < self.residual_tol
+        return self.max_residual < TABLE_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,12 @@ class TableVerification:
         return [e for e in self.entries if not e.passed]
 
 
-def verify_table(model, R_values, n=0, tol=DEFAULT_TOL, residual_tol=1e-9):
+def verify_table(model, R_values, n=0):
     """``verify_table_grid`` on a fresh enumeration of the R grid."""
-    return verify_table_grid(model, enumerate_grid(model, R_values, n, tol), residual_tol)
+    return verify_table_grid(model, enumerate_grid(model, R_values, n))
 
 
-def verify_table_grid(model, grid, residual_tol=1e-9):
+def verify_table_grid(model, grid):
     """Substitute all eighteen closed forms into the defining equation.
 
     At every point of an annealing-model ``GridEnumeration``: evaluate each
@@ -231,7 +232,7 @@ def verify_table_grid(model, grid, residual_tol=1e-9):
     groups_ok &= len(pair_groups) == len({pair for pair, _ in pair_groups}) == 3
     entries = tuple(
         TableEntryReport(k + 1, frame, tuple(sorted(forms)), float(worst_res[k]),
-                         float(worst_gap[k]), float(worst_van[k]), group_ids[k], residual_tol)
+                         float(worst_gap[k]), float(worst_van[k]), group_ids[k])
         for k, (frame, forms) in enumerate(QA_TABLE)
     )
     return TableVerification(entries, groups_ok)

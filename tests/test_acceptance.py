@@ -47,7 +47,7 @@ from spinff import (
     verify_table,
 )
 from spinff.ansatz import COEFF_NAMES, LZ_BASIS, matrices_from_rows
-from spinff.cdsolver import DEFAULT_TOL, enumeration_grid
+from spinff.cdsolver import RESIDUAL_TOL, enumeration_grid
 from spinff.models import state_and_derivative
 from spinff.propagator import _phases
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
@@ -233,7 +233,7 @@ def test_criterion_3_tfim_counts():
 
 def test_criterion_3_gen_count():
     R = 12.5
-    tol = DEFAULT_TOL.residual_tol
+    tol = RESIDUAL_TOL
     C, rhs = gen_oracle_state(R)
     census = {
         sel: real_lstsq_residual(sel, C, rhs)
@@ -255,7 +255,7 @@ def test_criterion_3_gen_count():
         f"enumeration accepts {sorted(accepted)}, eigh/spectral census of "
         f"84 real 8x3 systems accepts {sorted(census_set)} (both must be "
         f"empty for Bx=By); closest selections {closest} against "
-        f"residual_tol={tol:.0e}; dense solution residual against the "
+        f"RESIDUAL_TOL={tol:.0e}; dense solution residual against the "
         f"census state {dense_residual:.2e} (<{tol:.0e})"
     )
     assert ok, line

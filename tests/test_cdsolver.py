@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +22,11 @@ from spinff import (
 from spinff import cdsolver, models
 from spinff.ansatz import ANTISYM_BASIS, BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
-    DEFAULT_TOL,
+    COND_MAX,
     DENSE_RCOND,
+    GROUP_TOL,
     REASONS,
     CoefficientPath,
-    SolverTolerances,
     _accept,
     _cluster,
     _condition_number,
@@ -279,7 +278,7 @@ def _greedy_groups(coefficients, accepted, tol):
 
 
 def test_array_clustering_is_the_per_point_greedy_rule():
-    tol = DEFAULT_TOL.group_tol
+    tol = GROUP_TOL
     base = np.linspace(-1.0, 1.0, 9)
     step = np.zeros(9)
     step[4] = 1.0
@@ -290,17 +289,17 @@ def test_array_clustering_is_the_per_point_greedy_rule():
                         [1.0 + 0.01, 0.5, 0.0, 1.0 - 0.01]]) * tol
     coefficients = base + offsets[..., None] * step
     accepted = np.array([[True, False, True, True]] * 3)
-    gids = _cluster(coefficients, accepted, tol)
+    gids = _cluster(coefficients, accepted)
     np.testing.assert_array_equal(gids, _greedy_groups(coefficients, accepted, tol))
     np.testing.assert_array_equal(gids, [[0, -1, 0, 1], [0, -1, 1, 0], [0, -1, 1, 0]])
     # a solution within tol of a later member but not of the first opens a group
     chain = base + np.array([[0.0, 0.6, 1.2]])[..., None] * tol * step
-    np.testing.assert_array_equal(_cluster(chain, np.ones((1, 3), bool), tol), [[0, 0, 1]])
+    np.testing.assert_array_equal(_cluster(chain, np.ones((1, 3), bool)), [[0, 0, 1]])
     # many points on a lattice of tol / 2, where ties at exactly tol abound
     rng = np.random.default_rng(7)
     lattice = rng.integers(0, 4, size=(40, 12, 9)) * (0.5 * tol)
     accepted = rng.random((40, 12)) < 0.7
-    np.testing.assert_array_equal(_cluster(lattice, accepted, tol),
+    np.testing.assert_array_equal(_cluster(lattice, accepted),
                                   _greedy_groups(lattice, accepted, tol))
 
 
@@ -491,29 +490,28 @@ def test_repeated_coefficient_is_singular_with_infinite_cond(qa_model):
     _, C, _, rhs = models.tracked_state(qa_model, R, 0)
     _, rows = tracked_sector(qa_model, R, C, rhs)
     k, j = COEFF_NAMES.index("W2"), COEFF_NAMES.index("Bz")
-    _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs,
-                                           rows, DEFAULT_TOL)
+    _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs, rows)
     assert np.all(np.isinf(cond))
     assert np.all(reason == REASONS.index("singular"))
     assert np.all(np.isnan(max_imag))
 
 
-def test_system_just_above_cond_max_is_singular(qa_model):
+def test_system_just_above_cond_max_is_singular(qa_model, monkeypatch):
     rng = np.random.default_rng(2)
-    cond_max = DEFAULT_TOL.cond_max
+    cond_max = COND_MAX
     for factor in (1.01, 0.99):
         M = _with_singular_values(rng, [1.0, 0.3, 1 / (factor * cond_max)], 50)
         cond = _condition_number(M)
         assert np.max(np.abs(cond / (factor * cond_max) - 1)) <= 1e-4
         assert np.all((cond > cond_max) == (factor > 1))
     # on the qa states: the worst-conditioned selection at R = 5, with
-    # cond_max just below and just above its cond
+    # COND_MAX just below and just above its cond
     grid = solve_grid(qa_model, [5.0], admissible_selections(qa_model))
     s = int(np.argmax(grid.cond[0]))
     assert grid.reason[0, s] == 0
     for factor, reason in ((1 - 1e-9, "singular"), (1 + 1e-9, "")):
-        tol = replace(DEFAULT_TOL, cond_max=grid.cond[0, s] * factor)
-        one = solve_grid(qa_model, [5.0], [grid.selections[s]], tol=tol)
+        monkeypatch.setattr(cdsolver, "COND_MAX", grid.cond[0, s] * factor)
+        one = solve_grid(qa_model, [5.0], [grid.selections[s]])
         assert REASONS[one.reason[0, 0]] == reason
 
 
@@ -521,17 +519,17 @@ def test_system_just_above_cond_max_is_singular(qa_model):
 def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     config = load_preset(preset)
     R = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R, config.state, config.tolerances)
+    grid = enumerate_grid(config.model, R, config.state)
     idx = np.array([[COEFF_NAMES.index(name) for name in sel] for sel in grid.selections])
     _, rows = tracked_sector(config.model, R, grid.state, grid.rhs)
     svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :], rows))
     moderate = svd <= 1e8
     assert moderate.any()
     np.testing.assert_allclose(grid.cond[moderate], svd[moderate], rtol=1e-12, atol=0)
-    assert np.all(grid.cond[~moderate] > config.tolerances.cond_max)
+    assert np.all(grid.cond[~moderate] > COND_MAX)
     # the filter with the SVD cond in its place keeps every reason and group
     monkeypatch.setattr(cdsolver, "_condition_number", np.linalg.cond)
-    ref = enumerate_grid(config.model, R, config.state, config.tolerances)
+    ref = enumerate_grid(config.model, R, config.state)
     for name in ("reason", "group_id", "coefficients", "max_imag", "residual"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name), err_msg=name)
 
@@ -745,10 +743,11 @@ def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
             assert residual_1 == residual[k]
 
 
-def test_min_norm_grid_solve_refuses_a_large_residual():
+def test_min_norm_grid_solve_refuses_a_large_residual(monkeypatch):
     model, R = GRIDS["gen"]
+    monkeypatch.setattr(cdsolver, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConsistencyError, match="minimum-norm solve left residual .* at R="):
-        _min_norm_solve(model, R, 0, SolverTolerances(residual_tol=1e-300))
+        _min_norm_solve(model, R, 0)
 
 
 # ---------------------------------------------------------------------------

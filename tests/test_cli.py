@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from spinff.ansatz import COEFF_NAMES
 from spinff.cdsolver import (
+    GROUP_TOL,
     admissible_selections,
     enumerate_grid,
     enumeration_grid,
@@ -282,7 +283,7 @@ def test_default_selection_is_the_first_accepted_at_mid_R(preset, expected):
     config = replace(load_preset(preset), selection=None)
     schedule = config.schedule
     R_mid = schedule.R0 + 0.5 * schedule.v_bar * schedule.T_FF
-    grid = enumerate_grid(config.model, [R_mid], config.state, config.tolerances)
+    grid = enumerate_grid(config.model, [R_mid], config.state)
     assert grid.selections == tuple(admissible_selections(config.model))
     first = grid.selections[int(np.argmax(grid.reason[0] == 0))]
     assert resolve_selection(config) == first == expected
@@ -410,12 +411,17 @@ def test_bad_override_is_a_configuration_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("line", ["dt: .nan", "fidelity_bar: .nan", "fidelity_bar: .inf",
                                   "tolerances: {cond_max: .nan}", "tolerances: {imag_tol: .inf}"])
 def test_non_finite_config_number_is_a_configuration_error(line, tmp_path, capsys):
+    # the solver tolerances are cdsolver constants: a tolerances: mapping is
+    # an unknown key, whatever numbers it holds
+    key, value = line.split(": ", 1)
+    expected = ("config: unknown keys ['tolerances']" if key == "tolerances"
+                else f"config.{key}: expected a finite number, got {value[1:]}")
     cfg = tmp_path / "lz.yaml"
     cfg.write_text(_preset_text("lz") + line + "\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "finite" in err
+    # the message after the path, which names the test's own directory
+    assert capsys.readouterr().err == f"configuration error: {cfg}: {expected}\n"
     assert not out.exists()
 
 
@@ -628,14 +634,13 @@ def _fmt(x):
 def _point_results(config, R):
     # each admissible selection solved alone at R, with the group id of the
     # first-member rule: the per-object path the columnar writer replaced
-    tol = config.tolerances
     reps, results = [], []
     for selection in admissible_selections(config.model):
-        res = solve_selection(reduce_system(config.model, float(R), config.state, selection), tol)
+        res = solve_selection(reduce_system(config.model, float(R), config.state, selection))
         gid = -1
         if res.accepted:
             x = res.coefficients.as_array()
-            near = [g for g, rep in enumerate(reps) if np.max(np.abs(rep - x)) < tol.group_tol]
+            near = [g for g, rep in enumerate(reps) if np.max(np.abs(rep - x)) < GROUP_TOL]
             gid = near[0] if near else len(reps)
             if not near:
                 reps.append(x)
@@ -671,7 +676,7 @@ def _csv_text(rows):
 def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     config = load_preset(preset)
     R_values = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R_values, config.state, config.tolerances)
+    grid = enumerate_grid(config.model, R_values, config.state)
     points = [_point_results(config, R) for R in R_values]
     objects = [_object_row(R, *entry) for R, point in zip(R_values, points) for entry in point]
     assert main(["enumerate", "--config", f"preset:{preset}",

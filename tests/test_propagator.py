@@ -180,14 +180,22 @@ def test_default_passes_double_up_to_the_cap(qa_model, qa_schedule, monkeypatch)
     assert passes == [1000, 2000, 4000, 8000]
     assert traj.steps == 8000
     _assert_doubling(passes, propagator.DEFAULT_SAMPLES)
-    # the first pass at or above the cap is the last, however far above
-    passes = _record_passes(monkeypatch, reported=[1e-3] * 8)
+    # the first pass at or above the cap is the last, however far above;
+    # an estimate in (STEP_TOL, STEP_ERROR_MAX] keeps the search going
+    unmet = 1e-3 * propagator.STEP_ERROR_MAX
+    assert propagator.STEP_TOL < unmet <= propagator.STEP_ERROR_MAX
+    passes = _record_passes(monkeypatch, reported=[unmet] * 8)
     assert evolve(qa_model, qa_schedule, QA_SEL, samples=3000).steps == 12000
     assert passes == [3000, 6000, 12000]
     _assert_doubling(passes, 3000)
     # more samples than DEFAULT_STEPS: the first pass is the cap pass
-    passes = _record_passes(monkeypatch, reported=[1e-3])
+    passes = _record_passes(monkeypatch, reported=[unmet])
     assert evolve(qa_model, qa_schedule, QA_SEL, samples=9000).steps == 9000
+    assert passes == [9000]
+    # a cap pass estimate above STEP_ERROR_MAX raises, as evolve checks it
+    passes = _record_passes(monkeypatch, reported=[10 * propagator.STEP_ERROR_MAX])
+    with pytest.raises(StepSizeError, match="estimated step error 1.000e-05 exceeds 1e-06"):
+        evolve(qa_model, qa_schedule, QA_SEL, samples=9000)
     assert passes == [9000]
     # fewer samples than MIN_SAMPLES: the passes start at MIN_SAMPLES
     passes = _record_passes(monkeypatch)
