@@ -87,6 +87,12 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
+def _run_lengths(values):
+    """[[value, repeats], ...] over the runs of equal consecutive values, in order."""
+    starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+    return [[int(values[a]), int(k)] for a, k in zip(starts, np.diff(starts, append=len(values)))]
+
+
 def _umask():
     mask = os.umask(0)
     os.umask(mask)
@@ -234,6 +240,7 @@ def run_job(config):
             else selection,
             "dt": _sig12(traj.dt),
             "steps": traj.steps,
+            "chunk_steps": _run_lengths(traj.chunk_steps),
             "samples": len(traj.t),
             "min_fidelity": _sig12(traj.min_fidelity),
             "terminal_populations": [_sig12(p) for p in traj.terminal_populations],

@@ -5,6 +5,7 @@ the offending field named.  Parse errors surface the YAML line/column.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +24,9 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"kind", "constants", "schedule_map"}
 _SCHEDULE_KEYS = {"R0", "v_bar", "T_FF"}
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml where built
+# a YAML 1.2 float: YAML 1.1 (PyYAML) leaves 1e-6 and 1.0e10 (no dot, or an
+# unsigned exponent) as strings
+_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,13 @@ def _number(mapping, key, where, default=None, required=False):
         if required:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    value = number = mapping[key]
+    if isinstance(value, str) and _FLOAT.fullmatch(value):
+        number = float(value)
+    if (isinstance(number, bool) or not isinstance(number, (int, float))
+            or not math.isfinite(number)):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return float(number)
 
 
 def parse_selection(raw):

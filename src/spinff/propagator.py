@@ -3,11 +3,12 @@
 The integrator is the fourth-order commutator-free Magnus scheme
 CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
 Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), built from the
-Hamiltonian at each step's start, midpoint and end (the stage grid of
-2*steps+1 points).  Each of its exponentials is a degree-6 Taylor sum
-with per-matrix scaling and squaring, not an eigensolve.  Because the
-equation is linear the whole run reduces to a product of per-step
-transfer matrices, folded per sample interval (chunk) in time order.
+Hamiltonian at each step's start, midpoint and end (its stage points).
+Each of its exponentials is a degree-6 Taylor sum with per-matrix
+scaling and squaring, not an eigensolve.  Because the equation is
+linear, each sample interval (chunk) reduces to a product of per-step
+transfer matrices, folded in time order, and psi advances once over
+the chunk products.
 
 Every step runs on the b x b block P^H H_FF P of the initial state's
 sector (``cdsolver.tracked_sector``): b = 3 for the qa and gen triplet,
@@ -17,36 +18,35 @@ rounding on tfim.  The state is expanded, P psi_b, only at the samples.
 Once the drive is added, every matrix stack is (b, b, N), matrix axes
 first, and ``_mul`` multiplies two stacks as b**3 elementwise
 multiply-adds over N (a stacked matmul costs about as much per 3x3
-matrix as per 4x4); psi advances one chunk at a time.
+matrix as per 4x4).
 
-The stage grid is walked in blocks of whole chunks, at most
-BLOCK_STAGE_POINTS stage points each (a chunk wider than that is
-split): each block builds its stage Hamiltonians once, solves the
-regularization coefficients on them, builds and folds the step
-matrices and emits its sample rows, so memory does not grow with the
-step count.
+Each chunk is a fixed-step run on its own grid; chunks may differ in
+step count.  The chunks are walked in blocks of at most
+BLOCK_STAGE_POINTS stage points (a chunk wider than that is split):
+each block builds its stage Hamiltonians once, solves the
+regularization coefficients on them and builds and folds the step
+matrices, so memory does not grow with the step count.
 
 The scheme is unitary to rounding, so norm drift does not measure the
-step size.  Each block also folds the product of steps of 2*dt over
-consecutive step pairs; the distance of the two block-end states over
-15 estimates the error of the fine steps (step doubling at fourth
-order), summed over blocks into a StepSizeError bound.  No
-renormalization is applied anywhere.
+step size.  The error is estimated by step doubling at fourth order,
+per chunk pair: |(G_pair - G_2h) C| / 15, with G_2h the product of
+steps of twice the width and C the tracked eigenvector at the pair's
+start.  The sum over the pairs bounds the error at every sample, and is
+held to STEP_ERROR_MAX.  No renormalization is applied anywhere.
 
-Each pass is fixed-step.  Without an explicit dt, ``evolve`` chooses
-the step count from this estimate by step doubling (extrapolation
-step-size control, Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-passes at N0, 2 N0, 4 N0, ... steps over the same N0 chunks.  The even
-stage points of a pass are those of the pass before, whose coefficient
-rows it reuses, and its 2h product over a chunk is that pass's transfer
-matrix of the chunk.
+Without an explicit dt, ``evolve`` spends steps where this estimate is
+(local extrapolation with step-size control, Hairer, Norsett & Wanner,
+Solving ODEs I, II.4): every chunk starts at one step, and the pairs
+with the largest estimates double their steps, round by round, until
+the predicted sum is at most STEP_TOL.  A doubled chunk keeps its stage
+points, bit for bit, as its even ones and reuses their coefficient
+rows; its previous product is the 2h one of its new estimate.
 
 The fidelity tracks |<psi(t), C_n(R(t))>| against the instantaneous
 eigenvector; with an exact regularization term it stays at 1 up to
 integration noise.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,8 +60,8 @@ from .schedule import advanced_parameter, step_count, velocity
 
 NORM_DRIFT_MAX = 1e-6
 STEP_ERROR_MAX = 1e-6       # bound on the summed step-doubling error estimate
-STEP_TOL = 1e-10            # estimate the default step count aims at
-DEFAULT_STEPS = 8000        # fallback step count of a default run (samples if larger)
+STEP_TOL = 1e-10            # estimate the default refinement aims at
+DEFAULT_STEPS = 8000        # step cap of a default run (samples if larger), as N0 chunks of 2**k
 DEFAULT_SAMPLES = 1000
 MIN_SAMPLES = 200
 PHASE_NODES = 128
@@ -83,9 +83,10 @@ class Trajectory:
     coefficients: np.ndarray      # (S, k) regularization coefficients
     coefficient_names: tuple
     velocity: np.ndarray          # (S,)
-    dt: float
-    steps: int
-    step_error: float             # step-doubling estimate of the error in psi, summed over blocks
+    dt: float                     # T_FF / steps, the mean step
+    steps: int                    # steps over the whole run
+    chunk_steps: np.ndarray       # (S - 1,) steps of each sample interval
+    step_error: float             # chunk-pair step-doubling estimates, summed: bounds every sample
 
     @property
     def populations(self):
@@ -104,23 +105,18 @@ class Trajectory:
         return self.populations[-1]
 
 
-# What a pass keeps for the pass at twice its step count (same chunks; its even
-# stage points are these): the coefficient rows on the stage grid (2*steps+1, k;
-# zero where undriven, None if no point is driven), each chunk's block transfer
-# matrix (b, b, chunks), and the spectrum and eigenvector n at the samples.  R
-# and v are recomputed: point 2j of the next pass sits at 2j fl(T/(4N)) =
-# j fl(T/(2N)), the same u bit for bit.  No Hamiltonian or step stack is kept.
-_Stages = namedtuple("_Stages", "rows G energies targets")
+def _stage_block(schedule, M, keys):
+    """R and v on the stage points ``keys`` of the grid of M steps: point k at k fl(T_FF/(2M)).
 
-
-def _stage_block(schedule, steps, s0, s1):
-    """R and v on stage points 2*s0 .. 2*s1 (step points and midpoints)."""
-    u = np.arange(2 * s0, 2 * s1 + 1) * (schedule.T_FF / (2 * steps))
+    Scaling M and the keys by one power of two gives the same u bit for bit,
+    so a chunk that doubles its steps keeps its points as its even ones.
+    """
+    u = keys * (schedule.T_FF / (2 * M))
     return advanced_parameter(schedule, u, clamp=True), velocity(schedule, u, clamp=True)
 
 
 def _mul(A, B):
-    """A[..., k] @ B[..., k] over two (b, b, N) stacks; each depends on its own pair only."""
+    """A[..., k] @ B[..., k] over two (b, b, ...) stacks; each depends on its own pair only."""
     # B[None, k] keeps ndims equal: numpy rounds 1-element complex products of unequal ndims apart
     C = A[:, 0, None] * B[None, 0]
     for k in range(1, len(B)):
@@ -131,10 +127,11 @@ def _mul(A, B):
 def _expm_hermitian(K, h):
     """exp(-ihK) for a (b, b, N) stack of Hermitian K, by a Taylor sum; no eigensolve.
 
-    Each X = -ihK is scaled by its own 2**-s so that ||X 2**-s||_1 <= TAYLOR_THETA,
-    summed to degree 6 by Paterson-Stockmeyer (three products) and squared s
-    times (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), so
-    each exponential depends on its own matrix only, not on the rest of the stack.
+    h is one step or one per matrix.  Each X = -ihK is scaled by its own 2**-s
+    so that ||X 2**-s||_1 <= TAYLOR_THETA, summed to degree 6 by
+    Paterson-Stockmeyer (three products) and squared s times (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), so each exponential
+    depends on its own matrix only, not on the rest of the stack.
     """
     d = range(len(K))
     norm = h * np.abs(K).sum(axis=0).max(axis=0)
@@ -160,14 +157,15 @@ def _expm_hermitian(K, h):
     return E
 
 
-def _cf4_step_matrices(H, h):
-    """CF4:2 transfer matrices (b, b, steps) of the steps on a (b, b, 2*steps+1) stage grid.
+def _cf4_step_matrices(H_s, H_m, H_e, h):
+    """CF4:2 transfer matrices (b, b, N) of N steps of width h (one, or one per step).
 
-    With the Simpson moments a1 = (H_s + 4 H_m + H_e)/6 and a2 = (H_e - H_s)/12 of
-    each step, U = exp(-ih(a1/2 + 2 a2)) exp(-ih(a1/2 - 2 a2)), each factor by
-    ``_expm_hermitian``; the right one acts first (the reverse order is second order).
+    H_s, H_m and H_e hold each step's Hamiltonian at its start, midpoint and
+    end.  With the Simpson moments a1 = (H_s + 4 H_m + H_e)/6 and
+    a2 = (H_e - H_s)/12, U = exp(-ih(a1/2 + 2 a2)) exp(-ih(a1/2 - 2 a2)), each
+    factor by ``_expm_hermitian``; the right one acts first (the reverse
+    order is second order).
     """
-    H_s, H_m, H_e = H[..., 0:-1:2], H[..., 1::2], H[..., 2::2]
     # in place where possible: these stacks set the peak memory of a block
     half_a1 = H_s + 4.0 * H_m
     half_a1 += H_e
@@ -182,19 +180,21 @@ def _cf4_step_matrices(H, h):
     return _mul(_expm_hermitian(left, h), right)
 
 
-def _product(M):
-    """Time-ordered product M[..., -1] @ ... @ M[..., 0] of a (b, b, N) stack, N >= 1."""
-    while M.shape[-1] > 1:
-        odd = M[..., M.shape[-1] // 2 * 2 :]    # an unpaired last matrix carries over
-        M = np.concatenate([_mul(M[..., 1::2], M[..., 0:-1:2]), odd], axis=-1)
-    return M[..., 0]
+def _fold(M, counts, G):
+    """G[..., g] <- P_g @ G[..., g] for the (b, b, runs) stack G, P_g the time-ordered
+    product of the g-th run of counts[g] consecutive matrices of the (b, b, N) stack M.
 
-
-def _coarse_product(H, fine, h):
-    """Product of the 2h steps over the step pairs of a stage block, unpaired last step fine."""
-    pairs = fine.shape[-1] // 2
-    coarse = _cf4_step_matrices(H[..., : 4 * pairs + 1 : 2], 2.0 * h)
-    return _product(np.concatenate([coarse, fine[..., 2 * pairs :]], axis=-1))
+    Each product is folded one matrix at a time, so a run split over two
+    calls gives the same bits as in one.
+    """
+    valid = np.arange(counts.max()) < counts[:, None]
+    # (b, b, step, run), so that each step's stack is contiguous
+    pad = np.broadcast_to(np.eye(len(M), dtype=M.dtype)[..., None, None],
+                          M.shape[:2] + valid.shape[::-1]).copy()
+    pad.transpose(0, 1, 3, 2)[:, :, valid] = M
+    for step in pad.transpose(2, 0, 1, 3):
+        G = _mul(step, G)
+    return G
 
 
 def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
@@ -203,191 +203,282 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     ``solution`` selects the regularization strategy (a selection tuple,
     "dense", or None for the two-level model); coefficients
     are re-solved along the advanced-parameter path.  Returns a Trajectory
-    with at least MIN_SAMPLES uniform samples.
+    with at least MIN_SAMPLES samples.
 
-    Without ``dt`` the step count is chosen by step doubling: passes at
-    N0 = max(samples, MIN_SAMPLES) steps, then 2 N0, 4 N0, ..., each built
-    on the one before.  The first pass whose estimate is at most STEP_TOL
-    is kept, and is the same trajectory as a run with that dt.  The first
-    pass at max(DEFAULT_STEPS, samples) steps or more ends the search; a
-    run at an explicit dt is that one pass.  Each finished pass is held to
-    STEP_ERROR_MAX and NORM_DRIFT_MAX here, once (``_refusal``): the last
-    pass raises StepSizeError, an earlier one that exceeds either is not kept.
+    Without ``dt`` the N0 = max(samples, MIN_SAMPLES) chunks start at one
+    step and double by pairs (``_pick``), each at most to the smallest power
+    of two at which the N0 chunks hold max(DEFAULT_STEPS, samples) steps;
+    ``_evolve`` at the run's ``chunk_steps`` replays it.  With ``dt`` the run
+    is one pass of T_FF/dt uniform steps on min(steps, max(MIN_SAMPLES,
+    samples)) chunks of near-equal step counts.  Either way the finished run
+    is held once to STEP_ERROR_MAX and NORM_DRIFT_MAX (``_refusal``) and
+    raises StepSizeError if it exceeds either.
     """
     if dt is None:
-        cap, steps = max(DEFAULT_STEPS, samples), max(samples, MIN_SAMPLES)
+        n0 = max(samples, MIN_SAMPLES)
+        top = 1
+        while n0 * top < max(DEFAULT_STEPS, samples):
+            top *= 2
+        run = _Run(model, schedule, solution, n, np.ones(n0, dtype=int), top)
+        while len(pairs := _pick(run.error, run.sizes[: 2 * len(run.error) : 2] < top)):
+            run.refine(pairs)
+        traj = run.trajectory()
     else:
-        cap = steps = step_count(schedule, dt)
-    base = None
-    while True:
-        last = steps >= cap
-        traj, base = _evolve(model, schedule, solution, n, steps, samples, base, last)
-        refusal = _refusal(traj)
-        if last and refusal:
-            raise StepSizeError(refusal)
-        if last or (traj.step_error <= STEP_TOL and not refusal):
-            return traj
-        steps *= 2
-        del traj    # not held through the next pass
+        steps = step_count(schedule, dt)
+        n_chunks = min(steps, max(MIN_SAMPLES, samples))
+        sizes = np.full(n_chunks, steps // n_chunks)
+        sizes[: steps % n_chunks] += 1
+        traj = _evolve(model, schedule, solution, n, sizes, uniform=True)
+    refusal = _refusal(traj)
+    if refusal:
+        raise StepSizeError(refusal)
+    return traj
+
+
+def _pick(error, room):
+    """The pairs to refine next, in increasing order: those with ``room`` below
+    the per-chunk cap, largest estimate first, until the sum predicted with
+    error/16 for each refined pair is at most STEP_TOL (all of them if no
+    choice gets there).  None once the sum itself is at most STEP_TOL."""
+    excess = error.sum() - STEP_TOL
+    if excess <= 0:
+        return np.empty(0, dtype=int)
+    order = np.flatnonzero(room)
+    order = order[np.argsort(-error[order], kind="stable")]
+    gain = np.cumsum(error[order]) * (15.0 / 16.0)
+    return np.sort(order[: np.searchsorted(gain, excess) + 1])
 
 
 def _refusal(traj):
-    """Why a pass's steps are too coarse (STEP_ERROR_MAX, NORM_DRIFT_MAX), or None."""
+    """Why a run's steps are too coarse (STEP_ERROR_MAX, NORM_DRIFT_MAX), or None."""
+    finest = np.min(np.diff(traj.t) / traj.chunk_steps)
     for what, value, bound in (("estimated step error", traj.step_error, STEP_ERROR_MAX),
                                ("norm drift", traj.max_norm_drift, NORM_DRIFT_MAX)):
         if value > bound:
-            return f"{what} {value:.3e} exceeds {bound:.0e}; use a smaller dt than {traj.dt:.3e}"
+            return f"{what} {value:.3e} exceeds {bound:.0e}; use a smaller dt than {finest:.3e}"
     return None
 
 
-def _evolve(model, schedule, solution, n, steps, samples, base=None, last=True):
-    """``evolve`` at a fixed step count: (Trajectory, _Stages or None).
+def _evolve(model, schedule, solution, n, sizes, uniform=False):
+    """The Trajectory of one fixed-step pass over chunks of sizes[j] steps.
 
-    ``base`` is the record of the pass at steps / 2 over the same chunks:
-    its coefficient rows, chunk products and sample states
-    are reused, so only the new stage points are solved.  A pass that is
-    not ``last`` returns its own record.
+    ``uniform``: the chunks are consecutive runs of one grid of sum(sizes)
+    steps (a run at an explicit dt).  Otherwise they are len(sizes) equal
+    sample intervals, chunk j at step T_FF / (len(sizes) sizes[j]) (powers
+    of two), which replays a default run from its ``chunk_steps``.
     """
-    dt = schedule.T_FF / steps
-    n_chunks = min(steps, max(MIN_SAMPLES, samples))
+    top = None if uniform else int(np.max(sizes))
+    return _Run(model, schedule, solution, n, sizes, top).trajectory()
 
-    # sample intervals (chunks) of near-equal step counts; sample k sits on
-    # step bounds[k], i.e. on stage point 2 * bounds[k]
-    sizes = np.full(n_chunks, steps // n_chunks)
-    sizes[: steps % n_chunks] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    width = int(sizes.max())
-    # a block is `group` whole chunks, or `span` steps of one wider chunk
-    group = max(1, BLOCK_STAGE_POINTS // (2 * width))
-    span = min(width, max(1, BLOCK_STAGE_POINTS // 2))
 
-    # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
-    # so that it lies in one sector; the run is evolved on that block
-    _, C0, _, rhs0 = models.tracked_state(model, np.array([schedule.R0]), n)
-    sector, _ = tracked_sector(model, [schedule.R0], C0, rhs0)
-    P = model.sectors[sector]
-    dim = model.dim
-    eye = np.eye(P.shape[1], dtype=complex)
-    psi_b = np.empty((n_chunks + 1, P.shape[1]), dtype=complex)
-    psi_b[0] = C0[0] @ P
-    psi_s = np.empty((n_chunks + 1, dim), dtype=complex)
-    psi_s[0] = psi_b[0] @ P.T
-    R_s = np.empty(n_chunks + 1)
-    v_s = np.empty(n_chunks + 1)
-    # spectrum and eigenvector n at the samples: the samples are the same
-    # points in every pass, solved by the first pass's stage eigensolve
-    if base is None:
-        w_s = np.empty((n_chunks + 1, dim))
-        C_s = np.empty((n_chunks + 1, dim), dtype=complex)
-    else:
-        w_s, C_s = base.energies, base.targets
-    if not last:
-        G_all = np.empty(eye.shape + (n_chunks,), dtype=complex)
-    path = coeffs = rows_all = None
-    step_error = 0.0
+class _Run:
+    """The chunks (sample intervals) of a run, each a fixed-step CF4:2 run on its own grid.
 
-    for j0 in range(0, n_chunks, group):
-        j1 = min(j0 + group, n_chunks)
-        G = None
-        coarse = eye
-        for l0 in range(0, width, span):
-            l = np.arange(l0, min(l0 + span, width))
-            # the block's step matrices (b, b, chunk, step), eye past each chunk's end
-            valid = l[None, :] < sizes[j0:j1, None]
-            Mpad = np.broadcast_to(eye[..., None, None], eye.shape + valid.shape).copy()
-            # in row-major order the valid entries are steps s0 .. s1-1; a
-            # segment can hold padding only, when a wide chunk is one step short
-            s0 = bounds[j0] + l0
-            s1 = min(bounds[j1 - 1] + l[-1] + 1, bounds[j1])
-            if s1 > s0:
-                Rs, vs = _stage_block(schedule, steps, s0, s1)
-                blocks = models.sector_hamiltonians(model, Rs)
-                H = blocks[sector]
-                live = is_driven(schedule, Rs, vs)
-                k = np.arange(np.searchsorted(bounds, s0), np.searchsorted(bounds, s1, "right"))
-                pos = 2 * (bounds[k] - s0)
-                rows = None
+    Stage point k lies at u = k fl(T_FF/(2M)); chunk j spans the points
+    bounds[j] .. bounds[j+1] at stride (bounds[j+1] - bounds[j]) / (2 sizes[j]).
+    With ``top`` the chunks are equal, M is len(sizes) * top, and the run
+    keeps a coefficient row per stage point for ``refine``; without it they
+    lie on one uniform grid of sum(sizes) steps.  Chunks 2p and 2p+1 are
+    pair p (an odd last chunk joins the last pair), whose ``error`` is
+    |(G_pair - G_2h) C_b| / 15, C_b the tracked eigenvector at the pair's
+    first sample in block coordinates.  The constructor makes the first
+    pass, which solves every driven stage point, fills the sample rows and
+    folds each pair's 2h steps; psi advances once, in ``trajectory``.
+    """
+
+    def __init__(self, model, schedule, solution, n, sizes, top=None):
+        self.model, self.schedule, self.solution, self.n = model, schedule, solution, n
+        self.sizes = np.array(sizes, dtype=np.int64)
+        N = len(self.sizes)
+        if top is None:
+            self.bounds = 2 * np.concatenate([[0], np.cumsum(self.sizes)])
+            self.M = int(self.sizes.sum())
+        else:
+            self.bounds = np.arange(N + 1) * (2 * top)
+            self.M = N * top
+        self.pair = np.minimum(np.arange(N) // 2, N // 2 - 1)
+        self.keep_rows = top is not None
+        self.path = self.rows = self.coeffs = None
+
+        # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
+        # so that it lies in one sector; the run is evolved on that block
+        _, C0, _, rhs0 = models.tracked_state(model, np.array([schedule.R0]), n)
+        self.sector, _ = tracked_sector(model, [schedule.R0], C0, rhs0)
+        self.P = model.sectors[self.sector]
+        self.eye = np.eye(self.P.shape[1], dtype=complex)
+        self.psi0 = C0[0] @ self.P
+        self.G = self._identity(N)
+        self.R_s, self.v_s = np.empty(N + 1), np.empty(N + 1)
+        # spectrum and eigenvector n at the samples, from the first pass's stage eigensolve
+        self.w_s = np.empty((N + 1, model.dim))
+        self.C_s = np.empty((N + 1, model.dim), dtype=complex)
+
+        coarse = self._identity(N // 2)
+        self._pass(np.arange(N), coarse)
+        # the undriven samples, at least the one at R0, had no stage eigensolve
+        rest = ~is_driven(schedule, self.R_s, self.v_s)
+        w, V = models.eigensystem_batch(model, self.R_s[rest])
+        self.w_s[rest], self.C_s[rest] = w, V[:, :, n]
+        self.error = self._error(np.arange(N // 2), coarse)
+
+    def _identity(self, count):
+        return np.repeat(self.eye[..., None], count, axis=-1)
+
+    def refine(self, pairs):
+        """Double the steps of every chunk of ``pairs`` (increasing) and re-estimate
+        each pair against its previous product."""
+        before = self._products(pairs)
+        chunks = self._chunks(pairs)
+        self.sizes[chunks] *= 2
+        self.G[..., chunks] = self.eye[..., None]
+        self._pass(chunks)
+        self.error[pairs] = self._error(pairs, before)
+
+    def _chunks(self, pairs):
+        """The chunks of ``pairs``, in increasing order."""
+        mask = np.zeros(self.pair[-1] + 1, dtype=bool)
+        mask[pairs] = True
+        return np.flatnonzero(mask[self.pair])
+
+    def _products(self, pairs):
+        chunks = self._chunks(pairs)
+        return _fold(self.G.take(chunks, -1), np.bincount(self.pair[chunks])[pairs],
+                     self._identity(len(pairs)))
+
+    def _error(self, pairs, coarse):
+        C = self.C_s[2 * pairs] @ self.P
+        D = np.einsum("ijp,pj->pi", self._products(pairs) - coarse, C)
+        # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
+        return np.linalg.norm(D, axis=1) / 15.0
+
+    def _pass(self, chunks, coarse=None):
+        """Fold the steps of ``chunks`` (increasing) into G, in blocks of at most
+        BLOCK_STAGE_POINTS stage points: each builds its stage Hamiltonians once,
+        solves the coefficients on them and builds and folds the step matrices.
+
+        The first pass (``coarse`` given) solves every driven point, fills the
+        sample rows and folds each pair's 2h steps into ``coarse``; a later one,
+        over chunks whose steps doubled, solves only their odd points.
+        """
+        model, schedule, n = self.model, self.schedule, self.n
+        first_pass = coarse is not None
+        scale = schedule.T_FF / (2 * self.M)
+        sizes = self.sizes[chunks]
+        stride = (self.bounds[chunks + 1] - self.bounds[chunks]) // (2 * sizes)
+        # a block is `group` whole chunks (pairs whole), or `span` steps of one wider chunk
+        group = max(1, BLOCK_STAGE_POINTS // (2 * int(sizes.max())))
+        group -= group % 2 if group > 1 else 0
+        span = max(1, BLOCK_STAGE_POINTS // 2)
+        for c0 in range(0, len(chunks), group):
+            J, n_J, d_J = chunks[c0 : c0 + group], sizes[c0 : c0 + group], stride[c0 : c0 + group]
+            for l0 in range(0, int(n_J.max()), span):
+                # steps l0 .. l0+m-1 of each chunk; a chunk shares its first
+                # point with the one before when both are whole here
+                m = np.minimum(n_J - l0, span)
+                share = np.zeros(len(J), dtype=bool)
+                share[1:] = (J[1:] == J[:-1] + 1) & (l0 == 0)
+                count = 2 * m + 1 - share
+                start = np.cumsum(count) - count - share      # each piece's first point
+                piece = np.repeat(np.arange(len(J)), count)
+                i = np.arange(count.sum()) - start[piece]     # point index in the piece
+                keys = self.bounds[J][piece] + d_J[piece] * (2 * l0 + i)
+                step = np.repeat(np.arange(len(J)), m)
+                first = start[step] + 2 * (np.arange(m.sum()) - (np.cumsum(m) - m)[step])
+                h = (2.0 * scale) * d_J[step]
+
+                R, v = _stage_block(schedule, self.M, keys)
+                blocks = models.sector_hamiltonians(model, R)
+                H = blocks[self.sector]
+                live = is_driven(schedule, R, v)
+                if first_pass:
+                    # sample rows on the block's stage points
+                    k = np.arange(np.searchsorted(self.bounds, keys[0]),
+                                  np.searchsorted(self.bounds, keys[-1], "right"))
+                    pos = np.searchsorted(keys, self.bounds[k])
+                    self.R_s[k], self.v_s[k] = R[pos], v[pos]
                 if np.any(live):
-                    if path is None:
-                        path = CoefficientPath(model, solution, n)
-                        drive = P.T @ path.basis @ P
-                        coeffs = np.zeros((n_chunks + 1, len(path.names)))
-                        if not last:
-                            rows_all = np.zeros((2 * steps + 1, len(path.names)))
-                    rows = np.zeros((len(Rs), len(path.names)))
+                    if self.path is None:
+                        self._start_path()
+                    rows = np.zeros((len(R), len(self.path.names)))
                     new = live.copy()
-                    if base is not None:
-                        # the even points are solved in base (zero rows where undriven)
-                        new[0::2] = False
-                        if base.rows is not None:
-                            rows[0::2] = base.rows[s0 : s1 + 1]
+                    if not first_pass:
+                        # the even points are the pass before's (zero rows where undriven)
+                        old = i % 2 == 0
+                        new[old] = False
+                        rows[old] = self.rows[keys[old]]
                     if np.any(new):
-                        state = models.tracked_state(model, Rs[new], n,
+                        state = models.tracked_state(model, R[new], n,
                                                      blocks=[b[new] for b in blocks])
-                        rows[new] = path.values(Rs[new], state=state)
-                        if base is None:
+                        rows[new] = self.path.values(R[new], state=state)
+                        if first_pass:
                             at = live[pos]
                             idx = np.searchsorted(np.flatnonzero(live), pos[at])
-                            w_s[k[at]], C_s[k[at]] = state[0][idx], state[1][idx]
+                            self.w_s[k[at]], self.C_s[k[at]] = state[0][idx], state[1][idx]
                         del state   # not held through the step matrices, the block's peak
-                    H[live] += vs[live, None, None] * matrices_from_rows(rows[live], drive)
+                    if self.keep_rows:
+                        self.rows[keys] = rows
+                    if first_pass:
+                        self.coeffs[k] = rows[pos]
+                    H[live] += v[live, None, None] * matrices_from_rows(rows[live], self.drive)
                 H = H.transpose(1, 2, 0).copy()     # (b, b, stage points) from here on
-                fine = _cf4_step_matrices(H, dt)
-                Mpad[:, :, valid] = fine
-                if base is None:
-                    coarse = _coarse_product(H, fine, dt) @ coarse
-                del fine    # not held through the next block's step matrices
+                fine = _cf4_step_matrices(*(H.take(first + o, -1) for o in (0, 1, 2)), h)
+                self.G[..., J] = _fold(fine, m, self.G.take(J, -1))
+                del fine    # not held through the 2h steps or the next block
+                if first_pass:
+                    self._fold_coarse(H, first, h, self.pair[J][step], coarse)
 
-                # sample rows on the block's stage points
-                R_s[k], v_s[k] = Rs[pos], vs[pos]
-                if rows is not None:
-                    coeffs[k] = rows[pos]
-                if not last and rows is not None:
-                    rows_all[2 * s0 : 2 * s1 + 1] = rows
-            # fold chunk-wise: one stack product per intra-chunk index after the first
-            for i in range(len(l)):
-                G = Mpad[..., i] if G is None else _mul(Mpad[..., i], G)
+    def _fold_coarse(self, H, first, h, pair, coarse):
+        """Fold each pair's 2h steps on a block into ``coarse``: steps paired in
+        order from the first of each contiguous run of the pair's steps, an odd
+        one out taken at h."""
+        q = np.arange(len(first))
+        joined = np.zeros(len(first), dtype=bool)     # step q follows step q-1 in its pair
+        joined[1:] = (first[1:] == first[:-1] + 2) & (pair[1:] == pair[:-1])
+        lead = (q - np.maximum.accumulate(np.where(joined, 0, q))) % 2 == 0
+        w = np.where(np.append(joined[1:], False)[lead], 2, 1)
+        f = first[lead]
+        C = _cf4_step_matrices(*(H.take(f + o * w, -1) for o in (0, 1, 2)), h[lead] * w)
+        pairs, counts = np.unique(pair[lead], return_counts=True)
+        coarse[..., pairs] = _fold(C, counts, coarse.take(pairs, -1))
 
-        if base is not None:
-            # each chunk of base is two steps here: its product is the 2h one
-            coarse = _product(base.G[..., j0:j1])
-        if not last:
-            G_all[..., j0:j1] = G
-        psi_coarse = coarse @ psi_b[j0]
-        for j, g in enumerate(np.moveaxis(G, -1, 0).copy(), j0):    # contiguous b x b each
-            np.matmul(g, psi_b[j], out=psi_b[j + 1])
-        psi_s[j0 + 1 : j1 + 1] = psi_b[j0 + 1 : j1 + 1] @ P.T
-        # fourth order: the fine error is |fine - coarse| / (2**4 - 1)
-        step_error += float(np.linalg.norm(psi_b[j1] - psi_coarse)) / 15.0
+    def _start_path(self):
+        self.path = CoefficientPath(self.model, self.solution, self.n)
+        self.drive = self.P.T @ self.path.basis @ self.P
+        k = len(self.path.names)
+        self.coeffs = np.zeros((len(self.sizes) + 1, k))
+        if self.keep_rows:
+            # one row per stage point of the finest grid; the even points of a
+            # chunk that doubles are its points before
+            self.rows = np.zeros((self.bounds[-1] + 1, k))
 
-    if base is None:
-        # the undriven samples, at least the one at R0, had no stage eigensolve
-        rest = ~is_driven(schedule, R_s, v_s)
-        w, V = models.eigensystem_batch(model, R_s[rest])
-        w_s[rest], C_s[rest] = w, V[:, :, n]
-    t_s = bounds * dt
-    t_s[-1] = schedule.T_FF
-    fid = np.abs(np.einsum("sd,sd->s", np.conj(C_s), psi_s))
-    if path is None:
-        coeffs = np.zeros((len(t_s), 0))
-
-    traj = Trajectory(
-        t=t_s,
-        R_adv=R_s,
-        psi=psi_s,
-        norm=np.linalg.norm(psi_s, axis=1),
-        fidelity=fid,
-        energies=w_s,
-        coefficients=coeffs,
-        coefficient_names=tuple(path.names) if path is not None else (),
-        velocity=v_s,
-        dt=dt,
-        steps=steps,
-        step_error=step_error,
-    )
-    if last:
-        return traj, None
-    return traj, _Stages(rows_all, G_all, w_s, C_s)
+    def trajectory(self):
+        """The samples of the run at its current chunk step counts; psi advances
+        through the chunk transfer matrices here, once."""
+        N = len(self.sizes)
+        psi_b = np.empty((N + 1, len(self.eye)), dtype=complex)
+        psi_b[0] = self.psi0
+        rows = list(psi_b)
+        for g, a, b in zip(np.moveaxis(self.G, -1, 0).copy(), rows, rows[1:]):  # contiguous b x b
+            np.dot(g, a, out=b)
+        psi_s = psi_b @ self.P.T
+        t_s = self.bounds * (self.schedule.T_FF / (2 * self.M))
+        t_s[-1] = self.schedule.T_FF
+        steps = int(self.sizes.sum())
+        return Trajectory(
+            t=t_s,
+            R_adv=self.R_s,
+            psi=psi_s,
+            norm=np.linalg.norm(psi_s, axis=1),
+            fidelity=np.abs(np.einsum("sd,sd->s", np.conj(self.C_s), psi_s)),
+            energies=self.w_s,
+            coefficients=self.coeffs if self.path is not None else np.zeros((N + 1, 0)),
+            coefficient_names=tuple(self.path.names) if self.path is not None else (),
+            velocity=self.v_s,
+            dt=self.schedule.T_FF / steps,
+            steps=steps,
+            chunk_steps=self.sizes.copy(),
+            step_error=float(self.error.sum()),
+        )
 
 
 @lru_cache(maxsize=None)

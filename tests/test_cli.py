@@ -74,6 +74,8 @@ def test_run_writes_artifacts(qa_config_file, tmp_path):
     assert summary["min_fidelity"] >= 0.999999
     assert summary["terminal_populations"][0] >= 0.999
     assert 0.0 < summary["max_step_error"] < 1e-6
+    # dt = 1e-4 on 250 samples: 1000 uniform steps, 4 on each sample interval
+    assert summary["steps"] == 1000 and summary["chunk_steps"] == [[4, 250]]
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,R_adv,re_c1")
     assert "fidelity" in header and "coef_By" in header
@@ -149,6 +151,22 @@ def test_run_csvs_are_the_row_wise_reprs(preset, tmp_path):
     for name, columns in files.items():
         rows = _repr_rows(np.column_stack(columns))
         assert (tmp_path / name).read_text().splitlines()[1:] == rows, name
+
+
+def test_run_summary_records_the_chunk_steps(tmp_path):
+    # a default run: its total step count, their mean dt and the steps of each
+    # sample interval, run-length encoded, at which the run replays
+    out = tmp_path / "lz"
+    assert main(["run", "--config", "preset:lz", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    config = load_preset("lz")
+    traj = evolve(config.model, config.schedule, config.selection, config.state,
+                  samples=config.samples)
+    chunks = np.repeat(*np.array(summary["chunk_steps"]).T)
+    assert np.array_equal(chunks, traj.chunk_steps)
+    assert len(summary["chunk_steps"]) > 1
+    assert summary["steps"] == chunks.sum() == traj.steps
+    assert summary["dt"] == pytest.approx(config.schedule.T_FF / traj.steps, rel=1e-11)
 
 
 def test_run_multiple_configs(qa_config_file, tmp_path):
@@ -422,6 +440,38 @@ def test_non_finite_config_number_is_a_configuration_error(line, tmp_path, capsy
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     # the message after the path, which names the test's own directory
     assert capsys.readouterr().err == f"configuration error: {cfg}: {expected}\n"
+    assert not out.exists()
+
+
+def test_config_numbers_in_scientific_notation_load(tmp_path):
+    # YAML 1.1 reads a number with no dot (1e-6) or an unsigned exponent
+    # (1.0e2) as a string; both are numbers
+    text = (_preset_text("qa").replace("Bz: 0.1}", "Bz: 1e-1}")
+            .replace("v_bar: 100.0", "v_bar: 1.0e2").replace("fidelity_bar: 0.999999", "")
+            + "dt: 1e-6\nfidelity_bar: 9.99999E-1\n")
+    cfg = tmp_path / "qa.yaml"
+    cfg.write_text(text)
+    config = load_config(str(cfg))
+    assert config == replace(load_preset("qa"), dt=1e-6)
+    assert config.model.constants["Bz"] == 0.1 and config.schedule.v_bar == 100.0
+    data = yaml.load(_preset_text("qa"), Loader=YAML_LOADER)
+    for raw in ("1e-6", "+1E-6", "1.e-6", "0.000001"):
+        assert config_from_dict({**data, "dt": raw}).dt == 1e-6
+
+
+@pytest.mark.parametrize("line, got", [
+    ("dt: true", "True"), ("dt: 'fast'", "'fast'"), ("dt: 1e-6s", "'1e-6s'"),
+    ("dt: '1e-6 '", "'1e-6 '"), ("dt: 1e999", "'1e999'"), ("fidelity_bar: nan", "'nan'"),
+    ("fidelity_bar: -.inf", "-inf"), ("dt: [1e-6]", "['1e-6']"),
+], ids=["bool", "word", "suffix", "space", "overflow", "nan-word", "minus-inf", "list"])
+def test_non_numeric_config_number_is_a_configuration_error(line, got, tmp_path, capsys):
+    key = line.split(":")[0]
+    cfg = tmp_path / "lz.yaml"
+    cfg.write_text(_preset_text("lz") + line + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}: config.{key}: expected a finite number, got {got}\n")
     assert not out.exists()
 
 

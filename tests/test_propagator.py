@@ -93,36 +93,46 @@ def test_fourth_order_convergence(qa_model, qa_schedule):
     assert 12.0 <= ratio <= 20.0, ratio  # 2**4 for a fourth-order scheme
 
 
+def _max_sample_error(traj, ref):
+    """Largest distance of traj's samples from ref's, sample for sample."""
+    assert np.array_equal(traj.t, ref.t)
+    return float(np.linalg.norm(traj.psi - ref.psi, axis=1).max())
+
+
+def _assert_estimate_tracks(step_error, true):
+    # the summed pair estimates exceed the largest sample error where the local
+    # errors partly cancel (about 3.8x on gen, 4.8x on lz) and fall short of it
+    # only at rounding level (tfim's estimate 2.0e-13 against 2.7e-13)
+    assert true / 2.0 <= step_error <= 6.0 * true, (step_error, true)
+
+
 @pytest.mark.parametrize("steps", [200, 400])
 def test_step_error_estimate_tracks_true_error(gen_model, gen_schedule, steps):
+    # every sample, against a run at 16x the steps on the same samples
     T = gen_schedule.T_FF
-    traj = evolve(gen_model, gen_schedule, "dense", dt=T / steps)
-    fine = evolve(gen_model, gen_schedule, "dense", dt=T / (16 * steps))
-    true = np.linalg.norm(traj.psi[-1] - fine.psi[-1])
-    assert true / 3.0 <= traj.step_error <= 3.0 * true, (traj.step_error, true)
+    traj = evolve(gen_model, gen_schedule, "dense", dt=T / steps, samples=steps)
+    fine = evolve(gen_model, gen_schedule, "dense", dt=T / (16 * steps), samples=steps)
+    _assert_estimate_tracks(traj.step_error, _max_sample_error(traj, fine))
+
+
+@pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
+def test_default_step_error_bounds_every_sample(name):
+    # a default run against a uniform run at 16 steps per chunk (16x its first
+    # pass, error below 1e-13), at every sample, not only at the end
+    config = load_preset(name)
+    args = (config.model, config.schedule, config.selection, config.state)
+    traj = evolve(*args, samples=config.samples)
+    ref = evolve(*args, dt=config.schedule.T_FF / (16 * config.samples), samples=config.samples)
+    true = _max_sample_error(traj, ref)
+    assert true <= 2.0 * propagator.STEP_TOL
+    _assert_estimate_tracks(traj.step_error, true)
+    if name == "lz":
+        # the uniform 1000-step run missed STEP_TOL mid-run (1.34e-10 at t/T = 0.52)
+        assert true < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# default step count
-
-def _record_passes(monkeypatch, reported=()):
-    """Step counts of the fixed-step passes of the evolve calls that follow.
-
-    Pass k, for k < len(reported), reports reported[k] as its step error.
-    """
-    passes = []
-    inner = propagator._evolve
-
-    def recording(model, schedule, solution, n, steps, samples, *rest):
-        passes.append(steps)
-        traj, stages = inner(model, schedule, solution, n, steps, samples, *rest)
-        if len(passes) <= len(reported):
-            traj = dataclasses.replace(traj, step_error=reported[len(passes) - 1])
-        return traj, stages
-
-    monkeypatch.setattr(propagator, "_evolve", recording)
-    return passes
-
+# default step counts
 
 def _assert_same_trajectory(a, b):
     for field in dataclasses.fields(propagator.Trajectory):
@@ -130,135 +140,137 @@ def _assert_same_trajectory(a, b):
 
 
 def _assert_same_run(traj, ref):
-    # a default run against the run at its dt: the step-error estimate may
-    # sum its blocks' products in another order
+    # the step-error estimate may fold a pair's 2h steps in another order
+    # (as one run, or as the products of its two chunks): rounding, ~1e-16 a pair
     for field in dataclasses.fields(propagator.Trajectory):
         if field.name != "step_error":
             assert np.array_equal(getattr(traj, field.name), getattr(ref, field.name)), field.name
-    assert abs(traj.step_error - ref.step_error) <= 1e-12 * ref.step_error
+    assert abs(traj.step_error - ref.step_error) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
-def test_default_run_meets_step_tol(name, monkeypatch):
+def test_default_run_meets_step_tol(name):
     config = load_preset(name)
     args = (config.model, config.schedule, config.selection, config.state)
-    passes = _record_passes(monkeypatch)
     traj = evolve(*args, samples=config.samples)
+    T = config.schedule.T_FF
     assert traj.step_error <= propagator.STEP_TOL
     assert len(traj.t) == config.samples + 1
-    assert traj.steps == passes[-1]
-    assert 1 <= len(passes) <= 3
-    assert max(passes) <= max(propagator.DEFAULT_STEPS, config.samples)
-    ref = evolve(*args, dt=config.schedule.T_FF / 8000, samples=config.samples)
+    np.testing.assert_allclose(np.diff(traj.t), T / config.samples, rtol=1e-9)
+    # per chunk a power of two steps, at most the per-chunk cap
+    steps = traj.chunk_steps
+    assert len(steps) == config.samples
+    assert np.all(steps & (steps - 1) == 0)
+    assert steps.max() <= propagator.DEFAULT_STEPS // config.samples
+    assert traj.steps == steps.sum() and traj.dt == T / traj.steps
+    ref = evolve(*args, dt=T / 8000, samples=config.samples)
     assert np.max(np.abs(traj.psi[-1] - ref.psi[-1])) <= 1e-10
 
 
 def test_explicit_dt_runs_one_pass(qa_model, qa_schedule, monkeypatch):
-    direct, _ = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 3000, 500)
-    passes = _record_passes(monkeypatch)
+    # 3000 steps on 500 chunks of 6: one uniform pass, never refined
+    direct = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, np.full(500, 6), uniform=True)
+
+    def refuse(self, pairs):
+        raise AssertionError("a run at an explicit dt was refined")
+
+    monkeypatch.setattr(propagator._Run, "refine", refuse)
     traj = evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 3000, samples=500)
-    assert passes == [3000]
+    assert traj.steps == 3000 and np.all(traj.chunk_steps == 6)
     _assert_same_trajectory(traj, direct)
 
 
-def _assert_doubling(passes, samples):
-    # N0 * 2**k up to the first count at or above the cap, and no further
-    n0 = max(samples, propagator.MIN_SAMPLES)
-    cap = max(propagator.DEFAULT_STEPS, samples)
-    assert passes == [n0 * 2 ** k for k in range(len(passes))]
-    assert all(p < cap for p in passes[:-1])
-    first_at_cap = n0
-    while first_at_cap < cap:
-        first_at_cap *= 2
-    assert passes[-1] <= first_at_cap
-
-
 def test_default_passes_double_up_to_the_cap(qa_model, qa_schedule, monkeypatch):
-    # every estimate above STEP_TOL: the search runs to the cap
-    passes = _record_passes(monkeypatch, reported=[1e-9] * 8)
-    traj = evolve(qa_model, qa_schedule, QA_SEL)
-    assert passes == [1000, 2000, 4000, 8000]
-    assert traj.steps == 8000
-    _assert_doubling(passes, propagator.DEFAULT_SAMPLES)
-    # the first pass at or above the cap is the last, however far above;
-    # an estimate in (STEP_TOL, STEP_ERROR_MAX] keeps the search going
-    unmet = 1e-3 * propagator.STEP_ERROR_MAX
-    assert propagator.STEP_TOL < unmet <= propagator.STEP_ERROR_MAX
-    passes = _record_passes(monkeypatch, reported=[unmet] * 8)
-    assert evolve(qa_model, qa_schedule, QA_SEL, samples=3000).steps == 12000
-    assert passes == [3000, 6000, 12000]
-    _assert_doubling(passes, 3000)
-    # more samples than DEFAULT_STEPS: the first pass is the cap pass
-    passes = _record_passes(monkeypatch, reported=[unmet])
-    assert evolve(qa_model, qa_schedule, QA_SEL, samples=9000).steps == 9000
-    assert passes == [9000]
-    # a cap pass estimate above STEP_ERROR_MAX raises, as evolve checks it
-    passes = _record_passes(monkeypatch, reported=[10 * propagator.STEP_ERROR_MAX])
-    with pytest.raises(StepSizeError, match="estimated step error 1.000e-05 exceeds 1e-06"):
-        evolve(qa_model, qa_schedule, QA_SEL, samples=9000)
-    assert passes == [9000]
-    # fewer samples than MIN_SAMPLES: the passes start at MIN_SAMPLES
-    passes = _record_passes(monkeypatch)
-    traj = evolve(qa_model, qa_schedule, QA_SEL, samples=50)
-    _assert_doubling(passes, 50)
-    assert passes[0] == propagator.MIN_SAMPLES and traj.step_error <= propagator.STEP_TOL
+    # no estimate meets a zero tolerance: every pair doubles, round after round,
+    # up to the per-chunk cap, the smallest power of two at which the N0 chunks
+    # hold max(DEFAULT_STEPS, samples) steps, and no further; the run is then
+    # the uniform run at that step count
+    monkeypatch.setattr(propagator, "STEP_TOL", 0.0)
+    T = qa_schedule.T_FF
+    for samples, top in ((1000, 8), (3000, 4), (9000, 1), (50, 64)):
+        n0 = max(samples, propagator.MIN_SAMPLES)
+        traj = evolve(qa_model, qa_schedule, QA_SEL, samples=samples)
+        assert np.all(traj.chunk_steps == top), samples
+        assert traj.steps == n0 * top
+        _assert_same_run(traj, evolve(qa_model, qa_schedule, QA_SEL, dt=T / (n0 * top),
+                                      samples=samples))
 
 
 def test_refused_pass_is_never_kept(qa_model, qa_schedule, monkeypatch):
-    # the 2000-step pass meets STEP_TOL (~6e-11) but exceeds this bound:
-    # it is refused and the 4000-step pass (~4e-12) is kept
+    # a finished run is held to STEP_ERROR_MAX and NORM_DRIFT_MAX at one site,
+    # once: a run that exceeds either raises instead of being returned
+    calls = []
+    inner = propagator._refusal
+
+    def counted(traj):
+        calls.append(traj.steps)
+        return inner(traj)
+
+    monkeypatch.setattr(propagator, "_refusal", counted)
+    steps = evolve(qa_model, qa_schedule, QA_SEL).steps
+    assert calls == [steps]
+    # the default run meets STEP_TOL (about 1e-10) but exceeds this bound; the
+    # message names its finest step, 2 steps on a 1e-4 chunk
     monkeypatch.setattr(propagator, "STEP_ERROR_MAX", 1e-11)
-    passes = _record_passes(monkeypatch)
-    traj = evolve(qa_model, qa_schedule, QA_SEL)
-    assert passes == [1000, 2000, 4000]
-    assert traj.step_error <= propagator.STEP_ERROR_MAX
-    _assert_same_run(traj, evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 4000))
-    # refused by norm drift everywhere: the search goes on to the cap pass,
-    # the only one that raises
-    monkeypatch.setattr(propagator, "NORM_DRIFT_MAX", -1.0)
-    passes = _record_passes(monkeypatch)
-    with pytest.raises(StepSizeError, match="norm drift"):
+    calls.clear()
+    with pytest.raises(StepSizeError, match="exceeds 1e-11; use a smaller dt than 5.000e-05"):
         evolve(qa_model, qa_schedule, QA_SEL)
-    assert passes == [1000, 2000, 4000, 8000]
+    assert calls == [steps]
+    monkeypatch.setattr(propagator, "STEP_ERROR_MAX", 1.0)
+    monkeypatch.setattr(propagator, "NORM_DRIFT_MAX", -1.0)
+    calls.clear()
+    with pytest.raises(StepSizeError, match="norm drift"):
+        evolve(qa_model, qa_schedule, QA_SEL, dt=qa_schedule.T_FF / 1000)
+    assert calls == [1000]
 
 
 def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
-    # what the next pass reuses: per stage point the coefficient row, per
-    # chunk one transfer matrix, per sample its states
-    samples = 500
-    shapes = {}
-    for steps in (1000, 2000):
-        stages = propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, steps, samples, last=False)[1]
-        assert np.shape(stages.rows) == (2 * steps + 1, len(QA_SEL))
-        # one b x b matrix per chunk, b = 3 for the triplet block of the qa
-        # ground state, whatever the axis order
-        assert sorted(np.shape(stages.G)) == [3, 3, samples]
-        assert np.shape(stages.energies) == np.shape(stages.targets) == (samples + 1, 4)
-        shapes[steps] = [np.shape(stages.G), np.shape(stages.energies), np.shape(stages.targets)]
-    # nothing but the coefficient rows is sized by the stage grid
-    assert shapes[1000] == shapes[2000]
-    # the last pass, and so every run at an explicit dt, keeps nothing
-    assert propagator._evolve(qa_model, qa_schedule, QA_SEL, 0, 1000, 500)[1] is None
+    # what the refinement rounds reuse: per stage point of the finest grid a
+    # coefficient row, per chunk one transfer matrix, per sample its states
+    samples, top = 500, 4
+    run = propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.ones(samples, dtype=int), top)
+
+    def shapes():
+        return {name: np.shape(value) for name, value in vars(run).items()
+                if isinstance(value, np.ndarray)}
+
+    before = shapes()
+    assert before["rows"] == (2 * samples * top + 1, len(QA_SEL))
+    # one b x b matrix per chunk, b = 3 for the triplet block of the qa ground state
+    assert sorted(before["G"]) == [3, 3, samples]
+    assert before["w_s"] == before["C_s"] == (samples + 1, 4)
+    # nothing but the rows is sized by the stage grid
+    assert [name for name, shape in before.items() if max(shape) > samples + 1] == ["rows"]
+    for _ in range(2):
+        run.refine(np.arange(samples // 2))
+    assert np.all(run.sizes == top)
+    assert shapes() == before
+    # a run on one uniform grid, and so every run at an explicit dt, keeps no rows
+    assert propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.full(samples, 2)).rows is None
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
 def test_even_stage_points_of_a_pass_are_the_stage_points_of_the_pass_before(name):
-    # why a pass record need not keep R and v: recomputed, they are the same bits
+    # why a chunk that doubles its steps keeps its points and their rows: on a
+    # grid of 2**k times the steps, every 2**k-th point is the same u bit for bit
     config = load_preset(name)
     for steps in (1000, 1250, 4000):
-        coarse = propagator._stage_block(config.schedule, steps, 0, steps)
-        fine = propagator._stage_block(config.schedule, 2 * steps, 0, 2 * steps)
-        for a, b in zip(coarse, fine):
-            assert np.array_equal(b[0::2], a)
+        coarse = propagator._stage_block(config.schedule, steps, np.arange(2 * steps + 1))
+        for k in (2, 8):
+            fine = propagator._stage_block(config.schedule, k * steps,
+                                           np.arange(2 * k * steps + 1))
+            for a, b in zip(coarse, fine):
+                assert np.array_equal(b[0::k], a)
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
 def test_default_run_is_the_run_at_its_step_count(name):
+    # a default run is a fixed-step run that can be reproduced: one pass at its
+    # recorded per-chunk step counts gives the same trajectory bit for bit
     config = load_preset(name)
     args = (config.model, config.schedule, config.selection, config.state)
     traj = evolve(*args, samples=config.samples)
-    _assert_same_run(traj, evolve(*args, dt=config.schedule.T_FF / traj.steps,
-                                  samples=config.samples))
+    _assert_same_run(traj, propagator._evolve(*args, traj.chunk_steps))
 
 
 @pytest.mark.parametrize("name", ["qa", "gen"])
@@ -272,12 +284,14 @@ def test_default_run_solves_each_driven_stage_point_once(name, monkeypatch):
         return values(self, R_array, **kwargs)
 
     monkeypatch.setattr(cdsolver.CoefficientPath, "values", recording)
-    passes = _record_passes(monkeypatch)
     traj = evolve(config.model, config.schedule, config.selection, config.state,
                   samples=config.samples)
-    assert len(passes) >= 2    # the kept pass is built on earlier ones
-    sched = config.schedule
-    u = np.arange(2 * traj.steps + 1) * (sched.T_FF / (2 * traj.steps))
+    counts = traj.chunk_steps
+    assert counts.max() > 1    # the refined chunks are built on the first pass
+    # the final per-chunk grids: chunk j on the grid of N counts[j] steps
+    sched, N = config.schedule, len(counts)
+    u = np.unique(np.concatenate([(2 * j * c + np.arange(2 * c + 1)) * (sched.T_FF / (2 * N * c))
+                                  for j, c in enumerate(counts.tolist())]))
     R, v = advanced_parameter(sched, u, clamp=True), velocity(sched, u, clamp=True)
     driven = R[cdsolver.is_driven(sched, R, v)]
     got = np.sort(np.concatenate(solved))
@@ -555,26 +569,36 @@ def test_stack_products_are_time_ordered(dim):
         assert AB.shape == (dim, dim, count)
         for k in range(count):
             assert np.max(np.abs(AB[..., k] - A[..., k] @ B[..., k])) <= 1e-14
-    # _product is M[..., -1] @ ... @ M[..., 0]; at an odd count the unpaired
-    # last matrix carries over
-    for count in (1, 2, 7):
-        M = _unitary_stack(dim, count, 3)
-        ref = np.eye(dim)
-        for k in range(count):
+    # _fold multiplies runs of consecutive matrices onto G in time order, one
+    # matrix at a time: a run split over two calls gives the same bits
+    M, G = _unitary_stack(dim, 7, 3), _unitary_stack(dim, 3, 4)
+    counts = np.array([1, 4, 2])
+    out = propagator._fold(M, counts, G)
+    k = 0
+    for g, count in enumerate(counts):
+        ref = G[..., g]
+        for _ in range(count):
             ref = M[..., k] @ ref
-        assert np.max(np.abs(propagator._product(M) - ref)) <= 1e-14
+            k += 1
+        assert np.max(np.abs(out[..., g] - ref)) <= 1e-14
+    split = propagator._fold(M[..., :3], np.array([1, 2]), G[..., :2])
+    split = np.concatenate([split[..., :1], propagator._fold(
+        M[..., 3:], np.array([2, 2]), np.concatenate([split[..., 1:], G[..., 2:]], axis=-1))],
+        axis=-1)
+    assert np.array_equal(split, out)
 
 
 def test_step_matrices_need_no_eigensolve(qa_model, monkeypatch):
     R = np.linspace(1.0, 3.0, 9)
     H = np.moveaxis(models.hamiltonian(qa_model, R), 0, -1)
-    ref = propagator._cf4_step_matrices(H, 1e-4)
+    stages = H[..., 0:-1:2], H[..., 1::2], H[..., 2::2]
+    ref = propagator._cf4_step_matrices(*stages, 1e-4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    U = propagator._cf4_step_matrices(H, 1e-4)
+    U = propagator._cf4_step_matrices(*stages, 1e-4)
     assert U.shape == (4, 4, 4)
     assert np.array_equal(U, ref)
 
