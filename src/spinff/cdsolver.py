@@ -172,17 +172,6 @@ def _condition_number(M):
     return np.divide(num, det, out=np.full_like(num, np.inf), where=det > EPS * num)
 
 
-def _solve_each(M, b):
-    """Batched M x = b; the rows of exactly singular systems come back NaN."""
-    try:
-        return np.linalg.solve(M, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan, dtype=complex)
-        regular = np.linalg.slogdet(M)[0] != 0    # the LU of solve: sign 0 where it raises
-        x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
-        return x
-
-
 def _selection_indices(selection):
     try:
         idx = [COEFF_NAMES.index(name) for name in selection]
@@ -535,7 +524,14 @@ class CoefficientPath:
         M, b = _operator_columns(self.basis, C, rows), rhs[:, list(rows)]
         # the minimum-norm solves take the reduced rows too; on tfim's flip-even
         # block they leave the flip-odd coefficients at 0 to rounding
-        x = _solve_each(M, b).real if self.mode == "selection" else _min_norm(M, b)
+        if self.mode == "selection":
+            try:
+                x = np.linalg.solve(M, b[..., None])[..., 0].real
+            except np.linalg.LinAlgError:
+                # the LU of solve has sign 0 where it raises: refuse there
+                x = np.where(np.linalg.slogdet(M)[0][:, None] == 0, np.nan, 0.0)
+        else:
+            x = _min_norm(M, b)
         bad = ~np.all(np.isfinite(x), axis=1)
         if np.any(bad):
             raise ConsistencyError(

@@ -21,18 +21,18 @@ multiply-adds over N (a stacked matmul costs about as much per 3x3
 matrix as per 4x4).
 
 Each chunk is a fixed-step run on its own grid; chunks may differ in
-step count.  The chunks are walked in blocks of at most
-BLOCK_STAGE_POINTS stage points (a chunk wider than that is split):
-each block builds its stage Hamiltonians once, solves the
-regularization coefficients on them and builds and folds the step
+step count.  A pass walks its steps in time order, in blocks of about
+BLOCK_STAGE_POINTS // 2 steps cut wherever the chunk bounds fall: each
+builds and solves its stage points once and builds and folds its step
 matrices, so memory does not grow with the step count.
 
 The scheme is unitary to rounding, so norm drift does not measure the
 step size.  The error is estimated by step doubling at fourth order,
-per chunk pair: |(G_pair - G_2h) C| / 15, with G_2h the product of
-steps of twice the width and C the tracked eigenvector at the pair's
-start.  The sum over the pairs bounds the error at every sample, and is
-held to STEP_ERROR_MAX.  No renormalization is applied anywhere.
+per chunk pair: |(G_pair - G_2h) C| / 15, with G_2h the pair's steps
+paired two by two from its first (an odd one out at h), no 2h step cut
+by a block, and C the tracked eigenvector at the pair's start.  The sum
+over the pairs bounds the error at every sample, and is held to
+STEP_ERROR_MAX.  No renormalization is applied anywhere.
 
 Without an explicit dt, ``evolve`` spends steps where this estimate is
 (local extrapolation with step-size control, Hairer, Norsett & Wanner,
@@ -203,7 +203,7 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     ``solution`` selects the regularization strategy (a selection tuple,
     "dense", or None for the two-level model); coefficients
     are re-solved along the advanced-parameter path.  Returns a Trajectory
-    with at least MIN_SAMPLES samples.
+    of max(samples, MIN_SAMPLES) chunks, fewer only at a ``dt`` of fewer steps.
 
     Without ``dt`` the N0 = max(samples, MIN_SAMPLES) chunks start at one
     step and double by pairs (``_pick``), each at most to the smallest power
@@ -281,9 +281,10 @@ class _Run:
     lie on one uniform grid of sum(sizes) steps.  Chunks 2p and 2p+1 are
     pair p (an odd last chunk joins the last pair), whose ``error`` is
     |(G_pair - G_2h) C_b| / 15, C_b the tracked eigenvector at the pair's
-    first sample in block coordinates.  The constructor makes the first
-    pass, which solves every driven stage point, fills the sample rows and
-    folds each pair's 2h steps; psi advances once, in ``trajectory``.
+    first sample in block coordinates, G_2h its steps paired two by two
+    from its first.  The constructor makes the first pass, which solves
+    every driven stage point, fills the sample rows and folds each pair's
+    2h steps; psi advances once, in ``trajectory``.
     """
 
     def __init__(self, model, schedule, solution, n, sizes, top=None):
@@ -308,7 +309,7 @@ class _Run:
         self.eye = np.eye(self.P.shape[1], dtype=complex)
         self.psi0 = C0[0] @ self.P
         self.G = self._identity(N)
-        self.R_s, self.v_s = np.empty(N + 1), np.empty(N + 1)
+        self.R_s, self.v_s = _stage_block(schedule, self.M, self.bounds)
         # spectrum and eigenvector n at the samples, from the first pass's stage eigensolve
         self.w_s = np.empty((N + 1, model.dim))
         self.C_s = np.empty((N + 1, model.dim), dtype=complex)
@@ -352,94 +353,90 @@ class _Run:
         return np.linalg.norm(D, axis=1) / 15.0
 
     def _pass(self, chunks, coarse=None):
-        """Fold the steps of ``chunks`` (increasing) into G, in blocks of at most
-        BLOCK_STAGE_POINTS stage points: each builds its stage Hamiltonians once,
-        solves the coefficients on them and builds and folds the step matrices.
+        """Fold the steps of ``chunks`` (increasing) into G in time order, in blocks
+        of BLOCK_STAGE_POINTS // 2 steps (one more where the cut would split a 2h
+        step): each builds its stage Hamiltonians once, solves the coefficients
+        on them and builds and folds the step matrices.
 
         The first pass (``coarse`` given) solves every driven point, fills the
-        sample rows and folds each pair's 2h steps into ``coarse``; a later one,
-        over chunks whose steps doubled, solves only their odd points.
+        sample rows and folds into ``coarse`` each pair's steps two by two from
+        its first, wherever the blocks fall, an odd one out at h; a later one
+        solves only the midpoints.
         """
         model, schedule, n = self.model, self.schedule, self.n
         first_pass = coarse is not None
-        scale = schedule.T_FF / (2 * self.M)
         sizes = self.sizes[chunks]
         stride = (self.bounds[chunks + 1] - self.bounds[chunks]) // (2 * sizes)
-        # a block is `group` whole chunks (pairs whole), or `span` steps of one wider chunk
-        group = max(1, BLOCK_STAGE_POINTS // (2 * int(sizes.max())))
-        group -= group % 2 if group > 1 else 0
-        span = max(1, BLOCK_STAGE_POINTS // 2)
-        for c0 in range(0, len(chunks), group):
-            J, n_J, d_J = chunks[c0 : c0 + group], sizes[c0 : c0 + group], stride[c0 : c0 + group]
-            for l0 in range(0, int(n_J.max()), span):
-                # steps l0 .. l0+m-1 of each chunk; a chunk shares its first
-                # point with the one before when both are whole here
-                m = np.minimum(n_J - l0, span)
-                share = np.zeros(len(J), dtype=bool)
-                share[1:] = (J[1:] == J[:-1] + 1) & (l0 == 0)
-                count = 2 * m + 1 - share
-                start = np.cumsum(count) - count - share      # each piece's first point
-                piece = np.repeat(np.arange(len(J)), count)
-                i = np.arange(count.sum()) - start[piece]     # point index in the piece
-                keys = self.bounds[J][piece] + d_J[piece] * (2 * l0 + i)
-                step = np.repeat(np.arange(len(J)), m)
-                first = start[step] + 2 * (np.arange(m.sum()) - (np.cumsum(m) - m)[step])
-                h = (2.0 * scale) * d_J[step]
+        # the pass's steps s in time order: chunk c holds end[c] - sizes[c] .. end[c] - 1,
+        # and step s starts at key origin[c] + 2 stride[c] s
+        end = np.cumsum(sizes)
+        origin = self.bounds[chunks] - 2 * stride * (end - sizes)
+        pair = self.pair[chunks]
+        pair_first = (end - sizes)[np.searchsorted(pair, pair)]
+        pair_end = end[np.searchsorted(pair, pair, "right") - 1]
+        s1 = 0
+        while s1 < end[-1]:
+            s0, s1 = s1, min(s1 + max(1, BLOCK_STAGE_POINTS // 2), end[-1])
+            c = np.searchsorted(end, s1 - 1, "right")
+            if s1 < pair_end[c] and (s1 - pair_first[c]) % 2:
+                s1 += 1     # not between the two steps of a 2h one
+            s = np.arange(s0, s1)
+            c = np.searchsorted(end, s, "right")
+            # each step's start, mid and end keys, and their places in the block's
+            # stage points; a step shares its start with the end of the one before
+            d = stride[c]
+            key = origin[c, None] + d[:, None] * (2 * s[:, None] + np.arange(3))
+            new_point = np.ones(key.shape, dtype=bool)
+            new_point[1:, 0] = key[1:, 0] != key[:-1, 2]
+            at = np.cumsum(new_point).reshape(key.shape) - 1
+            keys = key[new_point]
 
-                R, v = _stage_block(schedule, self.M, keys)
-                blocks = models.sector_hamiltonians(model, R)
-                H = blocks[self.sector]
-                live = is_driven(schedule, R, v)
+            R, v = _stage_block(schedule, self.M, keys)
+            blocks = models.sector_hamiltonians(model, R)
+            H = blocks[self.sector]
+            live = is_driven(schedule, R, v)
+            if np.any(live):
+                if self.path is None:
+                    self._start_path()
+                rows = np.zeros((len(R), len(self.path.names)))
+                new = live.copy()
                 if first_pass:
-                    # sample rows on the block's stage points
-                    k = np.arange(np.searchsorted(self.bounds, keys[0]),
-                                  np.searchsorted(self.bounds, keys[-1], "right"))
+                    # the samples among the block's stage points
+                    k = np.flatnonzero((self.bounds >= keys[0]) & (self.bounds <= keys[-1]))
                     pos = np.searchsorted(keys, self.bounds[k])
-                    self.R_s[k], self.v_s[k] = R[pos], v[pos]
-                if np.any(live):
-                    if self.path is None:
-                        self._start_path()
-                    rows = np.zeros((len(R), len(self.path.names)))
-                    new = live.copy()
-                    if not first_pass:
-                        # the even points are the pass before's (zero rows where undriven)
-                        old = i % 2 == 0
-                        new[old] = False
-                        rows[old] = self.rows[keys[old]]
-                    if np.any(new):
-                        state = models.tracked_state(model, R[new], n,
-                                                     blocks=[b[new] for b in blocks])
-                        rows[new] = self.path.values(R[new], state=state)
-                        if first_pass:
-                            at = live[pos]
-                            idx = np.searchsorted(np.flatnonzero(live), pos[at])
-                            self.w_s[k[at]], self.C_s[k[at]] = state[0][idx], state[1][idx]
-                        del state   # not held through the step matrices, the block's peak
-                    if self.keep_rows:
-                        self.rows[keys] = rows
+                else:
+                    # the step ends are the pass before's points (zero rows where undriven)
+                    ends = at[:, ::2]
+                    new[ends] = False
+                    rows[ends] = self.rows[keys[ends]]
+                if np.any(new):
+                    state = models.tracked_state(model, R[new], n,
+                                                 blocks=[b[new] for b in blocks])
+                    rows[new] = self.path.values(R[new], state=state)
                     if first_pass:
-                        self.coeffs[k] = rows[pos]
-                    H[live] += v[live, None, None] * matrices_from_rows(rows[live], self.drive)
-                H = H.transpose(1, 2, 0).copy()     # (b, b, stage points) from here on
-                fine = _cf4_step_matrices(*(H.take(first + o, -1) for o in (0, 1, 2)), h)
-                self.G[..., J] = _fold(fine, m, self.G.take(J, -1))
-                del fine    # not held through the 2h steps or the next block
+                        hit = live[pos]
+                        idx = (np.cumsum(live) - 1)[pos[hit]]
+                        self.w_s[k[hit]], self.C_s[k[hit]] = state[0][idx], state[1][idx]
+                    del state   # not held through the step matrices, the block's peak
+                if self.keep_rows:
+                    self.rows[keys] = rows
                 if first_pass:
-                    self._fold_coarse(H, first, h, self.pair[J][step], coarse)
-
-    def _fold_coarse(self, H, first, h, pair, coarse):
-        """Fold each pair's 2h steps on a block into ``coarse``: steps paired in
-        order from the first of each contiguous run of the pair's steps, an odd
-        one out taken at h."""
-        q = np.arange(len(first))
-        joined = np.zeros(len(first), dtype=bool)     # step q follows step q-1 in its pair
-        joined[1:] = (first[1:] == first[:-1] + 2) & (pair[1:] == pair[:-1])
-        lead = (q - np.maximum.accumulate(np.where(joined, 0, q))) % 2 == 0
-        w = np.where(np.append(joined[1:], False)[lead], 2, 1)
-        f = first[lead]
-        C = _cf4_step_matrices(*(H.take(f + o * w, -1) for o in (0, 1, 2)), h[lead] * w)
-        pairs, counts = np.unique(pair[lead], return_counts=True)
-        coarse[..., pairs] = _fold(C, counts, coarse.take(pairs, -1))
+                    self.coeffs[k] = rows[pos]
+                H[live] += v[live, None, None] * matrices_from_rows(rows[live], self.drive)
+            H = H.transpose(1, 2, 0).copy()     # (b, b, stage points) from here on
+            h = (schedule.T_FF / self.M) * d
+            fine = _cf4_step_matrices(*(H.take(at[:, o], -1) for o in (0, 1, 2)), h)
+            J = chunks[c[0] : c[-1] + 1]
+            self.G[..., J] = _fold(fine, np.bincount(c - c[0]), self.G.take(J, -1))
+            del fine    # not held through the 2h steps or the next block
+            if first_pass:
+                q = np.flatnonzero((s - pair_first[c]) % 2 == 0)
+                w = 1 + (s[q] + 1 < pair_end[c[q]])   # 2h with the next step, if in the pair
+                wide = _cf4_step_matrices(H.take(at[q, 0], -1), H.take(at[q, w], -1),
+                                          H.take(at[q + w - 1, 2], -1), h[q] * w)
+                p = pair[c[q]]
+                span = slice(p[0], p[-1] + 1)
+                coarse[..., span] = _fold(wide, np.bincount(p - p[0]), coarse[..., span])
 
     def _start_path(self):
         self.path = CoefficientPath(self.model, self.solution, self.n)

@@ -364,22 +364,26 @@ def test_coefficient_path_names_a_singular_point_mid_batch(qa_model):
         path.values(np.array([5.0, 10.0, 7.0]))
 
 
-def test_solve_each_is_the_per_matrix_solve():
-    # exactly singular systems (a zero matrix, a zero column) mid-stack come
-    # back NaN; every other row is bitwise the per-matrix solve
-    rng = np.random.default_rng(3)
-    M = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
-    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    M[2] = 0.0
-    M[4, :, 1] = 0.0
-    x = cdsolver._solve_each(M, b)
-    for i in range(len(M)):
-        try:
-            expect = np.linalg.solve(M[i], b[i])
-        except np.linalg.LinAlgError:
-            expect = np.full(3, np.nan)
-        assert np.array_equal(x[i], expect, equal_nan=True), i
-    assert np.isnan(x[[2, 4]]).all() and np.isfinite(np.delete(x, [2, 4], axis=0)).all()
+def test_coefficient_path_selection_solve_is_the_per_point_solve(qa_model, monkeypatch):
+    # the batched solve is bitwise each point's own solve
+    path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
+    R = np.array([2.0, 5.0, 7.5, 12.0, 15.0, 18.0])
+    x = path.values(R)
+    for r, row in zip(R, x):
+        assert np.array_equal(path.values(np.array([r]))[0], row), r
+    # exactly singular systems (a zero column, a zero matrix) mid-stack: the
+    # refusal names the first of them
+    columns = cdsolver._operator_columns
+
+    def singular(*args):
+        M = columns(*args).copy()
+        M[2, :, 1] = 0.0
+        M[4] = 0.0
+        return M
+
+    monkeypatch.setattr(cdsolver, "_operator_columns", singular)
+    with pytest.raises(ConsistencyError, match=r"singular .* at R=7\.5$"):
+        path.values(R)
 
 
 def _same(a, b):

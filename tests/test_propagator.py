@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinff import (
     ModelSpec,
@@ -39,7 +41,7 @@ def test_stationary_schedule_keeps_eigenstate(qa_model):
 def test_trajectory_layout(tfim_model):
     sched = Schedule(0.0, 20.0, 0.1)
     traj = evolve(tfim_model, sched, ("J3", "W2"), dt=1e-4, samples=300)
-    assert len(traj.t) >= 200
+    assert len(traj.t) == 301
     assert traj.t[0] == 0.0
     assert traj.t[-1] == sched.T_FF
     assert np.all(np.diff(traj.t) > 0)
@@ -48,6 +50,9 @@ def test_trajectory_layout(tfim_model):
     # driving coefficients vanish with the velocity at both ends
     assert np.all(traj.coefficients[0] == 0.0)
     assert np.all(traj.coefficients[-1] == 0.0)
+    # an explicit dt of fewer steps than max(samples, MIN_SAMPLES): one chunk per step
+    few = evolve(tfim_model, sched, ("J3", "W2"), dt=sched.T_FF / 50, samples=300)
+    assert len(few.t) == 51 and np.all(few.chunk_steps == 1)
 
 
 def test_norm_conservation_and_endpoint(tfim_model):
@@ -623,17 +628,52 @@ def test_evolve_memory_does_not_grow_with_steps(qa_model, qa_schedule):
     assert large <= 1.25 * small, (small, large)
 
 
-@pytest.mark.parametrize("block", [1, 62])
+@pytest.mark.parametrize("block", [1, 2, 62])
 def test_block_size_does_not_change_results(qa_model, qa_schedule, monkeypatch, block):
-    # 6007 steps in 200 chunks of 30 or 31 steps: 4 blocks at the default
-    # size, one chunk per block at 62 stage points, one step at 1
-    kw = dict(dt=qa_schedule.T_FF / 6007, samples=200)
-    ref = evolve(qa_model, qa_schedule, QA_SEL, **kw)
-    monkeypatch.setattr(propagator, "BLOCK_STAGE_POINTS", block)
-    out = evolve(qa_model, qa_schedule, QA_SEL, **kw)
-    for name in ("t", "R_adv", "psi", "norm", "fidelity", "energies", "coefficients", "velocity"):
-        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
-    assert out.coefficient_names == ref.coefficient_names
+    # 6007 steps in 200 chunks of 30 or 31 steps: 6 blocks at the default
+    # size, 31 steps per block at 62 stage points, one or two steps at 1 and 2;
+    # and a default (refined) run, whose step doubling must not see the blocks
+    for kw in (dict(dt=qa_schedule.T_FF / 6007, samples=200), dict(samples=200)):
+        ref = evolve(qa_model, qa_schedule, QA_SEL, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(propagator, "BLOCK_STAGE_POINTS", block)
+            out = evolve(qa_model, qa_schedule, QA_SEL, **kw)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(out, field.name), getattr(ref, field.name)), field.name
+
+
+def _walk(sizes, top, refinements, block):
+    """G, psi and step error of a run at BLOCK_STAGE_POINTS = block."""
+    saved = propagator.BLOCK_STAGE_POINTS
+    propagator.BLOCK_STAGE_POINTS = block
+    try:
+        run = propagator._Run(ModelSpec.qa(j=1.0, bz=0.1, b0=10.0), Schedule(0.0, 100.0, 0.1),
+                              QA_SEL, 0, sizes, top)
+        for pairs in refinements:
+            run.refine(pairs)
+        return run.G, run.trajectory().psi, run.error
+    finally:
+        propagator.BLOCK_STAGE_POINTS = saved
+
+
+@given(st.data())
+def test_block_size_never_changes_the_walk(data):
+    # uniform grids of random per-chunk step counts (odd chunk counts: a pair
+    # of three chunks; odd pair totals: a step taken at h), or equal chunks of
+    # one step refined once or twice; any block size gives the shipped one's bits
+    N = data.draw(st.integers(2, 9), "chunks")
+    if data.draw(st.booleans(), "uniform"):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=N, max_size=N), "sizes")
+        top, refinements = None, []
+    else:
+        levels = data.draw(st.integers(1, 2), "levels")
+        sizes, top = np.ones(N, dtype=int), 2 ** levels
+        some = st.lists(st.integers(0, N // 2 - 1), min_size=1, unique=True).map(sorted)
+        refinements = [np.array(data.draw(some, "pairs")) for _ in range(levels)]
+    block = data.draw(st.integers(1, 64), "block")
+    ref = _walk(sizes, top, refinements, propagator.BLOCK_STAGE_POINTS)
+    for got, want in zip(_walk(sizes, top, refinements, block), ref):
+        assert np.array_equal(got, want)
 
 
 def test_stage_hamiltonians_built_once(qa_model, qa_schedule, monkeypatch):
