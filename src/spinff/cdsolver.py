@@ -23,20 +23,19 @@ selections is real, see acceptance criterion 3 and the README note on the
 entanglement-generation model.  The two-level model is the same problem
 over the basis (sz, sx, -sy).
 
-Every state and right-hand side comes from ``models.tracked_state``.  Two
-batched kernels solve every system built by ``_operator_columns``:
-``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) and
+Every state and right-hand side comes from ``models.tracked_state`` and
+every system from ``_operator_columns`` on ``tracked_sector``'s rows.
+``CoefficientPath``, what ``evolve`` drives with, solves along R
+unfiltered: a selection's square systems, or the one minimum-norm solve,
+``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) over
+the model's whole ansatz, to which ``_min_norm_solve`` (``solve_dense``
+and ``solve_lz`` at one R) adds a full-row residual check.  The census runs
 ``_accept`` (square reduced systems over (R, selection), filtered, as
-arrays), which ``solve_grid``/``enumerate_grid`` run over an R grid; the
-scalar functions are their one-point case.  ``_accept`` filters each 2x2
-or 3x3 system by its 2-norm condition number, taken in closed form from
-the system's Gram and adjugate matrices, not by an SVD: their largest
-eigenvalues are roots of ``models.closed_form_eigenvalues``, the kernel of
-the models' closed-form spectrum.  cond is inf where det = 0 or the
-system is singular to working precision.
-``CoefficientPath`` solves one selection along R unfiltered and refuses,
-naming R, a point where that system is exactly singular or a coefficient
-is not finite.
+arrays) in ``solve_grid``/``enumerate_grid``.  It filters each 2x2 or 3x3
+system by its 2-norm condition number, taken in closed form from the
+system's Gram and adjugate matrices, not by an SVD: their largest
+eigenvalues are roots of ``models.closed_form_eigenvalues``.  cond is inf
+where det = 0 or the system is singular to working precision.
 """
 
 from dataclasses import dataclass, replace
@@ -104,11 +103,16 @@ def _operator_columns(basis, C, rows=None):
 def _min_norm(A, b):
     """Minimum-norm real x solving the complex rows A x = b, batched.
 
-    The real and imaginary parts of the rows form one real system.
+    The real and imaginary rows form one real system M; pinv(M) r adds one term
+    of r at a time, as ``propagator._mul`` does, so each x rounds alike in any stack.
     """
     Mr = np.concatenate([A.real, A.imag], axis=-2)
     rr = np.concatenate([b.real, b.imag], axis=-1)
-    return np.einsum("...ij,...j->...i", np.linalg.pinv(Mr, rcond=DENSE_RCOND), rr)
+    P = np.linalg.pinv(Mr, rcond=DENSE_RCOND)
+    x = np.zeros(P.shape[:-1])   # from +0.0, as a sum starts: a zero prints 0.0, not -0.0
+    for j in range(rr.shape[-1]):
+        x += P[..., j] * rr[..., None, j]
+    return x
 
 
 def _squared_norms(V):
@@ -406,18 +410,16 @@ def solve_dense(model, R, n=0):
 
 
 def _min_norm_solve(model, R, n=0):
-    """Minimum-norm coefficients (N, k) over a 1-d R and their residuals (N,).
+    """``CoefficientPath``'s minimum-norm values (N, k) over a 1-d R, and their residuals (N,).
 
-    The basis is the nine-term ansatz for the two-spin models and (sz, sx,
-    -sy) for the two-level one; ``solve_dense`` and ``solve_lz`` are the
-    one-point case.  Refuses, naming the first R, a residual above
-    RESIDUAL_TOL.
+    The residual takes all of the model's rows, not only the sector's
+    reduced ones; ``solve_dense`` and ``solve_lz`` are the one-point case.
+    Refuses, naming the first R, a residual above RESIDUAL_TOL.
     """
-    basis = LZ_BASIS if model.dim == 2 else BASIS
-    R = np.asarray(R, dtype=float)
-    _, C, _, rhs = models.tracked_state(model, R, n)
-    x = _min_norm(_operator_columns(basis, C), rhs)
-    residual = np.linalg.norm((matrices_from_rows(x, basis) @ C[..., None])[..., 0] - rhs,
+    _, C, _, rhs = state = models.tracked_state(model, R, n)
+    path = CoefficientPath(model, None, n)
+    x = path.values(R, state=state)
+    residual = np.linalg.norm((matrices_from_rows(x, path.basis) @ C[..., None])[..., 0] - rhs,
                               axis=-1)
     bad = residual > RESIDUAL_TOL
     if np.any(bad):
@@ -483,24 +485,22 @@ def drb_counterdiabatic(model, R):
 class CoefficientPath:
     """Evaluates regularization coefficients along R for a fixed strategy.
 
-    ``selection`` is a tuple of ansatz names, the string "dense" for the
-    minimum-norm all-coefficient solution, or ignored for the two-level
-    model (minimum-norm over its (sz, sx, -sy) basis).  Evaluation is
-    vectorized over arrays of R values; no accept/reject filtering happens
-    here (the selection is validated once, where it is chosen).
+    ``selection`` is a tuple of ansatz names, or None or "dense" for the
+    minimum-norm member over the model's ansatz: the nine two-spin
+    operators, or (sz, sx, -sy) for the two-level model, which takes no
+    selection but None (ConfigError).  Evaluation is vectorized over arrays
+    of R values; no accept/reject filtering happens here (the selection is
+    validated once, where it is chosen).
     """
 
     def __init__(self, model, selection=None, n=0):
-        self.model = model
-        self.n = n
-        if model.dim == 2:
-            self.mode = "lz"
-            self.names = LZ_NAMES
-            self.basis = LZ_BASIS
-        elif selection == "dense" or selection is None:
+        self.model, self.n = model, n
+        if model.dim == 2 and selection is not None:
+            raise ConfigError(f"the two-level model takes no selection, got {selection}")
+        if selection is None or selection == "dense":
             self.mode = "dense"
-            self.names = COEFF_NAMES
-            self.basis = BASIS
+            self.names, self.basis = ((LZ_NAMES, LZ_BASIS) if model.dim == 2
+                                      else (COEFF_NAMES, BASIS))
         else:
             self.mode = "selection"
             self.names = canonical_selection(selection)
@@ -519,19 +519,18 @@ class CoefficientPath:
             state = models.tracked_state(self.model, R_array, self.n)
         _, C, _, rhs = state
         _, rows = tracked_sector(self.model, R_array, C, rhs)
-        if self.mode == "selection":
-            _square_indices(self.model, [self.names], rows)
         M, b = _operator_columns(self.basis, C, rows), rhs[:, list(rows)]
-        # the minimum-norm solves take the reduced rows too; on tfim's flip-even
-        # block they leave the flip-odd coefficients at 0 to rounding
-        if self.mode == "selection":
+        # the minimum-norm solve takes the reduced rows too; on tfim's flip-even
+        # block it leaves the flip-odd coefficients at 0 to rounding
+        if self.mode == "dense":
+            x = _min_norm(M, b)
+        else:
+            _square_indices(self.model, [self.names], rows)
             try:
                 x = np.linalg.solve(M, b[..., None])[..., 0].real
             except np.linalg.LinAlgError:
                 # the LU of solve has sign 0 where it raises: refuse there
                 x = np.where(np.linalg.slogdet(M)[0][:, None] == 0, np.nan, 0.0)
-        else:
-            x = _min_norm(M, b)
         bad = ~np.all(np.isfinite(x), axis=1)
         if np.any(bad):
             raise ConsistencyError(

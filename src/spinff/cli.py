@@ -21,9 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import models, propagator, tables
-from .ansatz import COEFF_NAMES, LZ_BASIS, matrices_from_rows
+from .ansatz import COEFF_NAMES
 from .cdsolver import (
     REASONS,
+    CoefficientPath,
     _min_norm_solve,
     admissible_selections,
     drb_counterdiabatic,
@@ -167,8 +168,7 @@ def resolve_selection(config):
     """
     model, R = config.model, [_mid_R(config)]
     if model.dim == 2:
-        if config.selection is not None:
-            raise ConfigError(f"the two-level model takes no selection, got {config.selection}")
+        CoefficientPath(model, config.selection)   # refuses any selection
         return None
     if config.selection == "dense":
         _min_norm_solve(model, R, config.state)
@@ -360,16 +360,6 @@ def verify_table_job(config):
 # ---------------------------------------------------------------------------
 # verify: the cross-check suite
 
-def _solve_accepted(model, R, selection):
-    """(N, 9) coefficients of one selection over R; refuses a rejected point."""
-    grid = solve_grid(model, R, [selection])
-    reason = grid.reason[:, 0]
-    if np.any(reason != 0):
-        k = int(np.argmax(reason != 0))
-        raise SelectionRejectedError(selection, f"{REASONS[reason[k]]} at R={R[k]}")
-    return grid.coefficients[:, 0]
-
-
 def _max_error(errors, tolerance, key="max_error"):
     """A check's verdict on the largest of its errors."""
     worst = float(np.max(np.abs(errors)))
@@ -385,18 +375,20 @@ def _checks():
     lz_R = enumeration_grid(lz.schedule, 9)
     tfim_R = enumeration_grid(tfim.schedule, 9)
 
+    # the coefficient checks read CoefficientPath, what evolve drives with; the
+    # enumeration checks read the census
     def lz_closed_form():
-        x, _ = _min_norm_solve(lz.model, lz_R, 1)
+        x = CoefficientPath(lz.model, None, 1).values(lz_R)
         closed = tables.lz_h12_imag(lz.model, lz_R)
         return _max_error([x[:, 2] - closed, x[:, 1], x[:, 0]], 1e-10)
 
     def lz_drb_equality():
-        x, _ = _min_norm_solve(lz.model, lz_R, 1)
         H = drb_counterdiabatic(lz.model, lz_R)
-        return _max_error(H - matrices_from_rows(x, LZ_BASIS), 1e-10)
+        return _max_error(H - CoefficientPath(lz.model, None, 1).matrices(lz_R), 1e-10)
 
     def tfim_closed_form():
-        w2 = _solve_accepted(tfim.model, tfim_R, ("J3", "W2"))[:, COEFF_NAMES.index("W2")]
+        path = CoefficientPath(tfim.model, ("J3", "W2"))
+        w2 = path.values(tfim_R)[:, path.names.index("W2")]
         return _max_error(w2 - tables.tfim_w2(tfim.model, tfim_R), 1e-10)
 
     def tfim_polar_identity():
@@ -405,9 +397,8 @@ def _checks():
 
     def tfim_drb_equality():
         R = enumeration_grid(tfim.schedule, 5)
-        x = _solve_accepted(tfim.model, R, ("J3", "W2"))
         H = drb_counterdiabatic(tfim.model, R)
-        return _max_error(H - matrices_from_rows(x), 1e-10)
+        return _max_error(H - CoefficientPath(tfim.model, ("J3", "W2")).matrices(R), 1e-10)
 
     @functools.cache
     def qa_grid():
@@ -443,10 +434,10 @@ def _checks():
             "groups": sorted(set(grid.group_counts)),
         }
 
-    def _drb_action(config, coefficients_of):
+    def _drb_action(config, selection):
         # one batch of five grid points and the mid-excursion R
         R = np.append(enumeration_grid(config.schedule, 5), _mid_R(config))
-        Ht = matrices_from_rows(coefficients_of(R))
+        Ht = CoefficientPath(config.model, selection).matrices(R)
         C = models.tracked_state(config.model, R, 0)[1]
         H = drb_counterdiabatic(config.model, R)
         action = np.linalg.norm(((H - Ht) @ C[..., None])[..., 0], axis=-1)
@@ -463,10 +454,10 @@ def _checks():
         }
 
     def qa_drb_action():
-        return _drb_action(qa, lambda R: _solve_accepted(qa.model, R, ("W2", "By", "Bz")))
+        return _drb_action(qa, ("W2", "By", "Bz"))
 
     def gen_drb_action():
-        return _drb_action(gen, lambda R: _min_norm_solve(gen.model, R, 0)[0])
+        return _drb_action(gen, "dense")
 
     def schedule_quadrature():
         x, w = propagator._legendre_rule(64)    # Gauss-Legendre, cached per process

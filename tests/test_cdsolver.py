@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -12,6 +14,7 @@ from spinff import (
     drb_counterdiabatic,
     enumerate_grid,
     enumerate_solutions,
+    evolve,
     fast_forward_hamiltonian,
     hamiltonian,
     reduce_system,
@@ -689,13 +692,16 @@ def _drb_at_point(model, R):
 
 
 def _min_norm_at_point(model, R, n, basis):
-    # the minimum-norm solve at one R, as written before it took R arrays
-    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), n)
+    # the minimum-norm solve at one R on the path's sector rows, and its
+    # full-row residual, as written before it took R arrays
+    R = np.array([float(R)])
+    _, C, _, rhs = models.tracked_state(model, R, n)
+    rows = list(tracked_sector(model, R, C, rhs)[1])
     C, rhs = C[0], rhs[0]
-    A = np.einsum("kab,b->ak", basis, C)
+    A = np.einsum("kab,b->ak", basis, C)[rows]
     M = np.concatenate([A.real, A.imag])
-    x = np.einsum("ij,j->i", np.linalg.pinv(M, rcond=DENSE_RCOND),
-                  np.concatenate([rhs.real, rhs.imag]))
+    x = (np.linalg.pinv(M, rcond=DENSE_RCOND)
+         * np.concatenate([rhs[rows].real, rhs[rows].imag])).sum(axis=1)
     return x, float(np.linalg.norm(matrices_from_rows([x], basis)[0] @ C - rhs))
 
 
@@ -745,6 +751,50 @@ def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
             x_1, residual_1 = solve_dense(model, r, n)
             assert x_1.tolist() == x[k].tolist()
             assert residual_1 == residual[k]
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in sorted(GRIDS)
+                                     for n in range(GRIDS[kind][0].dim)])
+def test_min_norm_path_is_the_full_row_min_norm_solve(kind, n):
+    # the path solves the sector's rows only; its x is the minimum-norm
+    # solution of all the rows, and solves them within RESIDUAL_TOL
+    model, R = GRIDS[kind]
+    basis = LZ_BASIS if model.dim == 2 else BASIS
+    _, C, _, rhs = models.tracked_state(model, R, n)
+    x = CoefficientPath(model, None, n).values(R)
+    for k in range(len(R)):
+        A = np.einsum("kab,b->ak", basis, C[k])
+        M = np.concatenate([A.real, A.imag])
+        ref = np.linalg.pinv(M, rcond=1e-8) @ np.concatenate([rhs[k].real, rhs[k].imag])
+        assert np.max(np.abs(x[k] - ref)) <= 1e-14 * max(1.0, np.linalg.norm(x[k])), R[k]
+        residual = np.linalg.norm(matrices_from_rows([x[k]], basis)[0] @ C[k] - rhs[k])
+        assert residual <= cdsolver.RESIDUAL_TOL, R[k]
+
+
+@pytest.mark.parametrize("preset, n", [(name, n) for name in ("gen", "lz", "qa", "tfim")
+                                       for n in range(load_preset(name).model.dim)])
+def test_min_norm_values_over_a_grid_are_the_point_values(preset, n):
+    # on solve-cd's grid, each point's coefficients round alike whatever else
+    # shares the batch, and a zero coefficient is +0.0 (CSVs would print -0.0)
+    config = load_preset(preset)
+    R = enumeration_grid(config.schedule, config.grid)
+    path = CoefficientPath(config.model, None, n)
+    x = path.values(R)
+    assert not np.any(np.signbit(x) & (x == 0))
+    for k in range(len(R)):
+        assert np.array_equal(path.values(R[k : k + 1])[0], x[k]), R[k]
+
+
+@pytest.mark.parametrize("selection", [("Bogus",), ("J3", "W2"), "dense"],
+                         ids=["Bogus", "J3,W2", "dense"])
+def test_coefficient_path_refuses_a_selection_on_the_two_level_model(lz_model, selection):
+    # the two-level model has one term, its minimum-norm one: a selection is
+    # refused by name, not ignored
+    message = re.escape(f"takes no selection, got {selection}")
+    with pytest.raises(ConfigError, match=message):
+        CoefficientPath(lz_model, selection)
+    with pytest.raises(ConfigError, match=message):
+        evolve(lz_model, Schedule(-5.0, 10.0, 1.0), selection)
 
 
 def test_min_norm_grid_solve_refuses_a_large_residual(monkeypatch):

@@ -642,13 +642,13 @@ def test_block_size_does_not_change_results(qa_model, qa_schedule, monkeypatch, 
             assert np.array_equal(getattr(out, field.name), getattr(ref, field.name)), field.name
 
 
-def _walk(sizes, top, refinements, block):
+def _walk(selection, sizes, top, refinements, block):
     """G, psi and step error of a run at BLOCK_STAGE_POINTS = block."""
     saved = propagator.BLOCK_STAGE_POINTS
     propagator.BLOCK_STAGE_POINTS = block
     try:
         run = propagator._Run(ModelSpec.qa(j=1.0, bz=0.1, b0=10.0), Schedule(0.0, 100.0, 0.1),
-                              QA_SEL, 0, sizes, top)
+                              selection, 0, sizes, top)
         for pairs in refinements:
             run.refine(pairs)
         return run.G, run.trajectory().psi, run.error
@@ -660,7 +660,9 @@ def _walk(sizes, top, refinements, block):
 def test_block_size_never_changes_the_walk(data):
     # uniform grids of random per-chunk step counts (odd chunk counts: a pair
     # of three chunks; odd pair totals: a step taken at h), or equal chunks of
-    # one step refined once or twice; any block size gives the shipped one's bits
+    # one step refined once or twice; any block size gives the shipped one's bits,
+    # under the selection solve and the minimum-norm one
+    selection = data.draw(st.sampled_from([QA_SEL, "dense"]), "selection")
     N = data.draw(st.integers(2, 9), "chunks")
     if data.draw(st.booleans(), "uniform"):
         sizes = data.draw(st.lists(st.integers(1, 6), min_size=N, max_size=N), "sizes")
@@ -671,8 +673,8 @@ def test_block_size_never_changes_the_walk(data):
         some = st.lists(st.integers(0, N // 2 - 1), min_size=1, unique=True).map(sorted)
         refinements = [np.array(data.draw(some, "pairs")) for _ in range(levels)]
     block = data.draw(st.integers(1, 64), "block")
-    ref = _walk(sizes, top, refinements, propagator.BLOCK_STAGE_POINTS)
-    for got, want in zip(_walk(sizes, top, refinements, block), ref):
+    ref = _walk(selection, sizes, top, refinements, propagator.BLOCK_STAGE_POINTS)
+    for got, want in zip(_walk(selection, sizes, top, refinements, block), ref):
         assert np.array_equal(got, want)
 
 
