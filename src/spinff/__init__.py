@@ -1,6 +1,6 @@
 """Fast-forward counter-diabatic driving for small spin systems."""
 
-from .ansatz import COEFF_NAMES, AnsatzCoefficients, ansatz_matrix
+from .ansatz import COEFF_NAMES
 from .cdsolver import (
     CoefficientPath,
     ReducedSystem,

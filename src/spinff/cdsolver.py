@@ -51,7 +51,6 @@ from .ansatz import (
     LZ_BASIS,
     LZ_NAMES,
     REAL_NAMES,
-    AnsatzCoefficients,
     matrices_from_rows,
 )
 from .errors import ConfigError, ConsistencyError, DegeneracyError
@@ -84,7 +83,7 @@ class SelectionResult:
     selection: tuple
     accepted: bool
     reason: str = ""                # one of REASONS
-    coefficients: AnsatzCoefficients = None     # None unless accepted
+    coefficients: np.ndarray = None  # (9,) row ordered as COEFF_NAMES, None unless accepted
     cond: float = np.nan
     max_imag: float = np.nan
     residual: float = np.nan
@@ -277,9 +276,7 @@ def solve_selection(rs):
     x, reason, cond, max_imag, residual = (
         a[0, 0] for a in _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
                                  rs.rhs_full[None], rs.rows))
-    coefficients = (AnsatzCoefficients(dict(zip(COEFF_NAMES, x)), sel) if reason == 0
-                    else None)
-    return SelectionResult(sel, bool(reason == 0), REASONS[reason], coefficients,
+    return SelectionResult(sel, bool(reason == 0), REASONS[reason], x if reason == 0 else None,
                            float(cond), float(max_imag), float(residual))
 
 

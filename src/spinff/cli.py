@@ -495,12 +495,15 @@ def _checks():
 def verify_job(only=None, out=None, kind=None):
     results = []
     shared = ("schedule_quadrature",)
-    for name, check in _checks():
-        if only and only not in name:
-            continue
-        if kind and not (name.startswith(f"{kind}_") or f"_{kind}" in name
-                         or name in shared):
-            continue
+    checks = [(name, check) for name, check in _checks()
+              if not kind or name.startswith(f"{kind}_") or f"_{kind}" in name or name in shared]
+    names = [name for name, _ in checks]
+    checks = [(name, check) for name, check in checks if not only or only in name]
+    if not checks:
+        scope = f" of model kind {kind!r}" if kind else ""
+        raise ConfigError(f"verify --only {only!r} selects no check{scope}; "
+                          f"checks: {', '.join(names)}")
+    for name, check in checks:
         try:
             passed, detail = check()
         except Exception as exc:  # a crashed check is a failed check

@@ -202,6 +202,7 @@ class ModelSpec:
 def _contract(operators, c):
     """sum_k c[:, k] operators[k] for (N, k) real c: one real product, (N, dim, dim)."""
     k, d = operators.shape[:2]
+    # batch-independent bits only where no entry sums two inexact products (model, block tables)
     return (c @ operators.view(float).reshape(k, -1)).view(complex).reshape(-1, d, d)
 
 
@@ -372,17 +373,9 @@ def eigensystem_batch(model, R_array):
     return w, np.swapaxes(vectors, 1, 2)
 
 
-def eigensystem(model, R, *, n=None):
-    """(w, V) of ``eigensystem_batch`` at the one scalar R: (dim,) and (dim, dim).
-
-    ``n`` names a tracked state, held to the guards of ``tracked_state``
-    (gap to the other levels at least GAP_MIN); without it crossings are
-    fine.
-    """
-    R = np.array([float(R)])
-    if n is not None:
-        tracked_state(model, R, n)
-    w, V = eigensystem_batch(model, R)
+def eigensystem(model, R):
+    """(w, V) of ``eigensystem_batch`` at the one scalar R: (dim,) and (dim, dim)."""
+    w, V = eigensystem_batch(model, np.array([float(R)]))
     return w[0], V[0]
 
 
@@ -464,7 +457,7 @@ def state_and_derivative(model, R, n, *, anchor=None):
     return C[0], dC[0]
 
 
-def state_and_derivative_batch(model, R_array, n, *, blocks=None):
+def state_and_derivative_batch(model, R_array, n):
     """(C, dC/dR, E_n, all energies) of state n over R_array (see tracked_state)."""
-    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n, blocks=blocks)
+    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n)
     return C, dC, w[:, n], w

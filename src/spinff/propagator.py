@@ -79,7 +79,6 @@ class Trajectory:
     psi: np.ndarray               # (S, dim) complex state samples
     norm: np.ndarray              # (S,)
     fidelity: np.ndarray          # (S,)
-    energies: np.ndarray          # (S, dim) instantaneous spectrum
     coefficients: np.ndarray      # (S, k) regularization coefficients
     coefficient_names: tuple
     velocity: np.ndarray          # (S,)
@@ -310,16 +309,14 @@ class _Run:
         self.psi0 = C0[0] @ self.P
         self.G = self._identity(N)
         self.R_s, self.v_s = _stage_block(schedule, self.M, self.bounds)
-        # spectrum and eigenvector n at the samples, from the first pass's stage eigensolve
-        self.w_s = np.empty((N + 1, model.dim))
+        # eigenvector n at the samples, from the first pass's stage eigensolve
         self.C_s = np.empty((N + 1, model.dim), dtype=complex)
 
         coarse = self._identity(N // 2)
         self._pass(np.arange(N), coarse)
         # the undriven samples, at least the one at R0, had no stage eigensolve
         rest = ~is_driven(schedule, self.R_s, self.v_s)
-        w, V = models.eigensystem_batch(model, self.R_s[rest])
-        self.w_s[rest], self.C_s[rest] = w, V[:, :, n]
+        self.C_s[rest] = models.eigensystem_batch(model, self.R_s[rest])[1][:, :, n]
         self.error = self._error(np.arange(N // 2), coarse)
 
     def _identity(self, count):
@@ -416,7 +413,7 @@ class _Run:
                     if first_pass:
                         hit = live[pos]
                         idx = (np.cumsum(live) - 1)[pos[hit]]
-                        self.w_s[k[hit]], self.C_s[k[hit]] = state[0][idx], state[1][idx]
+                        self.C_s[k[hit]] = state[1][idx]
                     del state   # not held through the step matrices, the block's peak
                 if self.keep_rows:
                     self.rows[keys] = rows
@@ -467,7 +464,6 @@ class _Run:
             psi=psi_s,
             norm=np.linalg.norm(psi_s, axis=1),
             fidelity=np.abs(np.einsum("sd,sd->s", np.conj(self.C_s), psi_s)),
-            energies=self.w_s,
             coefficients=self.coeffs if self.path is not None else np.zeros((N + 1, 0)),
             coefficient_names=tuple(self.path.names) if self.path is not None else (),
             velocity=self.v_s,

@@ -34,7 +34,6 @@ import pytest
 from spinff import (
     ModelSpec,
     Schedule,
-    ansatz_matrix,
     drb_counterdiabatic,
     enumerate_grid,
     enumerate_solutions,
@@ -298,12 +297,12 @@ def test_criterion_5_closed_form_oracles():
     worst_w2, worst_polar, worst_drb = 0.0, 0.0, 0.0
     for R in enumeration_grid(TFIM_SCHED, 9):
         res = solve_selection(reduce_system(TFIM_MODEL, float(R), 0, ("J3", "W2")))
-        w2 = res.coefficients["W2"]
+        w2 = res.coefficients[COEFF_NAMES.index("W2")]
         worst_w2 = max(worst_w2, abs(w2 - tfim_w2(TFIM_MODEL, float(R))))
         worst_polar = max(worst_polar, abs(w2 - tfim_polar_rate(TFIM_MODEL, float(R))))
         H = drb_counterdiabatic(TFIM_MODEL, float(R))
         worst_drb = max(worst_drb, float(np.max(np.abs(
-            H - ansatz_matrix(res.coefficients)))))
+            H - matrices_from_rows([res.coefficients])[0]))))
 
     ok = worst_lz < 1e-10 and worst_w2 < 1e-10 and worst_polar < 1e-9 \
         and worst_drb < 1e-10
@@ -318,10 +317,10 @@ def test_criterion_5_closed_form_oracles():
 def test_criterion_5_state_dependent_actions():
     def qa_solution(R):
         res = solve_selection(reduce_system(QA_MODEL, R, 0, QA_SELECTION))
-        return ansatz_matrix(res.coefficients)
+        return matrices_from_rows([res.coefficients])[0]
 
     def gen_solution(R):
-        return ansatz_matrix(solve_dense(GEN_MODEL, R)[0])
+        return matrices_from_rows([solve_dense(GEN_MODEL, R)[0]])[0]
 
     details = []
     ok = True

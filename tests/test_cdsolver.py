@@ -10,7 +10,6 @@ from spinff import (
     ModelSpec,
     Schedule,
     admissible_selections,
-    ansatz_matrix,
     drb_counterdiabatic,
     enumerate_grid,
     enumerate_solutions,
@@ -23,7 +22,7 @@ from spinff import (
     solve_selection,
 )
 from spinff import cdsolver, models
-from spinff.ansatz import ANTISYM_BASIS, BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
+from spinff.ansatz import BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
     COND_MAX,
     DENSE_RCOND,
@@ -199,8 +198,8 @@ def test_tfim_j3_solution_and_closed_form(tfim_model):
         rs = reduce_system(tfim_model, R, 0, ("J3", "W2"))
         res = solve_selection(rs)
         assert res.accepted
-        assert abs(res.coefficients["J3"]) < 1e-10
-        w2 = res.coefficients["W2"]
+        assert abs(res.coefficients[COEFF_NAMES.index("J3")]) < 1e-10
+        w2 = res.coefficients[COEFF_NAMES.index("W2")]
         assert abs(w2 - tfim_w2(tfim_model, R)) < 1e-10
         assert abs(w2 - tfim_polar_rate(tfim_model, R)) < 1e-9
 
@@ -217,13 +216,14 @@ def test_tfim_state_independent_solution(tfim_model):
     # the ground and highest states give the same driving coefficients
     lo = solve_selection(reduce_system(tfim_model, 1.0, 0, ("J3", "W2")))
     hi = solve_selection(reduce_system(tfim_model, 1.0, 3, ("J3", "W2")))
-    assert abs(lo.coefficients["W2"] - hi.coefficients["W2"]) < 1e-10
+    w2 = COEFF_NAMES.index("W2")
+    assert abs(lo.coefficients[w2] - hi.coefficients[w2]) < 1e-10
 
 
 def test_tfim_drb_equality(tfim_model):
     res = solve_selection(reduce_system(tfim_model, 1.0, 0, ("J3", "W2")))
     H = drb_counterdiabatic(tfim_model, 1.0)
-    assert np.max(np.abs(H - ansatz_matrix(res.coefficients))) < 1e-10
+    assert np.max(np.abs(H - matrices_from_rows([res.coefficients])[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_qa_first_group_solution(qa_model):
     rs = reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz"))
     res = solve_selection(rs)
     assert res.accepted
-    sol = res.coefficients
+    sol = dict(zip(COEFF_NAMES, res.coefficients))
     assert abs(sol["Bz"]) < 1e-9
     C, dC = state_and_derivative(qa_model, 5.0, 0)
     a, b, c = 1j * dC[0], 1j * dC[1], 1j * dC[3]
@@ -336,8 +336,8 @@ def test_tfim_closed_form_over_random_couplings(j0, j1, b0, b1, R):
     model = ModelSpec.tfim(j=(j0, j1), bx=(b0, b1))
     res = solve_selection(reduce_system(model, R, 0, ("J3", "W2")))
     assert res.accepted
-    assert abs(res.coefficients["J3"]) < 1e-9
-    assert abs(res.coefficients["W2"] - tfim_w2(model, R)) < 1e-9
+    assert abs(res.coefficients[COEFF_NAMES.index("J3")]) < 1e-9
+    assert abs(res.coefficients[COEFF_NAMES.index("W2")] - tfim_w2(model, R)) < 1e-9
 
 
 @given(st.floats(min_value=0.2, max_value=9.8))
@@ -355,7 +355,7 @@ def test_coefficient_path_refuses_singular_grid_point(qa_model):
         path.values(np.array([5.0, 10.0]))
     vals = path.values(np.array([5.0]))
     res = solve_selection(reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz")))
-    expect = [res.coefficients[n] for n in ("W2", "By", "Bz")]
+    expect = [res.coefficients[COEFF_NAMES.index(n)] for n in ("W2", "By", "Bz")]
     assert np.max(np.abs(vals[0] - expect)) < 1e-10
 
 
@@ -414,12 +414,13 @@ def test_enumeration_matches_per_selection_solves(model, R):
         assert _same(report.cond[0, s], single.cond), selection
         assert _same(report.max_imag[0, s], single.max_imag), selection
         if single.accepted:
-            np.testing.assert_array_equal(
-                report.coefficients[0, s],
-                single.coefficients.as_array(),
-            )
+            # the result's coefficients are the census row: (9,) floats, COEFF_NAMES order
+            assert single.coefficients.dtype == float
+            np.testing.assert_array_equal(report.coefficients[0, s], single.coefficients,
+                                          strict=True)
             assert abs(residual - single.residual) <= 1e-15
         else:
+            assert single.coefficients is None
             assert _same(residual, single.residual), selection
 
 
@@ -572,14 +573,14 @@ def test_gen_dense_solution_is_real_and_exact(gen_model):
         assert residual < 1e-10
         C, _ = state_and_derivative(gen_model, R, 0)
         rhs = _rhs(gen_model, R, 0)
-        H = ansatz_matrix(x)
+        H = matrices_from_rows([x])[0]
         assert np.linalg.norm(H @ C - rhs) < 1e-10
 
 
 def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
     R = 12.5
     H_drb = drb_counterdiabatic(gen_model, R)
-    H_sol = ansatz_matrix(solve_dense(gen_model, R)[0])
+    H_sol = matrices_from_rows([solve_dense(gen_model, R)[0]])[0]
     C, _ = state_and_derivative(gen_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
     assert np.max(np.abs(H_drb - H_sol)) > 1e-3
@@ -588,29 +589,11 @@ def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
 def test_qa_drb_action_matches_but_matrix_differs(qa_model):
     R = 5.0
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
-    H_sol = ansatz_matrix(res.coefficients)
+    H_sol = matrices_from_rows([res.coefficients])[0]
     H_drb = drb_counterdiabatic(qa_model, R)
     C, _ = state_and_derivative(qa_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
     assert np.max(np.abs(H_drb - H_sol)) > 1e-3
-
-
-def test_antisymmetric_couplings_solve_to_zero():
-    cases = [
-        (ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5)), 1.0),
-        (ModelSpec.qa(), 5.0),
-        (ModelSpec.gen(), 12.5),
-    ]
-    # minimum-norm real solve of the full problem over the nine ansatz
-    # operators plus the three antisymmetric cross terms
-    basis = np.concatenate([BASIS, ANTISYM_BASIS])
-    for model, R in cases:
-        C, _ = state_and_derivative(model, R, 0)
-        rhs = _rhs(model, R, 0)
-        A = np.einsum("kab,b->ak", basis, C)
-        M = np.concatenate([A.real, A.imag])
-        x = np.linalg.lstsq(M, np.concatenate([rhs.real, rhs.imag]), rcond=1e-8)[0]
-        assert np.max(np.abs(x[len(BASIS):])) < 1e-8, model.kind
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +837,8 @@ def test_qa_midpoint_ff_hamiltonian(qa_model, qa_schedule):
     R = advanced_parameter(qa_schedule, t)
     assert velocity(qa_schedule, t) == pytest.approx(2 * qa_schedule.v_bar)
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
-    expect = hamiltonian(qa_model, R) + 2 * qa_schedule.v_bar * ansatz_matrix(
-        res.coefficients
-    )
+    expect = (hamiltonian(qa_model, R)
+              + 2 * qa_schedule.v_bar * matrices_from_rows([res.coefficients])[0])
     got = fast_forward_hamiltonian(qa_model, qa_schedule, ("W2", "By", "Bz"), t)
     assert np.max(np.abs(got - expect)) < 1e-8
 
@@ -868,7 +850,7 @@ def test_coefficient_path_matches_pointwise(qa_model, lz_model, tfim_model, gen_
         vals = CoefficientPath(model, sel).values(Rs)
         for i, R in enumerate(Rs):
             res = solve_selection(reduce_system(model, float(R), 0, sel))
-            expect = [res.coefficients[n] for n in sel]
+            expect = [res.coefficients[COEFF_NAMES.index(n)] for n in sel]
             assert np.max(np.abs(vals[i] - expect)) < 1e-10, (model.kind, R)
     vals = CoefficientPath(lz_model, None).values(Rs)
     for i, R in enumerate(Rs):

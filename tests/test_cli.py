@@ -285,6 +285,23 @@ def test_verify_scoped_by_config(tmp_path):
                      "ff_residual_lz"}
 
 
+@pytest.mark.parametrize("scope", [[], ["--config", "preset:lz"], ["--config", "preset:qa"]])
+def test_verify_filter_that_selects_no_check_is_a_configuration_error(tmp_path, capsys,
+                                                                      scope):
+    # nothing verified is not green: exit 2, naming the filter and the checks
+    out = tmp_path / "verify"
+    assert main(["verify", "--only", "nosuchcheck", *scope, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "'nosuchcheck'" in err and "schedule_quadrature" in err
+    assert not out.exists()
+    # a filter that leaves no check of the config's kind is refused alike
+    if scope:
+        assert main(["verify", "--only", "gen_", *scope, "--out", str(out)]) == 2
+        assert "gen_drb_action" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_selection_override(qa_config_file, tmp_path):
     out = tmp_path / "override"
     assert main(["run", "--config", qa_config_file, "--out", str(out),
@@ -674,7 +691,7 @@ def test_solve_cd_solves_a_selection_outside_the_enumeration(tmp_path):
         assert float(row[0]) == float(R)
         assert row[1:3] == ["W2|Bz", "1"]
         for name in ("W2", "Bz"):
-            assert float(row[header.index(f"coef_{name}")]) == res.coefficients[name]
+            assert float(row[header.index(f"coef_{name}")]) == res.coefficients[COEFF_NAMES.index(name)]
 
 
 def _fmt(x):
@@ -689,7 +706,7 @@ def _point_results(config, R):
         res = solve_selection(reduce_system(config.model, float(R), config.state, selection))
         gid = -1
         if res.accepted:
-            x = res.coefficients.as_array()
+            x = res.coefficients
             near = [g for g, rep in enumerate(reps) if np.max(np.abs(rep - x)) < GROUP_TOL]
             gid = near[0] if near else len(reps)
             if not near:
@@ -701,11 +718,7 @@ def _point_results(config, R):
 def _object_row(R, res, group_id):
     # the per-object row of one SelectionResult, as written before the
     # columnar writer
-    coeffs = (
-        res.coefficients.as_array()
-        if res.accepted
-        else np.zeros(len(COEFF_NAMES))
-    )
+    coeffs = res.coefficients if res.accepted else np.zeros(len(COEFF_NAMES))
     return (
         [_fmt(R), "|".join(res.selection), "1" if res.accepted else "0", res.reason]
         + [_fmt(c) for c in coeffs]

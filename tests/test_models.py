@@ -262,7 +262,7 @@ def test_batched_path_runs_the_branch_check():
     model = ModelSpec.qa()
     R = np.array([2.0, 5.0])
     with pytest.raises(ConsistencyError):
-        state_and_derivative_batch(model, R, 0, blocks=sector_hamiltonians(model, R + 1.0))
+        tracked_state(model, R, 0, blocks=sector_hamiltonians(model, R + 1.0))
 
 
 def test_eigenpair_residuals():
@@ -290,9 +290,9 @@ def test_qa_eigenproblem_property(R):
 def test_degenerate_gap_refused():
     model = ModelSpec.tfim(j=(0.0, 0.0), bx=(1.0, 0.0))  # middle levels cross
     with pytest.raises(DegeneracyError):
-        eigensystem(model, 0.5, n=1)
+        tracked_state(model, np.array([0.5]), 1)
     # the gapped ground state is still fine
-    eigensystem(model, 0.5, n=0)
+    tracked_state(model, np.array([0.5]), 0)
 
 
 # ---------------------------------------------------------------------------
