@@ -27,15 +27,18 @@ Every state and right-hand side comes from ``models.tracked_state`` and
 every system from ``_operator_columns`` on ``tracked_sector``'s rows.
 ``CoefficientPath``, what ``evolve`` drives with, solves along R
 unfiltered: a selection's square systems, or the one minimum-norm solve,
-``_min_norm`` (pseudoinverse of the stacked real and imaginary rows) over
-the model's whole ansatz, to which ``_min_norm_solve`` (``solve_dense``
+``_min_norm`` (the Gram solve x = M^T (M M^T + n n^T)^-1 r of the stacked
+real and imaginary rows M, n their left null vector where they have one)
+over the model's whole ansatz, to which ``_min_norm_solve`` (``solve_dense``
 and ``solve_lz`` at one R) adds a full-row residual check.  The census runs
 ``_accept`` (square reduced systems over (R, selection), filtered, as
-arrays) in ``solve_grid``/``enumerate_grid``.  It filters each 2x2 or 3x3
-system by its 2-norm condition number, taken in closed form from the
-system's Gram and adjugate matrices, not by an SVD: their largest
-eigenvalues are roots of ``models.closed_form_eigenvalues``.  cond is inf
-where det = 0 or the system is singular to working precision.
+arrays) in ``solve_grid``/``enumerate_grid``.  Every square system is
+solved as adj(M) b / det M (``_solve_square``), and the census filters it
+by its 2-norm condition number, taken in closed form from the system's
+Gram and adjugate matrices: their largest eigenvalues are roots of
+``models.closed_form_eigenvalues``.  cond is inf where det = 0 or the
+system is singular to working precision.  No LU, SVD or eigensolve runs:
+every kernel is elementwise over the points.
 """
 
 from dataclasses import dataclass, replace
@@ -58,13 +61,13 @@ from .schedule import advanced_parameter, velocity
 
 SYMMETRY_TOL = 1e-10
 DRB_DIAG_TOL = 1e-10
-DENSE_RCOND = 1e-8
 VELOCITY_EPS = 1e-12   # relative threshold below which v(t) counts as zero
 EPS = np.finfo(float).eps
 COND_MAX = 1e10        # largest condition number of an accepted reduced system
 IMAG_TOL = 1e-9        # largest imaginary part of an accepted coefficient
 RESIDUAL_TOL = 1e-10   # largest full-system residual of an accepted solution
 GROUP_TOL = 1e-8       # largest coefficient distance within a degenerate group
+GRAM_COND_MAX = 1e8    # largest condition bound of a minimum-norm solve's Gram matrix
 REASONS = ("", "singular", "not_real", "residual")   # rejection reasons by code
 
 
@@ -95,23 +98,41 @@ def _operator_columns(basis, C, rows=None):
     ``basis`` (..., k, d, d) and ``C`` (..., d) broadcast over leading axes;
     ``rows`` defaults to all d.
     """
-    F = np.einsum("...kab,...b->...ak", basis, C)
-    return F if rows is None else F[..., list(rows), :]
+    return np.einsum("...kab,...b->...ak", basis if rows is None else basis[..., list(rows), :], C)
 
 
-def _min_norm(A, b):
-    """Minimum-norm real x solving the complex rows A x = b, batched.
+def _min_norm(A, b, null=None):
+    """Minimum-norm real x (k, N) solving the complex rows A x = b, A (m, k, N), b (m, N).
 
-    The real and imaginary rows form one real system M; pinv(M) r adds one term
-    of r at a time, as ``propagator._mul`` does, so each x rounds alike in any stack.
+    The real and imaginary rows form one real system M (2m, k, N), and
+    x = M^T (M M^T + n n^T)^-1 r for the stacked right-hand side r.  ``null``
+    is M's left null vector n (2m, N) where its rank is 2m - 1 (None where M
+    has full row rank).  The Gram matrix is solved by a Cholesky factor L in
+    component layout, elementwise over N, so each x rounds alike in any
+    stack.  Also returns (max L_jj / min L_jj)^2 (N,), a lower bound on the
+    Gram matrix's condition number (NaN where it is not positive definite).
     """
-    Mr = np.concatenate([A.real, A.imag], axis=-2)
-    rr = np.concatenate([b.real, b.imag], axis=-1)
-    P = np.linalg.pinv(Mr, rcond=DENSE_RCOND)
-    x = np.zeros(P.shape[:-1])   # from +0.0, as a sum starts: a zero prints 0.0, not -0.0
-    for j in range(rr.shape[-1]):
-        x += P[..., j] * rr[..., None, j]
-    return x
+    M = np.concatenate([A.real, A.imag])
+    r = np.concatenate([b.real, b.imag])
+    G = sum(M[:, k, None] * M[None, :, k] for k in range(M.shape[1]))
+    if null is not None:
+        G += null[:, None] * null[None]
+    L = np.zeros_like(G)
+    with np.errstate(invalid="ignore", divide="ignore"):   # refused by the caller
+        for j in range(len(r)):
+            rest = G[j:, j] - sum(L[j:, q] * L[j, q] for q in range(j))
+            L[j, j] = np.sqrt(rest[0])
+            L[j + 1:, j] = rest[1:] / L[j, j]
+        y = list(r)
+        for i in range(len(y)):                     # L z = r, then L^T y = z
+            y[i] = (y[i] - sum(L[i, q] * y[q] for q in range(i))) / L[i, i]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - sum(L[q, i] * y[q] for q in range(i + 1, len(y)))) / L[i, i]
+        x = np.zeros(M.shape[1:])   # from +0.0, as a sum starts: a zero prints 0.0, not -0.0
+        for i in range(len(y)):
+            x += M[i] * y[i]
+        diagonal = L[range(len(r)), range(len(r))]
+        return x, (diagonal.max(axis=0) / diagonal.min(axis=0)) ** 2
 
 
 def _squared_norms(V):
@@ -136,17 +157,35 @@ def _norm2_squared(V):
 
 
 def _cross(V):
-    """Cross products V[1] x V[2], V[2] x V[0], V[0] x V[1] of the vectors V (3, 3, ...).
-
-    Both products of a component keep their operand order, so two equal
-    vectors give exact zeros.
-    """
-    W, X = V.take([1, 2, 0], axis=0), V.take([2, 0, 1], axis=0)
-    return (W.take([1, 2, 0], axis=1) * X.take([2, 0, 1], axis=1)
-            - X.take([1, 2, 0], axis=1) * W.take([2, 0, 1], axis=1))
+    """Cross products V[1] x V[2], V[2] x V[0], V[0] x V[1] of the vectors V (3, 3, ...),
+    by ``models._cross3``: two equal vectors give exact zeros."""
+    return [models._cross3(V[1], V[2]), models._cross3(V[2], V[0]), models._cross3(V[0], V[1])]
 
 
-def _condition_number(M):
+def _adjugate(V):
+    """(U, det M) of the matrices M whose m = 2 or 3 columns are V (m, m, ...): U[i][j] is
+    entry (i, j) of adj(M), its rows ``_cross`` for m = 3, and det M = tr(adj(M) M) / m,
+    which a zero or repeated column makes exactly 0."""
+    if len(V) == 2:
+        return ([[V[1, 1], -V[1, 0]], [-V[0, 1], V[0, 0]]],
+                V[0, 0] * V[1, 1] - V[1, 0] * V[0, 1])
+    U = _cross(V)
+    # summed one term at a time, each row's first: a repeated column cancels exactly,
+    # and a complex sum over an axis rounds apart at N = 1
+    return U, sum(sum(U[k][r] * V[k, r] for r in range(3)) for k in range(3)) / 3
+
+
+def _solve_square(V, b, adjugate=None):
+    """x (m, ...) = adj(M) b / det M for the matrices M whose m = 2 or 3 columns are
+    V (m, m, ...) and the right-hand sides b (m, ...); ``adjugate`` optionally holds
+    ``_adjugate(V)`` already built.  x is not finite where det M = 0."""
+    U, det = _adjugate(V) if adjugate is None else adjugate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.array([sum((u[j] * b[j] for j in range(1, len(b))), u[0] * b[0]) / det
+                         for u in U])
+
+
+def _condition_number(M, U=None):
     """2-norm condition numbers of a (..., m, m) stack, m = 2 or 3; inf if singular.
 
     cond = sigma_max(M) sigma_max(adj M) / |det M|, in closed form.  For
@@ -157,6 +196,7 @@ def _condition_number(M):
     a.(b x c) errs by up to eps cond^2 and rates some rank-1 matrices as
     well conditioned.  A zero or repeated column gives det exactly 0.  A
     system singular to working precision (cond >= 1/eps) gets cond inf.
+    ``U`` optionally holds the rows of adj M (``_adjugate``) already built (m = 3).
     The largest Gram eigenvalue (``_norm2_squared``) loses up to about 1e-8
     relative accuracy where two singular values of M coincide (s1 = s2 in
     the Gram matrix of M, s2 = s3 in that of adj M).
@@ -166,9 +206,9 @@ def _condition_number(M):
         det = abs(V[0, 0] * V[1, 1] - V[1, 0] * V[0, 1])
         num = _norm2_squared(V)
     else:
-        U = _cross(V)                      # rows of adj M
+        U = np.array(_cross(V) if U is None else U)     # rows of adj M
         size = _squared_norms(V).sum(axis=0)
-        det = np.sqrt(np.divide(_squared_norms(_cross(U)).sum(axis=0), size,
+        det = np.sqrt(np.divide(_squared_norms(np.array(_cross(U))).sum(axis=0), size,
                                 out=np.zeros_like(size), where=size > 0))
         num = np.sqrt(_norm2_squared(V) * _norm2_squared(U))
     # inf where 1/cond <= eps: singular to working precision (LAPACK xGESVX), det = 0 included
@@ -211,8 +251,11 @@ def tracked_sector(model, R, C, rhs):
     """
     sector = int(np.argmax([np.abs(C[0] @ P).max() for P in model.sectors]))
     P = model.sectors[sector]
-    X = np.concatenate([C, rhs])                 # the states, then the right-hand sides
-    outside = np.linalg.norm(X - X @ P @ P.T, axis=1)
+    # the other sectors' columns complete P: the part outside is their components;
+    # the states, then the right-hand sides
+    outside = np.sqrt(np.concatenate([
+        sum((models._sq(models._apply(Q.T, X.T)).sum(axis=0) for Q in model.sectors
+             if Q is not P), np.zeros(len(X))) for X in (C, rhs)]))
     if np.any(outside > SYMMETRY_TOL):
         k = int(np.argmax(outside > SYMMETRY_TOL))
         label = "state" if k < len(C) else "right-hand side"
@@ -247,12 +290,12 @@ def _accept(idx, C, rhs, rows):
     """
     F = _operator_columns(BASIS[idx], C[:, None, :], range(C.shape[1]))   # (N, S, dim, m)
     M = F[..., list(rows), :]
-    cond = _condition_number(M)
+    V = np.moveaxis(M, (-1, -2), (0, 1))
+    adjugate = _adjugate(V)
+    cond = _condition_number(M, adjugate[0])
     regular = np.isfinite(cond) & (cond <= COND_MAX)
-    x = np.zeros(M.shape[:-1], dtype=complex)
-    if np.any(regular):
-        b = np.broadcast_to(rhs[:, None, list(rows)], x.shape)
-        x[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
+    x = _solve_square(V, np.moveaxis(rhs[:, None, list(rows)], -1, 0), adjugate)
+    x = np.where(regular[..., None], np.moveaxis(x, 0, -1), 0.0)
     max_imag = np.where(regular, np.max(np.abs(x.imag), axis=-1), np.nan)
     real = max_imag <= IMAG_TOL
     full = (F @ x.real[..., None])[..., 0] - rhs[:, None, :]
@@ -396,8 +439,8 @@ def solve_dense(model, R, n=0):
 
     The full system is consistent (the state-independent counter-diabatic
     operator solves it within the ansatz span) but rank deficient; the
-    pseudoinverse picks the smallest-coefficient member of the solution
-    family.  This is the route for models whose sparse selections all fail
+    Gram solve of ``_min_norm`` picks the smallest-coefficient member of the
+    solution family.  This is the route for models whose sparse selections all fail
     the realness filter.  Returns (x, residual) of ``_min_norm_solve`` at R.
     """
     if model.dim != 4:
@@ -502,6 +545,14 @@ class CoefficientPath:
             self.mode = "selection"
             self.names = canonical_selection(selection)
             self.basis = BASIS[_selection_indices(self.names)]
+        # per sector P, where the ansatz maps it into itself (Q^T B P = 0 for the other
+        # sectors Q): the amplitudes each reduced row stands for, which weight the left
+        # null vector of the minimum-norm rows, as Im <C|Htilde|C> = 0; else None
+        self.weights = [
+            (P != 0).sum(axis=0) if all(np.abs(Q.T @ self.basis @ P).max() <= SYMMETRY_TOL
+                                        for Q in model.sectors if Q is not P) else None
+            for P in model.sectors]
+        self._terms = {}    # the nonzero basis entries on each sector's rows (``_columns``)
 
     def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
@@ -509,32 +560,61 @@ class CoefficientPath:
         ``state`` optionally holds ``models.tracked_state`` of state n at
         R_array, computed by the caller.  Raises ConsistencyError at the
         first R where a state leaves its sector (``tracked_sector``), the
-        reduced system is exactly singular or a coefficient is not finite.
+        reduced system is exactly singular (det = 0), the minimum-norm Gram
+        matrix exceeds GRAM_COND_MAX or a coefficient is not finite.
         """
         R_array = np.asarray(R_array, dtype=float)
         if state is None:
             state = models.tracked_state(self.model, R_array, self.n)
         _, C, _, rhs = state
-        _, rows = tracked_sector(self.model, R_array, C, rhs)
-        M, b = _operator_columns(self.basis, C, rows), rhs[:, list(rows)]
+        sector, rows = tracked_sector(self.model, R_array, C, rhs)
+        Cr, b = C.T[list(rows)], rhs.T[list(rows)]
+        M = self._columns(C.T, rows)
         # the minimum-norm solve takes the reduced rows too; on tfim's flip-even
         # block it leaves the flip-odd coefficients at 0 to rounding
         if self.mode == "dense":
-            x = _min_norm(M, b)
+            null = None
+            if self.weights[sector] is not None:
+                w = self.weights[sector][:, None]
+                null = np.concatenate([-w * Cr.imag, w * Cr.real])
+            x, cond = _min_norm(M, b, null)
+            bad = ~(cond <= GRAM_COND_MAX)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise ConsistencyError(
+                    f"minimum-norm Gram matrix has cond >= {cond[k]:.3e} (GRAM_COND_MAX="
+                    f"{GRAM_COND_MAX:.0e}) at R={float(R_array[k])!r}")
         else:
             _square_indices(self.model, [self.names], rows)
-            try:
-                x = np.linalg.solve(M, b[..., None])[..., 0].real
-            except np.linalg.LinAlgError:
-                # the LU of solve has sign 0 where it raises: refuse there
-                x = np.where(np.linalg.slogdet(M)[0][:, None] == 0, np.nan, 0.0)
-        bad = ~np.all(np.isfinite(x), axis=1)
+            x = _solve_square(np.swapaxes(M, 0, 1), b).real
+        bad = ~np.all(np.isfinite(x), axis=0)
         if np.any(bad):
             raise ConsistencyError(
                 f"reduced system is singular or a coefficient is not finite "
                 f"at R={float(R_array[np.argmax(bad)])!r}"
             )
-        return x
+        return x.T
+
+    def _columns(self, C, rows):
+        """(len(rows), k, N) reduced systems (basis_k C)[rows] of the states C (dim, N).
+
+        Each entry adds the products of its nonzero basis entries with C in the
+        order of the amplitudes, one component array at a time, in component layout.
+        """
+        if rows not in self._terms:
+            T = self.basis[:, list(rows)]                   # (k, m, dim)
+            self._terms[rows] = [(r, k, [(d, T[k, r, d]) for d in np.flatnonzero(T[k, r])])
+                                 for r in range(len(rows)) for k in range(len(T))]
+        M = np.empty((len(rows), len(self.basis), C.shape[1]), dtype=complex)
+        for r, k, entry in self._terms[rows]:
+            if entry:
+                (d, value), *rest = entry
+                M[r, k] = value * C[d]
+                for d, value in rest:
+                    M[r, k] += value * C[d]
+            else:
+                M[r, k] = 0.0
+        return M
 
     def matrices(self, R_array):
         """(N, dim, dim) regularization matrices (velocity not applied)."""

@@ -15,14 +15,15 @@ eigenspaces of the ``SYMMETRIES`` the table commutes with (lz: the
 identity).  SWAP gives the triplet {|uu>, (|ud>+|du>)/sqrt2, |dd>} and the
 singlet; tfim also commutes with the flip X (x) X, splitting its triplet
 into {(|uu>+|dd>)/sqrt2, (|ud>+|du>)/sqrt2} and (|uu>-|dd>)/sqrt2.  Every
-eigensolve is one batched Hermitian solve per block P^H H P wider than 1.  The
-closed-form spectrum is the same for every model: ``closed_form_eigenvalues``
-of each sector block, and each eigensolve is checked against it through the
-characteristic polynomial's coefficients, which a double root leaves
-accurate.  One gauge rule, ``default_anchor``, keeps an anchor component of
-each expanded eigenvector real and positive.  ``tracked_state`` is the one
-state layer: over an array of R it returns the energies, the tracked
-eigenvector C, its derivative from the spectral formula
+eigensolve is ``block_eigh``, the closed-form eigenpairs of the blocks
+P^H H P (1x1, 2x2 or 3x3) over R in (b, b, N) component layout, elementwise
+over the points: no LAPACK routine runs, and each point has the same bits in
+any stack.  Every eigenpair is held to its residual against the blocks
+rebuilt from R.  ``closed_form_eigenvalues`` gives the spectrum alone
+(``analytic_eigenvalues``).  One gauge rule, ``default_anchor``, keeps an
+anchor component of each expanded eigenvector real and positive.
+``tracked_state`` is the one state layer: over an array of R it returns the
+energies, the tracked eigenvector C, its derivative from the spectral formula
 dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the levels of n's
 sector (no other couples), exact because every coupling is affine in R (so
 dH/dR is a constant matrix), and the right-hand side i dC/dR - i <C|dC/dR> C
@@ -86,8 +87,7 @@ SECTORS = {kind: _sectors(np.array(list(table.values()))) for kind, table in OPE
 
 GAP_MIN = 1e-8          # refuse gauge fixing below this eigenvalue gap
 ANCHOR_MIN = 1e-6       # refuse derivatives when the gauge anchor is this small
-BRANCH_TOL = 1e-8       # analytic vs numeric eigenvalue guard
-_UPPER = {1: [], 2: [1], 3: [1, 2, 5]}   # flat row-major indices above a b x b diagonal
+EIGEN_TOL = 1e-8        # largest eigenpair residual |H v - E v| / max(1, max |E|)
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,25 @@ class ModelSpec:
         return SECTORS[self.kind]
 
     @cached_property
-    def block_operators(self):
-        """Per sector, the read-only (couplings, b, b) block table P^H op P."""
-        blocks = tuple(P.T @ self.operators @ P for P in self.sectors)
-        for ops in blocks:
-            ops.flags.writeable = False
-        return blocks
+    def block_terms(self):
+        """Per sector, (b, dtype, terms) of its block table P^H op P, made exactly
+        Hermitian and real where every entry is: ``terms`` lists each entry (i, j) on
+        or above the diagonal with its nonzero (coupling, value) pairs."""
+        out = []
+        for P in self.sectors:
+            ops = P.T @ self.operators @ P
+            ops = (ops + np.conj(np.swapaxes(ops, 1, 2))) / 2
+            ops = ops.real if not ops.imag.any() else ops
+            b = P.shape[1]
+            terms = [(i, j, [(k, ops[k, i, j]) for k in np.flatnonzero(ops[:, i, j])])
+                     for i in range(b) for j in range(i, b)]
+            out.append((b, ops.dtype, terms))
+        return tuple(out)
+
+    @cached_property
+    def block_slopes(self):
+        """Per sector, the constant (b, b) block of dH/dR (``_blocks`` of the slopes)."""
+        return tuple(H[..., 0] for H in _blocks(self, self.coupling_affine[1][:, None]))
 
     # -- canonical parametrizations ------------------------------------
 
@@ -202,22 +215,22 @@ class ModelSpec:
 def _contract(operators, c):
     """sum_k c[:, k] operators[k] for (N, k) real c: one real product, (N, dim, dim)."""
     k, d = operators.shape[:2]
-    # batch-independent bits only where no entry sums two inexact products (model, block tables)
+    # batch-independent bits only where no entry sums two inexact products (the model tables)
     return (c @ operators.view(float).reshape(k, -1)).view(complex).reshape(-1, d, d)
 
 
 def _coupling_values(model, R):
-    """(N, couplings) values at the points of R, refusing a non-finite one by name."""
+    """(couplings, N) values at the points of R, refusing a non-finite one by name."""
     if not np.isfinite(R).all():
         raise DomainError("R is not finite")
     offset, slope = model.coupling_affine
-    c = offset[:, None] + slope[:, None] * R.ravel()        # (couplings, N)
+    c = offset[:, None] + slope[:, None] * R.ravel()
     finite = np.isfinite(c)
     if not finite.all():
         point = np.argmin(finite.all(axis=0))
         name = REQUIRED_COUPLINGS[model.kind][np.argmin(finite[:, point])]
         raise DomainError(f"coupling {name!r} is not finite at R={R.flat[point]}")
-    return c.T
+    return c
 
 
 def hamiltonian(model, R):
@@ -228,47 +241,212 @@ def hamiltonian(model, R):
     table, in the two-spin basis ordering |uu>, |ud>, |du>, |dd>.
     """
     R = np.asarray(R, dtype=float)
-    return _contract(model.operators, _coupling_values(model, R)).reshape(
+    return _contract(model.operators, _coupling_values(model, R).T).reshape(
         R.shape + (model.dim,) * 2)
 
 
+def _blocks(model, c):
+    """Per sector, the (b, b, N) stack P^H H P for the (couplings, N) values c.
+
+    One elementwise sum per entry over its nonzero terms (``block_terms``),
+    so each point has the same bits in any stack; the lower triangle is the
+    conjugated upper one, and a stack is real where its table is.
+    """
+    out = []
+    for b, dtype, terms in model.block_terms:
+        H = np.empty((b, b, c.shape[1]), dtype=dtype)
+        for i, j, entry in terms:
+            if entry:
+                (k, value), *rest = entry
+                H[i, j] = c[k] * value
+                for k, value in rest:
+                    H[i, j] += c[k] * value
+            else:
+                H[i, j] = 0.0
+            if i != j:
+                H[j, i] = np.conj(H[i, j])
+        out.append(H)
+    return out
+
+
 def sector_hamiltonians(model, R):
-    """Per sector, the (N, b, b) blocks P^H H P of the Hamiltonian over a 1-d R."""
-    c = _coupling_values(model, np.asarray(R, dtype=float))
-    return [_contract(ops, c) for ops in model.block_operators]
+    """Per sector, the (b, b, N) blocks P^H H P of the Hamiltonian over a 1-d R (``_blocks``)."""
+    return _blocks(model, _coupling_values(model, np.asarray(R, dtype=float)))
+
+
+def _mul(A, B):
+    """A[..., k] @ B[..., k] over two (b, b, ...) stacks; each depends on its own pair only."""
+    # B[None, k] keeps ndims equal: numpy rounds 1-element complex products of unequal ndims apart
+    C = A[:, 0, None] * B[None, 0]
+    for k in range(1, len(B)):
+        C += A[:, k, None] * B[None, k]
+    return C
+
+
+def _div(x, s):
+    """x / s for s > 0 real, x real or complex: numpy's complex division would
+    overflow at a subnormal s, as it forms 1 / s."""
+    if not np.iscomplexobj(x):
+        return x / s
+    return (np.ascontiguousarray(x).view(float).reshape(-1, 2) / s[:, None]).view(complex)[:, 0]
+
+
+def _sq(x):
+    """|x|^2 elementwise, in real arithmetic."""
+    return x.real ** 2 + x.imag ** 2 if np.iscomplexobj(x) else x * x
+
+
+def _eigh2(a, d, c):
+    """Eigenpairs of the Hermitian [[a, c], [c*, d]] over arrays (a, d real), in the hypot form.
+
+    Returns (lo, hi, x, y): the energies mean -+ hypot((a - d)/2, |c|) and
+    the unit vectors of each, as component pairs.  Each vector's larger
+    component is |a - d|/2 + hypot(...), so nothing cancels; where c = 0
+    and a = d any basis serves, and e_1, e_0 is taken.
+    """
+    half = (a - d) / 2
+    size = np.abs(c)
+    split = np.hypot(half, size)
+    mean = (a + d) / 2
+    t = np.abs(half) + split
+    t[t == 0] = 1.0
+    norm = np.hypot(size, t)
+    c, t = _div(c, norm), t / norm
+    cc = np.conj(c)
+    up = half >= 0
+    x = (np.where(up, c, -t), np.where(up, -t, cc))
+    y = (np.where(up, t, c), np.where(up, cc, t))
+    return mean - split, mean + split, x, y
+
+
+def _cross3(u, v):
+    """The bilinear cross product u x v of two component triples; both products of a
+    component keep their operand order, so u = v gives exact zeros (numpy's complex
+    product may fuse a multiply-add, so a * b and b * a can differ)."""
+    return (u[1] * v[2] - v[1] * u[2], u[2] * v[0] - v[2] * u[0], u[0] * v[1] - v[0] * u[1])
+
+
+def _eigh3(H):
+    """``block_eigh`` of a (3, 3, N) stack, one component array at a time.
+
+    In units of its largest entry, the block less its mean diagonal, B, has
+    a most isolated root mu among ``closed_form_eigenvalues``, the one that
+    stays accurate where the other two coincide.
+    adj(B - mu I) = alpha v v^H, and its column with the largest diagonal
+    entry, a cross product of two rows of B - mu I, gives v (e_0 where
+    B = mu I).  The other two levels are the hypot-form eigenpairs of the
+    2x2 compression K of B onto the complement of v, and mu's energy is
+    tr B - tr K.  The levels come in the order (other, other, isolated);
+    ``_sector_eigh`` sorts the spectrum.
+    """
+    conj = np.conj if np.iscomplexobj(H) else (lambda x: x)
+    d = [H[i, i].real for i in range(3)]
+    mean = (d[0] + d[1] + d[2]) / 3
+    entries = [x - mean for x in d] + [H[0, 1], H[0, 2], H[1, 2]]
+    s = reduce(np.maximum, [np.abs(x) for x in entries])
+    s[s == 0] = 1.0
+    d0, d1, d2, e, f, g = (_div(x, s) for x in entries)
+    ce, cf, cg = conj(e), conj(f), conj(g)
+    roots = closed_form_eigenvalues(np.array([d0, d1, d2]), [e, f, g])
+    mu = np.where(roots[2] - roots[1] >= roots[1] - roots[0], roots[2], roots[0])
+    a0, a1, a2 = d0 - mu, d1 - mu, d2 - mu
+    # adj(B - mu I): real diagonal c, below it x10, x20, x21
+    c0, c1, c2 = a1 * a2 - _sq(g), a0 * a2 - _sq(f), a0 * a1 - _sq(e)
+    x10, x20, x21 = g * cf - a2 * ce, ce * cg - a1 * cf, cf * e - a0 * cg
+    k1 = np.abs(c1) > np.abs(c0)
+    k2 = np.abs(c2) > np.maximum(np.abs(c0), np.abs(c1))
+    v = [np.where(k2, conj(x20), np.where(k1, conj(x10), c0)),
+         np.where(k2, conj(x21), np.where(k1, c1, x10)),
+         np.where(k2, c2, np.where(k1, x21, x20))]
+    size = _sq(v[0]) + _sq(v[1]) + _sq(v[2])
+    flat = size == 0
+    v[0][flat] = size[flat] = 1.0
+    v = [x / np.sqrt(size) for x in v]
+    # q1 = conj(v x e_j) / |v x e_j|, e_j the one of e_0, e_1 on which v is
+    # smaller, so |v x e_j|^2 >= 1/2; q2 = conj(v x q1)
+    at0 = _sq(v[0]) <= _sq(v[1])
+    zero = np.zeros_like(v[0])
+    w = (np.where(at0, zero, -v[2]), np.where(at0, v[2], zero), np.where(at0, -v[1], v[0]))
+    size = np.sqrt(_sq(w[0]) + _sq(w[1]) + _sq(w[2]))
+    q1 = [conj(x) / size for x in w]
+    q2 = [conj(x) for x in _cross3(v, q1)]
+    Bq1 = (d0 * q1[0] + e * q1[1] + f * q1[2], ce * q1[0] + d1 * q1[1] + g * q1[2],
+           cf * q1[0] + cg * q1[1] + d2 * q1[2])
+    k11 = (conj(q1[0]) * Bq1[0] + conj(q1[1]) * Bq1[1] + conj(q1[2]) * Bq1[2]).real
+    k12 = conj(Bq1[0]) * q2[0] + conj(Bq1[1]) * q2[1] + conj(Bq1[2]) * q2[2]
+    k22 = (d0 * _sq(q2[0]) + d1 * _sq(q2[1]) + d2 * _sq(q2[2])
+           + 2 * (ce * conj(q2[1]) * q2[0] + cf * conj(q2[2]) * q2[0]
+                  + cg * conj(q2[2]) * q2[1]).real)
+    lo, hi, x, y = _eigh2(k11, k22, k12)
+    w = np.array([lo, hi, d0 + d1 + d2 - k11 - k22]) * s + mean
+    V = np.array([[a * x[0] + b * x[1], a * y[0] + b * y[1], c] for a, b, c in zip(q1, q2, v)])
+    return w, V
+
+
+def block_eigh(H):
+    """Eigenpairs of a (b, b, N) stack of Hermitian blocks, b = 1, 2 or 3, in closed form.
+
+    Returns (w (b, N), V (b, b, N)): the energies and V[:, m] the unit
+    vector of w[m], ascending for b <= 2.  b = 2 is ``_eigh2``'s hypot form
+    and b = 3 ``_eigh3``; each point is computed elementwise, so it has the
+    same bits in any stack, and no LAPACK routine runs.
+    """
+    if len(H) == 1:
+        return H[0].real, np.ones_like(H)
+    if len(H) == 2:
+        lo, hi, x, y = _eigh2(H[0, 0].real, H[1, 1].real, H[0, 1])
+        return np.array([lo, hi]), np.array([[x[0], y[0]], [x[1], y[1]]])
+    return _eigh3(H)
 
 
 def _sector_eigh(model, R, blocks=None):
     """Eigensolves of the sector blocks over a 1-d R: (w, solved, where).
 
-    ``solved`` holds (energies (N, b), vectors (N, b, b)) per sector, a 1x1
-    block's energy read off the block.  w (N, dim) is the whole spectrum,
-    ascending and checked against ``analytic_eigenvalues``; level m is
-    entry where[:, m] of the sectors' concatenated energies.  ``blocks``
-    optionally holds ``sector_hamiltonians(model, R)`` already built.
+    ``solved`` holds ``block_eigh``'s (energies (b, N), vectors (b, b, N))
+    per sector.  w (dim, N) is the whole spectrum, ascending; level m is
+    entry where[m] of the sectors' concatenated energies.  ``blocks``
+    optionally holds ``sector_hamiltonians(model, R)`` already built; they
+    are solved, not trusted: every eigenpair is held to its residual
+    against the blocks rebuilt from R, and ConsistencyError, naming R, is
+    raised where |H v - E v| exceeds EIGEN_TOL max(1, max |E|).
     """
-    solved = []
-    for H in sector_hamiltonians(model, R) if blocks is None else blocks:
-        if H.shape[-1] == 1:
-            solved.append((H[..., 0].real, np.ones_like(H)))
-        else:
-            w, V = np.linalg.eigh(H.real if model.is_real else H)
-            solved.append((w, V.astype(complex, copy=False)))
-    energies = np.concatenate([w for w, _ in solved], axis=1)
-    where = np.argsort(energies, axis=1, kind="stable")
-    w = np.take_along_axis(energies, where, axis=1)
-    analytic_eigenvalues(model, R, numeric=w)
+    built = _blocks(model, _coupling_values(model, R))
+    solved = [block_eigh(H) for H in (built if blocks is None else blocks)]
+    energies = np.concatenate([w for w, _ in solved])
+    where = np.argsort(energies, axis=0, kind="stable")
+    w = np.take_along_axis(energies, where, axis=0)
+    err = np.zeros(len(R))
+    for H, (wb, Vb) in zip(built, solved):
+        residual = _sq(_mul(H, Vb) - Vb * wb[None])
+        err = np.maximum(err, sum(residual[1:], residual[0]).max(axis=0))
+    err = np.sqrt(err)
+    bad = ~(err <= EIGEN_TOL * np.maximum(1.0, np.abs(w).max(axis=0)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ConsistencyError(f"eigenpairs of {model.kind} do not solve its Hamiltonian "
+                               f"at R={R[k]}: residual {err[k]:.3e}")
     return w, solved, where
+
+
+def _apply(B, x):
+    """B x over the leading axis of x (d, ...) for a sparse matrix B (m, d): one product
+    per nonzero of B, summed in the order of d."""
+    out = np.zeros((len(B),) + x.shape[1:], dtype=np.result_type(B, x))
+    for r, d in zip(*np.nonzero(B)):
+        out[r] += B[r, d] * x[d]
+    return out
 
 
 def _eigh_model(model, R):
     """(w (N, dim), V (N, dim, dim)) over a 1-d R: the sector eigensolves, expanded.
 
-    V[:, :, m] is level m expanded to the dim amplitudes, P v.
+    V[:, :, m] is level m expanded to the dim amplitudes, P v; V is real
+    where the model is.
     """
     w, solved, where = _sector_eigh(model, R)
-    V = np.concatenate([P @ Vb for P, (_, Vb) in zip(model.sectors, solved)], axis=2)
-    return w, np.take_along_axis(V, where[:, None, :], axis=2)
+    V = np.concatenate([_apply(P, Vb) for P, (_, Vb) in zip(model.sectors, solved)], axis=1)
+    V = np.take_along_axis(V, where[None], axis=1)
+    return np.ascontiguousarray(w.T), V.transpose(2, 0, 1)
 
 
 def default_anchor(model, amplitudes):
@@ -290,14 +468,30 @@ def _phase_to(vectors, anchors):
     return np.conj(pivot) / np.abs(pivot)
 
 
+def _level_derivative(w, V, j, dH):
+    """(v, dv/dR) (b, N) of level j (one per point) of eigen-solved blocks w (b, N), V (b, b, N).
+
+    dv = sum_{m != j} V[:, m] <m|dH|v> / (w_j - w_m), the spectral formula
+    for the constant (b, b) slope dH, in component layout.
+    """
+    v = np.take_along_axis(V, j[None, None], axis=1)[:, 0]
+    denom = np.take_along_axis(w, j[None], axis=0) - w
+    denom[np.arange(len(w))[:, None] == j] = np.inf
+    u = _apply(dH, v)
+    Vc = np.conj(V) if np.iscomplexobj(V) else V
+    # <m|dH|v> / (w_j - w_m) for every level m, summed over the components in order
+    t = sum((Vc[a] * u[a] for a in range(1, len(w))), Vc[0] * u[0]) / denom
+    return v, sum((V[:, m] * t[m] for m in range(1, len(w))), V[:, 0] * t[0])
+
+
 def tracked_state(model, R, n, *, anchor=None, blocks=None):
     """(w, C, dC, rhs) of state n over a 1-d array of R values.
 
     w (N, dim) holds every energy; C, dC/dR and
     rhs = i dC/dR - i <C|dC/dR> C, the right-hand side of the defining
-    equation, are (N, dim).  One eigensolve per point and sector; the
-    derivative is sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the
-    levels m of n's sector, carried into the gauge
+    equation, are (N, dim).  One closed-form eigensolve per point and sector
+    (``_sector_eigh``); the derivative is ``_level_derivative`` over the
+    levels of n's sector, carried into the gauge
     that holds ``anchor`` (one index, or one per point; default:
     ``default_anchor`` at each point) real and positive by -i Im(dC_a / C_a) C.
     Raises DegeneracyError where state n comes within GAP_MIN of another
@@ -307,54 +501,49 @@ def tracked_state(model, R, n, *, anchor=None, blocks=None):
     """
     R = np.asarray(R, dtype=float)
     w, solved, where = _sector_eigh(model, R, blocks)
-    denom = w[:, n, None] - w
-    denom[:, n] = np.inf
-    gap = np.abs(denom).min(axis=1)
+    denom = w[n] - w
+    denom[n] = np.inf
+    gap = np.abs(denom).min(axis=0)
     if np.any(gap < GAP_MIN):
         k = int(np.argmax(gap < GAP_MIN))
         raise DegeneracyError(
             f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
             f"is below GAP_MIN={GAP_MIN:.1e}"
         )
-    v = np.empty((len(R), model.dim), dtype=complex)
-    dv = np.empty_like(v)
+    v = np.zeros((model.dim, len(R)), dtype=np.result_type(*(Vb for _, Vb in solved)))
+    dv = np.zeros_like(v)
     start = 0
-    slope = model.coupling_affine[1][None]
-    for P, ops, (wb, Vb) in zip(model.sectors, model.block_operators, solved):
+    for P, dH, (wb, Vb) in zip(model.sectors, model.block_slopes, solved):
         # the points where state n lies in this sector, as its level j there
-        j = where[:, n] - start
+        j = where[n] - start
         at = (j >= 0) & (j < P.shape[1])
         start += P.shape[1]
-        if not at.any():
-            continue
-        if not at.all():
-            j, wb, Vb = j[at], wb[at], Vb[at]
-        idx = np.arange(len(j))
-        vb = Vb[idx, :, j]
-        denom = wb[idx, j, None] - wb
-        denom[idx, j] = 1.0
-        dH = _contract(ops, slope)[0]
-        # einsum, not matmul: its sums do not depend on the number of points
-        coupling = np.einsum("kam,ka->km", np.conj(Vb), np.einsum("ab,kb->ka", dH, vb))
-        coupling[idx, j] = 0.0
-        v[at] = vb @ P.T
-        dv[at] = np.einsum("kam,km->ka", Vb, coupling / denom) @ P.T
-    anchors = default_anchor(model, v) if anchor is None else np.broadcast_to(anchor, len(R))
+        if at.all():
+            x, dx = _level_derivative(wb, Vb, j, dH)
+            v, dv = _apply(P, x), _apply(P, dx)
+        elif at.any():
+            x, dx = _level_derivative(wb[:, at], Vb[:, :, at], j[at], dH)
+            v[:, at], dv[:, at] = _apply(P, x), _apply(P, dx)
+    anchors = default_anchor(model, v.T) if anchor is None else np.broadcast_to(anchor, len(R))
     idx = np.arange(len(R))
-    small = np.abs(v[idx, anchors]) < ANCHOR_MIN
+    pivot = v[anchors, idx]
+    small = np.abs(pivot) < ANCHOR_MIN
     if np.any(small):
         k = int(np.argmax(small))
         raise GaugeError(
-            f"gauge anchor component {anchors[k]} has magnitude {abs(v[k, anchors[k]]):.3e} "
+            f"gauge anchor component {anchors[k]} has magnitude {abs(pivot[k]):.3e} "
             f"at R={R[k]}; switch anchor"
         )
-    phase = _phase_to(v, anchors)
+    # [None]: numpy rounds 1-element complex products of unequal ndims apart
+    phase = (np.conj(pivot) / np.abs(pivot))[None]
     C, dC = v * phase, dv * phase
-    dC -= 1j * (dC[idx, anchors] / C[idx, anchors]).imag[:, None] * C
-    if model.is_real:
-        C, dC = C.real.astype(complex), dC.real.astype(complex)
-    rhs = 1j * dC - 1j * np.einsum("kd,kd->k", np.conj(C), dC)[:, None] * C
-    return w, C, dC, rhs
+    if np.iscomplexobj(C):
+        dC -= 1j * (dC[anchors, idx] / C[anchors, idx]).imag[None] * C
+    # summed one term at a time: a complex sum over an axis rounds apart at N = 1
+    rhs = 1j * dC - 1j * sum(np.conj(x) * y for x, y in zip(C, dC))[None] * C
+    # (N, dim) in C order, as callers index points first
+    return tuple(np.ascontiguousarray(x.T, dtype=y) for x, y in
+                 ((w, float), (C, complex), (dC, complex), (rhs, complex)))
 
 
 def eigensystem_batch(model, R_array):
@@ -367,10 +556,9 @@ def eigensystem_batch(model, R_array):
     R = np.asarray(R_array, dtype=float)
     w, V = _eigh_model(model, R)
     vectors = np.swapaxes(V, 1, 2)          # (N, state, component)
+    # real where the model is: a real phase is +-1 exactly, as in tracked_state
     vectors = vectors * _phase_to(vectors, default_anchor(model, vectors))
-    if model.is_real:
-        vectors = vectors.real.astype(complex)
-    return w, np.swapaxes(vectors, 1, 2)
+    return w, np.swapaxes(vectors, 1, 2).astype(complex, copy=False)
 
 
 def eigensystem(model, R):
@@ -387,7 +575,7 @@ def closed_form_eigenvalues(diagonal, upper):
     4, 168 (1961)), mean + 2p cos(theta + 2 pi j/3) for j = 1, 2, 0, with
     p^2 = tr(B^2)/6, cos(3 theta) = det(B)/(2p^3) and B the matrix less its
     mean diagonal.  A double root loses about sqrt(eps) relative accuracy
-    (arccos near +-1); the characteristic polynomial's coefficients do not.
+    (arccos near +-1); the third, isolated root does not.
     """
     if len(diagonal) == 1:
         return diagonal
@@ -406,48 +594,19 @@ def closed_form_eigenvalues(diagonal, upper):
     return mean + 2 * p * np.cos(np.add.outer(np.pi * np.array([2, 4, 0]) / 3, theta))
 
 
-def _elementary(x):
-    """Elementary symmetric functions e_1 ... e_b (b, ...) of the values x (b, ...)."""
-    e = np.zeros_like(x)
-    for value in x:
-        e[1:] += value * e[:-1]
-        e[0] += value
-    return e
-
-
-def analytic_eigenvalues(model, R, *, numeric=None):
+def analytic_eigenvalues(model, R):
     """Closed-form eigenvalues over scalar or array R, sorted ascending.
 
-    Returns R.shape + (dim,): ``closed_form_eigenvalues`` of each
-    sector block (the couplings contracted with ``block_operators``); no
-    eigensolve runs.  A double root inside a block (tfim and qa at Bx = 0)
-    is accurate to about sqrt(eps), up to about 1.3e-8 relative.  Given
-    ``numeric`` (R.shape + (dim,), such as the dense solver's spectrum), the
-    spectra are compared through their elementary symmetric functions e_k,
-    the characteristic polynomial's coefficients, which a double root
-    leaves accurate: ConsistencyError, naming R, is raised where some
-    |e_k - e_k'| exceeds BRANCH_TOL scale^k, scale = max(1, max |numeric|).
+    Returns R.shape + (dim,): ``closed_form_eigenvalues`` of each sector
+    block (``sector_hamiltonians``), with no eigenvector.  A double root
+    inside a block (tfim and qa at Bx = 0) is accurate to about sqrt(eps),
+    up to about 1.3e-8 relative; ``block_eigh`` keeps full accuracy there.
     """
     R = np.asarray(R, dtype=float)
-    c = _coupling_values(model, R)
-    roots = []
-    for ops in model.block_operators:
-        b = ops.shape[-1]
-        H = np.ascontiguousarray(_contract(ops, c).reshape(-1, b * b).T)  # (entry, N)
-        roots.append(closed_form_eigenvalues(H[::b + 1].real, H[_UPPER[b]]))
+    roots = [closed_form_eigenvalues(np.array([H[i, i].real for i in range(len(H))]),
+                                     [H[i, j] for i in range(len(H)) for j in range(i + 1, len(H))])
+             for H in sector_hamiltonians(model, R.ravel())]
     levels = np.sort(np.concatenate(roots), axis=0)           # (level, N)
-    if numeric is not None:
-        numeric = np.ascontiguousarray(np.reshape(numeric, (-1, model.dim)).T)
-        scale = np.maximum(1.0, np.abs(numeric).max(axis=0))
-        e = _elementary(np.stack([levels, numeric], axis=1) / scale)
-        err = np.abs(e[:, 0] - e[:, 1]).max(axis=0)
-        bad = ~(err <= BRANCH_TOL)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise ConsistencyError(
-                f"closed-form eigenvalues of {model.kind} do not match the dense "
-                f"spectrum at R={R.flat[k]}: characteristic polynomial error {err[k]:.3e}"
-            )
     return levels.T.reshape(R.shape + (model.dim,))
 
 

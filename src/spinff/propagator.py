@@ -15,10 +15,10 @@ sector (``cdsolver.tracked_sector``): b = 3 for the qa and gen triplet,
 2 for tfim's flip-even block and the two-level model, 1 for a singlet or
 (|uu>-|dd>)/sqrt2.  The block drops the drive's flip-odd part, 0 to
 rounding on tfim.  The state is expanded, P psi_b, only at the samples.
-Once the drive is added, every matrix stack is (b, b, N), matrix axes
-first, and ``_mul`` multiplies two stacks as b**3 elementwise
-multiply-adds over N (a stacked matmul costs about as much per 3x3
-matrix as per 4x4).
+Every matrix stack is (b, b, N), matrix axes first, from the stage blocks
+of ``models.sector_hamiltonians`` on, and ``models._mul`` multiplies two
+stacks as b**3 elementwise multiply-adds over N (a stacked matmul costs
+about as much per 3x3 matrix as per 4x4).
 
 Each chunk is a fixed-step run on its own grid; chunks may differ in
 step count.  A pass walks its steps in time order, in blocks of about
@@ -53,6 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models
+from .models import _mul
 from .ansatz import matrices_from_rows
 from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven, tracked_sector
 from .errors import DomainError, StepSizeError
@@ -112,15 +113,6 @@ def _stage_block(schedule, M, keys):
     """
     u = keys * (schedule.T_FF / (2 * M))
     return advanced_parameter(schedule, u, clamp=True), velocity(schedule, u, clamp=True)
-
-
-def _mul(A, B):
-    """A[..., k] @ B[..., k] over two (b, b, ...) stacks; each depends on its own pair only."""
-    # B[None, k] keeps ndims equal: numpy rounds 1-element complex products of unequal ndims apart
-    C = A[:, 0, None] * B[None, 0]
-    for k in range(1, len(B)):
-        C += A[:, k, None] * B[None, k]
-    return C
 
 
 def _expm_hermitian(K, h):
@@ -276,8 +268,9 @@ class _Run:
     Stage point k lies at u = k fl(T_FF/(2M)); chunk j spans the points
     bounds[j] .. bounds[j+1] at stride (bounds[j+1] - bounds[j]) / (2 sizes[j]).
     With ``top`` the chunks are equal, M is len(sizes) * top, and the run
-    keeps a coefficient row per stage point for ``refine``; without it they
-    lie on one uniform grid of sum(sizes) steps.  Chunks 2p and 2p+1 are
+    keeps the coefficient row of every driven stage point it has solved,
+    by key, for ``refine``; without it they lie on one uniform grid of
+    sum(sizes) steps.  Chunks 2p and 2p+1 are
     pair p (an odd last chunk joins the last pair), whose ``error`` is
     |(G_pair - G_2h) C_b| / 15, C_b the tracked eigenvector at the pair's
     first sample in block coordinates, G_2h its steps paired two by two
@@ -298,7 +291,7 @@ class _Run:
             self.M = N * top
         self.pair = np.minimum(np.arange(N) // 2, N // 2 - 1)
         self.keep_rows = top is not None
-        self.path = self.rows = self.coeffs = None
+        self.path = self.coeffs = self.row_keys = self.rows = None
 
         # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
         # so that it lies in one sector; the run is evolved on that block
@@ -367,6 +360,7 @@ class _Run:
         # the pass's steps s in time order: chunk c holds end[c] - sizes[c] .. end[c] - 1,
         # and step s starts at key origin[c] + 2 stride[c] s
         end = np.cumsum(sizes)
+        solved = []     # (keys, rows) of the pass's driven points, for a later refinement
         origin = self.bounds[chunks] - 2 * stride * (end - sizes)
         pair = self.pair[chunks]
         pair_first = (end - sizes)[np.searchsorted(pair, pair)]
@@ -389,8 +383,7 @@ class _Run:
             keys = key[new_point]
 
             R, v = _stage_block(schedule, self.M, keys)
-            blocks = models.sector_hamiltonians(model, R)
-            H = blocks[self.sector]
+            H = models.sector_hamiltonians(model, R)[self.sector].astype(complex)   # (b, b, points)
             live = is_driven(schedule, R, v)
             if np.any(live):
                 if self.path is None:
@@ -402,13 +395,12 @@ class _Run:
                     k = np.flatnonzero((self.bounds >= keys[0]) & (self.bounds <= keys[-1]))
                     pos = np.searchsorted(keys, self.bounds[k])
                 else:
-                    # the step ends are the pass before's points (zero rows where undriven)
-                    ends = at[:, ::2]
-                    new[ends] = False
-                    rows[ends] = self.rows[keys[ends]]
+                    # the step ends are the pass before's points, their rows stored
+                    new[at[:, ::2]] = False
+                    old = live & ~new
+                    rows[old] = self.rows[np.searchsorted(self.row_keys, keys[old])]
                 if np.any(new):
-                    state = models.tracked_state(model, R[new], n,
-                                                 blocks=[b[new] for b in blocks])
+                    state = models.tracked_state(model, R[new], n)
                     rows[new] = self.path.values(R[new], state=state)
                     if first_pass:
                         hit = live[pos]
@@ -416,11 +408,11 @@ class _Run:
                         self.C_s[k[hit]] = state[1][idx]
                     del state   # not held through the step matrices, the block's peak
                 if self.keep_rows:
-                    self.rows[keys] = rows
+                    solved.append((keys[new], rows[new]))
                 if first_pass:
                     self.coeffs[k] = rows[pos]
-                H[live] += v[live, None, None] * matrices_from_rows(rows[live], self.drive)
-            H = H.transpose(1, 2, 0).copy()     # (b, b, stage points) from here on
+                drive = v[live, None, None] * matrices_from_rows(rows[live], self.drive)
+                H[..., live] += drive.transpose(1, 2, 0)
             h = (schedule.T_FF / self.M) * d
             fine = _cf4_step_matrices(*(H.take(at[:, o], -1) for o in (0, 1, 2)), h)
             J = chunks[c[0] : c[-1] + 1]
@@ -434,6 +426,11 @@ class _Run:
                 p = pair[c[q]]
                 span = slice(p[0], p[-1] + 1)
                 coarse[..., span] = _fold(wide, np.bincount(p - p[0]), coarse[..., span])
+        if solved:
+            # blocks share their boundary point: each key once, in increasing order
+            self.row_keys, first = np.unique(
+                np.concatenate([self.row_keys] + [k for k, _ in solved]), return_index=True)
+            self.rows = np.concatenate([self.rows] + [r for _, r in solved])[first]
 
     def _start_path(self):
         self.path = CoefficientPath(self.model, self.solution, self.n)
@@ -441,9 +438,8 @@ class _Run:
         k = len(self.path.names)
         self.coeffs = np.zeros((len(self.sizes) + 1, k))
         if self.keep_rows:
-            # one row per stage point of the finest grid; the even points of a
-            # chunk that doubles are its points before
-            self.rows = np.zeros((self.bounds[-1] + 1, k))
+            # the even points of a chunk that doubles are its points before
+            self.row_keys, self.rows = np.empty(0, dtype=np.int64), np.zeros((0, k))
 
     def trajectory(self):
         """The samples of the run at its current chunk step counts; psi advances

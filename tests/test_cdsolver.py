@@ -25,7 +25,6 @@ from spinff import cdsolver, models
 from spinff.ansatz import BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import (
     COND_MAX,
-    DENSE_RCOND,
     GROUP_TOL,
     REASONS,
     CoefficientPath,
@@ -376,15 +375,15 @@ def test_coefficient_path_selection_solve_is_the_per_point_solve(qa_model, monke
         assert np.array_equal(path.values(np.array([r]))[0], row), r
     # exactly singular systems (a zero column, a zero matrix) mid-stack: the
     # refusal names the first of them
-    columns = cdsolver._operator_columns
+    columns = CoefficientPath._columns
 
     def singular(*args):
-        M = columns(*args).copy()
-        M[2, :, 1] = 0.0
-        M[4] = 0.0
+        M = columns(*args).copy()       # (rows, coefficients, points)
+        M[:, 1, 2] = 0.0
+        M[..., 4] = 0.0
         return M
 
-    monkeypatch.setattr(cdsolver, "_operator_columns", singular)
+    monkeypatch.setattr(CoefficientPath, "_columns", singular)
     with pytest.raises(ConsistencyError, match=r"singular .* at R=7\.5$"):
         path.values(R)
 
@@ -462,6 +461,25 @@ def test_condition_number_is_the_svd_cond(m, seed, log_cond, split):
     assert np.max(np.abs(_condition_number(M) / svd - 1)) <= bound
 
 
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+def test_adjugate_solve_is_numpy_solve(m, seed, log_cond):
+    # well-conditioned complex systems, cond <= 1e3: adj(M) b / det M is the LU
+    # solve within 1e-12 cond; a repeated column makes det exactly 0, and the
+    # solve is refused (not finite), whatever the other columns
+    rng = np.random.default_rng(seed)
+    s = np.geomspace(1.0, 10 ** -log_cond, m)
+    M = _with_singular_values(rng, s, 8)
+    b = rng.normal(size=(8, m)) + 1j * rng.normal(size=(8, m))
+    ref = np.linalg.solve(M, b[..., None])[..., 0]
+    x = cdsolver._solve_square(np.moveaxis(M, (-1, -2), (0, 1)), b.T).T
+    err = np.abs(x - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.cond(M))
+    j, k = rng.choice(m, 2, replace=False)
+    M[..., k] = M[..., j]
+    x = cdsolver._solve_square(np.moveaxis(M, (-1, -2), (0, 1)), b.T)
+    assert not np.any(np.all(np.isfinite(x), axis=0))
+
+
 @pytest.mark.parametrize("s", [(1.0, 1.0, 1e-2), (1.0, 1e-2, 1e-2), (1.0, 1.0, 1e-6),
                                (1.0, 1.0, 1.0)])
 def test_condition_number_where_singular_values_coincide(s):
@@ -536,7 +554,7 @@ def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     np.testing.assert_allclose(grid.cond[moderate], svd[moderate], rtol=1e-12, atol=0)
     assert np.all(grid.cond[~moderate] > COND_MAX)
     # the filter with the SVD cond in its place keeps every reason and group
-    monkeypatch.setattr(cdsolver, "_condition_number", np.linalg.cond)
+    monkeypatch.setattr(cdsolver, "_condition_number", lambda M, U=None: np.linalg.cond(M))
     ref = enumerate_grid(config.model, R, config.state)
     for name in ("reason", "group_id", "coefficients", "max_imag", "residual"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name), err_msg=name)
@@ -631,16 +649,18 @@ def test_drb_matches_per_level_sum():
 
 
 def test_drb_uses_one_eigensolve(monkeypatch):
+    # one closed-form block eigensolve per sector, each over the one point
     calls = []
-    eigh = np.linalg.eigh
+    solve = models.block_eigh
 
-    def counting(a):
-        calls.append(a)
-        return eigh(a)
+    def counting(H):
+        calls.append(H.shape)
+        return solve(H)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    drb_counterdiabatic(ModelSpec.gen(), 7.7)
-    assert len(calls) == 1
+    monkeypatch.setattr(models, "block_eigh", counting)
+    model = ModelSpec.gen()
+    drb_counterdiabatic(model, 7.7)
+    assert calls == [(P.shape[1], P.shape[1], 1) for P in model.sectors]
 
 
 def test_drb_refuses_degenerate_levels():
@@ -675,16 +695,23 @@ def _drb_at_point(model, R):
 
 
 def _min_norm_at_point(model, R, n, basis):
-    # the minimum-norm solve at one R on the path's sector rows, and its
-    # full-row residual, as written before it took R arrays
+    # the minimum-norm solve at one R on the path's sector rows as the Gram
+    # solve x = M^T (M M^T + n n^T)^-1 r, with the rows' left null vector n
+    # where the ansatz maps the sector into itself, and its full-row residual
     R = np.array([float(R)])
     _, C, _, rhs = models.tracked_state(model, R, n)
-    rows = list(tracked_sector(model, R, C, rhs)[1])
-    C, rhs = C[0], rhs[0]
+    sector, rows = tracked_sector(model, R, C, rhs)
+    rows, C, rhs = list(rows), C[0], rhs[0]
     A = np.einsum("kab,b->ak", basis, C)[rows]
     M = np.concatenate([A.real, A.imag])
-    x = (np.linalg.pinv(M, rcond=DENSE_RCOND)
-         * np.concatenate([rhs[rows].real, rhs[rows].imag])).sum(axis=1)
+    G = M @ M.T
+    P = model.sectors[sector]
+    if all(np.abs(Q.T @ basis @ P).max() <= 1e-10 for Q in model.sectors if Q is not P):
+        w = (P != 0).sum(axis=0)
+        null = np.concatenate([-w * C[rows].imag, w * C[rows].real])
+        assert np.abs(null @ M).max() <= 1e-14
+        G += np.outer(null, null)
+    x = M.T @ np.linalg.solve(G, np.concatenate([rhs[rows].real, rhs[rows].imag]))
     return x, float(np.linalg.norm(matrices_from_rows([x], basis)[0] @ C - rhs))
 
 
@@ -724,8 +751,11 @@ def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
     assert x.shape == (len(R), len(basis)) and residual.shape == R.shape
     for k, r in enumerate(R.tolist()):
         x_k, residual_k = _min_norm_at_point(model, r, n, basis)
-        np.testing.assert_allclose(x[k], x_k, rtol=0, atol=1e-15)
-        assert abs(residual[k] - residual_k) < 1e-20
+        np.testing.assert_allclose(x[k], x_k, rtol=0, atol=1e-15 * max(1.0, np.abs(x_k).max()))
+        assert abs(residual[k] - residual_k) < 1e-15
+        # each point has the bits it has alone
+        x_1, residual_1 = _min_norm_solve(model, R[k : k + 1], n)
+        assert x_1[0].tolist() == x[k].tolist() and residual_1[0] == residual[k]
         # solve_lz and solve_dense are the one-point case
         if model.dim == 2:
             x_1, residual_1 = solve_lz(model, r, n)
@@ -752,6 +782,17 @@ def test_min_norm_path_is_the_full_row_min_norm_solve(kind, n):
         assert np.max(np.abs(x[k] - ref)) <= 1e-14 * max(1.0, np.linalg.norm(x[k])), R[k]
         residual = np.linalg.norm(matrices_from_rows([x[k]], basis)[0] @ C[k] - rhs[k])
         assert residual <= cdsolver.RESIDUAL_TOL, R[k]
+
+
+def test_min_norm_refuses_an_ill_conditioned_gram_matrix(qa_model):
+    # without their left null vector the triplet rows' Gram matrix M M^T is
+    # singular (rank 5 of 6): the minimum-norm solve refuses, naming the first R
+    path = CoefficientPath(qa_model, "dense")
+    R = np.array([2.0, 5.0])
+    path.values(R)
+    path.weights = [None] * len(path.weights)
+    with pytest.raises(ConsistencyError, match=r"Gram matrix .* at R=2\.0$"):
+        path.values(R)
 
 
 @pytest.mark.parametrize("preset, n", [(name, n) for name in ("gen", "lz", "qa", "tfim")

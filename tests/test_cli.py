@@ -258,6 +258,24 @@ def test_solve_cd_lz_schema(tmp_path):
     assert len(lines) == 4
 
 
+def test_the_run_path_runs_no_eigensolve_lu_or_svd(monkeypatch, tmp_path):
+    # the state and coefficient layers are closed forms: evolve on every preset
+    # and the minimum-norm solve-cd never reach a LAPACK eigensolve, LU or SVD
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolve, LU or SVD ran")
+
+    for name in ("eigh", "eigvalsh", "pinv", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for preset in PRESET_NAMES:
+        config = load_preset(preset)
+        traj = evolve(config.model, config.schedule, config.selection, config.state,
+                      samples=config.samples)
+        assert traj.min_fidelity >= config.fidelity_bar, preset
+    for preset in ("lz", "gen"):
+        assert main(["solve-cd", "--config", f"preset:{preset}",
+                     "--out", str(tmp_path / preset)]) == 0
+
+
 def test_verify_table_subcommand(tmp_path):
     out = tmp_path / "table"
     assert main(["verify-table", "--config", "preset:qa", "--grid", "4",

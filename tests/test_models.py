@@ -212,7 +212,7 @@ def test_analytic_matches_numeric_everywhere():
     for name, (model, (lo, hi)) in ALL_MODELS.items():
         for R in np.linspace(lo, hi, 11):
             w = eigensystem(model, float(R))[0]
-            vals = analytic_eigenvalues(model, float(R), numeric=w)
+            vals = analytic_eigenvalues(model, float(R))
             scale = max(1.0, np.max(np.abs(w)))
             assert np.max(np.abs(vals - w)) / scale < 1e-10, name
 
@@ -225,6 +225,25 @@ def test_analytic_eigenvalues_over_R_array_match_pointwise():
         for k, r in enumerate(R):
             np.testing.assert_allclose(vals[k], analytic_eigenvalues(model, float(r)),
                                        rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def _moving_a_level(monkeypatch, model, level, size, scale):
+    """Make ``block_eigh`` return level ``level`` (counted over the sectors in order)
+    moved by size * scale, scale one per point."""
+    widths = np.cumsum([P.shape[1] for P in model.sectors])
+    sector = int(np.searchsorted(widths, level % model.dim, "right"))
+    index = level % model.dim - (widths[sector - 1] if sector else 0)
+    solve, calls = models.block_eigh, []
+
+    def moved(H):
+        w, V = solve(H)
+        if len(calls) % len(model.sectors) == sector:
+            w = w.copy()
+            w[index] += size * scale
+        calls.append(len(H))
+        return w, V
+
+    monkeypatch.setattr(models, "block_eigh", moved)
 
 
 def test_analytic_eigenvalues_run_no_eigensolve(monkeypatch):
@@ -241,9 +260,13 @@ def test_analytic_eigenvalues_run_no_eigensolve(monkeypatch):
         scale = np.maximum(1.0, np.abs(numeric[name]).max(axis=1, keepdims=True))
         assert np.max(np.abs(vals - numeric[name]) / scale) < 1e-10, name
         assert analytic_eigenvalues(model, lo).shape == (model.dim,)
-        # a spectrum handed in is still checked
-        with pytest.raises(ConsistencyError):
-            analytic_eigenvalues(model, lo, numeric=numeric[name][0] + 1e-3)
+        # the state layer's eigenpairs run no eigensolve either, and are still
+        # checked: one level moved by 1e-3 is refused
+        eigensystem_batch(model, [lo])
+        with monkeypatch.context() as patch:
+            _moving_a_level(patch, model, 0, 1e-3, 1.0)
+            with pytest.raises(ConsistencyError, match="do not solve its Hamiltonian"):
+                eigensystem_batch(model, [lo])
 
 
 def test_tracked_state_takes_one_anchor_per_point(qa_model):
@@ -494,18 +517,68 @@ def test_closed_form_spectrum_of_random_affine_couplings(model, R, level):
     assert np.all(err <= 1e-7)
     apart = np.diff(ref, axis=1).min(axis=1) > 1e-3 * scale
     assert np.all(err[apart] <= 1e-12)
-    # the check reads the characteristic polynomial: it accepts the dense
-    # spectrum at a double root, and refuses one level moved by 1e-6 scale
-    analytic_eigenvalues(model, R, numeric=ref)
-    moved = ref.copy()
-    moved[:, level % model.dim] += 1e-6 * scale
+    # the eigen-residual check accepts the state layer's eigenpairs at a double
+    # root, and refuses them with one level moved by 1e-6 scale, point by point
+    w, V = eigensystem_batch(model, R)
+    assert np.all(np.abs(w - ref).max(axis=1) <= 1e-12 * scale)
     for k in range(len(R)):
-        with pytest.raises(ConsistencyError):
-            analytic_eigenvalues(model, R[k], numeric=moved[k])
+        with pytest.MonkeyPatch.context() as patch:
+            _moving_a_level(patch, model, level, 1e-6, scale[k])
+            with pytest.raises(ConsistencyError, match="do not solve its Hamiltonian"):
+                eigensystem_batch(model, R[k : k + 1])
     # couplings of 1e-131, where the cube of Smith's p underflows
     tiny = _scaled(model, 1e-131)
-    vals = analytic_eigenvalues(tiny, R, numeric=np.linalg.eigvalsh(hamiltonian(tiny, R)))
+    vals = analytic_eigenvalues(tiny, R)
     assert np.all(np.isfinite(vals))
+    w, V = eigensystem_batch(tiny, R)
+    assert np.all(np.isfinite(V)) and np.all(np.abs(w - vals) <= 1e-12)
+
+
+# planted spectra: generic, near-double (gaps down to 1e-16), double, triple,
+# and gaps just below and above GAP_MIN
+_PLANTED = st.sampled_from([None, 1e-16, 1e-12, 1e-9, 0.0, "triple", 0.5e-8, 2e-8])
+
+
+@given(st.sampled_from([2, 3]), st.booleans(), _PLANTED, st.integers(0, 2**32 - 1),
+       st.floats(0.1, 10.0), st.integers(1, 4))
+def test_block_eigensolver_is_numpy_eigh(b, complex_, planted, seed, size, count):
+    # Q diag(E) Q^H with random Q and energies in [-size, size], one planted pair
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(count, b, b)) + (1j * rng.normal(size=(count, b, b)) if complex_ else 0)
+    Q = np.linalg.qr(Z)[0]
+    E = rng.uniform(-size, size, (count, b))
+    if planted == "triple":
+        E[:] = E[:, :1]
+    elif planted in (0.5e-8, 2e-8):
+        E[:, 1] = E[:, 0] + planted
+    elif planted is not None:
+        E[:, 1] = E[:, 0] + planted * size
+    H = (Q * E[:, None, :]) @ np.conj(np.swapaxes(Q, 1, 2))
+    H = (H + np.conj(np.swapaxes(H, 1, 2))) / 2
+    w_ref, V_ref = np.linalg.eigh(H)
+    w, V = models.block_eigh(np.ascontiguousarray(H.transpose(1, 2, 0)))
+    order = np.argsort(w, axis=0, kind="stable")
+    w, V = np.take_along_axis(w, order, 0).T, np.take_along_axis(V, order[None], 1).transpose(2, 0, 1)
+    scale = np.maximum(1.0, np.abs(w_ref).max(axis=1))
+    assert np.all(np.abs(w - w_ref).max(axis=1) <= 1e-12 * scale)
+    # orthonormal, and the same vectors up to a phase wherever a level is apart
+    gram = np.conj(np.swapaxes(V, 1, 2)) @ V
+    assert np.abs(gram - np.eye(b)).max() <= 1e-13
+    other = ~np.eye(b, dtype=bool)
+    gap = np.where(other, np.abs(w_ref[:, :, None] - w_ref[:, None, :]), np.inf).min(axis=2)
+    overlap = np.abs(np.einsum("kam,kam->km", np.conj(V_ref), V))
+    apart = gap > 1e-6 * scale[:, None]
+    assert np.all(np.abs(overlap[apart] - 1.0) <= 1e-12)
+    # a planted gap of 0.5e-8 is refused below GAP_MIN, one of 2e-8 is not, as by eigh
+    if planted in (0.5e-8, 2e-8):
+        refused = np.diff(w, axis=1).min(axis=1) < models.GAP_MIN
+        assert np.array_equal(refused, np.diff(w_ref, axis=1).min(axis=1) < models.GAP_MIN)
+        assert np.all(refused == (planted < models.GAP_MIN))
+    # each block has the bits it has alone
+    for k in range(count):
+        w_k, V_k = models.block_eigh(np.ascontiguousarray(H[k : k + 1].transpose(1, 2, 0)))
+        assert np.array_equal(w_k[order[:, k], 0], w[k])
+        assert np.array_equal(V_k[:, order[:, k], 0], V[k])
 
 
 def test_tracked_state_follows_its_level_across_the_sectors():

@@ -232,26 +232,36 @@ def test_refused_pass_is_never_kept(qa_model, qa_schedule, monkeypatch):
 
 
 def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
-    # what the refinement rounds reuse: per stage point of the finest grid a
-    # coefficient row, per chunk one transfer matrix, per sample its states
+    # what the refinement rounds reuse: the coefficient row of every driven
+    # stage point solved so far, by key; per chunk one transfer matrix; per
+    # sample its states
     samples, top = 500, 4
     run = propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.ones(samples, dtype=int), top)
+    R, v = propagator._stage_block(qa_schedule, run.M, np.arange(run.bounds[-1] + 1))
+    driven = np.flatnonzero(cdsolver.is_driven(qa_schedule, R, v))
+    path = cdsolver.CoefficientPath(qa_model, QA_SEL, 0)
 
     def shapes():
         return {name: np.shape(value) for name, value in vars(run).items()
                 if isinstance(value, np.ndarray)}
 
     before = shapes()
-    assert before["rows"] == (2 * samples * top + 1, len(QA_SEL))
     # one b x b matrix per chunk, b = 3 for the triplet block of the qa ground state
     assert sorted(before["G"]) == [3, 3, samples]
     assert before["C_s"] == (samples + 1, 4)
-    # nothing but the rows is sized by the stage grid
-    assert [name for name, shape in before.items() if max(shape) > samples + 1] == ["rows"]
-    for _ in range(2):
-        run.refine(np.arange(samples // 2))
+    # nothing but the stored rows is sized by the stage grid
+    assert sorted(name for name, shape in before.items()
+                  if max(shape) > samples + 1) == ["row_keys", "rows"]
+    # each pass adds the driven points it solved: the first every 4th point of
+    # the finest grid, each doubling round the midpoints between them
+    for stride in (4, 2, 1):
+        if stride < 4:
+            run.refine(np.arange(samples // 2))
+        assert np.array_equal(run.row_keys, driven[driven % stride == 0])
+        assert np.array_equal(run.rows, path.values(R[run.row_keys]))
     assert np.all(run.sizes == top)
-    assert shapes() == before
+    assert {name: shape for name, shape in shapes().items() if name not in ("row_keys", "rows")} \
+        == {name: shape for name, shape in before.items() if name not in ("row_keys", "rows")}
     # a run on one uniform grid, and so every run at an explicit dt, keeps no rows
     assert propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.full(samples, 2)).rows is None
 
