@@ -15,7 +15,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -101,7 +100,8 @@ def _umask():
 
 
 # mkstemp creates its file 0600; artifacts get the mode open() would give.
-# Read once: the run thread pool writes from several threads.
+# Read once at import: reading the umask sets it to 0 for a moment, and a file
+# another thread of the process created in that moment would get mode 0666.
 _FILE_MODE = 0o666 & ~_umask()
 
 
@@ -561,6 +561,23 @@ def _run_configs(args):
     return configs
 
 
+def _run_all(configs):
+    """Run every job on this thread, in config order.
+
+    A job that raises stops no other job; afterwards the first error in
+    config order is re-raised, else the largest exit code is returned.
+    """
+    codes, errors = [], []
+    for config in configs:
+        try:
+            codes.append(run_job(config))
+        except Exception as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return max(codes)
+
+
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -598,12 +615,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            configs = _run_configs(args)
-            if len(configs) == 1:
-                return run_job(configs[0])
-            with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-                codes = list(pool.map(run_job, configs))
-            return max(codes)
+            return _run_all(_run_configs(args))
         if args.command == "solve-cd":
             return solve_cd_job(_load(args.config, _overrides(args)))
         if args.command == "enumerate":

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from importlib import resources
 
@@ -48,6 +49,16 @@ selection: [W2, By, Bz]
 dt: 1.0e-4
 samples: 250
 out: {out}
+"""
+
+# a gen config whose default selection is refused (exit 3)
+REFUSED_GEN_CONFIG = """\
+model:
+  kind: gen
+  constants: {J: 8.0, Bx: 1.0, By: 1.0}
+  schedule_map:
+    Bz: {offset: 25.0, slope: -1.0}
+schedule: {R0: 0.0, v_bar: 250.0, T_FF: 0.1}
 """
 
 
@@ -189,6 +200,43 @@ def test_run_multiple_configs_share_out_by_basename(tmp_path):
         assert (shared / name / "summary.json").exists()
         assert (shared / name / "trajectory.csv").exists()
     assert not (shared / "summary.json").exists()
+
+
+@pytest.mark.parametrize("gen_first", [True, False], ids=["gen-lz", "lz-gen"])
+def test_run_runs_every_job_and_exits_with_the_first_error(gen_first, tmp_path, capsys):
+    # a job that raises stops no other job; its error, the first in config
+    # order, gives the exit code
+    cfg = tmp_path / "gen.yaml"
+    cfg.write_text(REFUSED_GEN_CONFIG)
+    configs = [str(cfg), "preset:lz"] if gen_first else ["preset:lz", str(cfg)]
+    shared = tmp_path / "shared"
+    assert main(["run", "--config", *configs, "--out", str(shared)]) == 3
+    assert "consider selection: dense" in capsys.readouterr().err
+    for name in ("trajectory.csv", "coefficients.csv", "summary.json"):
+        assert (shared / "lz" / name).is_file(), name
+    assert not (shared / "out").exists()
+
+
+def test_run_of_two_configs_is_the_two_runs(tmp_path, monkeypatch):
+    for preset in ("lz", "tfim"):
+        assert main(["run", "--config", f"preset:{preset}",
+                     "--out", str(tmp_path / "one" / preset)]) == 0
+
+    def no_threads(self):
+        raise AssertionError("run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    assert main(["run", "--config", "preset:lz", "preset:tfim",
+                 "--out", str(tmp_path / "both")]) == 0
+    for preset in ("lz", "tfim"):
+        one, both = tmp_path / "one" / preset, tmp_path / "both" / preset
+        assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in both.iterdir())
+        for name in ("trajectory.csv", "coefficients.csv"):
+            assert (one / name).read_bytes() == (both / name).read_bytes(), (preset, name)
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (one, both)]
+        for summary in summaries:
+            del summary["runtime_s"]
+        assert summaries[0] == summaries[1], preset
 
 
 def test_run_refuses_jobs_sharing_an_output_directory(tmp_path, capsys):
@@ -344,9 +392,7 @@ def test_default_selection_is_the_first_accepted_at_mid_R(preset, expected):
 
 def test_default_selection_of_gen_is_refused(tmp_path, capsys):
     cfg = tmp_path / "gen.yaml"
-    cfg.write_text("model:\n  kind: gen\n  constants: {J: 8.0, Bx: 1.0, By: 1.0}\n"
-                   "  schedule_map:\n    Bz: {offset: 25.0, slope: -1.0}\n"
-                   "schedule: {R0: 0.0, v_bar: 250.0, T_FF: 0.1}\n")
+    cfg.write_text(REFUSED_GEN_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "consider selection: dense" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
