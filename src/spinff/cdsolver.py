@@ -5,10 +5,11 @@ The defining linear problem for the tracked eigenvector C(R) reads
     Htilde C = i dC/dR - i (C^dag dC/dR) C        (hbar = 1)
 
 with Htilde restricted to the nine-coefficient ansatz.  C, dC/dR and
-the right-hand side are the four amplitudes of ``models.tracked_state``;
-``tracked_sector`` keeps the rows that fix a vector of their symmetry
-sector (triplet: rows 1, 2, 4, as C2 = C3; tfim's flip-even block: rows 1,
-2, as also C1 = C4).  A *selection* picks which ansatz coefficients stay
+the right-hand side are the four amplitudes of ``models.tracked_state`` of
+a level (s, j), vectors of sector s by construction; the reduced systems
+keep the rows that fix a vector of that sector, ``ModelSpec.sector_rows``
+(triplet: rows 1, 2, 4, as C2 = C3; tfim's flip-even block: rows 1, 2, as
+also C1 = C4).  A *selection* picks which ansatz coefficients stay
 free (the rest pinned to zero) so the reduced system becomes square.
 Solutions are accepted only when the reduced matrix is regular and every
 solved coefficient is real; the survivors cluster into degenerate groups.
@@ -24,7 +25,8 @@ entanglement-generation model.  The two-level model is the same problem
 over the basis (sz, sx, -sy).
 
 Every state and right-hand side comes from ``models.tracked_state`` and
-every system from ``_operator_columns`` on ``tracked_sector``'s rows.
+every system from ``_operator_columns`` on its sector's rows.  A function
+that takes a level n names it once, by ``models.level``; the rest take (s, j).
 ``CoefficientPath``, what ``evolve`` drives with, solves along R
 unfiltered: a selection's square systems, or the one minimum-norm solve,
 ``_min_norm`` (the Gram solve x = M^T (M M^T + n n^T)^-1 r of the stacked
@@ -78,7 +80,7 @@ class ReducedSystem:
     unknown_names: tuple
     state_vector: np.ndarray         # full C, for residual recomputation
     rhs_full: np.ndarray             # full 4-component right-hand side
-    rows: tuple                      # the reduced rows of ``tracked_sector``
+    rows: tuple                      # the reduced rows of the state's sector
 
 
 @dataclass(frozen=True)
@@ -242,33 +244,11 @@ def _square_indices(model, selections, rows):
     return np.array([_selection_indices(sel) for sel in selections])
 
 
-def tracked_sector(model, R, C, rhs):
-    """(sector, rows) of the tracked states C and right-hand sides rhs (N, dim) over the 1-d R.
-
-    ``sector`` indexes ``model.sectors``, the one holding C[0]; more than SYMMETRY_TOL of a
-    state or right-hand side outside it raises ConsistencyError naming the first such R.
-    ``rows`` holds each sector column's first nonzero amplitude: they fix a sector vector.
-    """
-    sector = int(np.argmax([np.abs(C[0] @ P).max() for P in model.sectors]))
-    P = model.sectors[sector]
-    # the other sectors' columns complete P: the part outside is their components;
-    # the states, then the right-hand sides
-    outside = np.sqrt(np.concatenate([
-        sum((models._sq(models._apply(Q.T, X.T)).sum(axis=0) for Q in model.sectors
-             if Q is not P), np.zeros(len(X))) for X in (C, rhs)]))
-    if np.any(outside > SYMMETRY_TOL):
-        k = int(np.argmax(outside > SYMMETRY_TOL))
-        label = "state" if k < len(C) else "right-hand side"
-        raise ConsistencyError(f"{label} leaves symmetry sector {sector} at R={R[k % len(C)]}: "
-                               f"{outside[k]:.3e} outside")
-    return sector, tuple((P != 0).argmax(axis=0).tolist())
-
-
 def reduce_system(model, R, n, selection):
-    """Square reduced system for the selected free coefficients, on ``tracked_sector``'s rows."""
-    R = np.array([float(R)])
-    _, C, _, rhs = models.tracked_state(model, R, n)
-    _, rows = tracked_sector(model, R, C, rhs)
+    """Square reduced system for the selected free coefficients of state n at R."""
+    level = models.level(model, R, n)
+    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), level)
+    rows = model.sector_rows[level[0]]
     (idx,) = _square_indices(model, [selection], rows)
     return ReducedSystem(_operator_columns(BASIS[idx], C[0], rows), rhs[0, list(rows)],
                          tuple(selection), C[0], rhs[0], rows)
@@ -344,8 +324,8 @@ def admissible_selections(model):
 
 
 def enumerate_solutions(model, R, n=0):
-    """``enumerate_grid`` at the one point R: a one-point GridEnumeration."""
-    return enumerate_grid(model, [R], n)
+    """``enumerate_grid`` of state n at the one point R: a one-point GridEnumeration."""
+    return enumerate_grid(model, [R], models.level(model, R, n))
 
 
 def enumeration_grid(schedule, count):
@@ -388,23 +368,23 @@ class GridEnumeration:
         return bool(np.all(self.group_id == self.group_id[:1]))
 
 
-def solve_grid(model, R_values, selections, n=0):
+def solve_grid(model, R_values, selections, level=(0, 0)):
     """Every selection at every point of an R grid, unclustered (group ids -1).
 
-    One ``tracked_state`` call covers the grid and one ``_accept`` call
-    every (R, selection) pair.
+    One ``tracked_state`` call of ``level`` (s, j) covers the grid and one
+    ``_accept`` call every (R, selection) pair.
     """
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
-    _, C, dC, rhs = models.tracked_state(model, R, n)
-    _, rows = tracked_sector(model, R, C, rhs)
+    _, C, dC, rhs = models.tracked_state(model, R, level)
+    rows = model.sector_rows[level[0]]
     arrays = _accept(_square_indices(model, selections, rows), C, rhs, rows)
     return GridEnumeration(R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
 
 
-def enumerate_grid(model, R_values, n=0):
-    """Every admissible selection at every point of an R grid, clustered."""
-    grid = solve_grid(model, R_values, admissible_selections(model), n)
+def enumerate_grid(model, R_values, level=(0, 0)):
+    """Every admissible selection at every point of an R grid, clustered (``solve_grid``)."""
+    grid = solve_grid(model, R_values, admissible_selections(model), level)
     return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0))
 
 
@@ -445,19 +425,19 @@ def solve_dense(model, R, n=0):
     """
     if model.dim != 4:
         raise ConfigError("dense ansatz solutions exist for two-spin models only")
-    (x,), (residual,) = _min_norm_solve(model, [float(R)], n)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], models.level(model, R, n))
     return x, residual
 
 
-def _min_norm_solve(model, R, n=0):
+def _min_norm_solve(model, R, level=(0, 0)):
     """``CoefficientPath``'s minimum-norm values (N, k) over a 1-d R, and their residuals (N,).
 
     The residual takes all of the model's rows, not only the sector's
     reduced ones; ``solve_dense`` and ``solve_lz`` are the one-point case.
     Refuses, naming the first R, a residual above RESIDUAL_TOL.
     """
-    _, C, _, rhs = state = models.tracked_state(model, R, n)
-    path = CoefficientPath(model, None, n)
+    _, C, _, rhs = state = models.tracked_state(model, R, level)
+    path = CoefficientPath(model, None, level)
     x = path.values(R, state=state)
     residual = np.linalg.norm((matrices_from_rows(x, path.basis) @ C[..., None])[..., 0] - rhs,
                               axis=-1)
@@ -475,7 +455,7 @@ def solve_lz(model, R, n=1):
     """(H11, Re H12, Im H12) of the two-level term at R (either state), and the residual."""
     if model.dim != 2:
         raise ConfigError("solve_lz applies to the two-level model")
-    (x,), (residual,) = _min_norm_solve(model, [float(R)], n)
+    (x,), (residual,) = _min_norm_solve(model, [float(R)], models.level(model, R, n))
     return x, residual
 
 
@@ -486,27 +466,33 @@ def drb_counterdiabatic(model, R):
     """State-independent counter-diabatic operator (per unit velocity).
 
     i * sum_n (|dn><n| - |n><n|dn><n|), gauge independent, so one
-    eigensolve per point gives it through the spectral formula: its
-    eigenbasis elements are i <m|dH/dR|n> / (E_n - E_m) off the diagonal
-    and zero on it.  R is a scalar or an array, and the result is shaped
-    like ``models.hamiltonian``'s.  Refuses any level pair closer than
-    GAP_MIN, and checks that the diagonal in the eigenbasis vanishes; both
-    errors name the first offending R.
+    eigensolve per point and sector gives it through the spectral formula.
+    dH/dR couples no two sectors, so it is a sum over the sectors: in the
+    eigenbasis of each block its elements are i <m|dH/dR|n> / (E_n - E_m)
+    off the diagonal and zero on it.  R is a scalar or an array, and the
+    result is shaped like ``models.hamiltonian``'s.  Refuses two levels of
+    one sector closer than GAP_MIN, and checks that the diagonal in the
+    eigenbasis vanishes; both errors name the first offending R.
     """
     flat = np.ravel(np.asarray(R, dtype=float))
-    w, V = models._eigh_model(model, flat)
+    solved = [models._sector_eigh(model, flat, s) for s in range(len(model.sectors))]
+    w = np.concatenate([w for w, _ in solved]).T                  # (N, dim), sector by sector
+    V = np.concatenate([models._apply(P, V) for P, (_, V) in zip(model.sectors, solved)],
+                       axis=1).transpose(2, 0, 1)                 # V[:, :, m] = P v of level m
+    sector = np.repeat(np.arange(len(solved)), [len(w) for w, _ in solved])
+    # two distinct levels of one sector: the only pairs the operator couples
+    in_sector = (sector[:, None] == sector) & ~np.eye(model.dim, dtype=bool)
     denom = w[:, None, :] - w[:, :, None]           # E_n - E_m at [k, m, n]
-    diagonal = np.eye(model.dim, dtype=bool)
-    gap = np.abs(denom[:, ~diagonal]).min(axis=1)
+    gap = np.abs(denom[:, in_sector]).min(axis=1, initial=np.inf)
     if np.any(gap < models.GAP_MIN):
         k = int(np.argmax(gap < models.GAP_MIN))
         raise DegeneracyError(
             f"eigenvalue gap {gap[k]:.3e} at R={flat[k]} is below GAP_MIN={models.GAP_MIN:.1e}"
         )
-    denom[:, diagonal] = 1.0
+    denom[:, ~in_sector] = 1.0
     Vh = np.conj(np.swapaxes(V, -1, -2))
     K = 1j * (Vh @ model.slope_matrix @ V) / denom
-    K[:, diagonal] = 0.0
+    K[:, ~in_sector] = 0.0
     H = V @ K @ Vh
     H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
     diag = np.abs(np.einsum("kam,kab,kbm->km", np.conj(V), H, V))   # |<n|H|n>|
@@ -514,7 +500,7 @@ def drb_counterdiabatic(model, R):
         k, n = np.unravel_index(np.argmax(diag > DRB_DIAG_TOL), diag.shape)
         raise ConsistencyError(
             f"counter-diabatic operator has diagonal element {diag[k, n]:.3e} "
-            f"in eigenbasis (state {n}) at R={flat[k]}"
+            f"in eigenbasis at R={flat[k]}"
         )
     return H.reshape(np.shape(R) + H.shape[1:])
 
@@ -528,13 +514,15 @@ class CoefficientPath:
     ``selection`` is a tuple of ansatz names, or None or "dense" for the
     minimum-norm member over the model's ansatz: the nine two-spin
     operators, or (sz, sx, -sy) for the two-level model, which takes no
-    selection but None (ConfigError).  Evaluation is vectorized over arrays
-    of R values; no accept/reject filtering happens here (the selection is
-    validated once, where it is chosen).
+    selection but None (ConfigError).  ``level`` (s, j) is the tracked
+    level, level j of sector s (default: level 0 of sector 0, the ground
+    state of every model kind); the systems keep sector s's rows, and a
+    selection must square them (ConfigError).  Evaluation is vectorized
+    over arrays of R values; no accept/reject filtering happens here.
     """
 
-    def __init__(self, model, selection=None, n=0):
-        self.model, self.n = model, n
+    def __init__(self, model, selection=None, level=(0, 0)):
+        self.model, self.level = model, level
         if model.dim == 2 and selection is not None:
             raise ConfigError(f"the two-level model takes no selection, got {selection}")
         if selection is None or selection == "dense":
@@ -545,37 +533,41 @@ class CoefficientPath:
             self.mode = "selection"
             self.names = canonical_selection(selection)
             self.basis = BASIS[_selection_indices(self.names)]
-        # per sector P, where the ansatz maps it into itself (Q^T B P = 0 for the other
-        # sectors Q): the amplitudes each reduced row stands for, which weight the left
-        # null vector of the minimum-norm rows, as Im <C|Htilde|C> = 0; else None
-        self.weights = [
-            (P != 0).sum(axis=0) if all(np.abs(Q.T @ self.basis @ P).max() <= SYMMETRY_TOL
-                                        for Q in model.sectors if Q is not P) else None
-            for P in model.sectors]
-        self._terms = {}    # the nonzero basis entries on each sector's rows (``_columns``)
+        P = model.sectors[level[0]]
+        self.rows = model.sector_rows[level[0]]
+        if self.mode == "selection":
+            _square_indices(model, [self.names], self.rows)
+        # where the ansatz maps the sector into itself (Q^T B P = 0 for the other sectors
+        # Q): the amplitudes each reduced row stands for, which weight the left null
+        # vector of the minimum-norm rows, as Im <C|Htilde|C> = 0; else None
+        self.weights = ((P != 0).sum(axis=0) if all(np.abs(Q.T @ self.basis @ P).max()
+                        <= SYMMETRY_TOL for Q in model.sectors if Q is not P) else None)
+        # the nonzero basis entries on the sector's rows (``_columns``)
+        T = self.basis[:, list(self.rows)]                   # (k, m, dim)
+        self._terms = [(r, k, [(d, T[k, r, d]) for d in np.flatnonzero(T[k, r])])
+                       for r in range(len(self.rows)) for k in range(len(T))]
 
     def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
 
-        ``state`` optionally holds ``models.tracked_state`` of state n at
+        ``state`` optionally holds ``models.tracked_state`` of the level at
         R_array, computed by the caller.  Raises ConsistencyError at the
-        first R where a state leaves its sector (``tracked_sector``), the
-        reduced system is exactly singular (det = 0), the minimum-norm Gram
-        matrix exceeds GRAM_COND_MAX or a coefficient is not finite.
+        first R where the reduced system is exactly singular (det = 0), the
+        minimum-norm Gram matrix exceeds GRAM_COND_MAX or a coefficient is
+        not finite.
         """
         R_array = np.asarray(R_array, dtype=float)
         if state is None:
-            state = models.tracked_state(self.model, R_array, self.n)
+            state = models.tracked_state(self.model, R_array, self.level)
         _, C, _, rhs = state
-        sector, rows = tracked_sector(self.model, R_array, C, rhs)
-        Cr, b = C.T[list(rows)], rhs.T[list(rows)]
-        M = self._columns(C.T, rows)
+        Cr, b = C.T[list(self.rows)], rhs.T[list(self.rows)]
+        M = self._columns(C.T)
         # the minimum-norm solve takes the reduced rows too; on tfim's flip-even
         # block it leaves the flip-odd coefficients at 0 to rounding
         if self.mode == "dense":
             null = None
-            if self.weights[sector] is not None:
-                w = self.weights[sector][:, None]
+            if self.weights is not None:
+                w = self.weights[:, None]
                 null = np.concatenate([-w * Cr.imag, w * Cr.real])
             x, cond = _min_norm(M, b, null)
             bad = ~(cond <= GRAM_COND_MAX)
@@ -585,7 +577,6 @@ class CoefficientPath:
                     f"minimum-norm Gram matrix has cond >= {cond[k]:.3e} (GRAM_COND_MAX="
                     f"{GRAM_COND_MAX:.0e}) at R={float(R_array[k])!r}")
         else:
-            _square_indices(self.model, [self.names], rows)
             x = _solve_square(np.swapaxes(M, 0, 1), b).real
         bad = ~np.all(np.isfinite(x), axis=0)
         if np.any(bad):
@@ -595,18 +586,14 @@ class CoefficientPath:
             )
         return x.T
 
-    def _columns(self, C, rows):
-        """(len(rows), k, N) reduced systems (basis_k C)[rows] of the states C (dim, N).
+    def _columns(self, C):
+        """(rows, k, N) reduced systems (basis_k C)[rows] of the states C (dim, N).
 
         Each entry adds the products of its nonzero basis entries with C in the
         order of the amplitudes, one component array at a time, in component layout.
         """
-        if rows not in self._terms:
-            T = self.basis[:, list(rows)]                   # (k, m, dim)
-            self._terms[rows] = [(r, k, [(d, T[k, r, d]) for d in np.flatnonzero(T[k, r])])
-                                 for r in range(len(rows)) for k in range(len(T))]
-        M = np.empty((len(rows), len(self.basis), C.shape[1]), dtype=complex)
-        for r, k, entry in self._terms[rows]:
+        M = np.empty((len(self.rows), len(self.basis), C.shape[1]), dtype=complex)
+        for r, k, entry in self._terms:
             if entry:
                 (d, value), *rest = entry
                 M[r, k] = value * C[d]
@@ -632,18 +619,18 @@ def is_driven(schedule, R, v):
 
 
 def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
-    """H0 at the advanced parameter plus velocity times the regularization.
+    """H0 at the advanced parameter plus velocity times the regularization of state n.
 
-    t is a scalar or an array, and the result is shaped like
-    ``models.hamiltonian``'s.  Exactly H0 wherever the point is not driven
-    (both protocol endpoints), which also sidesteps the coefficient
-    singularities that can sit there.
+    State n is named at R0 (``models.level``).  t is a scalar or an array,
+    and the result is shaped like ``models.hamiltonian``'s.  Exactly H0
+    wherever the point is not driven (both protocol endpoints), which also
+    sidesteps the coefficient singularities that can sit there.
     """
     t = np.asarray(t, dtype=float)
     R, v = advanced_parameter(schedule, t.ravel()), velocity(schedule, t.ravel())
     H = models.hamiltonian(model, R)
     live = is_driven(schedule, R, v)
     if np.any(live):
-        path = CoefficientPath(model, solution, n)
+        path = CoefficientPath(model, solution, models.level(model, schedule.R0, n))
         H[live] += v[live, None, None] * path.matrices(R[live])
     return H.reshape(t.shape + H.shape[1:])

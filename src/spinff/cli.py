@@ -30,7 +30,6 @@ from .cdsolver import (
     enumerate_grid,
     enumeration_grid,
     solve_grid,
-    tracked_sector,
 )
 from .config import load_config, load_preset
 from .errors import ConfigError, SpinFFError
@@ -157,6 +156,11 @@ def _mid_R(config):
     return config.schedule.R0 + 0.5 * config.schedule.v_bar * config.schedule.T_FF
 
 
+def _level(config):
+    """The configured state's level (s, j), named at R0 (``models.level``)."""
+    return models.level(config.model, config.schedule.R0, config.state)
+
+
 def resolve_selection(config):
     """The configured selection, validated; or the enumeration default.
 
@@ -170,21 +174,21 @@ def resolve_selection(config):
     if model.dim == 2:
         CoefficientPath(model, config.selection)   # refuses any selection
         return None
+    level = _level(config)
     if config.selection == "dense":
-        _min_norm_solve(model, R, config.state)
+        _min_norm_solve(model, R, level)
         return "dense"
     chosen = config.selection is not None
     if chosen:
         selections = [config.selection]
     else:
-        _, C, _, rhs = models.tracked_state(model, np.array(R), config.state)
-        rows = tracked_sector(model, R, C, rhs)[1]
+        rows = model.sector_rows[level[0]]
         selections = [sel for sel in admissible_selections(model) if len(sel) == len(rows)]
         if not selections:
             raise ConfigError("no selection configured, and no admissible selection has the "
                               f"{len(rows)} coefficient(s) the tracked state's reduced system "
                               "needs; configure one (selection: dense takes any row count)")
-    grid = solve_grid(model, R, selections, config.state)
+    grid = solve_grid(model, R, selections, level)
     reason = grid.reason[0]
     if np.any(reason == 0):
         return grid.selections[int(np.argmax(reason == 0))]
@@ -292,19 +296,19 @@ def solve_cd_job(config):
     header, rows = _SELECTION_HEADER, []
     if selection is None:  # the two-level model
         header = ["R", "h11", "re_h12", "im_h12", "residual"]
-        x, residual = _min_norm_solve(config.model, R_values, config.state)
+        x, residual = _min_norm_solve(config.model, R_values, _level(config))
         rows = _float_rows(np.column_stack([R_values, x, residual]))
     elif selection == "dense":
-        x, residual = _min_norm_solve(config.model, R_values, config.state)
+        x, residual = _min_norm_solve(config.model, R_values, _level(config))
         numbers = _float_rows(np.column_stack([x, residual, np.full((len(x), 2), np.nan)]))
         rows = [f"{R!r},dense,1,,{line},-1" for R, line in zip(R_values.tolist(), numbers)]
     elif selection in admissible_selections(config.model):
         # the selection's rows of one enumeration of the whole grid
-        grid = enumerate_grid(config.model, R_values, config.state)
+        grid = enumerate_grid(config.model, R_values, _level(config))
         rows = _selection_rows(grid, [grid.selections.index(selection)])
     else:
         # accepted, but outside the enumeration: solved alone, unclustered
-        grid = solve_grid(config.model, R_values, [selection], config.state)
+        grid = solve_grid(config.model, R_values, [selection], _level(config))
         rows = _selection_rows(grid, [0])
     write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
     return EXIT_OK
@@ -314,7 +318,7 @@ def enumerate_job(config):
     if config.model.dim == 2:
         raise ConfigError("enumeration applies to the two-spin models")
     R_values = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R_values, config.state)
+    grid = enumerate_grid(config.model, R_values, _level(config))
     rows = _selection_rows(grid, range(len(grid.selections)))
     write_csv(os.path.join(config.out, "enumerate.csv"), _SELECTION_HEADER, rows)
     summary = _config_payload(config)
@@ -334,7 +338,7 @@ def verify_table_job(config):
     if config.model.kind != "qa":
         raise ConfigError("verify-table applies to the annealing model")
     R_values = enumeration_grid(config.schedule, config.grid)
-    verification = tables.verify_table(config.model, R_values, config.state)
+    verification = tables.verify_table(config.model, R_values, _level(config))
     header = ["entry", "frame", "pair", "max_residual", "max_solver_gap",
               "max_vanishing", "group_id", "passed"]
     entries = verification.entries
@@ -378,13 +382,13 @@ def _checks():
     # the coefficient checks read CoefficientPath, what evolve drives with; the
     # enumeration checks read the census
     def lz_closed_form():
-        x = CoefficientPath(lz.model, None, 1).values(lz_R)
+        x = CoefficientPath(lz.model, None, (0, 1)).values(lz_R)
         closed = tables.lz_h12_imag(lz.model, lz_R)
         return _max_error([x[:, 2] - closed, x[:, 1], x[:, 0]], 1e-10)
 
     def lz_drb_equality():
         H = drb_counterdiabatic(lz.model, lz_R)
-        return _max_error(H - CoefficientPath(lz.model, None, 1).matrices(lz_R), 1e-10)
+        return _max_error(H - CoefficientPath(lz.model, None, (0, 1)).matrices(lz_R), 1e-10)
 
     def tfim_closed_form():
         path = CoefficientPath(tfim.model, ("J3", "W2"))
@@ -438,7 +442,7 @@ def _checks():
         # one batch of five grid points and the mid-excursion R
         R = np.append(enumeration_grid(config.schedule, 5), _mid_R(config))
         Ht = CoefficientPath(config.model, selection).matrices(R)
-        C = models.tracked_state(config.model, R, 0)[1]
+        C = models.tracked_state(config.model, R, (0, 0))[1]
         H = drb_counterdiabatic(config.model, R)
         action = np.linalg.norm(((H - Ht) @ C[..., None])[..., 0], axis=-1)
         worst_action = float(np.max(action[:-1]))

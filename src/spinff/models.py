@@ -18,14 +18,17 @@ into {(|uu>+|dd>)/sqrt2, (|ud>+|du>)/sqrt2} and (|uu>-|dd>)/sqrt2.  Every
 eigensolve is ``block_eigh``, the closed-form eigenpairs of the blocks
 P^H H P (1x1, 2x2 or 3x3) over R in (b, b, N) component layout, elementwise
 over the points: no LAPACK routine runs, and each point has the same bits in
-any stack.  Every eigenpair is held to its residual against the blocks
+any stack.  Every eigenpair is held to its residual against the block
 rebuilt from R.  ``closed_form_eigenvalues`` gives the spectrum alone
 (``analytic_eigenvalues``).  One gauge rule, ``default_anchor``, keeps an
 anchor component of each expanded eigenvector real and positive.
-``tracked_state`` is the one state layer: over an array of R it returns the
-energies, the tracked eigenvector C, its derivative from the spectral formula
-dn/dR = sum_{m != n} |m><m|dH/dR|n> / (E_n - E_m) over the levels of n's
-sector (no other couples), exact because every coupling is affine in R (so
+``level`` names level n of the whole spectrum at one R as level j of
+sector s, once; the layers below take (s, j), so another sector's level
+may cross it.  ``tracked_state`` is the one state layer: over an array of
+R it solves block s alone and returns its energies, the tracked
+eigenvector C = P x, its derivative from the spectral formula
+dx/dR = sum_{m != j} |m><m|dH/dR|x> / (E_j - E_m) over the levels of the
+block (no other couples), exact because every coupling is affine in R (so
 dH/dR is a constant matrix), and the right-hand side i dC/dR - i <C|dC/dR> C
 of the defining equation; ``eigensystem_batch`` gives every level.  The
 other state functions are thin views of these two.
@@ -166,6 +169,13 @@ class ModelSpec:
         return SECTORS[self.kind]
 
     @cached_property
+    def sector_rows(self):
+        """Per sector, the amplitude rows that fix a vector of it: each of its columns'
+        first nonzero amplitude (the triplet's C2 = C3 drops row 3, tfim's flip-even
+        C1 = C4 also row 4)."""
+        return tuple(tuple((P != 0).argmax(axis=0).tolist()) for P in self.sectors)
+
+    @cached_property
     def block_terms(self):
         """Per sector, (b, dtype, terms) of its block table P^H op P, made exactly
         Hermitian and real where every entry is: ``terms`` lists each entry (i, j) on
@@ -183,8 +193,9 @@ class ModelSpec:
 
     @cached_property
     def block_slopes(self):
-        """Per sector, the constant (b, b) block of dH/dR (``_blocks`` of the slopes)."""
-        return tuple(H[..., 0] for H in _blocks(self, self.coupling_affine[1][:, None]))
+        """Per sector, the constant (b, b) block of dH/dR (``_block`` of the slopes)."""
+        return tuple(_block(self, self.coupling_affine[1][:, None], s)[..., 0]
+                     for s in range(len(self.sectors)))
 
     # -- canonical parametrizations ------------------------------------
 
@@ -245,33 +256,32 @@ def hamiltonian(model, R):
         R.shape + (model.dim,) * 2)
 
 
-def _blocks(model, c):
-    """Per sector, the (b, b, N) stack P^H H P for the (couplings, N) values c.
+def _block(model, c, s):
+    """The (b, b, N) stack P^H H P of sector s for the (couplings, N) values c.
 
     One elementwise sum per entry over its nonzero terms (``block_terms``),
     so each point has the same bits in any stack; the lower triangle is the
     conjugated upper one, and a stack is real where its table is.
     """
-    out = []
-    for b, dtype, terms in model.block_terms:
-        H = np.empty((b, b, c.shape[1]), dtype=dtype)
-        for i, j, entry in terms:
-            if entry:
-                (k, value), *rest = entry
-                H[i, j] = c[k] * value
-                for k, value in rest:
-                    H[i, j] += c[k] * value
-            else:
-                H[i, j] = 0.0
-            if i != j:
-                H[j, i] = np.conj(H[i, j])
-        out.append(H)
-    return out
+    b, dtype, terms = model.block_terms[s]
+    H = np.empty((b, b, c.shape[1]), dtype=dtype)
+    for i, j, entry in terms:
+        if entry:
+            (k, value), *rest = entry
+            H[i, j] = c[k] * value
+            for k, value in rest:
+                H[i, j] += c[k] * value
+        else:
+            H[i, j] = 0.0
+        if i != j:
+            H[j, i] = np.conj(H[i, j])
+    return H
 
 
 def sector_hamiltonians(model, R):
-    """Per sector, the (b, b, N) blocks P^H H P of the Hamiltonian over a 1-d R (``_blocks``)."""
-    return _blocks(model, _coupling_values(model, np.asarray(R, dtype=float)))
+    """Per sector, the (b, b, N) blocks P^H H P of the Hamiltonian over a 1-d R (``_block``)."""
+    c = _coupling_values(model, np.asarray(R, dtype=float))
+    return [_block(model, c, s) for s in range(len(model.sectors))]
 
 
 def _mul(A, B):
@@ -399,33 +409,40 @@ def block_eigh(H):
     return _eigh3(H)
 
 
-def _sector_eigh(model, R, blocks=None):
-    """Eigensolves of the sector blocks over a 1-d R: (w, solved, where).
+def _sector_eigh(model, R, s):
+    """Eigenpairs of sector s's blocks over a 1-d R: ``block_eigh``'s (w (b, N), V (b, b, N)).
 
-    ``solved`` holds ``block_eigh``'s (energies (b, N), vectors (b, b, N))
-    per sector.  w (dim, N) is the whole spectrum, ascending; level m is
-    entry where[m] of the sectors' concatenated energies.  ``blocks``
-    optionally holds ``sector_hamiltonians(model, R)`` already built; they
-    are solved, not trusted: every eigenpair is held to its residual
-    against the blocks rebuilt from R, and ConsistencyError, naming R, is
-    raised where |H v - E v| exceeds EIGEN_TOL max(1, max |E|).
+    They are solved, not trusted: every eigenpair is held to its residual
+    against the block rebuilt from R, and ConsistencyError, naming R, is
+    raised where |H v - E v| exceeds EIGEN_TOL max(1, max |E|) of the sector.
     """
-    built = _blocks(model, _coupling_values(model, R))
-    solved = [block_eigh(H) for H in (built if blocks is None else blocks)]
-    energies = np.concatenate([w for w, _ in solved])
-    where = np.argsort(energies, axis=0, kind="stable")
-    w = np.take_along_axis(energies, where, axis=0)
-    err = np.zeros(len(R))
-    for H, (wb, Vb) in zip(built, solved):
-        residual = _sq(_mul(H, Vb) - Vb * wb[None])
-        err = np.maximum(err, sum(residual[1:], residual[0]).max(axis=0))
-    err = np.sqrt(err)
+    H = _block(model, _coupling_values(model, R), s)
+    w, V = block_eigh(H)
+    residual = _sq(_mul(H, V) - V * w[None])
+    err = np.sqrt(sum(residual[1:], residual[0]).max(axis=0))
     bad = ~(err <= EIGEN_TOL * np.maximum(1.0, np.abs(w).max(axis=0)))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ConsistencyError(f"eigenpairs of {model.kind} do not solve its Hamiltonian "
                                f"at R={R[k]}: residual {err[k]:.3e}")
-    return w, solved, where
+    return w, V
+
+
+def level(model, R, n):
+    """(s, j): level n of the whole spectrum at the one scalar R is level j of sector s,
+    both counted from 0, ascending.  Raises DegeneracyError where level n lies within
+    GAP_MIN of any other level at R, as n then names no single level."""
+    R = np.array([float(R)])
+    energies = [_sector_eigh(model, R, s)[0][:, 0] for s in range(len(model.sectors))]
+    w = np.concatenate(energies)
+    sector = np.repeat(np.arange(len(energies)), [len(e) for e in energies])
+    order = np.argsort(w, kind="stable")
+    gap = np.abs(np.delete(w, order[n]) - w[order[n]]).min(initial=np.inf)
+    if gap < GAP_MIN:
+        raise DegeneracyError(f"eigenvalue gap {gap:.3e} around state {n} at R={R[0]} "
+                              f"is below GAP_MIN={GAP_MIN:.1e}")
+    s = sector[order[n]]
+    return int(s), int(np.count_nonzero(sector[order[:n]] == s))
 
 
 def _apply(B, x):
@@ -435,18 +452,6 @@ def _apply(B, x):
     for r, d in zip(*np.nonzero(B)):
         out[r] += B[r, d] * x[d]
     return out
-
-
-def _eigh_model(model, R):
-    """(w (N, dim), V (N, dim, dim)) over a 1-d R: the sector eigensolves, expanded.
-
-    V[:, :, m] is level m expanded to the dim amplitudes, P v; V is real
-    where the model is.
-    """
-    w, solved, where = _sector_eigh(model, R)
-    V = np.concatenate([_apply(P, Vb) for P, (_, Vb) in zip(model.sectors, solved)], axis=1)
-    V = np.take_along_axis(V, where[None], axis=1)
-    return np.ascontiguousarray(w.T), V.transpose(2, 0, 1)
 
 
 def default_anchor(model, amplitudes):
@@ -460,12 +465,6 @@ def default_anchor(model, amplitudes):
     if model.kind == "gen":
         anchor = np.where(mag[..., -1] >= ANCHOR_MIN, model.dim - 1, anchor)
     return anchor
-
-
-def _phase_to(vectors, anchors):
-    """conj(p)/|p| for the anchor component p of each vector (last axis)."""
-    pivot = np.take_along_axis(vectors, anchors[..., None], axis=-1)
-    return np.conj(pivot) / np.abs(pivot)
 
 
 def _level_derivative(w, V, j, dH):
@@ -484,46 +483,34 @@ def _level_derivative(w, V, j, dH):
     return v, sum((V[:, m] * t[m] for m in range(1, len(w))), V[:, 0] * t[0])
 
 
-def tracked_state(model, R, n, *, anchor=None, blocks=None):
-    """(w, C, dC, rhs) of state n over a 1-d array of R values.
+def tracked_state(model, R, level, *, anchor=None):
+    """(w, C, dC, rhs) of level (s, j), level j of sector s, over a 1-d array of R values.
 
-    w (N, dim) holds every energy; C, dC/dR and
+    w (N, b) holds the energies of sector s, ascending; C, dC/dR and
     rhs = i dC/dR - i <C|dC/dR> C, the right-hand side of the defining
-    equation, are (N, dim).  One closed-form eigensolve per point and sector
-    (``_sector_eigh``); the derivative is ``_level_derivative`` over the
-    levels of n's sector, carried into the gauge
-    that holds ``anchor`` (one index, or one per point; default:
-    ``default_anchor`` at each point) real and positive by -i Im(dC_a / C_a) C.
-    Raises DegeneracyError where state n comes within GAP_MIN of another
-    level of any sector, and GaugeError where the anchor component is below
-    ANCHOR_MIN (only an explicit anchor can be).
-    ``blocks`` optionally holds ``sector_hamiltonians(model, R)`` already built.
+    equation, are (N, dim), each P x for a vector x of the sector's block P.
+    One closed-form eigensolve of block s per point (``_sector_eigh``); the
+    derivative is ``_level_derivative`` over its levels, carried into the
+    gauge that holds ``anchor`` (one index, or one per point; default:
+    ``default_anchor`` at each point) real and positive by
+    -i Im(dC_a / C_a) C.  Raises DegeneracyError where level j comes within
+    GAP_MIN of another level of sector s (no other sector couples to it),
+    and GaugeError where the anchor component is below ANCHOR_MIN (only an
+    explicit anchor can be).
     """
+    s, j = level
     R = np.asarray(R, dtype=float)
-    w, solved, where = _sector_eigh(model, R, blocks)
-    denom = w[n] - w
-    denom[n] = np.inf
-    gap = np.abs(denom).min(axis=0)
+    w, V = _sector_eigh(model, R, s)
+    order = np.argsort(w, axis=0, kind="stable")        # level j is column order[j] of V
+    E = np.take_along_axis(w, order, axis=0)
+    gap = np.abs(np.delete(E, j, axis=0) - E[j]).min(axis=0, initial=np.inf)
     if np.any(gap < GAP_MIN):
         k = int(np.argmax(gap < GAP_MIN))
-        raise DegeneracyError(
-            f"eigenvalue gap {gap[k]:.3e} around state {n} at R={R[k]} "
-            f"is below GAP_MIN={GAP_MIN:.1e}"
-        )
-    v = np.zeros((model.dim, len(R)), dtype=np.result_type(*(Vb for _, Vb in solved)))
-    dv = np.zeros_like(v)
-    start = 0
-    for P, dH, (wb, Vb) in zip(model.sectors, model.block_slopes, solved):
-        # the points where state n lies in this sector, as its level j there
-        j = where[n] - start
-        at = (j >= 0) & (j < P.shape[1])
-        start += P.shape[1]
-        if at.all():
-            x, dx = _level_derivative(wb, Vb, j, dH)
-            v, dv = _apply(P, x), _apply(P, dx)
-        elif at.any():
-            x, dx = _level_derivative(wb[:, at], Vb[:, :, at], j[at], dH)
-            v[:, at], dv[:, at] = _apply(P, x), _apply(P, dx)
+        raise DegeneracyError(f"eigenvalue gap {gap[k]:.3e} around level {j} of sector {s} "
+                              f"at R={R[k]} is below GAP_MIN={GAP_MIN:.1e}")
+    P = model.sectors[s]
+    x, dx = _level_derivative(w, V, order[j], model.block_slopes[s])
+    v, dv = _apply(P, x), _apply(P, dx)
     anchors = default_anchor(model, v.T) if anchor is None else np.broadcast_to(anchor, len(R))
     idx = np.arange(len(R))
     pivot = v[anchors, idx]
@@ -541,24 +528,31 @@ def tracked_state(model, R, n, *, anchor=None, blocks=None):
         dC -= 1j * (dC[anchors, idx] / C[anchors, idx]).imag[None] * C
     # summed one term at a time: a complex sum over an axis rounds apart at N = 1
     rhs = 1j * dC - 1j * sum(np.conj(x) * y for x, y in zip(C, dC))[None] * C
-    # (N, dim) in C order, as callers index points first
+    # (N, ...) in C order, as callers index points first
     return tuple(np.ascontiguousarray(x.T, dtype=y) for x, y in
-                 ((w, float), (C, complex), (dC, complex), (rhs, complex)))
+                 ((E, float), (C, complex), (dC, complex), (rhs, complex)))
 
 
 def eigensystem_batch(model, R_array):
     """Energies and gauge-fixed eigenvectors of every state over an R array.
 
-    Returns (w, V) with shapes (N, dim) and (N, dim, dim); V[:, :, m] is
-    state m, each vector in the gauge of ``default_anchor``.  No gap guard:
+    Returns (w, V) with shapes (N, dim) and (N, dim, dim): w ascending and
+    V[:, :, m] state m, each vector P v of its sector's eigensolve
+    (``_sector_eigh``) in the gauge of ``default_anchor``.  No gap guard:
     levels other than a tracked one may cross.
     """
     R = np.asarray(R_array, dtype=float)
-    w, V = _eigh_model(model, R)
+    solved = [_sector_eigh(model, R, s) for s in range(len(model.sectors))]
+    energies = np.concatenate([w for w, _ in solved])
+    where = np.argsort(energies, axis=0, kind="stable")
+    w = np.take_along_axis(energies, where, axis=0)
+    V = np.concatenate([_apply(P, Vb) for P, (_, Vb) in zip(model.sectors, solved)], axis=1)
+    V = np.take_along_axis(V, where[None], axis=1).transpose(2, 0, 1)
     vectors = np.swapaxes(V, 1, 2)          # (N, state, component)
     # real where the model is: a real phase is +-1 exactly, as in tracked_state
-    vectors = vectors * _phase_to(vectors, default_anchor(model, vectors))
-    return w, np.swapaxes(vectors, 1, 2).astype(complex, copy=False)
+    pivot = np.take_along_axis(vectors, default_anchor(model, vectors)[..., None], axis=-1)
+    vectors = vectors * (np.conj(pivot) / np.abs(pivot))
+    return np.ascontiguousarray(w.T), np.swapaxes(vectors, 1, 2).astype(complex, copy=False)
 
 
 def eigensystem(model, R):
@@ -611,12 +605,14 @@ def analytic_eigenvalues(model, R):
 
 
 def state_and_derivative(model, R, n, *, anchor=None):
-    """(C, dC/dR) for state n at scalar R: ``tracked_state`` at one point."""
-    _, C, dC, _ = tracked_state(model, np.array([float(R)]), n, anchor=anchor)
+    """(C, dC/dR) for state n at scalar R: ``tracked_state`` of its ``level`` at one point."""
+    _, C, dC, _ = tracked_state(model, np.array([float(R)]), level(model, R, n), anchor=anchor)
     return C[0], dC[0]
 
 
 def state_and_derivative_batch(model, R_array, n):
-    """(C, dC/dR, E_n, all energies) of state n over R_array (see tracked_state)."""
-    w, C, dC, _ = tracked_state(model, np.asarray(R_array, dtype=float), n)
-    return C, dC, w[:, n], w
+    """(C, dC/dR, E_n, its sector's energies) of state n, named at R_array[0] (tracked_state)."""
+    R = np.asarray(R_array, dtype=float)
+    pair = level(model, R[0], n)
+    w, C, dC, _ = tracked_state(model, R, pair)
+    return C, dC, w[:, pair[1]], w

@@ -10,11 +10,12 @@ linear, each sample interval (chunk) reduces to a product of per-step
 transfer matrices, folded in time order, and psi advances once over
 the chunk products.
 
-Every step runs on the b x b block P^H H_FF P of the initial state's
-sector (``cdsolver.tracked_sector``): b = 3 for the qa and gen triplet,
-2 for tfim's flip-even block and the two-level model, 1 for a singlet or
-(|uu>-|dd>)/sqrt2.  The block drops the drive's flip-odd part, 0 to
-rounding on tfim.  The state is expanded, P psi_b, only at the samples.
+Level n at R0 is named there, once, as level j of sector s
+(``models.level``), and every step runs on the b x b block P^H H_FF P of
+sector s: b = 3 for the qa and gen triplet, 2 for tfim's flip-even block
+and the two-level model, 1 for a singlet or (|uu>-|dd>)/sqrt2.  The block
+drops the drive's flip-odd part, 0 to rounding on tfim.  The state is
+expanded, P psi_b, only at the samples.
 Every matrix stack is (b, b, N), matrix axes first, from the stage blocks
 of ``models.sector_hamiltonians`` on, and ``models._mul`` multiplies two
 stacks as b**3 elementwise multiply-adds over N (a stacked matmul costs
@@ -55,7 +56,7 @@ import numpy as np
 from . import models
 from .models import _mul
 from .ansatz import matrices_from_rows
-from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven, tracked_sector
+from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, step_count, velocity
 
@@ -189,7 +190,7 @@ def _fold(M, counts, G):
 
 
 def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
-    """Integrate the TDSE from the gauge-fixed eigenvector n at R0.
+    """Integrate the TDSE from the gauge-fixed eigenvector n at R0 (``models.level``).
 
     ``solution`` selects the regularization strategy (a selection tuple,
     "dense", or None for the two-level model); coefficients
@@ -210,7 +211,8 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
         top = 1
         while n0 * top < max(DEFAULT_STEPS, samples):
             top *= 2
-        run = _Run(model, schedule, solution, n, np.ones(n0, dtype=int), top)
+        level = models.level(model, schedule.R0, n)
+        run = _Run(model, schedule, solution, level, np.ones(n0, dtype=int), top)
         while len(pairs := _pick(run.error, run.sizes[: 2 * len(run.error) : 2] < top)):
             run.refine(pairs)
         traj = run.trajectory()
@@ -251,7 +253,7 @@ def _refusal(traj):
 
 
 def _evolve(model, schedule, solution, n, sizes, uniform=False):
-    """The Trajectory of one fixed-step pass over chunks of sizes[j] steps.
+    """The Trajectory of one fixed-step pass of state n over chunks of sizes[j] steps.
 
     ``uniform``: the chunks are consecutive runs of one grid of sum(sizes)
     steps (a run at an explicit dt).  Otherwise they are len(sizes) equal
@@ -259,11 +261,13 @@ def _evolve(model, schedule, solution, n, sizes, uniform=False):
     of two), which replays a default run from its ``chunk_steps``.
     """
     top = None if uniform else int(np.max(sizes))
-    return _Run(model, schedule, solution, n, sizes, top).trajectory()
+    level = models.level(model, schedule.R0, n)
+    return _Run(model, schedule, solution, level, sizes, top).trajectory()
 
 
 class _Run:
-    """The chunks (sample intervals) of a run, each a fixed-step CF4:2 run on its own grid.
+    """The chunks (sample intervals) of a run of ``level`` (s, j), each a fixed-step CF4:2
+    run on its own grid.
 
     Stage point k lies at u = k fl(T_FF/(2M)); chunk j spans the points
     bounds[j] .. bounds[j+1] at stride (bounds[j+1] - bounds[j]) / (2 sizes[j]).
@@ -279,8 +283,8 @@ class _Run:
     2h steps; psi advances once, in ``trajectory``.
     """
 
-    def __init__(self, model, schedule, solution, n, sizes, top=None):
-        self.model, self.schedule, self.solution, self.n = model, schedule, solution, n
+    def __init__(self, model, schedule, solution, level, sizes, top=None):
+        self.model, self.schedule, self.solution, self.level = model, schedule, solution, level
         self.sizes = np.array(sizes, dtype=np.int64)
         N = len(self.sizes)
         if top is None:
@@ -293,23 +297,20 @@ class _Run:
         self.keep_rows = top is not None
         self.path = self.coeffs = self.row_keys = self.rows = None
 
-        # initial state: gauge-fixed eigenvector n at R0, held to the gap guard,
-        # so that it lies in one sector; the run is evolved on that block
-        _, C0, _, rhs0 = models.tracked_state(model, np.array([schedule.R0]), n)
-        self.sector, _ = tracked_sector(model, [schedule.R0], C0, rhs0)
+        self.sector = level[0]
         self.P = model.sectors[self.sector]
         self.eye = np.eye(self.P.shape[1], dtype=complex)
-        self.psi0 = C0[0] @ self.P
         self.G = self._identity(N)
         self.R_s, self.v_s = _stage_block(schedule, self.M, self.bounds)
-        # eigenvector n at the samples, from the first pass's stage eigensolve
+        # the tracked eigenvector at the samples: here at the undriven ones, R0
+        # among them, and at the others from the first pass's stage eigensolve
         self.C_s = np.empty((N + 1, model.dim), dtype=complex)
+        rest = ~is_driven(schedule, self.R_s, self.v_s)
+        self.C_s[rest] = models.tracked_state(model, self.R_s[rest], level)[1]
+        self.psi0 = self.C_s[0] @ self.P
 
         coarse = self._identity(N // 2)
         self._pass(np.arange(N), coarse)
-        # the undriven samples, at least the one at R0, had no stage eigensolve
-        rest = ~is_driven(schedule, self.R_s, self.v_s)
-        self.C_s[rest] = models.eigensystem_batch(model, self.R_s[rest])[1][:, :, n]
         self.error = self._error(np.arange(N // 2), coarse)
 
     def _identity(self, count):
@@ -353,7 +354,7 @@ class _Run:
         its first, wherever the blocks fall, an odd one out at h; a later one
         solves only the midpoints.
         """
-        model, schedule, n = self.model, self.schedule, self.n
+        model, schedule = self.model, self.schedule
         first_pass = coarse is not None
         sizes = self.sizes[chunks]
         stride = (self.bounds[chunks + 1] - self.bounds[chunks]) // (2 * sizes)
@@ -400,7 +401,7 @@ class _Run:
                     old = live & ~new
                     rows[old] = self.rows[np.searchsorted(self.row_keys, keys[old])]
                 if np.any(new):
-                    state = models.tracked_state(model, R[new], n)
+                    state = models.tracked_state(model, R[new], self.level)
                     rows[new] = self.path.values(R[new], state=state)
                     if first_pass:
                         hit = live[pos]
@@ -433,7 +434,7 @@ class _Run:
             self.rows = np.concatenate([self.rows] + [r for _, r in solved])[first]
 
     def _start_path(self):
-        self.path = CoefficientPath(self.model, self.solution, self.n)
+        self.path = CoefficientPath(self.model, self.solution, self.level)
         self.drive = self.P.T @ self.path.basis @ self.P
         k = len(self.path.names)
         self.coeffs = np.zeros((len(self.sizes) + 1, k))
@@ -478,43 +479,40 @@ def _legendre_rule(count):
     return x, w
 
 
-def _phases(model, schedule, n, t_values):
-    """(adiabatic, dynamical) phases accumulated up to each time.
+def _phases(model, schedule, level, t_values):
+    """(adiabatic, dynamical) phases of ``level`` (s, j) accumulated up to each time.
 
     One ``tracked_state`` call over the Gauss nodes of all the times gives
-    the rate v i <C|dC/dR> and the energy of state n.
+    the rate v i <C|dC/dR> and the level's energy.
     """
     t = np.asarray(t_values, dtype=float)[:, None]
     x, w = _legendre_rule(PHASE_NODES)
     tau = (0.5 * t * (x + 1.0)).ravel()
     energies, C, dC, _ = models.tracked_state(
-        model, advanced_parameter(schedule, tau, clamp=True), n)
+        model, advanced_parameter(schedule, tau, clamp=True), level)
     rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
     rate = (velocity(schedule, tau, clamp=True) * rate).reshape(-1, PHASE_NODES)
-    terms = zip(0.5 * t * w, rate, energies[:, n].reshape(-1, PHASE_NODES))
+    terms = zip(0.5 * t * w, rate, energies[:, level[1]].reshape(-1, PHASE_NODES))
     return np.array([(np.dot(wk, rk), np.dot(wk, ek)) for wk, rk, ek in terms]).T
 
 
 def ff_state(model, schedule, n, t_values, anchor=None):
     """Analytic fast-forward states at the given times, consistent gauge.
 
-    Combines the instantaneous eigenvector at the advanced parameter with
-    the accumulated dynamical and adiabatic phases.  Every sample holds
-    ``anchor`` (one index, or one per sample) real and positive, by
-    default the largest component of the middle sample.
+    Combines the instantaneous eigenvector of state n (named at R0) at the
+    advanced parameter with the accumulated dynamical and adiabatic phases.
+    Every sample holds ``anchor`` (one index, or one per sample) real and
+    positive, by default the largest component of the middle sample.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     Rs = advanced_parameter(schedule, t_values, clamp=True)
-    if anchor is None:
-        anchor = _largest_component(model, Rs[[len(Rs) // 2]], n)
-    _, vecs, _, _ = models.tracked_state(model, Rs, n, anchor=anchor)
-    adiabatic, dynamical = _phases(model, schedule, n, t_values)
+    level = models.level(model, schedule.R0, n)
+    if anchor is None:     # the largest component of the middle sample
+        C = models.tracked_state(model, Rs[[len(Rs) // 2]], level)[1]
+        anchor = np.argmax(np.abs(C), axis=1)
+    _, vecs, _, _ = models.tracked_state(model, Rs, level, anchor=anchor)
+    adiabatic, dynamical = _phases(model, schedule, level, t_values)
     return vecs * np.exp(1j * (adiabatic - dynamical))[:, None]
-
-
-def _largest_component(model, R, n):
-    """Index of the largest component of state n at each point of a 1-d R."""
-    return np.argmax(np.abs(models.eigensystem_batch(model, R)[1][:, :, n]), axis=1)
 
 
 def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
@@ -534,20 +532,23 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
         raise DomainError("probe time must be interior to (0, T_FF)")
     dt_probe = float(dt_probe)
     tk = t.ravel()
+    level = models.level(model, schedule.R0, n)
     ts = np.stack([tk - dt_probe, tk, tk + dt_probe], axis=1)      # (K, 3)
     width = np.diff(ts, axis=1)                                    # (K, 2) halves
     x, w = _legendre_rule(PROBE_NODES)
     tau = (ts[:, :2, None] + 0.5 * width[..., None] * (x + 1.0)).ravel()
     # the probes hold the largest component at t, the phase rate the
     # default gauge at t, as ff_state's phase integral does
-    v = models.eigensystem_batch(model, advanced_parameter(schedule, tk, clamp=True))[1][:, :, n]
+    v = models.tracked_state(model, advanced_parameter(schedule, tk, clamp=True), level)[1]
     anchors = np.concatenate([np.repeat(np.argmax(np.abs(v), axis=1), 3),
                               np.repeat(models.default_anchor(model, v), 2 * PROBE_NODES)])
     energies, C, dC, _ = models.tracked_state(
-        model, advanced_parameter(schedule, np.append(ts, tau), clamp=True), n, anchor=anchors)
+        model, advanced_parameter(schedule, np.append(ts, tau), clamp=True), level,
+        anchor=anchors)
     k = ts.size                                                    # probes first, then nodes
     rate = (velocity(schedule, tau, clamp=True)
-            * np.real(1j * np.einsum("nd,nd->n", np.conj(C[k:]), dC[k:])) - energies[k:, n])
+            * np.real(1j * np.einsum("nd,nd->n", np.conj(C[k:]), dC[k:]))
+            - energies[k:, level[1]])
     step = 0.5 * width * (rate.reshape(width.shape + (-1,)) @ w)
     phase = np.concatenate([np.zeros((len(tk), 1)), np.cumsum(step, axis=1)], axis=1)
     psi = C[:k].reshape(ts.shape + (-1,)) * np.exp(1j * phase)[..., None]

@@ -187,9 +187,9 @@ class TableVerification:
         return [e for e in self.entries if not e.passed]
 
 
-def verify_table(model, R_values, n=0):
-    """``verify_table_grid`` on a fresh enumeration of the R grid."""
-    return verify_table_grid(model, enumerate_grid(model, R_values, n))
+def verify_table(model, R_values, level=(0, 0)):
+    """``verify_table_grid`` on a fresh enumeration of the R grid, of ``level`` (s, j)."""
+    return verify_table_grid(model, enumerate_grid(model, R_values, level))
 
 
 def verify_table_grid(model, grid):

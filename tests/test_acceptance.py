@@ -382,9 +382,9 @@ def test_criterion_7_hygiene(qa_run, qa_run_half_step):
     drift = traj.max_norm_drift
     terminal_gap = float(np.max(np.abs(traj.psi[-1] - half.psi[-1])))
     xi = {
-        "lz": abs(_phases(LZ_MODEL, LZ_SCHED, 0, [LZ_SCHED.T_FF])[0, 0]),
-        "tfim": abs(_phases(TFIM_MODEL, TFIM_SCHED, 0, [TFIM_SCHED.T_FF])[0, 0]),
-        "qa": abs(_phases(QA_MODEL, QA_SCHED, 0, [QA_SCHED.T_FF])[0, 0]),
+        "lz": abs(_phases(LZ_MODEL, LZ_SCHED, (0, 0), [LZ_SCHED.T_FF])[0, 0]),
+        "tfim": abs(_phases(TFIM_MODEL, TFIM_SCHED, (0, 0), [TFIM_SCHED.T_FF])[0, 0]),
+        "qa": abs(_phases(QA_MODEL, QA_SCHED, (0, 0), [QA_SCHED.T_FF])[0, 0]),
     }
     worst_xi = max(xi.values())
     ok = drift < 1e-8 and terminal_gap < 1e-8 and worst_xi < 1e-8

@@ -35,11 +35,10 @@ from spinff.cdsolver import (
     _operator_columns,
     enumeration_grid,
     solve_grid,
-    tracked_sector,
 )
 from spinff.config import load_preset
 from spinff.errors import ConfigError, ConsistencyError, DegeneracyError
-from spinff.models import state_and_derivative
+from spinff.models import level, state_and_derivative
 from spinff.schedule import advanced_parameter, velocity
 from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
 
@@ -48,8 +47,8 @@ from spinff.tables import lz_h12_imag, tfim_polar_rate, tfim_w2
 # right-hand side
 
 def _rhs(model, R, n):
-    """i dC/dR - i <C|dC/dR> C at one R: tracked_state at N = 1."""
-    return models.tracked_state(model, np.array([float(R)]), n)[3][0]
+    """i dC/dR - i <C|dC/dR> C of state n at one R: tracked_state of its level at N = 1."""
+    return models.tracked_state(model, np.array([float(R)]), level(model, R, n))[3][0]
 
 
 def test_rhs_orthogonal_to_state():
@@ -116,23 +115,6 @@ def test_tfim_selection_size_guard(tfim_model):
         reduce_system(tfim_model, 1.0, 0, ("J3", "W2", "Bx"))
 
 
-def test_merged_row_symmetry_guard(qa_model, monkeypatch):
-    # feed the reducer a state that breaks the C2 = C3 degeneracy
-    import spinff.cdsolver as cd
-
-    def crooked(model, R, n, **kw):
-        C = np.array([[0.6, 0.5, 0.4, 0.48]], dtype=complex)
-        C /= np.linalg.norm(C)
-        zero = np.zeros_like(C)
-        return np.zeros((1, 4)), C, zero, zero
-
-    monkeypatch.setattr(cd.models, "tracked_state", crooked)
-    from spinff.errors import ConsistencyError
-
-    with pytest.raises(ConsistencyError):
-        reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz"))
-
-
 @pytest.mark.parametrize("preset, n, sector, rows", [
     ("qa", 0, 0, (0, 1, 3)), ("gen", 0, 0, (0, 1, 3)), ("tfim", 0, 0, (0, 1)), ("lz", 1, 0, (0, 1)),
     ("qa", 2, 1, (1,)), ("tfim", 1, 2, (1,)), ("tfim", 2, 1, (0,)),
@@ -141,33 +123,32 @@ def test_reduced_rows_are_read_off_the_sectors(preset, n, sector, rows):
     # each sector column's first nonzero amplitude: the triplet's C2 = C3
     # drops row 3, tfim's flip-even C1 = C4 also row 4
     config = load_preset(preset)
-    R = enumeration_grid(config.schedule, 5)
-    _, C, _, rhs = models.tracked_state(config.model, R, n)
-    assert tracked_sector(config.model, R, C, rhs) == (sector, rows)
+    s, _ = level(config.model, config.schedule.R0, n)
+    assert (s, config.model.sector_rows[s]) == (sector, rows)
 
 
-def test_coefficient_path_refuses_a_state_outside_its_sector(qa_model, monkeypatch):
-    # a state or right-hand side with a singlet part leaves the triplet;
-    # the path names the first R where it does instead of solving its rows
-    R = np.array([2.0, 5.0, 8.0])
-    w, C, dC, rhs = models.tracked_state(qa_model, R, 0)
-    path = CoefficientPath(qa_model, ("W2", "By", "Bz"))
-    crooked = rhs.copy()
-    crooked[2, 2] += 1e-6
-    with pytest.raises(ConsistencyError, match=r"right-hand side leaves .* at R=8\.0"):
-        path.values(R, state=(w, C, dC, crooked))
-
-    original = models.tracked_state
-
-    def shifted(model, R, n, **kw):
-        w, C, dC, rhs = original(model, R, n, **kw)
-        C = C.copy()
-        C[1:, 1] += 1e-6
-        return w, C, dC, rhs
-
-    monkeypatch.setattr(cdsolver.models, "tracked_state", shifted)
-    with pytest.raises(ConsistencyError, match=r"state leaves symmetry sector 0 at R=5\.0"):
-        path.values(R)
+@pytest.mark.parametrize("preset", ["gen", "lz", "qa", "tfim"])
+def test_tracked_state_has_no_component_outside_its_sector(preset):
+    # C and the right-hand side of every level (s, j) are P x by construction:
+    # each symmetry S of the model maps them to sigma times themselves exactly,
+    # sigma sector s's sign under S.  So nothing lies outside the sector, and
+    # each row a reduced system drops (the triplet's C3, tfim's flip-even C4)
+    # is its twin's exactly
+    config = load_preset(preset)
+    model = config.model
+    R = np.append(enumeration_grid(config.schedule, 5), config.schedule.R0)
+    symmetries = [list(perm) for perm in models.SYMMETRIES.get(model.dim, ())
+                  if np.array_equal(model.operators[:, perm][:, :, perm], model.operators)]
+    assert len(symmetries) == {"lz": 0, "qa": 1, "gen": 1, "tfim": 2}[preset]
+    for s, P in enumerate(model.sectors):
+        signs = [1.0 if np.array_equal(P[perm], P) else -1.0 for perm in symmetries]
+        for perm, sign in zip(symmetries, signs):
+            assert np.array_equal(P[perm], sign * P)
+        for j in range(P.shape[1]):
+            _, C, _, rhs = models.tracked_state(model, R, (s, j))
+            for X in (C, rhs):
+                for perm, sign in zip(symmetries, signs):
+                    assert np.array_equal(X[:, perm], sign * X), (s, j, perm)
 
 
 def test_qa_reduced_system_structure(qa_model):
@@ -513,8 +494,8 @@ def test_exactly_singular_systems_have_infinite_cond():
 
 def test_repeated_coefficient_is_singular_with_infinite_cond(qa_model):
     R = np.array([2.0, 5.0])
-    _, C, _, rhs = models.tracked_state(qa_model, R, 0)
-    _, rows = tracked_sector(qa_model, R, C, rhs)
+    _, C, _, rhs = models.tracked_state(qa_model, R, (0, 0))
+    rows = qa_model.sector_rows[0]
     k, j = COEFF_NAMES.index("W2"), COEFF_NAMES.index("Bz")
     _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs, rows)
     assert np.all(np.isinf(cond))
@@ -545,9 +526,10 @@ def test_system_just_above_cond_max_is_singular(qa_model, monkeypatch):
 def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     config = load_preset(preset)
     R = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R, config.state)
+    pair = level(config.model, config.schedule.R0, config.state)
+    grid = enumerate_grid(config.model, R, pair)
     idx = np.array([[COEFF_NAMES.index(name) for name in sel] for sel in grid.selections])
-    _, rows = tracked_sector(config.model, R, grid.state, grid.rhs)
+    rows = config.model.sector_rows[pair[0]]
     svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :], rows))
     moderate = svd <= 1e8
     assert moderate.any()
@@ -555,7 +537,7 @@ def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     assert np.all(grid.cond[~moderate] > COND_MAX)
     # the filter with the SVD cond in its place keeps every reason and group
     monkeypatch.setattr(cdsolver, "_condition_number", lambda M, U=None: np.linalg.cond(M))
-    ref = enumerate_grid(config.model, R, config.state)
+    ref = enumerate_grid(config.model, R, pair)
     for name in ("reason", "group_id", "coefficients", "max_imag", "residual"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(ref, name), err_msg=name)
 
@@ -682,9 +664,9 @@ GRIDS = {
 
 
 def _drb_at_point(model, R):
-    # drb_counterdiabatic at one R, as written before it took R arrays
-    w, V = models._eigh_model(model, np.array([R]))
-    w, V = w[0], V[0]
+    # drb_counterdiabatic at one R, as written before it took R arrays, on
+    # numpy's eigensolve of the whole Hamiltonian
+    w, V = np.linalg.eigh(hamiltonian(model, R))
     denom = w[None, :] - w[:, None]
     assert np.min(np.abs(denom[~np.eye(model.dim, dtype=bool)])) >= models.GAP_MIN
     np.fill_diagonal(denom, 1.0)
@@ -698,10 +680,9 @@ def _min_norm_at_point(model, R, n, basis):
     # the minimum-norm solve at one R on the path's sector rows as the Gram
     # solve x = M^T (M M^T + n n^T)^-1 r, with the rows' left null vector n
     # where the ansatz maps the sector into itself, and its full-row residual
-    R = np.array([float(R)])
-    _, C, _, rhs = models.tracked_state(model, R, n)
-    sector, rows = tracked_sector(model, R, C, rhs)
-    rows, C, rhs = list(rows), C[0], rhs[0]
+    sector, _ = pair = level(model, R, n)
+    _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), pair)
+    rows, C, rhs = list(model.sector_rows[sector]), C[0], rhs[0]
     A = np.einsum("kab,b->ak", basis, C)[rows]
     M = np.concatenate([A.real, A.imag])
     G = M @ M.T
@@ -733,6 +714,19 @@ def test_batched_drb_refusal_names_the_degenerate_point():
         drb_counterdiabatic(ModelSpec.lz(delta=0.0), np.array([-1.0, 0.0, 1.0]))
 
 
+def test_qa_drb_where_the_singlet_meets_the_triplet_solves_every_level():
+    # at R = 10 (Bx = 0) the singlet meets the top triplet level, and at 9.9999 it
+    # is 5e-9 from it; they never couple, and no two levels of one sector are
+    # near: the operator exists and solves the defining equation of every level
+    model = ModelSpec.qa()
+    R = np.array([9.9999, 10.0])
+    H = drb_counterdiabatic(model, R)
+    for s, P in enumerate(model.sectors):
+        for j in range(P.shape[1]):
+            _, C, _, rhs = models.tracked_state(model, R, (s, j))
+            assert np.abs(np.einsum("kab,kb->ka", H, C) - rhs).max() <= 1e-10, (s, j)
+
+
 def test_zero_field_qa_spectrum_is_exact_and_its_drb_is_a_degeneracy():
     # H = -J s1z s2z: a double root inside the triplet block and one across
     # the sectors; the eigensolve is right, and DRB refuses only the gap
@@ -747,14 +741,15 @@ def test_zero_field_qa_spectrum_is_exact_and_its_drb_is_a_degeneracy():
 def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
     model, R = GRIDS[kind]
     basis = LZ_BASIS if model.dim == 2 else BASIS
-    x, residual = _min_norm_solve(model, R, n)
+    pair = level(model, R[0], n)
+    x, residual = _min_norm_solve(model, R, pair)
     assert x.shape == (len(R), len(basis)) and residual.shape == R.shape
     for k, r in enumerate(R.tolist()):
         x_k, residual_k = _min_norm_at_point(model, r, n, basis)
         np.testing.assert_allclose(x[k], x_k, rtol=0, atol=1e-15 * max(1.0, np.abs(x_k).max()))
         assert abs(residual[k] - residual_k) < 1e-15
         # each point has the bits it has alone
-        x_1, residual_1 = _min_norm_solve(model, R[k : k + 1], n)
+        x_1, residual_1 = _min_norm_solve(model, R[k : k + 1], pair)
         assert x_1[0].tolist() == x[k].tolist() and residual_1[0] == residual[k]
         # solve_lz and solve_dense are the one-point case
         if model.dim == 2:
@@ -773,8 +768,9 @@ def test_min_norm_path_is_the_full_row_min_norm_solve(kind, n):
     # solution of all the rows, and solves them within RESIDUAL_TOL
     model, R = GRIDS[kind]
     basis = LZ_BASIS if model.dim == 2 else BASIS
-    _, C, _, rhs = models.tracked_state(model, R, n)
-    x = CoefficientPath(model, None, n).values(R)
+    pair = level(model, R[0], n)
+    _, C, _, rhs = models.tracked_state(model, R, pair)
+    x = CoefficientPath(model, None, pair).values(R)
     for k in range(len(R)):
         A = np.einsum("kab,b->ak", basis, C[k])
         M = np.concatenate([A.real, A.imag])
@@ -790,7 +786,7 @@ def test_min_norm_refuses_an_ill_conditioned_gram_matrix(qa_model):
     path = CoefficientPath(qa_model, "dense")
     R = np.array([2.0, 5.0])
     path.values(R)
-    path.weights = [None] * len(path.weights)
+    path.weights = None
     with pytest.raises(ConsistencyError, match=r"Gram matrix .* at R=2\.0$"):
         path.values(R)
 
@@ -802,7 +798,7 @@ def test_min_norm_values_over_a_grid_are_the_point_values(preset, n):
     # shares the batch, and a zero coefficient is +0.0 (CSVs would print -0.0)
     config = load_preset(preset)
     R = enumeration_grid(config.schedule, config.grid)
-    path = CoefficientPath(config.model, None, n)
+    path = CoefficientPath(config.model, None, level(config.model, config.schedule.R0, n))
     x = path.values(R)
     assert not np.any(np.signbit(x) & (x == 0))
     for k in range(len(R)):
@@ -825,7 +821,7 @@ def test_min_norm_grid_solve_refuses_a_large_residual(monkeypatch):
     model, R = GRIDS["gen"]
     monkeypatch.setattr(cdsolver, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConsistencyError, match="minimum-norm solve left residual .* at R="):
-        _min_norm_solve(model, R, 0)
+        _min_norm_solve(model, R, (0, 0))
 
 
 # ---------------------------------------------------------------------------

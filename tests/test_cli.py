@@ -35,6 +35,7 @@ from spinff.cli import (
 )
 from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_config, load_preset
 from spinff.errors import ConfigError
+from spinff.models import level
 from spinff.propagator import evolve
 
 QA_CONFIG = """\
@@ -384,7 +385,7 @@ def test_default_selection_is_the_first_accepted_at_mid_R(preset, expected):
     config = replace(load_preset(preset), selection=None)
     schedule = config.schedule
     R_mid = schedule.R0 + 0.5 * schedule.v_bar * schedule.T_FF
-    grid = enumerate_grid(config.model, [R_mid], config.state)
+    grid = enumerate_grid(config.model, [R_mid], level(config.model, schedule.R0, config.state))
     assert grid.selections == tuple(admissible_selections(config.model))
     first = grid.selections[int(np.argmax(grid.reason[0] == 0))]
     assert resolve_selection(config) == first == expected
@@ -467,6 +468,24 @@ def test_runs_on_every_sector_still_run(preset, state, selection, tmp_path):
         assert main([command, "--config", config, "--selection", selection,
                      "--out", str(tmp_path / command)]) == 0
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("state, selection, sign", [
+    (2, "dense", -1), (3, "dense", 1), (3, "W2,By,Bz", 1),
+], ids=["singlet-dense", "top-dense", "top-W2,By,Bz"])
+def test_qa_levels_that_meet_at_the_sweep_end_run(state, selection, sign, tmp_path):
+    # qa levels 2 (the singlet) and 3 (the top triplet level) meet at Bx = 0, the
+    # sweep's end, and never couple: each run follows its own level there.  The
+    # end state is (|ud> + sign |du>)/sqrt2, a closed form that neither the
+    # populations nor an eigensolve at the double root can tell apart
+    config = _level_config(tmp_path, "qa", state)
+    out = tmp_path / "run"
+    assert main(["run", "--config", config, "--selection", selection, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["passed"] is True
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    psi = rows[-1, 2:6] + 1j * rows[-1, 6:10]
+    closed = np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2)
+    assert abs(abs(np.vdot(closed, psi)) - 1.0) <= 1e-8
 
 
 def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
@@ -803,7 +822,8 @@ def _csv_text(rows):
 def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     config = load_preset(preset)
     R_values = enumeration_grid(config.schedule, config.grid)
-    grid = enumerate_grid(config.model, R_values, config.state)
+    grid = enumerate_grid(config.model, R_values,
+                          level(config.model, config.schedule.R0, config.state))
     points = [_point_results(config, R) for R in R_values]
     objects = [_object_row(R, *entry) for R, point in zip(R_values, points) for entry in point]
     assert main(["enumerate", "--config", f"preset:{preset}",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spinff import (
     ModelSpec,
     analytic_eigenvalues,
+    drb_counterdiabatic,
     eigensystem,
     hamiltonian,
     state_and_derivative,
@@ -16,7 +17,7 @@ from spinff.models import (
     REQUIRED_COUPLINGS,
     default_anchor,
     eigensystem_batch,
-    sector_hamiltonians,
+    level,
     state_and_derivative_batch,
     tracked_state,
 )
@@ -27,7 +28,6 @@ from spinff.errors import (
     DomainError,
     GaugeError,
 )
-from spinff.cdsolver import tracked_sector
 from spinff.tables import lz_upper_derivative
 
 # tracked state per model for derivative checks (lz: the upper level)
@@ -272,20 +272,32 @@ def test_analytic_eigenvalues_run_no_eigensolve(monkeypatch):
 def test_tracked_state_takes_one_anchor_per_point(qa_model):
     R = np.array([1.0, 5.0, 9.0])
     anchors = np.array([0, 1, 3])
-    batched = tracked_state(qa_model, R, 0, anchor=anchors)
+    batched = tracked_state(qa_model, R, (0, 0), anchor=anchors)
     for k, (r, a) in enumerate(zip(R.tolist(), anchors.tolist())):
-        single = tracked_state(qa_model, np.array([r]), 0, anchor=a)
+        single = tracked_state(qa_model, np.array([r]), (0, 0), anchor=a)
         for got, want in zip(batched, single):
             np.testing.assert_allclose(got[k], want[0], rtol=0, atol=1e-14)
         assert batched[1][k, a].real > 0 and batched[1][k, a].imag == 0
 
 
-def test_batched_path_runs_the_branch_check():
-    # Hamiltonians of the wrong R must not pass for the right one
+def test_batched_path_runs_the_branch_check(monkeypatch):
+    # eigenpairs that do not solve the blocks rebuilt from R are refused on the
+    # batched path, naming R: one triplet eigenvector turned by 1e-6 at R = 5
     model = ModelSpec.qa()
-    R = np.array([2.0, 5.0])
-    with pytest.raises(ConsistencyError):
-        tracked_state(model, R, 0, blocks=sector_hamiltonians(model, R + 1.0))
+    R = np.array([2.0, 5.0, 8.0])
+    solve = models.block_eigh
+
+    def perturbed(H):
+        w, V = solve(H)
+        if len(H) == 3:
+            V = V.copy()
+            V[0, 1, 1] += 1e-6
+        return w, V
+
+    monkeypatch.setattr(models, "block_eigh", perturbed)
+    for call in (tracked_state, eigensystem_batch, drb_counterdiabatic):
+        with pytest.raises(ConsistencyError, match=r"do not solve its Hamiltonian at R=5\.0:"):
+            call(model, R, *[(0, 0)][: call is tracked_state])
 
 
 def test_eigenpair_residuals():
@@ -312,10 +324,34 @@ def test_qa_eigenproblem_property(R):
 
 def test_degenerate_gap_refused():
     model = ModelSpec.tfim(j=(0.0, 0.0), bx=(1.0, 0.0))  # middle levels cross
-    with pytest.raises(DegeneracyError):
-        tracked_state(model, np.array([0.5]), 1)
-    # the gapped ground state is still fine
-    tracked_state(model, np.array([0.5]), 0)
+    with pytest.raises(DegeneracyError, match=r"around state 1 at R=0\.5 is below"):
+        level(model, 0.5, 1)
+    # the gapped ground state is still fine, and so is each middle level in its
+    # sector, where nothing crosses it
+    assert level(model, 0.5, 0) == (0, 0)
+    for pair in ((0, 0), (1, 0), (2, 0)):
+        tracked_state(model, np.array([0.5]), pair)
+    # two levels of one sector that meet are refused by the tracked state
+    with pytest.raises(DegeneracyError, match=r"around level 0 of sector 0 at R=0\.0 is below"):
+        tracked_state(ModelSpec.lz(delta=0.0), np.array([-1.0, 0.0]), (0, 0))
+
+
+def test_level_names_the_sector_and_its_index(qa_model):
+    # qa at Bx = 10: levels 0, 1 and 3 are the triplet's, level 2 the singlet,
+    # which touches the top triplet level at Bx = 0 (R = 10): there n = 2 and 3
+    # name no single level, but each pair still names one
+    assert [level(qa_model, 0.0, n) for n in range(4)] == [(0, 0), (0, 1), (1, 0), (0, 2)]
+    for R in (0.0, 9.0):
+        w = eigensystem_batch(qa_model, [R])[0][0]
+        for n in range(4):
+            s, j = level(qa_model, R, n)
+            assert tracked_state(qa_model, np.array([R]), (s, j))[0][0, j] == w[n]
+    for n in (2, 3):
+        with pytest.raises(DegeneracyError, match=r"gap 0\.000e\+00 around state %d at R=10" % n):
+            level(qa_model, 10.0, n)
+    for pair in ((0, 2), (1, 0)):
+        energy = tracked_state(qa_model, np.array([10.0]), pair)[0][0, pair[1]]
+        assert energy == pytest.approx(1.0, rel=0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +374,8 @@ def test_lz_derivative_matches_closed_form(lz_model):
 
 
 def _derivative(model, R, n, **kw):
-    """dC/dR of state n at one R: tracked_state at N = 1."""
-    return tracked_state(model, np.array([float(R)]), n, **kw)[2][0]
+    """dC/dR of state n at one R: tracked_state of its level at N = 1."""
+    return tracked_state(model, np.array([float(R)]), level(model, R, n), **kw)[2][0]
 
 
 def test_lz_derivative_values_at_origin(lz_model):
@@ -444,7 +480,7 @@ def test_sector_eigensolve_is_the_full_eigh(kind, data):
     model = ModelSpec(kind, schedule_map={
         name: (data.draw(_SECTOR_COUPLING), data.draw(_SECTOR_COUPLING)) for name in names})
     R = np.array(data.draw(st.lists(_SECTOR_COUPLING, min_size=1, max_size=5)))
-    w, V = models._eigh_model(model, R)
+    w, V = eigensystem_batch(model, R)
     w_ref, V_ref = np.linalg.eigh(hamiltonian(model, R))
     scale = np.maximum(1.0, np.abs(w_ref).max(axis=1))
     assert np.all(np.abs(w - w_ref).max(axis=1) <= 1e-12 * scale)
@@ -460,7 +496,8 @@ def test_sector_eigensolve_is_the_full_eigh(kind, data):
         k = gap[:, m] > 1e-2 * scale
         if not k.any():
             continue
-        _, C, _, rhs = tracked_state(model, R[k], m)
+        C, rhs = np.array([tracked_state(model, R[[i]], level(model, R[i], m))[1::2]
+                           for i in np.flatnonzero(k)])[:, :, 0].transpose(1, 0, 2)
         phase = np.einsum("ka,ka->k", np.conj(V_ref[k, :, m]), C)
         denom = np.where(other[m], w_ref[k, m, None] - w_ref[k], np.inf)
         dv = np.einsum("kab,kb->ka", V_ref[k], slope[k, :, m] / denom)
@@ -582,21 +619,24 @@ def test_block_eigensolver_is_numpy_eigh(b, complex_, planted, seed, size, count
 
 
 def test_tracked_state_follows_its_level_across_the_sectors():
-    # J = 0.3 + 0.2 R changes sign at R = -1.5: level 1 is (|uu> - |dd>)/sqrt2
-    # (the flip-odd triplet sector) below it and the singlet above, within one batch
+    # J = 0.3 + 0.2 R changes sign at R = -1.5, where the flip-odd (|uu> - |dd>)/sqrt2
+    # (sector 1) and the singlet (sector 2) cross: below it level 1 of the whole
+    # spectrum is the flip-odd one, above it the singlet.  Each pair (s, j) stays
+    # level j of sector s on both sides, within one batch
     model = ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5))
     R = np.array([-3.0, -2.5, 0.0, 1.0])
-    w, C, dC, rhs = tracked_state(model, R, 1)
+    assert [level(model, r, 1) for r in R] == [(1, 0), (1, 0), (2, 0), (2, 0)]
+    assert [level(model, r, 2) for r in R] == [(2, 0), (2, 0), (1, 0), (1, 0)]
+    _, V = eigensystem_batch(model, R)
     odd, singlet = np.array([1, 0, 0, -1]) / np.sqrt(2), np.array([0, 1, -1, 0]) / np.sqrt(2)
-    assert np.allclose(np.abs(C @ odd), [1, 1, 0, 0], rtol=0, atol=1e-15)
-    assert np.allclose(np.abs(C @ singlet), [0, 0, 1, 1], rtol=0, atol=1e-15)
-    sectors = [tracked_sector(model, R[[k]], C[[k]], rhs[[k]])[0] for k in range(len(R))]
-    assert sectors == [1, 1, 2, 2]
-    for k, r in enumerate(R.tolist()):
-        single = tracked_state(model, np.array([r]), 1)
-        for got, want in zip((w, C, dC, rhs), single):
-            assert np.array_equal(got[k], want[0])
-    np.testing.assert_array_equal(C, eigensystem_batch(model, R)[1][:, :, 1])
+    for pair, vector, n in (((1, 0), odd, [1, 1, 2, 2]), ((2, 0), singlet, [2, 2, 1, 1])):
+        w, C, dC, rhs = tracked_state(model, R, pair)
+        assert np.allclose(np.abs(C @ vector), 1, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(C, V[np.arange(len(R)), :, n])
+        for k, r in enumerate(R.tolist()):
+            single = tracked_state(model, np.array([r]), pair)
+            for got, want in zip((w, C, dC, rhs), single):
+                assert np.array_equal(got[k], want[0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +648,7 @@ def _phase_rate(model, R, n):
     Normalization makes Re <C|dC/dR> vanish, so the imaginary part of the
     rate is a gauge residue; it must stay below 1e-10.
     """
-    _, (C,), (dC,), _ = tracked_state(model, np.array([float(R)]), n)
+    _, (C,), (dC,), _ = tracked_state(model, np.array([float(R)]), level(model, R, n))
     rate = 1j * np.vdot(C, dC)
     assert abs(rate.imag) < 1e-10, (model.kind, R, n)
     return float(rate.real)

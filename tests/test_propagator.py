@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,7 @@ from spinff import cdsolver, models, propagator
 from spinff.ansatz import matrices_from_rows
 from spinff.cli import resolve_selection
 from spinff.config import load_preset
-from spinff.errors import ConsistencyError, DegeneracyError, DomainError, StepSizeError
+from spinff.errors import DegeneracyError, DomainError, StepSizeError
 from spinff.schedule import advanced_parameter, velocity
 
 QA_SEL = ("W2", "By", "Bz")
@@ -236,10 +235,10 @@ def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
     # stage point solved so far, by key; per chunk one transfer matrix; per
     # sample its states
     samples, top = 500, 4
-    run = propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.ones(samples, dtype=int), top)
+    run = propagator._Run(qa_model, qa_schedule, QA_SEL, (0, 0), np.ones(samples, dtype=int), top)
     R, v = propagator._stage_block(qa_schedule, run.M, np.arange(run.bounds[-1] + 1))
     driven = np.flatnonzero(cdsolver.is_driven(qa_schedule, R, v))
-    path = cdsolver.CoefficientPath(qa_model, QA_SEL, 0)
+    path = cdsolver.CoefficientPath(qa_model, QA_SEL, (0, 0))
 
     def shapes():
         return {name: np.shape(value) for name, value in vars(run).items()
@@ -263,7 +262,7 @@ def test_a_pass_keeps_no_matrix_stack_on_its_stage_grid(qa_model, qa_schedule):
     assert {name: shape for name, shape in shapes().items() if name not in ("row_keys", "rows")} \
         == {name: shape for name, shape in before.items() if name not in ("row_keys", "rows")}
     # a run on one uniform grid, and so every run at an explicit dt, keeps no rows
-    assert propagator._Run(qa_model, qa_schedule, QA_SEL, 0, np.full(samples, 2)).rows is None
+    assert propagator._Run(qa_model, qa_schedule, QA_SEL, (0, 0), np.full(samples, 2)).rows is None
 
 
 @pytest.mark.parametrize("name", ["lz", "tfim", "qa", "gen"])
@@ -327,7 +326,7 @@ def test_fidelity_is_the_overlap_with_the_eigensystem(name):
 
 
 def test_phase_integrals_zero_at_origin(qa_model, qa_schedule):
-    adiabatic, dynamical = propagator._phases(qa_model, qa_schedule, 0, [0.0])[:, 0]
+    adiabatic, dynamical = propagator._phases(qa_model, qa_schedule, (0, 0), [0.0])[:, 0]
     assert dynamical == 0.0
     assert adiabatic == 0.0
 
@@ -339,7 +338,7 @@ def test_adiabatic_phase_accumulation_vanishes():
         (ModelSpec.qa(), Schedule(0.0, 100.0, 0.1)),
     ]
     for model, sched in cases:
-        assert abs(propagator._phases(model, sched, 0, [sched.T_FF])[0, 0]) < 1e-8
+        assert abs(propagator._phases(model, sched, (0, 0), [sched.T_FF])[0, 0]) < 1e-8
 
 
 def test_ff_state_solves_tdse_tfim(tfim_model):
@@ -409,7 +408,9 @@ def test_ff_state_residual_is_shaped_like_t(kind):
 
 def test_ff_state_residual_solves_a_few_points_per_probe_time(monkeypatch):
     # the phases come from each probe triple's own Gauss nodes, not from
-    # integrals over [0, t] on PHASE_NODES nodes for each of its 3 times
+    # integrals over [0, t] on PHASE_NODES nodes for each of its 3 times: one
+    # state call at the probe times t for the anchors, one over the probes and
+    # nodes, and the drive's at t
     model, sched, solution = FF_CASES["gen"]
     points = []
     real = models.tracked_state
@@ -422,8 +423,8 @@ def test_ff_state_residual_solves_a_few_points_per_probe_time(monkeypatch):
     for K in (3, 12):
         points.clear()
         ff_state_residual(model, sched, solution, 0, np.linspace(0.2, 0.8, K) * sched.T_FF)
-        assert len(points) <= 2
-        assert sum(points) <= K * (3 + 2 * propagator.PROBE_NODES + 1)
+        assert len(points) <= 3
+        assert sum(points) <= K * (1 + 3 + 2 * propagator.PROBE_NODES + 1)
 
 
 def test_ff_state_residual_refuses_any_probe_outside(qa_model, qa_schedule):
@@ -450,21 +451,21 @@ def test_batched_phases_are_the_per_time_phases(kind):
     for t in ts.tolist():
         tau, wts = 0.5 * t * (x + 1.0), 0.5 * t * w
         R_tau = advanced_parameter(sched, tau, clamp=True)
-        _, C, dC, _ = models.tracked_state(model, R_tau, 0)
+        _, C, dC, _ = models.tracked_state(model, R_tau, (0, 0))
         rate = np.real(1j * np.einsum("nd,nd->n", np.conj(C), dC))
         adiabatic = float(np.dot(wts, velocity(sched, tau, clamp=True) * rate))
         energies, _ = models.eigensystem_batch(model, R_tau)
         dynamical = float(np.dot(wts, energies[:, 0]))
-        single = propagator._phases(model, sched, 0, [t])[:, 0]
+        single = propagator._phases(model, sched, (0, 0), [t])[:, 0]
         assert single[0] == adiabatic
         assert single[1] == dynamical
         phases.append(adiabatic - dynamical)
-    batched = propagator._phases(model, sched, 0, ts)
+    batched = propagator._phases(model, sched, (0, 0), ts)
     assert (batched[0] - batched[1]).tolist() == phases
     mid = advanced_parameter(sched, ts[2:3], clamp=True)
     anchor = int(np.argmax(np.abs(models.eigensystem_batch(model, mid)[1][0, :, 0])))
-    _, vecs, _, _ = models.tracked_state(model, advanced_parameter(sched, ts, clamp=True), 0,
-                                         anchor=anchor)
+    _, vecs, _, _ = models.tracked_state(model, advanced_parameter(sched, ts, clamp=True),
+                                         (0, 0), anchor=anchor)
     np.testing.assert_array_equal(ff_state(model, sched, 0, ts),
                                   vecs * np.exp(1j * np.array(phases))[:, None])
 
@@ -529,23 +530,25 @@ def test_run_degenerate_at_R0_is_refused_naming_R0(qa_model):
             evolve(qa_model, schedule, QA_SEL, n, dt=schedule.T_FF / 400)
 
 
-def test_cross_sector_crossing_is_refused_at_every_block_size(monkeypatch):
+def test_cross_sector_crossing_is_passed_at_every_block_size(monkeypatch):
     # tfim level 1 is flip-odd below R = -1.5, where J = 0, and the singlet above
-    # it: a run started below leaves its sector there.  Adjacent blocks share
-    # their boundary stage point, so no block layout lets the crossing past the
-    # per-block sector check, and every layout names the same first stage point
+    # it; a run started below follows its level, level 0 of the flip-odd sector,
+    # through the crossing, which nothing in that sector sees.  Every block
+    # layout gives the same trajectory, and no population leaves the sector
     model = ModelSpec.tfim(j=(0.3, 0.2), bx=(2.0, -0.5))
     schedule = Schedule(-3.0123, 31.7, 0.1)
+    odd = np.array([1, 0, 0, -1]) / np.sqrt(2)
     for kw in (dict(), dict(dt=schedule.T_FF / 3000)):
-        refused = set()
+        runs = []
         for block in (2048, 64, 2):
             monkeypatch.setattr(propagator, "BLOCK_STAGE_POINTS", block)
-            with pytest.raises(ConsistencyError,
-                               match=r"state leaves symmetry sector 1 at R=") as info:
-                evolve(model, schedule, "dense", 1, samples=200, **kw)
-            refused.add(float(re.search(r"R=(\S+):", str(info.value)).group(1)))
-        (R,) = refused
-        assert -1.5 < R < -1.49, kw
+            runs.append(evolve(model, schedule, "dense", 1, samples=200, **kw))
+        traj = runs[0]
+        assert traj.R_adv[0] < -1.5 < traj.R_adv[-1], kw
+        for other in runs[1:]:
+            _assert_same_trajectory(other, traj)
+        outside = np.abs(traj.psi - np.outer(traj.psi @ odd, odd)).max()
+        assert outside <= 1e-12 and traj.min_fidelity > 1 - 1e-12, kw
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +681,7 @@ def _walk(selection, sizes, top, refinements, block):
     propagator.BLOCK_STAGE_POINTS = block
     try:
         run = propagator._Run(ModelSpec.qa(j=1.0, bz=0.1, b0=10.0), Schedule(0.0, 100.0, 0.1),
-                              selection, 0, sizes, top)
+                              selection, (0, 0), sizes, top)
         for pairs in refinements:
             run.refine(pairs)
         return run.G, run.trajectory().psi, run.error
@@ -715,7 +718,8 @@ def test_drive_rows_contract_alike_in_any_batch(name, selection):
     # the drive block's entries sum several inexact products
     config = load_preset(name)
     R = cdsolver.enumeration_grid(config.schedule, 2000)
-    path = cdsolver.CoefficientPath(config.model, selection, config.state)
+    path = cdsolver.CoefficientPath(config.model, selection,
+                                    models.level(config.model, config.schedule.R0, config.state))
     rows = path.values(R)
     P = config.model.sectors[0]     # the triplet, which holds state 0
     drive = P.T @ path.basis @ P
@@ -747,5 +751,5 @@ def test_phase_rule_matches_fresh_legendre_rule(qa_model, qa_schedule):
         tau, wts = 0.5 * t * (x + 1.0), 0.5 * t * w
         energies, _ = models.eigensystem_batch(
             qa_model, advanced_parameter(qa_schedule, tau, clamp=True))
-        dynamical = propagator._phases(qa_model, qa_schedule, 0, [t])[1, 0]
+        dynamical = propagator._phases(qa_model, qa_schedule, (0, 0), [t])[1, 0]
         assert dynamical == float(np.dot(wts, energies[:, 0]))
