@@ -115,6 +115,32 @@ def test_tfim_selection_size_guard(tfim_model):
         reduce_system(tfim_model, 1.0, 0, ("J3", "W2", "Bx"))
 
 
+def _crooked_state(part, points, column, monkeypatch):
+    """Patch tracked_state to add 1e-6 to amplitude ``column`` of C (part 1) or
+    of the right-hand side (part 3) at the R values in ``points``."""
+    original = models.tracked_state
+
+    def crooked(model, R, level, **kw):
+        out = list(original(model, R, level, **kw))
+        out[part] = out[part].copy()
+        out[part][np.isin(R, points), column] += 1e-6
+        return tuple(out)
+
+    monkeypatch.setattr(cdsolver.models, "tracked_state", crooked)
+
+
+def test_merged_row_symmetry_guard(qa_model, monkeypatch):
+    # the triplet's reduced systems drop row 2, row 1's twin; a state that
+    # breaks C2 = C3 is no triplet vector: a selection's solve of it is not
+    # real, and the minimum-norm solve's full-row residual, which takes
+    # row 2, refuses it
+    _crooked_state(1, [5.0], 2, monkeypatch)
+    result = solve_selection(reduce_system(qa_model, 5.0, 0, ("W2", "By", "Bz")))
+    assert (result.accepted, result.reason) == (False, "not_real")
+    with pytest.raises(ConsistencyError, match=r"residual .* at R=5\.0;"):
+        _min_norm_solve(qa_model, np.array([5.0]), (0, 0))
+
+
 @pytest.mark.parametrize("preset, n, sector, rows", [
     ("qa", 0, 0, (0, 1, 3)), ("gen", 0, 0, (0, 1, 3)), ("tfim", 0, 0, (0, 1)), ("lz", 1, 0, (0, 1)),
     ("qa", 2, 1, (1,)), ("tfim", 1, 2, (1,)), ("tfim", 2, 1, (0,)),
@@ -149,6 +175,25 @@ def test_tracked_state_has_no_component_outside_its_sector(preset):
             for X in (C, rhs):
                 for perm, sign in zip(symmetries, signs):
                     assert np.array_equal(X[:, perm], sign * X), (s, j, perm)
+
+
+def test_coefficient_path_refuses_a_state_outside_its_sector(qa_model, monkeypatch):
+    # a state or right-hand side with a singlet part leaves the triplet; the
+    # path solves the triplet's rows alone, the full-row residual of its
+    # minimum-norm solve names the first R where either does, and the
+    # selection grid rejects those points
+    R = np.array([2.0, 5.0, 8.0])
+    with monkeypatch.context() as m:
+        _crooked_state(3, [8.0], 2, m)
+        with pytest.raises(ConsistencyError, match=r"residual 1\.000e-06 at R=8\.0;"):
+            _min_norm_solve(qa_model, R, (0, 0))
+        grid = solve_grid(qa_model, R, [("W2", "By", "Bz")])
+        assert [REASONS[r] for r in grid.reason[:, 0]] == ["", "", "residual"]
+    _crooked_state(1, [5.0, 8.0], 1, monkeypatch)
+    with pytest.raises(ConsistencyError, match=r"residual .* at R=5\.0;"):
+        _min_norm_solve(qa_model, R, (0, 0))
+    grid = solve_grid(qa_model, R, [("W2", "By", "Bz")])
+    assert [REASONS[r] for r in grid.reason[:, 0]] == ["", "not_real", "not_real"]
 
 
 def test_qa_reduced_system_structure(qa_model):
