@@ -1,6 +1,5 @@
 """Fast-forward counter-diabatic driving for small spin systems."""
 
-from .ansatz import COEFF_NAMES
 from .cdsolver import (
     CoefficientPath,
     ReducedSystem,

@@ -13,6 +13,7 @@ part.  The nine operators span the traceless SWAP-invariant two-spin
 operators (3^2 + 1^2 - 1 = 9), orthogonally in the trace inner product.  A
 set of coefficients is a float row ordered as ``COEFF_NAMES``.
 The two-level term H11 sz + Re H12 sx - Im H12 sy uses the basis (sz, sx, -sy).
+``models.ANSATZ`` assigns each model kind one of these two tables.
 """
 
 import numpy as np
@@ -56,8 +57,6 @@ BASIS = _build_basis()                  # (9, 4, 4)
 LZ_BASIS = np.array([_SZ, _SX, -_SY])   # (3, 2, 2), ordered as LZ_NAMES
 
 
-def matrices_from_rows(values, basis=None):
+def matrices_from_rows(values, basis):
     """(N, k) coefficient rows -> (N, dim, dim) matrices sum_k values[:, k] basis[k]."""
-    if basis is None:
-        basis = BASIS
     return np.tensordot(np.asarray(values, dtype=float), basis, axes=(1, 0))

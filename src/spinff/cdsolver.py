@@ -1,38 +1,39 @@
-"""Solver for state-dependent regularization terms under the two-spin ansatz.
+"""Solver for state-dependent regularization terms under each model's ansatz.
 
 The defining linear problem for the tracked eigenvector C(R) reads
 
     Htilde C = i dC/dR - i (C^dag dC/dR) C        (hbar = 1)
 
-with Htilde restricted to the nine-coefficient ansatz.  C, dC/dR and
-the right-hand side are the four amplitudes of ``models.tracked_state`` of
-a level (s, j), vectors of sector s by construction; the reduced systems
-keep the rows that fix a vector of that sector, ``ModelSpec.sector_rows``
-(triplet: rows 1, 2, 4, as C2 = C3; tfim's flip-even block: rows 1, 2, as
-also C1 = C4).  A *selection* picks which ansatz coefficients stay
-free (the rest pinned to zero) so the reduced system becomes square.
+with Htilde restricted to the model's ansatz (``ModelSpec.ansatz``: the
+nine two-spin operators, or lz's three).  C, dC/dR and the right-hand side
+are the amplitudes of ``models.tracked_state`` of a level (s, j), vectors
+of sector s by construction; the reduced systems keep the rows that fix a
+vector of that sector, ``ModelSpec.sector_rows`` (triplet: rows 1, 2, 4,
+as C2 = C3; tfim's flip-even block: rows 1, 2, as also C1 = C4).  A
+*selection* picks which ansatz coefficients stay free (the rest pinned to
+zero) so the reduced system becomes square.
 Solutions are accepted only when the reduced matrix is regular and every
 solved coefficient is real; the survivors cluster into degenerate groups.
 
-Sparse selections do not exhaust the solution set: the full nine-variable
+Sparse selections do not exhaust the solution set: the full two-spin
 problem is rank deficient and carries a multi-parameter family of real
 solutions (the state-independent counter-diabatic operator is one member
 whenever it fits the ansatz).  ``solve_dense`` returns the minimum-norm
 member of that family, which is what the entanglement-generation model
 needs: with a transverse field of generic orientation none of its sparse
 selections is real, see acceptance criterion 3 and the README note on the
-entanglement-generation model.  The two-level model is the same problem
-over the basis (sz, sx, -sy).
+entanglement-generation model.  The two-level model has no admissible
+selection; it drives with that member too.
 
 Every state and right-hand side comes from ``models.tracked_state`` and
-every system from ``_operator_columns`` on its sector's rows.  A function
+every system from ``_columns`` on its sector's rows.  A function
 that takes a level n names it once, by ``models.level``; the rest take (s, j).
 ``CoefficientPath``, what ``evolve`` drives with, solves along R
 unfiltered: a selection's square systems, or the one minimum-norm solve,
 ``_min_norm`` (the Gram solve x = M^T (M M^T + n n^T)^-1 r of the stacked
 real and imaginary rows M, n their left null vector where they have one)
 over the model's whole ansatz, to which ``_min_norm_solve`` (``solve_dense``
-and ``solve_lz`` at one R) adds a full-row residual check.  The census runs
+at one R) adds a full-row residual check.  The census runs
 ``_accept`` (square reduced systems over (R, selection), filtered, as
 arrays) in ``solve_grid``/``enumerate_grid``.  Every square system is
 solved as adj(M) b / det M (``_solve_square``), and the census filters it
@@ -49,15 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from . import models
-from .ansatz import (
-    BASIS,
-    COEFF_NAMES,
-    IMAG_NAMES,
-    LZ_BASIS,
-    LZ_NAMES,
-    REAL_NAMES,
-    matrices_from_rows,
-)
+from .ansatz import IMAG_NAMES, REAL_NAMES, matrices_from_rows
 from .errors import ConfigError, ConsistencyError, DegeneracyError
 from .schedule import advanced_parameter, velocity
 
@@ -79,8 +72,9 @@ class ReducedSystem:
     rhs: np.ndarray                  # (m,) complex
     unknown_names: tuple
     state_vector: np.ndarray         # full C, for residual recomputation
-    rhs_full: np.ndarray             # full 4-component right-hand side
+    rhs_full: np.ndarray             # full right-hand side
     rows: tuple                      # the reduced rows of the state's sector
+    model: object                    # the model whose ansatz the names index
 
 
 @dataclass(frozen=True)
@@ -88,19 +82,23 @@ class SelectionResult:
     selection: tuple
     accepted: bool
     reason: str = ""                # one of REASONS
-    coefficients: np.ndarray = None  # (9,) row ordered as COEFF_NAMES, None unless accepted
+    coefficients: np.ndarray = None  # row ordered as the ansatz, None unless accepted
     cond: float = np.nan
     max_imag: float = np.nan
     residual: float = np.nan
 
 
-def _operator_columns(basis, C, rows=None):
-    """(basis_k C)[rows] as the columns of (..., len(rows), k) matrices.
-
-    ``basis`` (..., k, d, d) and ``C`` (..., d) broadcast over leading axes;
-    ``rows`` defaults to all d.
+def _columns(model, C, rows, ops):
+    """(len(rows), len(ops), N) entries (B_k C)[r] of the ansatz operators B_k, k in ``ops``,
+    for the states C (dim, N), in component layout: each adds the products of its nonzero
+    operator entries (``ModelSpec.ansatz_terms``) with C to +0, in the order of the amplitudes.
     """
-    return np.einsum("...kab,...b->...ak", basis if rows is None else basis[..., list(rows), :], C)
+    M = np.zeros((len(rows), len(ops), C.shape[1]), dtype=complex)
+    at = {(r, k): (i, a) for i, r in enumerate(rows) for a, k in enumerate(ops)}
+    for k, r, d, value in model.ansatz_terms:
+        if (r, k) in at:
+            M[at[r, k]] += value * C[d]
+    return M
 
 
 def _min_norm(A, b, null=None):
@@ -109,13 +107,18 @@ def _min_norm(A, b, null=None):
     The real and imaginary rows form one real system M (2m, k, N), and
     x = M^T (M M^T + n n^T)^-1 r for the stacked right-hand side r.  ``null``
     is M's left null vector n (2m, N) where its rank is 2m - 1 (None where M
-    has full row rank).  The Gram matrix is solved by a Cholesky factor L in
-    component layout, elementwise over N, so each x rounds alike in any
-    stack.  Also returns (max L_jj / min L_jj)^2 (N,), a lower bound on the
-    Gram matrix's condition number (NaN where it is not positive definite).
+    has full row rank); with fewer columns than that rank, x = (M^T M)^-1 M^T r.
+    The Gram matrix is solved by a Cholesky factor L in component layout,
+    elementwise over N, so each x rounds alike in any stack.  Also returns
+    (max L_jj / min L_jj)^2 (N,), a lower bound on the Gram matrix's
+    condition number (NaN where it is not positive definite).
     """
     M = np.concatenate([A.real, A.imag])
     r = np.concatenate([b.real, b.imag])
+    tall = M.shape[1] < len(r) - (null is not None)
+    if tall:    # the Gram matrix M^T M of the columns, and M^T r
+        r = sum(M[i] * r[i] for i in range(len(r)))
+        M, null = M.transpose(1, 0, 2), None
     G = sum(M[:, k, None] * M[None, :, k] for k in range(M.shape[1]))
     if null is not None:
         G += null[:, None] * null[None]
@@ -130,9 +133,12 @@ def _min_norm(A, b, null=None):
             y[i] = (y[i] - sum(L[i, q] * y[q] for q in range(i))) / L[i, i]
         for i in reversed(range(len(y))):
             y[i] = (y[i] - sum(L[q, i] * y[q] for q in range(i + 1, len(y)))) / L[i, i]
-        x = np.zeros(M.shape[1:])   # from +0.0, as a sum starts: a zero prints 0.0, not -0.0
-        for i in range(len(y)):
-            x += M[i] * y[i]
+        x = np.zeros(A.shape[1:])   # from +0.0, as a sum starts: a zero prints 0.0, not -0.0
+        if tall:
+            x += y
+        else:
+            for i in range(len(y)):
+                x += M[i] * y[i]
         diagonal = L[range(len(r)), range(len(r))]
         return x, (diagonal.max(axis=0) / diagonal.min(axis=0)) ** 2
 
@@ -217,31 +223,32 @@ def _condition_number(M, U=None):
     return np.divide(num, det, out=np.full_like(num, np.inf), where=det > EPS * num)
 
 
-def _selection_indices(selection):
-    try:
-        idx = [COEFF_NAMES.index(name) for name in selection]
-    except ValueError as exc:
-        raise ConfigError(f"unknown ansatz coefficient in {selection}") from exc
-    if len(set(idx)) != len(idx):
+def _selection_indices(model, selection):
+    """Indices of the named coefficients in the model's ansatz; ConfigError naming any other."""
+    names = model.ansatz[0]
+    unknown = [name for name in selection if name not in names]
+    if unknown:
+        raise ConfigError(f"unknown ansatz coefficient(s) {','.join(unknown)} in {selection}; "
+                          f"model {model.kind!r} has {','.join(names)}")
+    if len(set(selection)) != len(selection):
         raise ConfigError(f"repeated coefficient in selection {selection}")
-    return idx
+    return [names.index(name) for name in selection]
 
 
-def canonical_selection(selection):
-    """Selection tuple ordered by the ansatz name order."""
-    idx = _selection_indices(selection)
-    return tuple(COEFF_NAMES[i] for i in sorted(idx))
+def canonical_selection(model, selection):
+    """Selection tuple ordered by the model's ansatz name order."""
+    names = model.ansatz[0]
+    return tuple(names[i] for i in sorted(_selection_indices(model, selection)))
 
 
 def _square_indices(model, selections, rows):
     """(S, m) coefficient indices of the selections; ConfigError unless each squares ``rows``."""
-    if model.dim != 4:
-        raise ConfigError("reduced ansatz systems exist for two-spin models only")
+    idx = [_selection_indices(model, sel) for sel in selections]
     for sel in selections:
         if len(sel) != len(rows):
             raise ConfigError(f"selection {','.join(sel)} has {len(sel)} coefficients; "
                               f"the tracked state's reduced system needs {len(rows)}")
-    return np.array([_selection_indices(sel) for sel in selections])
+    return np.array(idx)
 
 
 def reduce_system(model, R, n, selection):
@@ -250,11 +257,11 @@ def reduce_system(model, R, n, selection):
     _, C, _, rhs = models.tracked_state(model, np.array([float(R)]), level)
     rows = model.sector_rows[level[0]]
     (idx,) = _square_indices(model, [selection], rows)
-    return ReducedSystem(_operator_columns(BASIS[idx], C[0], rows), rhs[0, list(rows)],
-                         tuple(selection), C[0], rhs[0], rows)
+    return ReducedSystem(_columns(model, C.T, rows, idx)[..., 0], rhs[0, list(rows)],
+                         tuple(selection), C[0], rhs[0], rows, model)
 
 
-def _accept(idx, C, rhs, rows):
+def _accept(model, idx, C, rhs, rows):
     """Solve and filter the square reduced systems of S selections at N states.
 
     idx (S, m) holds each selection's coefficient indices, C and rhs (N, dim)
@@ -264,11 +271,15 @@ def _accept(idx, C, rhs, rows):
     IMAG_TOL), "residual" (above RESIDUAL_TOL).  cond is the 2-norm
     condition number of each system in closed form (``_condition_number``),
     inf where det = 0 or cond >= 1/eps.
-    Returns (N, S) arrays: coefficients (N, S, 9), zero unless accepted;
-    reason codes into REASONS (0: accepted); cond; max_imag and residual,
-    NaN where not reached.
+    Returns (N, S) arrays: coefficients (N, S, k) over the model's k ansatz
+    operators, zero unless accepted; reason codes into REASONS (0:
+    accepted); cond; max_imag and residual, NaN where not reached.
     """
-    F = _operator_columns(BASIS[idx], C[:, None, :], range(C.shape[1]))   # (N, S, dim, m)
+    # each operator's columns once, gathered per selection: (N, S, dim, m), C-ordered
+    # so that the residual's matmul takes one path, and rounds alike, for every stack
+    ops, where = np.unique(idx, return_inverse=True)
+    F = np.ascontiguousarray(_columns(model, C.T, range(C.shape[1]), ops)
+                             [:, where.reshape(idx.shape)].transpose(3, 1, 0, 2))
     M = F[..., list(rows), :]
     V = np.moveaxis(M, (-1, -2), (0, 1))
     adjugate = _adjugate(V)
@@ -281,7 +292,7 @@ def _accept(idx, C, rhs, rows):
     full = (F @ x.real[..., None])[..., 0] - rhs[:, None, :]
     residual = np.where(real, np.linalg.norm(full, axis=-1), np.nan)
     reason = np.select([~regular, ~real, residual > RESIDUAL_TOL], [1, 2, 3], 0)
-    coefficients = np.zeros(reason.shape + (len(COEFF_NAMES),))
+    coefficients = np.zeros(reason.shape + (len(model.ansatz[0]),))
     coefficients[:, np.arange(len(idx))[:, None], idx] = np.where(
         reason[..., None] == 0, x.real, 0.0)
     return coefficients, reason, cond, max_imag, residual
@@ -297,8 +308,8 @@ def solve_selection(rs):
     """
     sel = tuple(rs.unknown_names)
     x, reason, cond, max_imag, residual = (
-        a[0, 0] for a in _accept(np.array([_selection_indices(sel)]), rs.state_vector[None],
-                                 rs.rhs_full[None], rs.rows))
+        a[0, 0] for a in _accept(rs.model, np.array([_selection_indices(rs.model, sel)]),
+                                 rs.state_vector[None], rs.rhs_full[None], rs.rows))
     return SelectionResult(sel, bool(reason == 0), REASONS[reason], x if reason == 0 else None,
                            float(cond), float(max_imag), float(residual))
 
@@ -308,19 +319,17 @@ def admissible_selections(model):
 
     tfim: W2 paired with each real-part candidate that respects the
     C1 = C4 symmetry.  qa: two imaginary-part carriers with one real-part
-    carrier.  gen: every 3-subset of the nine coefficients.
+    carrier.  gen: every 3-subset of the nine coefficients.  Any other kind
+    (lz) has none.
     """
     if model.kind == "tfim":
-        return [canonical_selection((p, "W2")) for p in ("J1", "J2", "J3", "Bx")]
+        return [canonical_selection(model, (p, "W2")) for p in ("J1", "J2", "J3", "Bx")]
     if model.kind == "qa":
-        out = []
-        for pair in combinations(IMAG_NAMES, 2):
-            for real_name in REAL_NAMES:
-                out.append(canonical_selection(pair + (real_name,)))
-        return out
+        return [canonical_selection(model, pair + (real_name,))
+                for pair in combinations(IMAG_NAMES, 2) for real_name in REAL_NAMES]
     if model.kind == "gen":
-        return [tuple(sel) for sel in combinations(COEFF_NAMES, 3)]
-    raise ConfigError(f"enumeration is not defined for model {model.kind!r}")
+        return list(combinations(model.ansatz[0], 3))
+    return []
 
 
 def enumerate_solutions(model, R, n=0):
@@ -377,14 +386,17 @@ def solve_grid(model, R_values, selections, level=(0, 0)):
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, level)
     rows = model.sector_rows[level[0]]
-    arrays = _accept(_square_indices(model, selections, rows), C, rhs, rows)
+    arrays = _accept(model, _square_indices(model, selections, rows), C, rhs, rows)
     return GridEnumeration(R, tuple(selections), *arrays,
                            np.full(arrays[1].shape, -1), C, dC, rhs)
 
 
 def enumerate_grid(model, R_values, level=(0, 0)):
     """Every admissible selection at every point of an R grid, clustered (``solve_grid``)."""
-    grid = solve_grid(model, R_values, admissible_selections(model), level)
+    selections = admissible_selections(model)
+    if not selections:
+        raise ConfigError(f"model {model.kind!r} has no admissible selection to enumerate")
+    grid = solve_grid(model, R_values, selections, level)
     return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0))
 
 
@@ -415,7 +427,7 @@ def _cluster(coefficients, accepted):
 # dense (all-coefficient) solutions
 
 def solve_dense(model, R, n=0):
-    """Minimum-norm real solution over all nine ansatz coefficients.
+    """Minimum-norm real solution over all of the model's ansatz coefficients.
 
     The full system is consistent (the state-independent counter-diabatic
     operator solves it within the ansatz span) but rank deficient; the
@@ -423,8 +435,6 @@ def solve_dense(model, R, n=0):
     solution family.  This is the route for models whose sparse selections all fail
     the realness filter.  Returns (x, residual) of ``_min_norm_solve`` at R.
     """
-    if model.dim != 4:
-        raise ConfigError("dense ansatz solutions exist for two-spin models only")
     (x,), (residual,) = _min_norm_solve(model, [float(R)], models.level(model, R, n))
     return x, residual
 
@@ -433,7 +443,7 @@ def _min_norm_solve(model, R, level=(0, 0)):
     """``CoefficientPath``'s minimum-norm values (N, k) over a 1-d R, and their residuals (N,).
 
     The residual takes all of the model's rows, not only the sector's
-    reduced ones; ``solve_dense`` and ``solve_lz`` are the one-point case.
+    reduced ones; ``solve_dense`` is the one-point case.
     Refuses, naming the first R, a residual above RESIDUAL_TOL.
     """
     _, C, _, rhs = state = models.tracked_state(model, R, level)
@@ -452,11 +462,8 @@ def _min_norm_solve(model, R, level=(0, 0)):
 
 
 def solve_lz(model, R, n=1):
-    """(H11, Re H12, Im H12) of the two-level term at R (either state), and the residual."""
-    if model.dim != 2:
-        raise ConfigError("solve_lz applies to the two-level model")
-    (x,), (residual,) = _min_norm_solve(model, [float(R)], models.level(model, R, n))
-    return x, residual
+    """``solve_dense`` of state n, by default the upper one: lz's (H11, Re H12, Im H12)."""
+    return solve_dense(model, R, n)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +518,10 @@ def drb_counterdiabatic(model, R):
 class CoefficientPath:
     """Evaluates regularization coefficients along R for a fixed strategy.
 
-    ``selection`` is a tuple of ansatz names, or None or "dense" for the
-    minimum-norm member over the model's ansatz: the nine two-spin
-    operators, or (sz, sx, -sy) for the two-level model, which takes no
-    selection but None (ConfigError).  ``level`` (s, j) is the tracked
-    level, level j of sector s (default: level 0 of sector 0, the ground
+    ``selection`` is a tuple of names of the model's ansatz
+    (``ModelSpec.ansatz``; ConfigError naming any other), or None or
+    "dense" for the minimum-norm member over the whole ansatz.  ``level``
+    (s, j) is the tracked level, level j of sector s (default: level 0 of sector 0, the ground
     state of every model kind); the systems keep sector s's rows, and a
     selection must square them (ConfigError).  Evaluation is vectorized
     over arrays of R values; no accept/reject filtering happens here.
@@ -523,29 +529,20 @@ class CoefficientPath:
 
     def __init__(self, model, selection=None, level=(0, 0)):
         self.model, self.level = model, level
-        if model.dim == 2 and selection is not None:
-            raise ConfigError(f"the two-level model takes no selection, got {selection}")
+        names, basis = model.ansatz
+        self.rows = model.sector_rows[level[0]]
         if selection is None or selection == "dense":
-            self.mode = "dense"
-            self.names, self.basis = ((LZ_NAMES, LZ_BASIS) if model.dim == 2
-                                      else (COEFF_NAMES, BASIS))
+            self.mode, self.ops = "dense", list(range(len(names)))
         else:
             self.mode = "selection"
-            self.names = canonical_selection(selection)
-            self.basis = BASIS[_selection_indices(self.names)]
+            self.ops = sorted(_square_indices(model, [selection], self.rows)[0])
+        self.names, self.basis = tuple(names[k] for k in self.ops), basis[self.ops]
         P = model.sectors[level[0]]
-        self.rows = model.sector_rows[level[0]]
-        if self.mode == "selection":
-            _square_indices(model, [self.names], self.rows)
         # where the ansatz maps the sector into itself (Q^T B P = 0 for the other sectors
         # Q): the amplitudes each reduced row stands for, which weight the left null
         # vector of the minimum-norm rows, as Im <C|Htilde|C> = 0; else None
         self.weights = ((P != 0).sum(axis=0) if all(np.abs(Q.T @ self.basis @ P).max()
                         <= SYMMETRY_TOL for Q in model.sectors if Q is not P) else None)
-        # the nonzero basis entries on the sector's rows (``_columns``)
-        T = self.basis[:, list(self.rows)]                   # (k, m, dim)
-        self._terms = [(r, k, [(d, T[k, r, d]) for d in np.flatnonzero(T[k, r])])
-                       for r in range(len(self.rows)) for k in range(len(T))]
 
     def values(self, R_array, *, state=None):
         """(N, k) coefficient values at each R.
@@ -561,7 +558,7 @@ class CoefficientPath:
             state = models.tracked_state(self.model, R_array, self.level)
         _, C, _, rhs = state
         Cr, b = C.T[list(self.rows)], rhs.T[list(self.rows)]
-        M = self._columns(C.T)
+        M = _columns(self.model, C.T, self.rows, self.ops)
         # the minimum-norm solve takes the reduced rows too; on tfim's flip-even
         # block it leaves the flip-odd coefficients at 0 to rounding
         if self.mode == "dense":
@@ -586,23 +583,6 @@ class CoefficientPath:
             )
         return x.T
 
-    def _columns(self, C):
-        """(rows, k, N) reduced systems (basis_k C)[rows] of the states C (dim, N).
-
-        Each entry adds the products of its nonzero basis entries with C in the
-        order of the amplitudes, one component array at a time, in component layout.
-        """
-        M = np.empty((len(self.rows), len(self.basis), C.shape[1]), dtype=complex)
-        for r, k, entry in self._terms:
-            if entry:
-                (d, value), *rest = entry
-                M[r, k] = value * C[d]
-                for d, value in rest:
-                    M[r, k] += value * C[d]
-            else:
-                M[r, k] = 0.0
-        return M
-
     def matrices(self, R_array):
         """(N, dim, dim) regularization matrices (velocity not applied)."""
         return matrices_from_rows(self.values(R_array), self.basis)
@@ -619,18 +599,22 @@ def is_driven(schedule, R, v):
 
 
 def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
-    """H0 at the advanced parameter plus velocity times the regularization of state n.
+    """``driven_hamiltonian`` of state n, named at R0 (``models.level``)."""
+    return driven_hamiltonian(model, schedule, solution, t, models.level(model, schedule.R0, n))
 
-    State n is named at R0 (``models.level``).  t is a scalar or an array,
-    and the result is shaped like ``models.hamiltonian``'s.  Exactly H0
-    wherever the point is not driven (both protocol endpoints), which also
-    sidesteps the coefficient singularities that can sit there.
+
+def driven_hamiltonian(model, schedule, solution, t, level):
+    """H0 at the advanced parameter plus velocity times the regularization of level (s, j).
+
+    t is a scalar or an array, and the result is shaped like
+    ``models.hamiltonian``'s.  Exactly H0 wherever the point is not driven
+    (both protocol endpoints), which also sidesteps the coefficient
+    singularities that can sit there.
     """
     t = np.asarray(t, dtype=float)
     R, v = advanced_parameter(schedule, t.ravel()), velocity(schedule, t.ravel())
     H = models.hamiltonian(model, R)
     live = is_driven(schedule, R, v)
     if np.any(live):
-        path = CoefficientPath(model, solution, models.level(model, schedule.R0, n))
-        H[live] += v[live, None, None] * path.matrices(R[live])
+        H[live] += v[live, None, None] * CoefficientPath(model, solution, level).matrices(R[live])
     return H.reshape(t.shape + H.shape[1:])

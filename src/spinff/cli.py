@@ -20,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import models, propagator, tables
-from .ansatz import COEFF_NAMES
 from .cdsolver import (
     REASONS,
     CoefficientPath,
@@ -167,23 +166,23 @@ def resolve_selection(config):
     Validation and the default policy ("first accepted in enumeration
     order", among the admissible selections that square the tracked
     state's reduced rows) are evaluated at the mid-excursion R, away from
-    endpoint singularities of the coefficient formulas.  The two-level
-    model takes no selection.
+    endpoint singularities of the coefficient formulas.  A kind with no
+    admissible selection (lz) defaults to None, the minimum-norm member.
     """
     model, R = config.model, [_mid_R(config)]
-    if model.dim == 2:
-        CoefficientPath(model, config.selection)   # refuses any selection
+    chosen = config.selection is not None
+    admissible = [] if chosen else admissible_selections(model)
+    if not (chosen or admissible):
         return None
     level = _level(config)
     if config.selection == "dense":
         _min_norm_solve(model, R, level)
         return "dense"
-    chosen = config.selection is not None
     if chosen:
         selections = [config.selection]
     else:
         rows = model.sector_rows[level[0]]
-        selections = [sel for sel in admissible_selections(model) if len(sel) == len(rows)]
+        selections = [sel for sel in admissible if len(sel) == len(rows)]
         if not selections:
             raise ConfigError("no selection configured, and no admissible selection has the "
                               f"{len(rows)} coefficient(s) the tracked state's reduced system "
@@ -263,11 +262,10 @@ def run_job(config):
 # ---------------------------------------------------------------------------
 # solve-cd / enumerate
 
-_SELECTION_HEADER = (
-    ["R", "selection", "accepted", "reason"]
-    + [f"coef_{name}" for name in COEFF_NAMES]
-    + ["residual", "cond", "max_imag", "group_id"]
-)
+def _selection_header(model):
+    return (["R", "selection", "accepted", "reason"]
+            + [f"coef_{name}" for name in model.ansatz[0]]
+            + ["residual", "cond", "max_imag", "group_id"])
 
 
 def _selection_rows(grid, which):
@@ -293,9 +291,11 @@ def _selection_rows(grid, which):
 def solve_cd_job(config):
     R_values = enumeration_grid(config.schedule, config.grid)
     selection = resolve_selection(config)
-    header, rows = _SELECTION_HEADER, []
-    if selection is None:  # the two-level model
-        header = ["R", "h11", "re_h12", "im_h12", "residual"]
+    header, rows = _selection_header(config.model), []
+    if selection is None:  # no admissible selection: the minimum-norm member alone
+        # the ansatz names in snake case (lz: h11, re_h12, im_h12)
+        header = (["R"] + [re.sub(r"(?<=.)(?=[A-Z])", "_", name).lower()
+                           for name in config.model.ansatz[0]] + ["residual"])
         x, residual = _min_norm_solve(config.model, R_values, _level(config))
         rows = _float_rows(np.column_stack([R_values, x, residual]))
     elif selection == "dense":
@@ -315,12 +315,10 @@ def solve_cd_job(config):
 
 
 def enumerate_job(config):
-    if config.model.dim == 2:
-        raise ConfigError("enumeration applies to the two-spin models")
     R_values = enumeration_grid(config.schedule, config.grid)
     grid = enumerate_grid(config.model, R_values, _level(config))
     rows = _selection_rows(grid, range(len(grid.selections)))
-    write_csv(os.path.join(config.out, "enumerate.csv"), _SELECTION_HEADER, rows)
+    write_csv(os.path.join(config.out, "enumerate.csv"), _selection_header(config.model), rows)
     summary = _config_payload(config)
     summary.update(
         {

@@ -64,7 +64,7 @@ def _number(mapping, key, where, default=None, required=False):
     return float(number)
 
 
-def parse_selection(raw):
+def parse_selection(raw, model):
     if raw is None:
         return None
     if isinstance(raw, str):
@@ -74,7 +74,7 @@ def parse_selection(raw):
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"selection: expected a list of names or 'dense', got {raw!r}")
     try:
-        return canonical_selection(tuple(raw))
+        return canonical_selection(model, tuple(raw))
     except ConfigError as exc:
         raise ConfigError(f"selection: {exc}") from exc
 
@@ -152,7 +152,7 @@ def config_from_dict(data):
     if not isinstance(out, str) or not out:
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    selection = parse_selection(data.get("selection"))
+    selection = parse_selection(data.get("selection"), model)
     return RunConfig(
         model=model,
         schedule=schedule,

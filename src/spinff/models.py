@@ -1,7 +1,7 @@
 """Spin models: Hamiltonians, analytic eigen-systems, gauge-fixed derivatives.
 
 Four models, each a table in ``OPERATORS`` that maps couplings, affine in
-one control parameter R, to operators of the ansatz basis (lz: sigma_z/2
+one control parameter R, to operators of its ansatz, ``ANSATZ`` (lz: sigma_z/2
 and sigma_x/2); ``hamiltonian`` and ``ModelSpec.slope_matrix`` contract
 the couplings or their slopes with it:
 
@@ -40,7 +40,7 @@ from itertools import product
 
 import numpy as np
 
-from .ansatz import BASIS, COEFF_NAMES, LZ_BASIS
+from .ansatz import BASIS, COEFF_NAMES, LZ_BASIS, LZ_NAMES
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -49,13 +49,17 @@ from .errors import (
     GaugeError,
 )
 
+# per kind, the ansatz {name: operator} a regularization term may use (``ModelSpec.ansatz``):
+# lz's two-level term, or the nine two-spin operators
+_LZ, _TWO = dict(zip(LZ_NAMES, LZ_BASIS)), dict(zip(COEFF_NAMES, BASIS))
+ANSATZ = {"lz": _LZ, "tfim": _TWO, "qa": _TWO, "gen": _TWO}
+
 # H(R) = sum over couplings c(R) op_c; J3 is s1z s2z, Bx, By, Bz are (s1 + s2).e/2
-_ANSATZ = dict(zip(COEFF_NAMES, BASIS))
 OPERATORS = {
-    "lz": {"Bz": LZ_BASIS[0] / 2, "Delta": LZ_BASIS[1] / 2},
-    "tfim": {"J": _ANSATZ["J3"], "Bx": -_ANSATZ["Bx"]},
-    "qa": {"J": -_ANSATZ["J3"], "Bz": -_ANSATZ["Bz"], "Bx": -_ANSATZ["Bx"]},
-    "gen": {"J": _ANSATZ["J3"], "Bx": _ANSATZ["Bx"], "By": _ANSATZ["By"], "Bz": _ANSATZ["Bz"]},
+    "lz": {"Bz": _LZ["H11"] / 2, "Delta": _LZ["ReH12"] / 2},
+    "tfim": {"J": _TWO["J3"], "Bx": -_TWO["Bx"]},
+    "qa": {"J": -_TWO["J3"], "Bz": -_TWO["Bz"], "Bx": -_TWO["Bx"]},
+    "gen": {"J": _TWO["J3"], "Bx": _TWO["Bx"], "By": _TWO["By"], "Bz": _TWO["Bz"]},
 }
 
 # Couplings each Hamiltonian reads; any of them may be scheduled in R.
@@ -131,6 +135,19 @@ class ModelSpec:
     @property
     def dim(self):
         return self.operators.shape[-1]
+
+    @cached_property
+    def ansatz(self):
+        """(names, (k, dim, dim) read-only stack) of the kind's ansatz table, ``ANSATZ``."""
+        basis = np.array(list(ANSATZ[self.kind].values()))
+        basis.flags.writeable = False
+        return tuple(ANSATZ[self.kind]), basis
+
+    @cached_property
+    def ansatz_terms(self):
+        """The nonzero entries (k, r, d, value) of the ansatz stack, in row-major order."""
+        basis = self.ansatz[1]
+        return tuple(zip(*np.nonzero(basis), basis[basis != 0]))
 
     @cached_property
     def is_real(self):

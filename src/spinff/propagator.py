@@ -56,7 +56,7 @@ import numpy as np
 from . import models
 from .models import _mul
 from .ansatz import matrices_from_rows
-from .cdsolver import CoefficientPath, fast_forward_hamiltonian, is_driven
+from .cdsolver import CoefficientPath, driven_hamiltonian, is_driven
 from .errors import DomainError, StepSizeError
 from .schedule import advanced_parameter, step_count, velocity
 
@@ -193,8 +193,8 @@ def evolve(model, schedule, solution, n=0, dt=None, samples=DEFAULT_SAMPLES):
     """Integrate the TDSE from the gauge-fixed eigenvector n at R0 (``models.level``).
 
     ``solution`` selects the regularization strategy (a selection tuple,
-    "dense", or None for the two-level model); coefficients
-    are re-solved along the advanced-parameter path.  Returns a Trajectory
+    or "dense" or None for the minimum-norm member, ``CoefficientPath``);
+    coefficients are re-solved along the advanced-parameter path.  Returns a Trajectory
     of max(samples, MIN_SAMPLES) chunks, fewer only at a ``dt`` of fewer steps.
 
     Without ``dt`` the N0 = max(samples, MIN_SAMPLES) chunks start at one
@@ -553,6 +553,6 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     phase = np.concatenate([np.zeros((len(tk), 1)), np.cumsum(step, axis=1)], axis=1)
     psi = C[:k].reshape(ts.shape + (-1,)) * np.exp(1j * phase)[..., None]
     dpsi = (psi[:, 2] - psi[:, 0]) / (2.0 * dt_probe)
-    H = fast_forward_hamiltonian(model, schedule, solution, tk, n)
+    H = driven_hamiltonian(model, schedule, solution, tk, level)
     residual = np.linalg.norm(1j * dpsi - (H @ psi[:, 1, :, None])[..., 0], axis=-1)
     return float(residual[0]) if t.ndim == 0 else residual.reshape(t.shape)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import COEFF_NAMES, matrices_from_rows
+from .ansatz import matrices_from_rows
 from .cdsolver import canonical_selection, enumerate_grid
 from .errors import ConfigError
 
@@ -203,6 +203,7 @@ def verify_table_grid(model, grid):
     """
     if model.kind != "qa":
         raise ConfigError("the closed-form table applies to the annealing model")
+    names, basis = model.ansatz
     worst_res, worst_gap, worst_van = np.zeros((3, len(QA_TABLE)))
     groups_ok = True
     group_ids = [0] * len(QA_TABLE)
@@ -210,12 +211,13 @@ def verify_table_grid(model, grid):
     selections, solved, gids = list(grid.selections), grid.coefficients, grid.group_id
     args = (1j * dC[:, 0], 1j * dC[:, 1], 1j * dC[:, 3], C[:, 0], C[:, 1], C[:, 3])
     for k, (frame, forms) in enumerate(QA_TABLE):
-        x = np.zeros((len(C), len(COEFF_NAMES)))
-        cols = [COEFF_NAMES.index(name) for name in forms]
+        x = np.zeros((len(C), len(names)))
+        cols = [names.index(name) for name in forms]
         x[:, cols] = np.stack([fn(*args).real for fn in forms.values()], axis=1)
-        residual = np.linalg.norm((matrices_from_rows(x) @ C[..., None])[..., 0] - rhs, axis=1)
+        residual = np.linalg.norm((matrices_from_rows(x, basis) @ C[..., None])[..., 0] - rhs,
+                                  axis=1)
         worst_res[k] = residual.max()
-        selection = canonical_selection(tuple(forms) + (frame,))
+        selection = canonical_selection(model, tuple(forms) + (frame,))
         if selection not in selections:
             groups_ok = False
             continue
@@ -224,7 +226,7 @@ def verify_table_grid(model, grid):
         groups_ok &= bool(ok.all())
         if ok.any():
             worst_gap[k] = np.abs(solved[ok, j][:, cols] - x[ok][:, cols]).max()
-            worst_van[k] = np.abs(solved[ok, j, COEFF_NAMES.index(frame)]).max()
+            worst_van[k] = np.abs(solved[ok, j, names.index(frame)]).max()
             group_ids[k] = int(gids[ok, j][-1])
     # groups must follow the 6/6/6 layout of the three nonzero pairs: one
     # group per pair

@@ -45,7 +45,7 @@ from spinff import (
     solve_selection,
     verify_table,
 )
-from spinff.ansatz import COEFF_NAMES, LZ_BASIS, matrices_from_rows
+from spinff.ansatz import BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
 from spinff.cdsolver import RESIDUAL_TOL, enumeration_grid
 from spinff.models import state_and_derivative
 from spinff.propagator import _phases
@@ -302,7 +302,7 @@ def test_criterion_5_closed_form_oracles():
         worst_polar = max(worst_polar, abs(w2 - tfim_polar_rate(TFIM_MODEL, float(R))))
         H = drb_counterdiabatic(TFIM_MODEL, float(R))
         worst_drb = max(worst_drb, float(np.max(np.abs(
-            H - matrices_from_rows([res.coefficients])[0]))))
+            H - matrices_from_rows([res.coefficients], BASIS)[0]))))
 
     ok = worst_lz < 1e-10 and worst_w2 < 1e-10 and worst_polar < 1e-9 \
         and worst_drb < 1e-10
@@ -317,10 +317,10 @@ def test_criterion_5_closed_form_oracles():
 def test_criterion_5_state_dependent_actions():
     def qa_solution(R):
         res = solve_selection(reduce_system(QA_MODEL, R, 0, QA_SELECTION))
-        return matrices_from_rows([res.coefficients])[0]
+        return matrices_from_rows([res.coefficients], BASIS)[0]
 
     def gen_solution(R):
-        return matrices_from_rows([solve_dense(GEN_MODEL, R)[0]])[0]
+        return matrices_from_rows([solve_dense(GEN_MODEL, R)[0]], BASIS)[0]
 
     details = []
     ok = True

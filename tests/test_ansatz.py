@@ -18,11 +18,11 @@ def _matrix(**named):
     row = np.zeros(len(COEFF_NAMES))
     for name, value in named.items():
         row[COEFF_NAMES.index(name)] = value
-    return matrices_from_rows([row])[0]
+    return matrices_from_rows([row], BASIS)[0]
 
 
 def test_zero_coefficients_give_zero_matrix():
-    assert np.all(matrices_from_rows(np.zeros((1, 9)))[0] == 0)
+    assert np.all(matrices_from_rows(np.zeros((1, 9)), BASIS)[0] == 0)
 
 
 def test_w2_only_pattern():
@@ -53,7 +53,7 @@ def test_field_and_exchange_corners():
 
 @given(st.lists(finite, min_size=9, max_size=9))
 def test_always_hermitian_and_traceless(values):
-    H = matrices_from_rows([values])[0]
+    H = matrices_from_rows([values], BASIS)[0]
     np.testing.assert_allclose(H, H.conj().T, atol=0)
     assert abs(np.trace(H)) < 1e-12 * max(1.0, np.max(np.abs(values)))
 
@@ -74,7 +74,7 @@ def test_the_nine_operators_span_the_swap_invariant_traceless_operators():
 
     def project(H):
         x = np.einsum("aij,ji->a", BASIS, H) / np.diag(gram).real
-        return x, matrices_from_rows([x.real])[0]
+        return x, matrices_from_rows([x.real], BASIS)[0]
 
     rng = np.random.default_rng(7)
     for _ in range(20):

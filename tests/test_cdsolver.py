@@ -1,6 +1,4 @@
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -13,7 +11,6 @@ from spinff import (
     drb_counterdiabatic,
     enumerate_grid,
     enumerate_solutions,
-    evolve,
     fast_forward_hamiltonian,
     hamiltonian,
     reduce_system,
@@ -22,7 +19,7 @@ from spinff import (
     solve_selection,
 )
 from spinff import cdsolver, models
-from spinff.ansatz import BASIS, COEFF_NAMES, LZ_BASIS, matrices_from_rows
+from spinff.ansatz import BASIS, COEFF_NAMES, matrices_from_rows
 from spinff.cdsolver import (
     COND_MAX,
     GROUP_TOL,
@@ -32,7 +29,6 @@ from spinff.cdsolver import (
     _cluster,
     _condition_number,
     _min_norm_solve,
-    _operator_columns,
     enumeration_grid,
     solve_grid,
 )
@@ -92,7 +88,7 @@ def test_lz_drb_agreement(lz_model):
     for R in (-1.0, 0.4, 2.0):
         H = drb_counterdiabatic(lz_model, R)
         x, _ = solve_lz(lz_model, R)
-        assert np.max(np.abs(H - matrices_from_rows([x], LZ_BASIS)[0])) < 1e-10
+        assert np.max(np.abs(H - matrices_from_rows([x], lz_model.ansatz[1])[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,7 @@ def test_tfim_state_independent_solution(tfim_model):
 def test_tfim_drb_equality(tfim_model):
     res = solve_selection(reduce_system(tfim_model, 1.0, 0, ("J3", "W2")))
     H = drb_counterdiabatic(tfim_model, 1.0)
-    assert np.max(np.abs(H - matrices_from_rows([res.coefficients])[0])) < 1e-10
+    assert np.max(np.abs(H - matrices_from_rows([res.coefficients], BASIS)[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +397,7 @@ def test_coefficient_path_selection_solve_is_the_per_point_solve(qa_model, monke
         assert np.array_equal(path.values(np.array([r]))[0], row), r
     # exactly singular systems (a zero column, a zero matrix) mid-stack: the
     # refusal names the first of them
-    columns = CoefficientPath._columns
+    columns = cdsolver._columns
 
     def singular(*args):
         M = columns(*args).copy()       # (rows, coefficients, points)
@@ -409,7 +405,7 @@ def test_coefficient_path_selection_solve_is_the_per_point_solve(qa_model, monke
         M[..., 4] = 0.0
         return M
 
-    monkeypatch.setattr(CoefficientPath, "_columns", singular)
+    monkeypatch.setattr(cdsolver, "_columns", singular)
     with pytest.raises(ConsistencyError, match=r"singular .* at R=7\.5$"):
         path.values(R)
 
@@ -542,7 +538,8 @@ def test_repeated_coefficient_is_singular_with_infinite_cond(qa_model):
     _, C, _, rhs = models.tracked_state(qa_model, R, (0, 0))
     rows = qa_model.sector_rows[0]
     k, j = COEFF_NAMES.index("W2"), COEFF_NAMES.index("Bz")
-    _, reason, cond, max_imag, _ = _accept(np.array([[k, k, j], [j, k, j]]), C, rhs, rows)
+    idx = np.array([[k, k, j], [j, k, j]])
+    _, reason, cond, max_imag, _ = _accept(qa_model, idx, C, rhs, rows)
     assert np.all(np.isinf(cond))
     assert np.all(reason == REASONS.index("singular"))
     assert np.all(np.isnan(max_imag))
@@ -573,9 +570,11 @@ def test_preset_grid_cond_is_the_svd_cond(preset, monkeypatch):
     R = enumeration_grid(config.schedule, config.grid)
     pair = level(config.model, config.schedule.R0, config.state)
     grid = enumerate_grid(config.model, R, pair)
-    idx = np.array([[COEFF_NAMES.index(name) for name in sel] for sel in grid.selections])
-    rows = config.model.sector_rows[pair[0]]
-    svd = np.linalg.cond(_operator_columns(BASIS[idx], grid.state[:, None, :], rows))
+    names, basis = config.model.ansatz
+    idx = np.array([[names.index(name) for name in sel] for sel in grid.selections])
+    rows = list(config.model.sector_rows[pair[0]])
+    # the (N, S, rows, m) reduced matrices (B_k C)[rows], built here by einsum
+    svd = np.linalg.cond(np.einsum("skab,nb->nsak", basis[idx][:, :, rows], grid.state))
     moderate = svd <= 1e8
     assert moderate.any()
     np.testing.assert_allclose(grid.cond[moderate], svd[moderate], rtol=1e-12, atol=0)
@@ -618,14 +617,14 @@ def test_gen_dense_solution_is_real_and_exact(gen_model):
         assert residual < 1e-10
         C, _ = state_and_derivative(gen_model, R, 0)
         rhs = _rhs(gen_model, R, 0)
-        H = matrices_from_rows([x])[0]
+        H = matrices_from_rows([x], BASIS)[0]
         assert np.linalg.norm(H @ C - rhs) < 1e-10
 
 
 def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
     R = 12.5
     H_drb = drb_counterdiabatic(gen_model, R)
-    H_sol = matrices_from_rows([solve_dense(gen_model, R)[0]])[0]
+    H_sol = matrices_from_rows([solve_dense(gen_model, R)[0]], BASIS)[0]
     C, _ = state_and_derivative(gen_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
     assert np.max(np.abs(H_drb - H_sol)) > 1e-3
@@ -634,7 +633,7 @@ def test_gen_dense_action_matches_drb_but_matrix_differs(gen_model):
 def test_qa_drb_action_matches_but_matrix_differs(qa_model):
     R = 5.0
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
-    H_sol = matrices_from_rows([res.coefficients])[0]
+    H_sol = matrices_from_rows([res.coefficients], BASIS)[0]
     H_drb = drb_counterdiabatic(qa_model, R)
     C, _ = state_and_derivative(qa_model, R, 0)
     assert np.linalg.norm((H_drb - H_sol) @ C) < 1e-9
@@ -785,7 +784,7 @@ def test_zero_field_qa_spectrum_is_exact_and_its_drb_is_a_degeneracy():
 @pytest.mark.parametrize("kind, n", [("lz", 1), ("lz", 0), ("qa", 0), ("gen", 0), ("gen", 2)])
 def test_min_norm_grid_solve_is_the_per_point_solve(kind, n):
     model, R = GRIDS[kind]
-    basis = LZ_BASIS if model.dim == 2 else BASIS
+    basis = model.ansatz[1]
     pair = level(model, R[0], n)
     x, residual = _min_norm_solve(model, R, pair)
     assert x.shape == (len(R), len(basis)) and residual.shape == R.shape
@@ -812,7 +811,7 @@ def test_min_norm_path_is_the_full_row_min_norm_solve(kind, n):
     # the path solves the sector's rows only; its x is the minimum-norm
     # solution of all the rows, and solves them within RESIDUAL_TOL
     model, R = GRIDS[kind]
-    basis = LZ_BASIS if model.dim == 2 else BASIS
+    basis = model.ansatz[1]
     pair = level(model, R[0], n)
     _, C, _, rhs = models.tracked_state(model, R, pair)
     x = CoefficientPath(model, None, pair).values(R)
@@ -850,16 +849,30 @@ def test_min_norm_values_over_a_grid_are_the_point_values(preset, n):
         assert np.array_equal(path.values(R[k : k + 1])[0], x[k]), R[k]
 
 
-@pytest.mark.parametrize("selection", [("Bogus",), ("J3", "W2"), "dense"],
-                         ids=["Bogus", "J3,W2", "dense"])
-def test_coefficient_path_refuses_a_selection_on_the_two_level_model(lz_model, selection):
-    # the two-level model has one term, its minimum-norm one: a selection is
-    # refused by name, not ignored
-    message = re.escape(f"takes no selection, got {selection}")
-    with pytest.raises(ConfigError, match=message):
-        CoefficientPath(lz_model, selection)
-    with pytest.raises(ConfigError, match=message):
-        evolve(lz_model, Schedule(-5.0, 10.0, 1.0), selection)
+def test_a_registered_kind_solves_through_its_own_ansatz_table(monkeypatch):
+    # a throwaway kind: the two-level Hamiltonian with its own two-operator
+    # ansatz (sx, sy); nothing but the tables names it
+    sx, sy, sz = (models.ANSATZ["lz"][name] for name in ("ReH12", "ImH12", "H11"))
+    operators = {"Bz": sz / 2, "Delta": sx / 2}
+    monkeypatch.setitem(models.OPERATORS, "toy", operators)
+    monkeypatch.setitem(models.ANSATZ, "toy", {"X": sx, "Y": sy})
+    monkeypatch.setitem(models.REQUIRED_COUPLINGS, "toy", tuple(operators))
+    monkeypatch.setitem(models.SECTORS, "toy", models._sectors(np.array(list(operators.values()))))
+    model = ModelSpec("toy", constants={"Delta": 1.0}, schedule_map={"Bz": (0.0, 1.0)})
+    R = np.linspace(-3.0, 3.0, 7)
+    for n in (0, 1):
+        pair = level(model, R[0], n)
+        dense = CoefficientPath(model, None, pair)
+        square = CoefficientPath(model, ("Y", "X"), pair)
+        assert dense.names == square.names == ("X", "Y")
+        x = dense.values(R)
+        np.testing.assert_allclose(square.values(R), x, rtol=0, atol=1e-12)
+        # the two-level term is state independent: sy alone, the DRB operator
+        assert np.abs(x[:, 0]).max() <= 1e-12
+        np.testing.assert_allclose(dense.matrices(R), drb_counterdiabatic(model, R),
+                                   rtol=0, atol=1e-12)
+    with pytest.raises(ConfigError, match="unknown ansatz coefficient.* H11 .*has X,Y"):
+        CoefficientPath(model, ("H11", "Y"))
 
 
 def test_min_norm_grid_solve_refuses_a_large_residual(monkeypatch):
@@ -920,7 +933,7 @@ def test_qa_midpoint_ff_hamiltonian(qa_model, qa_schedule):
     assert velocity(qa_schedule, t) == pytest.approx(2 * qa_schedule.v_bar)
     res = solve_selection(reduce_system(qa_model, R, 0, ("W2", "By", "Bz")))
     expect = (hamiltonian(qa_model, R)
-              + 2 * qa_schedule.v_bar * matrices_from_rows([res.coefficients])[0])
+              + 2 * qa_schedule.v_bar * matrices_from_rows([res.coefficients], BASIS)[0])
     got = fast_forward_hamiltonian(qa_model, qa_schedule, ("W2", "By", "Bz"), t)
     assert np.max(np.abs(got - expect)) < 1e-8
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from spinff.ansatz import COEFF_NAMES
 from spinff.cdsolver import (
     GROUP_TOL,
+    CoefficientPath,
     admissible_selections,
     enumerate_grid,
     enumeration_grid,
@@ -26,8 +28,8 @@ from spinff.cdsolver import (
 )
 import spinff
 from spinff.cli import (
-    _SELECTION_HEADER,
     _float_rows,
+    _selection_header,
     _selection_rows,
     build_parser,
     main,
@@ -37,6 +39,7 @@ from spinff.config import PRESET_NAMES, YAML_LOADER, config_from_dict, load_conf
 from spinff.errors import ConfigError
 from spinff.models import level
 from spinff.propagator import evolve
+from spinff.tables import lz_h12_imag
 
 QA_CONFIG = """\
 model:
@@ -501,6 +504,55 @@ def test_selection_on_the_two_level_model_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selection", ["Bogus", "J3,W2", "dense", "ReH12,ImH12", "H11,ReH12"])
+def test_a_selection_on_the_two_level_model_is_never_silently_ignored(tmp_path, capsys,
+                                                                     selection):
+    # lz's ansatz is its own table (H11, ReH12, ImH12): a selection is refused
+    # by name, solved as given, or rejected by the solver, never dropped for
+    # the default minimum-norm term
+    config = load_preset("lz")
+    names = tuple(selection.split(","))
+    out = tmp_path / "cd"
+    code = main(["solve-cd", "--config", "preset:lz", "--selection", selection, "--grid", "7",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if selection in ("Bogus", "J3,W2"):
+        assert code == 2 and err.startswith("configuration error:")
+        assert f"unknown ansatz coefficient(s) {selection} in" in err
+        for refused in (lambda: CoefficientPath(config.model, names),
+                        lambda: evolve(config.model, config.schedule, names)):
+            with pytest.raises(ConfigError, match=f"unknown ansatz coefficient\\(s\\) {selection} "):
+                refused()
+        assert not out.exists()
+    elif selection == "dense":
+        # the same minimum-norm term as no selection, bit for bit
+        runs = {}
+        for name, argv in (("dense", ["--selection", "dense"]), ("default", [])):
+            assert main(["run", "--config", "preset:lz", "--out", str(tmp_path / name),
+                         *argv]) == 0
+            runs[name] = [(tmp_path / name / f).read_bytes()
+                          for f in ("trajectory.csv", "coefficients.csv")]
+            used = json.loads((tmp_path / name / "summary.json").read_text())["selection_used"]
+            assert used == {"dense": "dense", "default": None}[name]
+        assert runs["dense"] == runs["default"]
+        assert code == 0
+        header = (out / "solve_cd.csv").read_text().splitlines()[0].split(",")
+        assert header[4:7] == ["coef_H11", "coef_ReH12", "coef_ImH12"]
+    elif selection == "ReH12,ImH12":
+        assert code == 0
+        with open(out / "solve_cd.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        R = np.array([float(row["R"]) for row in rows])
+        assert len(R) == 7 and {row["accepted"] for row in rows} == {"1"}
+        assert [float(row["coef_ReH12"]) for row in rows] == [0.0] * 7
+        assert [float(row["coef_H11"]) for row in rows] == [0.0] * 7
+        im = np.array([float(row["coef_ImH12"]) for row in rows])
+        assert np.abs(im - lz_h12_imag(config.model, R)).max() <= 1e-10
+    else:
+        assert code == 3 and err.startswith("solver rejection:") and "not_real" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "preset:lz", "--dt", "0"],
     ["run", "--config", "preset:lz", "--dt", "-0.001"],
@@ -814,8 +866,8 @@ def _object_row(R, res, group_id):
     )
 
 
-def _csv_text(rows):
-    return "\n".join([",".join(_SELECTION_HEADER)] + [",".join(r) for r in rows]) + "\n"
+def _csv_text(model, rows):
+    return "\n".join([",".join(_selection_header(model))] + [",".join(r) for r in rows]) + "\n"
 
 
 @pytest.mark.parametrize("preset", ["gen", "qa"])
@@ -828,11 +880,12 @@ def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
     objects = [_object_row(R, *entry) for R, point in zip(R_values, points) for entry in point]
     assert main(["enumerate", "--config", f"preset:{preset}",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "enumerate.csv").read_text() == _csv_text(objects)
+    assert (tmp_path / "enumerate.csv").read_text() == _csv_text(config.model, objects)
     # the sparse solve-cd rows of every selection, accepted or not
     for s, selection in enumerate(grid.selections):
         expected = [_object_row(R, *point[s]) for R, point in zip(R_values, points)]
-        assert _csv_text(zip(_selection_rows(grid, [s]))) == _csv_text(expected), selection
+        assert (_csv_text(config.model, zip(_selection_rows(grid, [s])))
+                == _csv_text(config.model, expected)), selection
     if preset == "gen":
         # every row rejected, both ways, some with a non-finite cond
         assert {row[3] for row in objects} == {"singular", "not_real"}
@@ -841,4 +894,4 @@ def test_columnar_csv_is_the_per_object_csv(preset, tmp_path):
         assert main(["solve-cd", "--config", "preset:qa", "--out", str(tmp_path)]) == 0
         s = grid.selections.index(config.selection)
         expected = [_object_row(R, *point[s]) for R, point in zip(R_values, points)]
-        assert (tmp_path / "solve_cd.csv").read_text() == _csv_text(expected)
+        assert (tmp_path / "solve_cd.csv").read_text() == _csv_text(config.model, expected)

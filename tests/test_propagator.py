@@ -410,21 +410,24 @@ def test_ff_state_residual_solves_a_few_points_per_probe_time(monkeypatch):
     # the phases come from each probe triple's own Gauss nodes, not from
     # integrals over [0, t] on PHASE_NODES nodes for each of its 3 times: one
     # state call at the probe times t for the anchors, one over the probes and
-    # nodes, and the drive's at t
+    # nodes, and the drive's at t; level n is named once, at R0, for all three
     model, sched, solution = FF_CASES["gen"]
-    points = []
-    real = models.tracked_state
+    points, levels = [], []
+    real, real_level = models.tracked_state, models.level
 
     def counted(model, R, n, **kw):
         points.append(len(R))
         return real(model, R, n, **kw)
 
     monkeypatch.setattr(models, "tracked_state", counted)
+    monkeypatch.setattr(models, "level", lambda *args: levels.append(args) or real_level(*args))
     for K in (3, 12):
         points.clear()
+        levels.clear()
         ff_state_residual(model, sched, solution, 0, np.linspace(0.2, 0.8, K) * sched.T_FF)
         assert len(points) <= 3
         assert sum(points) <= K * (1 + 3 + 2 * propagator.PROBE_NODES + 1)
+        assert len(levels) == 1
 
 
 def test_ff_state_residual_refuses_any_probe_outside(qa_model, qa_schedule):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import spinff.ansatz
 import spinff.cdsolver
+import spinff.models
 from spinff import reduce_system, verify_table
 from spinff.cdsolver import enumeration_grid
 from spinff.errors import ConfigError
@@ -70,12 +73,11 @@ def test_table_requires_annealing_model(tfim_model):
 
 
 def test_sign_flip_mutation_is_caught(qa_model, monkeypatch):
-    # corrupt the W2 basis operator; the closed forms must stop matching
-    flipped = spinff.ansatz.BASIS.copy()
-    flipped[spinff.ansatz.COEFF_NAMES.index("W2")] *= -1.0
-    monkeypatch.setattr(spinff.ansatz, "BASIS", flipped)
-    monkeypatch.setattr(spinff.cdsolver, "BASIS", flipped)
-    verification = verify_table(qa_model, [5.0])
+    # corrupt the W2 operator of qa's ansatz; the closed forms must stop matching
+    table = dict(spinff.models.ANSATZ["qa"])
+    table["W2"] = -table["W2"]
+    monkeypatch.setitem(spinff.models.ANSATZ, "qa", table)
+    verification = verify_table(replace(qa_model), [5.0])
     assert not verification.passed
     assert verification.failures
 
