@@ -35,7 +35,9 @@ real and imaginary rows M, n their left null vector where they have one)
 over the model's whole ansatz, to which ``_min_norm_solve`` (``solve_dense``
 at one R) adds a full-row residual check.  The census runs
 ``_accept`` (square reduced systems over (R, selection), filtered, as
-arrays) in ``solve_grid``/``enumerate_grid``.  Every square system is
+arrays) in ``solve_grid``/``enumerate_grid``, on blocks of at most
+CENSUS_BLOCK systems (``census_blocks``), so its memory beyond the result
+arrays does not grow with the grid.  Every square system is
 solved as adj(M) b / det M (``_solve_square``), and the census filters it
 by its 2-norm condition number, taken in closed form from the system's
 Gram and adjugate matrices: their largest eigenvalues are roots of
@@ -44,7 +46,7 @@ system is singular to working precision.  No LU, SVD or eigensolve runs:
 every kernel is elementwise over the points.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +65,7 @@ IMAG_TOL = 1e-9        # largest imaginary part of an accepted coefficient
 RESIDUAL_TOL = 1e-10   # largest full-system residual of an accepted solution
 GROUP_TOL = 1e-8       # largest coefficient distance within a degenerate group
 GRAM_COND_MAX = 1e8    # largest condition bound of a minimum-norm solve's Gram matrix
+CENSUS_BLOCK = 1024    # (R, selection) systems the census solves at once
 REASONS = ("", "singular", "not_real", "residual")   # rejection reasons by code
 
 
@@ -377,18 +380,35 @@ class GridEnumeration:
         return bool(np.all(self.group_id == self.group_id[:1]))
 
 
-def solve_grid(model, R_values, selections, level=(0, 0)):
-    """Every selection at every point of an R grid, unclustered (group ids -1).
+def census_blocks(N, S):
+    """Near-equal slices of N points, at most CENSUS_BLOCK // S points each (at least one)."""
+    count = -(-N // max(1, CENSUS_BLOCK // S))
+    return [slice(i * N // count, (i + 1) * N // count) for i in range(count)]
 
-    One ``tracked_state`` call of ``level`` (s, j) covers the grid and one
-    ``_accept`` call every (R, selection) pair.
+
+def solve_grid(model, R_values, selections, level=(0, 0), *, cluster=False):
+    """Every selection at every point of an R grid; clustered if ``cluster``, else group ids -1.
+
+    One ``tracked_state`` call of ``level`` (s, j) covers the grid; ``_accept``
+    (and ``_cluster``) run on its ``census_blocks``, filling the result arrays
+    in place.  Both work point by point, so every result is bit-identical
+    at any block size.
     """
     R = np.atleast_1d(np.asarray(R_values, dtype=float))
     _, C, dC, rhs = models.tracked_state(model, R, level)
     rows = model.sector_rows[level[0]]
-    arrays = _accept(model, _square_indices(model, selections, rows), C, rhs, rows)
-    return GridEnumeration(R, tuple(selections), *arrays,
-                           np.full(arrays[1].shape, -1), C, dC, rhs)
+    idx = _square_indices(model, selections, rows)
+    shape = (len(R), len(selections))
+    grid = GridEnumeration(R, tuple(selections), np.zeros(shape + (len(model.ansatz[0]),)),
+                           np.zeros(shape, int), np.zeros(shape), np.zeros(shape),
+                           np.zeros(shape), np.full(shape, -1), C, dC, rhs)
+    solved = (grid.coefficients, grid.reason, grid.cond, grid.max_imag, grid.residual)
+    for block in census_blocks(*shape):
+        for out, values in zip(solved, _accept(model, idx, C[block], rhs[block], rows)):
+            out[block] = values
+        if cluster:
+            grid.group_id[block] = _cluster(grid.coefficients[block], grid.reason[block] == 0)
+    return grid
 
 
 def enumerate_grid(model, R_values, level=(0, 0)):
@@ -396,8 +416,7 @@ def enumerate_grid(model, R_values, level=(0, 0)):
     selections = admissible_selections(model)
     if not selections:
         raise ConfigError(f"model {model.kind!r} has no admissible selection to enumerate")
-    grid = solve_grid(model, R_values, selections, level)
-    return replace(grid, group_id=_cluster(grid.coefficients, grid.reason == 0))
+    return solve_grid(model, R_values, selections, level, cluster=True)
 
 
 def _cluster(coefficients, accepted):
@@ -405,7 +424,9 @@ def _cluster(coefficients, accepted):
 
     At each point, selection by selection, an accepted solution joins the
     first group whose representative (its first member) lies within
-    GROUP_TOL in every coefficient, or opens a new group; all points at once.
+    GROUP_TOL in every coefficient, or opens a new group; all N points at
+    once, each on its own, so a block of points gets the ids it has in the
+    whole grid.
     """
     reps = np.zeros_like(coefficients)          # reps[k, g]: group g's first member
     count = np.zeros(len(coefficients), dtype=int)
@@ -583,9 +604,10 @@ class CoefficientPath:
             )
         return x.T
 
-    def matrices(self, R_array):
-        """(N, dim, dim) regularization matrices (velocity not applied)."""
-        return matrices_from_rows(self.values(R_array), self.basis)
+    def matrices(self, R_array, *, state=None):
+        """(N, dim, dim) regularization matrices (velocity not applied); ``state`` as in
+        ``values``."""
+        return matrices_from_rows(self.values(R_array, state=state), self.basis)
 
 
 def is_driven(schedule, R, v):
@@ -603,18 +625,23 @@ def fast_forward_hamiltonian(model, schedule, solution, t, n=0):
     return driven_hamiltonian(model, schedule, solution, t, models.level(model, schedule.R0, n))
 
 
-def driven_hamiltonian(model, schedule, solution, t, level):
+def driven_hamiltonian(model, schedule, solution, t, level, *, state=None):
     """H0 at the advanced parameter plus velocity times the regularization of level (s, j).
 
     t is a scalar or an array, and the result is shaped like
     ``models.hamiltonian``'s.  Exactly H0 wherever the point is not driven
     (both protocol endpoints), which also sidesteps the coefficient
-    singularities that can sit there.
+    singularities that can sit there.  ``state`` optionally holds
+    ``models.tracked_state`` of the level at the advanced parameter of t
+    (flattened), computed by the caller.
     """
     t = np.asarray(t, dtype=float)
     R, v = advanced_parameter(schedule, t.ravel()), velocity(schedule, t.ravel())
     H = models.hamiltonian(model, R)
     live = is_driven(schedule, R, v)
     if np.any(live):
-        H[live] += v[live, None, None] * CoefficientPath(model, solution, level).matrices(R[live])
+        if state is not None:
+            state = tuple(a[live] for a in state)
+        H[live] += v[live, None, None] * CoefficientPath(model, solution, level).matrices(
+            R[live], state=state)
     return H.reshape(t.shape + H.shape[1:])

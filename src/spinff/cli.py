@@ -25,6 +25,7 @@ from .cdsolver import (
     CoefficientPath,
     _min_norm_solve,
     admissible_selections,
+    census_blocks,
     drb_counterdiabatic,
     enumerate_grid,
     enumeration_grid,
@@ -103,13 +104,14 @@ def _umask():
 _FILE_MODE = 0o666 & ~_umask()
 
 
-def write_atomic(path, text):
+def write_atomic(path, chunks):
+    """Write the text chunks, in order, to a temporary file renamed onto path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
@@ -118,13 +120,24 @@ def write_atomic(path, text):
         raise
 
 
-def write_csv(path, header, lines):
-    """The header, then the given lines: one comma-joined string per row."""
-    write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
+def write_csv(path, header, blocks):
+    """The header, then the lines of each block in turn: one comma-joined string per row.
+
+    ``blocks`` is an iterable of lists of lines, taken one at a time, so a
+    generator of blocks never has the whole file's text in memory.
+    """
+    def text():
+        yield ",".join(header)
+        for lines in filter(None, blocks):      # an empty block adds no line
+            yield "\n"
+            yield "\n".join(lines)
+        yield "\n"
+
+    write_atomic(path, text())
 
 
 def write_json(path, payload):
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _config_payload(config):
@@ -224,7 +237,7 @@ def run_job(config):
         traj.t, traj.R_adv, traj.psi.real, traj.psi.imag, traj.populations,
         traj.norm, traj.fidelity, traj.coefficients,
     ]))
-    write_csv(os.path.join(config.out, "trajectory.csv"), header, lines)
+    write_csv(os.path.join(config.out, "trajectory.csv"), header, [lines])
 
     header = ["t", "R_adv", "v"] + [f"coef_{n}" for n in names] + [
         f"drive_{n}" for n in names
@@ -233,7 +246,7 @@ def run_job(config):
         traj.t, traj.R_adv, traj.velocity, traj.coefficients,
         traj.velocity[:, None] * traj.coefficients,
     ]))
-    write_csv(os.path.join(config.out, "coefficients.csv"), header, lines)
+    write_csv(os.path.join(config.out, "coefficients.csv"), header, [lines])
 
     passed = traj.min_fidelity >= config.fidelity_bar
     summary = _config_payload(config)
@@ -268,21 +281,22 @@ def _selection_header(model):
             + ["residual", "cond", "max_imag", "group_id"])
 
 
-def _selection_rows(grid, which):
-    """CSV lines of the grid's selections ``which`` (indices), point by point.
+def _selection_rows(grid, which, points=slice(None)):
+    """CSV lines of the grid's selections ``which`` (indices) at ``points``, point by point.
 
     Unsolved entries print as ``_accept`` leaves them: residual and
     max_imag nan, and cond inf where singular.
     """
-    numbers = np.concatenate([grid.coefficients[:, which], np.stack(
-        [grid.residual, grid.cond, grid.max_imag], axis=-1)[:, which]], axis=-1)
+    numbers = np.concatenate([grid.coefficients[points, which], np.stack(
+        [grid.residual[points], grid.cond[points], grid.max_imag[points]], axis=-1)[:, which]],
+        axis=-1)
     labels = ["|".join(grid.selections[s]) for s in which]
     status = [f"{int(code == 0)},{reason}" for code, reason in enumerate(REASONS)]
     lines = _float_rows(numbers.reshape(-1, numbers.shape[-1]))
     rows, S = [], len(labels)
-    for k, (R, codes, gids) in enumerate(zip(map(repr, grid.R.tolist()),
-                                             grid.reason[:, which].tolist(),
-                                             grid.group_id[:, which].tolist())):
+    for k, (R, codes, gids) in enumerate(zip(map(repr, grid.R[points].tolist()),
+                                             grid.reason[points, which].tolist(),
+                                             grid.group_id[points, which].tolist())):
         rows += [f"{R},{label},{status[code]},{line},{gid}" for label, code, line, gid
                  in zip(labels, codes, lines[k * S : (k + 1) * S], gids)]
     return rows
@@ -310,15 +324,18 @@ def solve_cd_job(config):
         # accepted, but outside the enumeration: solved alone, unclustered
         grid = solve_grid(config.model, R_values, [selection], _level(config))
         rows = _selection_rows(grid, [0])
-    write_csv(os.path.join(config.out, "solve_cd.csv"), header, rows)
+    write_csv(os.path.join(config.out, "solve_cd.csv"), header, [rows])
     return EXIT_OK
 
 
 def enumerate_job(config):
     R_values = enumeration_grid(config.schedule, config.grid)
     grid = enumerate_grid(config.model, R_values, _level(config))
-    rows = _selection_rows(grid, range(len(grid.selections)))
-    write_csv(os.path.join(config.out, "enumerate.csv"), _selection_header(config.model), rows)
+    which = range(len(grid.selections))
+    # one census block of rows at a time: the grid's text is never held whole
+    blocks = (_selection_rows(grid, which, points)
+              for points in census_blocks(len(R_values), len(which)))
+    write_csv(os.path.join(config.out, "enumerate.csv"), _selection_header(config.model), blocks)
     summary = _config_payload(config)
     summary.update(
         {
@@ -344,7 +361,7 @@ def verify_table_job(config):
                            for e in entries])
     rows = [f"{e.index},{e.frame},{'|'.join(e.pair)},{line},{e.group_id},{int(e.passed)}"
             for e, line in zip(entries, numbers)]
-    write_csv(os.path.join(config.out, "table_report.csv"), header, rows)
+    write_csv(os.path.join(config.out, "table_report.csv"), header, [rows])
     payload = {
         "passed": bool(verification.passed),
         "groups_match_enumeration": bool(verification.groups_match_enumeration),
@@ -379,14 +396,22 @@ def _checks():
 
     # the coefficient checks read CoefficientPath, what evolve drives with; the
     # enumeration checks read the census
+    @functools.cache
+    def lz_path():
+        # the upper level's path and its states on lz_R, shared by the two lz checks
+        path = CoefficientPath(lz.model, None, (0, 1))
+        return path, models.tracked_state(lz.model, lz_R, path.level)
+
     def lz_closed_form():
-        x = CoefficientPath(lz.model, None, (0, 1)).values(lz_R)
+        path, state = lz_path()
+        x = path.values(lz_R, state=state)
         closed = tables.lz_h12_imag(lz.model, lz_R)
         return _max_error([x[:, 2] - closed, x[:, 1], x[:, 0]], 1e-10)
 
     def lz_drb_equality():
+        path, state = lz_path()
         H = drb_counterdiabatic(lz.model, lz_R)
-        return _max_error(H - CoefficientPath(lz.model, None, (0, 1)).matrices(lz_R), 1e-10)
+        return _max_error(H - path.matrices(lz_R, state=state), 1e-10)
 
     def tfim_closed_form():
         path = CoefficientPath(tfim.model, ("J3", "W2"))
@@ -439,8 +464,9 @@ def _checks():
     def _drb_action(config, selection):
         # one batch of five grid points and the mid-excursion R
         R = np.append(enumeration_grid(config.schedule, 5), _mid_R(config))
-        Ht = CoefficientPath(config.model, selection).matrices(R)
-        C = models.tracked_state(config.model, R, (0, 0))[1]
+        state = models.tracked_state(config.model, R, (0, 0))
+        Ht = CoefficientPath(config.model, selection).matrices(R, state=state)
+        C = state[1]
         H = drb_counterdiabatic(config.model, R)
         action = np.linalg.norm(((H - Ht) @ C[..., None])[..., 0], axis=-1)
         worst_action = float(np.max(action[:-1]))

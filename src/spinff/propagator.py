@@ -537,9 +537,11 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     width = np.diff(ts, axis=1)                                    # (K, 2) halves
     x, w = _legendre_rule(PROBE_NODES)
     tau = (ts[:, :2, None] + 0.5 * width[..., None] * (x + 1.0)).ravel()
-    # the probes hold the largest component at t, the phase rate the
-    # default gauge at t, as ff_state's phase integral does
-    v = models.tracked_state(model, advanced_parameter(schedule, tk, clamp=True), level)[1]
+    # the probes hold the largest component at t, the phase rate the default
+    # gauge at t, as ff_state's phase integral does; the drive at t solves
+    # its coefficients on the same states
+    at_t = models.tracked_state(model, advanced_parameter(schedule, tk, clamp=True), level)
+    v = at_t[1]
     anchors = np.concatenate([np.repeat(np.argmax(np.abs(v), axis=1), 3),
                               np.repeat(models.default_anchor(model, v), 2 * PROBE_NODES)])
     energies, C, dC, _ = models.tracked_state(
@@ -553,6 +555,6 @@ def ff_state_residual(model, schedule, solution, n, t, dt_probe=1e-6):
     phase = np.concatenate([np.zeros((len(tk), 1)), np.cumsum(step, axis=1)], axis=1)
     psi = C[:k].reshape(ts.shape + (-1,)) * np.exp(1j * phase)[..., None]
     dpsi = (psi[:, 2] - psi[:, 0]) / (2.0 * dt_probe)
-    H = driven_hamiltonian(model, schedule, solution, tk, level)
+    H = driven_hamiltonian(model, schedule, solution, tk, level, state=at_t)
     residual = np.linalg.norm(1j * dpsi - (H @ psi[:, 1, :, None])[..., 0], axis=-1)
     return float(residual[0]) if t.ndim == 0 else residual.reshape(t.shape)

@@ -301,6 +301,63 @@ def test_enumerate_row_counts(tmp_path):
     assert summary["accepted_per_point"] == [0, 0]
 
 
+def _grid_arrays(grid):
+    """The GridEnumeration's arrays by field name."""
+    return {name: value for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("preset", ["gen", "qa", "tfim"])
+def test_census_block_size_never_changes_the_census(preset, tmp_path, monkeypatch):
+    # 588 = 7 * 84: gen's 50 points in eight blocks of 6 or 7
+    config = load_preset(preset)
+    R_values = enumeration_grid(config.schedule, config.grid)
+    the_level = level(config.model, config.schedule.R0, config.state)
+    monkeypatch.setattr(spinff.cdsolver, "CENSUS_BLOCK", 588)
+    assert {b.stop - b.start for b in spinff.cdsolver.census_blocks(50, 84)} == {6, 7}
+    results = {}
+    for block in (10 ** 9, 1, 588):
+        monkeypatch.setattr(spinff.cdsolver, "CENSUS_BLOCK", block)
+        out = tmp_path / str(block)
+        assert main(["enumerate", "--config", f"preset:{preset}", "--out", str(out)]) == 0
+        results[block] = (_grid_arrays(enumerate_grid(config.model, R_values, the_level)),
+                          (out / "enumerate.csv").read_bytes())
+    whole, csv_bytes = results.pop(10 ** 9)
+    for block, (arrays, text) in results.items():
+        for name, a in whole.items():   # bitwise, NaN payloads and signed zeros included
+            b = arrays[name]
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (block, name)
+            assert a.tobytes() == b.tobytes(), (block, name)
+        assert text == csv_bytes, block
+
+
+def test_census_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # the traced peak of gen's enumerate beyond the result arrays it keeps
+    # (about 112 B per (R, selection) pair) is 0.9 MB at 50 points and 1.1 MB
+    # at 400; solved and written whole, it was 3.8 MB and 30 MB
+    import tracemalloc
+
+    kept = []
+    original = spinff.cli.enumerate_grid
+
+    def keeping(*args, **kwargs):
+        kept.append(original(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(spinff.cli, "enumerate_grid", keeping)
+    assert main(["enumerate", "--config", "preset:gen", "--grid", "4",
+                 "--out", str(tmp_path)]) == 0     # first-call imports and caches
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--config", "preset:gen", "--grid", "400",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    retained = sum(a.nbytes for a in _grid_arrays(kept[-1]).values())
+    assert retained > 400 * 84 * 112
+    assert peak - retained < 3e6, (peak, retained)
+
+
 def test_solve_cd_lz_schema(tmp_path):
     out = tmp_path / "lzcd"
     assert main(["solve-cd", "--config", "preset:lz", "--grid", "3",
@@ -750,6 +807,24 @@ def test_verify_makes_at_most_30_state_calls(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(tmp_path)]) == 0
     assert len(json.loads((tmp_path / "verify.json").read_text())["checks"]) == 15
     assert len(calls) <= 30
+
+
+def test_verify_solves_no_state_grid_twice(tmp_path, monkeypatch):
+    # one state solve per check grid: the drive of a residual probe reuses
+    # the probe-time states, a DRB-action check solves its grid once and
+    # the two lz checks share one path
+    import spinff.models
+
+    calls = []
+    original = spinff.models.tracked_state
+
+    def recording(model, R, level, **kwargs):
+        calls.append((model.kind, level, np.asarray(R, dtype=float).tobytes()))
+        return original(model, R, level, **kwargs)
+
+    monkeypatch.setattr(spinff.models, "tracked_state", recording)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert len(set(calls)) == len(calls) == 15
 
 
 def _preset_text(name):
